@@ -368,7 +368,7 @@ fn emit_failpoint_overhead(_c: &mut Criterion) {
 /// unchanged code every other group measures) and the cross-run hit rate of
 /// running a reduced suite twice against one store.
 fn emit_loss_cache(_c: &mut Criterion) {
-    use clapton_bench::{run_spec_suite_with_cache, Options, SuiteConfig};
+    use clapton_bench::{Options, SuiteConfig};
     use clapton_service::{
         CacheConfig, CacheStore, ClaptonService, EngineSpec, JobSpec, MethodSpec, NoiseSpec,
         ProblemSpec, SuiteProblem, UniformNoise,
@@ -497,32 +497,25 @@ fn emit_loss_cache(_c: &mut Criterion) {
     let suite = SuiteConfig {
         options: Options { effort: 0, seed: 9 },
         qubits: 4,
-        halt_after_rounds: None,
     };
     let specs: Vec<JobSpec> = suite.specs().into_iter().take(3).collect();
     let cache_dir = scratch.join("suite-cache");
     let first_store =
         Arc::new(CacheStore::open(&cache_dir, CacheConfig::default()).expect("store opens"));
-    run_spec_suite_with_cache(
-        fresh_root("suite"),
-        specs.clone(),
-        Arc::clone(&pool),
-        None,
-        None,
-        Some(first_store),
-    )
-    .expect("first suite pass");
+    ClaptonService::with_pool(Arc::clone(&pool))
+        .with_artifacts(fresh_root("suite"))
+        .expect("artifact root")
+        .with_cache(first_store)
+        .run_all(specs.clone(), None)
+        .expect("first suite pass");
     let second_store =
         Arc::new(CacheStore::open(&cache_dir, CacheConfig::default()).expect("store opens"));
-    run_spec_suite_with_cache(
-        fresh_root("suite"),
-        specs,
-        Arc::clone(&pool),
-        None,
-        None,
-        Some(Arc::clone(&second_store)),
-    )
-    .expect("second suite pass");
+    ClaptonService::with_pool(Arc::clone(&pool))
+        .with_artifacts(fresh_root("suite"))
+        .expect("artifact root")
+        .with_cache(Arc::clone(&second_store))
+        .run_all(specs, None)
+        .expect("second suite pass");
     let stats = second_store.stats();
     let hit_rate = stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
     println!(

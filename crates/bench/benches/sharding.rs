@@ -32,7 +32,6 @@ fn bench_specs() -> Vec<JobSpec> {
     let mut specs = SuiteConfig {
         options: Options { effort: 0, seed: 7 },
         qubits: 4,
-        halt_after_rounds: None,
     }
     .specs();
     specs.truncate(4);

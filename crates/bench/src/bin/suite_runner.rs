@@ -1,12 +1,12 @@
-//! `suite-runner` — the concurrent, checkpointed benchmark-suite
-//! orchestrator.
+//! `suite-runner` — the checkpointed benchmark-suite runner.
 //!
-//! Executes the paper's benchmark suite (12 instances at `N = 10`) as
-//! concurrent jobs, checkpointing every GA round atomically into a run
-//! directory. Kill it at any instant (or bound it with
-//! `--halt-after-rounds`) and re-run the same command line: finished jobs
-//! are skipped, interrupted jobs resume from their last round snapshot, and
-//! the final artifacts are byte-identical to an uninterrupted run.
+//! Executes the paper's benchmark suite (12 instances at `N = 10`), or any
+//! `JobSpec` list, through the `ClaptonService` job body, checkpointing
+//! every GA round atomically into a run directory. Kill it at any instant
+//! (or bound it with `--halt-after-rounds`) and re-run the same command
+//! line: finished jobs are answered from their reports, interrupted jobs
+//! resume from their last round snapshot, and the merged
+//! `suite_manifest.json` is byte-identical to an uninterrupted run.
 //!
 //! ```text
 //! suite-runner [--quick|--full] [--seed N] [--qubits N]
@@ -18,78 +18,68 @@
 //!              [--cache-dir DIR] [--no-persistent-cache]
 //! ```
 //!
-//! Three execution shapes:
+//! Every run takes the same three steps:
 //!
-//! * **Single process** (default): the legacy orchestrator — one process,
-//!   `--pool-workers` threads. Built-in suite artifacts per run directory:
-//!   `manifest.json`, `<job>.checkpoint.json`, `<job>.result.json`
-//!   (deterministic), `suite_summary.json`, `bench_rows.json`.
-//! * **Spec file** (`--specs FILE`): a JSON array of `JobSpec`s executed
-//!   through the `ClaptonService` front door, one artifact subdirectory per
-//!   job. Note the `--halt-after-rounds N` scope difference: built-in mode
-//!   counts `N` rounds summed over the whole suite; spec mode gives *each
-//!   job* its own `N`-round budget per invocation.
-//! * **Sharded** (`--workers N`): the run directory becomes a shared work
-//!   queue (`queue.json` + per-job dirs + `claim.json` leases) and `N`
-//!   child *processes* sweep it concurrently. Any external process — on
-//!   this host or another sharing the filesystem — can attach to the same
-//!   queue with `--join DIR`. Workers SIGKILLed mid-job are survived: their
-//!   leases go stale after `--lease-ttl` seconds and a peer resumes the job
-//!   from its checkpoint. When the queue drains, the parent folds the
-//!   per-job reports into `suite_manifest.json`, ordered by job id and
-//!   byte-identical to a single-worker run. `--status` prints who holds
-//!   what; `--merge` re-folds the manifest without running anything.
-//!   `--chaos-seed N` arms each worker child with a seeded fault schedule
-//!   (torn writes, failed renames, lost claims, dropped heartbeats, even a
-//!   process abort) via `CLAPTON_FAILPOINTS`; the merged manifest must
-//!   still come out byte-identical — that is the CI `chaos-smoke` check.
+//! 1. **Queue.** The spec list — the built-in suite (`--quick`/`--full`,
+//!    `--seed`, `--qubits`) or a JSON array of `JobSpec`s (`--specs FILE`,
+//!    as written by `--emit-specs`) — is recorded as the run directory's
+//!    `queue.json`. A run directory holds one suite: re-running it with a
+//!    different spec list (round budgets aside) exits with status 2.
+//!    Without `--run`, the built-in suite runs in
+//!    `<profile>-n<qubits>-seed<seed>` and a spec file in
+//!    `<file stem>-<FNV-1a 64 of its specs>`, so each list gets its own
+//!    directory and the same command line resumes it.
+//! 2. **Execute.** By default one process runs every job concurrently on
+//!    one pool of `--pool-workers` threads (`ClaptonService::run_all`).
+//!    With `--workers N`, `N` child *processes* sweep the queue instead,
+//!    claiming jobs through `claim.json` leases; any external process — on
+//!    this host or another sharing the filesystem — can attach with
+//!    `--join DIR`. Workers SIGKILLed mid-job are survived: their leases go
+//!    stale after `--lease-ttl` seconds and a peer resumes the job from its
+//!    checkpoint. `--chaos-seed N` arms each worker child with a seeded
+//!    fault schedule (torn writes, failed renames, lost claims, dropped
+//!    heartbeats, even a process abort) via `CLAPTON_FAILPOINTS`.
+//!    Either way each job writes `spec.json`, round checkpoints and
+//!    `report.json` into its own subdirectory, and `--halt-after-rounds N`
+//!    gives each job an `N`-round budget for this invocation.
+//! 3. **Merge.** The per-job reports fold into `suite_manifest.json`,
+//!    ordered by job id and byte-identical however the jobs were executed.
+//!    `--merge` re-folds it without running anything.
 //!
-//! Spec-file and sharded runs answer repeat work from the persistent
-//! content-addressed store at `--cache-dir` (default: `.cache` inside the
-//! run directory) — already-solved specs skip the pool entirely, and
-//! already-scored genomes are read back instead of recomputed, without
-//! changing a byte of any artifact. `--no-persistent-cache` pins the cold
-//! path (the chaos and determinism suites run cold by default). Each worker
-//! prints a `clapton_cache_hits_total=…` line on exit; see
+//! Jobs are claimed under a per-process worker id (`--worker-id` overrides
+//! it), so the leases of a SIGKILLed run stay live for `--lease-ttl`
+//! seconds (default 30): a single-process re-run inside that window reports
+//! those jobs as leased (exit status 2) and resumes them once the leases
+//! are stale, while `--workers` children wait and take them over.
+//!
+//! `--status` prints who holds what per job; `--list` summarizes every run
+//! in the registry. Both admit each queued spec to read its state, so they
+//! create any job directory (and its `spec.json`) not yet written.
+//!
+//! Runs answer repeat work from the persistent content-addressed store at
+//! `--cache-dir` (default: `.cache` inside the run directory) —
+//! already-solved specs skip the pool entirely, and already-scored genomes
+//! are read back instead of recomputed, without changing a byte of any
+//! artifact. `--no-persistent-cache` pins the cold path. Each executing
+//! process prints a `clapton_cache_hits_total=…` line on exit; see
 //! `docs/CACHING.md`.
 //!
 //! See `docs/DISTRIBUTED.md` for the queue layout and lease protocol.
 
 use clapton_bench::{
-    chaos_schedule, merge_shards, read_queue, run_shard_worker, run_spec_suite_with_cache,
-    run_suite, schedule_spec, shard_status, write_queue, Options, ShardWorkerConfig, SuiteConfig,
-    SuiteOutcome,
+    chaos_schedule, merge_shards, read_queue, run_shard_worker, schedule_spec, shard_status,
+    write_queue, MergedManifest, Options, ShardOutcome, ShardWorkerConfig, SuiteConfig,
+    MERGED_MANIFEST_ARTIFACT,
 };
 use clapton_error::ClaptonError;
-use clapton_runtime::{EventKind, RunEvent, RunRegistry, WorkerPool};
-use clapton_service::{CacheConfig, CacheStore, JobSpec, CACHE_DIR_NAME};
-use serde::Serialize;
+use clapton_runtime::{artifact_slug, EventKind, RunEvent, RunRegistry, WorkerPool};
+use clapton_service::{CacheConfig, CacheStore, ClaptonService, JobSpec, CACHE_DIR_NAME};
+use clapton_telemetry::fnv1a64;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// One wall-clock row in the repository's BENCH format.
-#[derive(Debug, Serialize)]
-struct BenchRow {
-    group: String,
-    id: String,
-    median_ns: u64,
-    best_ns: u64,
-    samples: usize,
-}
-
-/// Everything `suite_summary.json` records (wall-clock lives here, *not* in
-/// the deterministic per-job results).
-#[derive(Debug, Serialize)]
-struct SummaryJob {
-    name: String,
-    rounds: usize,
-    completed: bool,
-    skipped: bool,
-    wall_ms: u64,
-}
+use std::time::{Duration, Instant};
 
 struct Args {
     options: Options,
@@ -269,99 +259,112 @@ fn print_cache_summary(cache: Option<&Arc<CacheStore>>) {
     );
 }
 
-fn list_runs(registry: &RunRegistry) -> std::io::Result<()> {
-    let runs = registry.list()?;
-    if runs.is_empty() {
-        println!("no runs under {}", registry.path().display());
-        return Ok(());
-    }
-    println!(
-        "{:<28} {:<16} {:>6} {:>10} {:>12} {:>10}",
-        "run", "profile", "seed", "jobs", "complete", "in-flight"
-    );
-    for run in runs {
-        println!(
-            "{:<28} {:<16} {:>6} {:>10} {:>12} {:>10}",
-            run.name,
-            run.manifest.profile,
-            run.manifest.seed,
-            run.manifest.jobs.len(),
-            run.complete_jobs,
-            run.checkpointed_jobs
-        );
+/// Reports a fatal error; exit status 2.
+fn fail(message: impl std::fmt::Display) -> ExitCode {
+    eprintln!("suite-runner: {message}");
+    ExitCode::from(2)
+}
+
+/// `--list`: every suite run in the registry (a run directory with a
+/// `queue.json`) and how many of its jobs are in each state. Counting
+/// admits each queued spec, so job directories missing their `spec.json`
+/// are prepared; a run that cannot be counted is reported and skipped.
+fn list_runs(registry: &RunRegistry, lease_ttl: Duration) -> Result<(), ClaptonError> {
+    const STATES: [&str; 5] = ["done", "in-flight", "fresh", "failed", "cancelled"];
+    let header = STATES.map(|state| format!("{state:>10}"));
+    println!("{:<28} {:>6}{}", "run", "jobs", header.join(""));
+    for name in registry.run_names()? {
+        let dir = registry.path().join(&name);
+        let specs = match read_queue(&dir) {
+            Ok(specs) => specs,
+            Err(ClaptonError::Io(e)) => return Err(e.into()),
+            Err(_) => continue, // not a suite run, or its queue is corrupt
+        };
+        match shard_status(&dir, &specs, lease_ttl) {
+            Ok(rows) => {
+                let counts = STATES.map(|state| {
+                    format!("{:>10}", rows.iter().filter(|r| r.state == state).count())
+                });
+                println!("{name:<28} {:>6}{}", rows.len(), counts.join(""));
+            }
+            Err(e) => println!("{name:<28} cannot be listed: {e}"),
+        }
     }
     Ok(())
 }
 
-/// The spec list a shard/status/merge invocation operates on: the run's
-/// persisted `queue.json` wins (the queue is the source of truth once a
-/// shard run exists), then an explicit `--specs` file, then the built-in
-/// suite.
-fn resolve_specs(dir: &Path, args: &Args, config: &SuiteConfig) -> Result<Vec<JobSpec>, String> {
-    if let Ok(specs) = read_queue(dir) {
-        return Ok(specs);
-    }
-    if let Some(path) = &args.specs {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        return serde_json::from_str(&text)
-            .map_err(|e| format!("{path} is not a JSON array of job specs: {e}"));
-    }
-    Ok(config.specs())
+/// The spec list this invocation asks for: `--specs FILE`, else the
+/// built-in suite.
+fn requested_specs(args: &Args, config: &SuiteConfig) -> Result<Vec<JobSpec>, String> {
+    let Some(path) = &args.specs else {
+        return Ok(config.specs());
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("{path} is not a JSON array of job specs: {e}"))
+}
+
+/// The run directory name when `--run` is absent. The built-in suite is
+/// named by effort, register size and seed; a `--specs FILE` list by the
+/// file stem plus the FNV-1a 64 of its specs with budgets cleared, so
+/// different lists get different directories and the same list resumes.
+fn default_run_name(args: &Args, config: &SuiteConfig, specs: &[JobSpec]) -> String {
+    let Some(path) = &args.specs else {
+        return format!(
+            "{}-n{}-seed{}",
+            config.profile(),
+            args.qubits,
+            args.options.seed
+        );
+    };
+    let identities: Vec<JobSpec> = specs.iter().map(JobSpec::identity).collect();
+    let json = serde_json::to_string(&identities).expect("specs serialize");
+    let stem = Path::new(path).file_stem().unwrap_or_default();
+    let stem = artifact_slug(&stem.to_string_lossy());
+    format!("{stem}-{:016x}", fnv1a64(json.as_bytes()))
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
-        Err(message) => {
-            eprintln!("suite-runner: {message}");
-            return ExitCode::from(2);
-        }
+        Err(message) => return fail(message),
     };
     // Arms this process when a chaos parent handed us a schedule (worker
     // children of `--chaos-seed` see it via CLAPTON_FAILPOINTS).
     if let Err(e) = clapton_runtime::failpoint::configure_from_env() {
-        eprintln!("suite-runner: bad CLAPTON_FAILPOINTS: {e}");
-        return ExitCode::from(2);
+        return fail(format!("bad CLAPTON_FAILPOINTS: {e}"));
     }
     let config = SuiteConfig {
         options: args.options,
         qubits: args.qubits,
-        halt_after_rounds: args.halt_after_rounds,
     };
-    // Worker mode: attach to an existing shard queue and sweep it. The
-    // queue directory is given directly — no registry resolution — so any
+    // Worker mode: attach to an existing queue and sweep it. The queue
+    // directory is given directly — no registry resolution — so any
     // process on any host sharing the filesystem can join.
     if let Some(join) = &args.join {
-        if args.status {
-            return status_mode(Path::new(join), &args, &config);
-        }
-        if args.merge {
-            return merge_mode(Path::new(join), &args, &config);
-        }
-        return join_mode(Path::new(join), &args);
+        let dir = Path::new(join);
+        return if args.status {
+            status_mode(dir, &args, &config)
+        } else if args.merge {
+            merge_mode(dir, &args, &config)
+        } else {
+            join_mode(dir, &args)
+        };
     }
     let registry = match RunRegistry::open(&args.registry) {
         Ok(registry) => registry,
-        Err(e) => {
-            eprintln!("suite-runner: cannot open registry {}: {e}", args.registry);
-            return ExitCode::from(2);
-        }
+        Err(e) => return fail(format!("cannot open registry {}: {e}", args.registry)),
     };
     if args.list {
-        return match list_runs(&registry) {
+        return match list_runs(&registry, args.lease_ttl) {
             Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("suite-runner: {e}");
-                ExitCode::from(2)
-            }
+            Err(e) => fail(e),
         };
     }
     if let Some(path) = &args.emit_specs {
         let specs = config.specs();
         let json = serde_json::to_string_pretty(&specs).expect("specs serialize");
         if let Err(e) = std::fs::write(path, json) {
-            eprintln!("suite-runner: cannot write {path}: {e}");
-            return ExitCode::from(2);
+            return fail(format!("cannot write {path}: {e}"));
         }
         println!(
             "suite-runner: wrote {} job specs to {path} (run them with --specs {path})",
@@ -369,96 +372,122 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let run_name = args.run_name.clone().unwrap_or_else(|| {
-        format!(
-            "{}-n{}-seed{}",
-            config.profile(),
-            args.qubits,
-            args.options.seed
-        )
-    });
+    let requested = requested_specs(&args, &config);
+    let run_name = match (&args.run_name, &requested) {
+        (Some(name), _) => name.clone(),
+        (None, Ok(specs)) => default_run_name(&args, &config, specs),
+        (None, Err(message)) => return fail(message),
+    };
     let dir = match registry.run(&run_name) {
         Ok(dir) => dir,
-        Err(e) => {
-            eprintln!("suite-runner: cannot open run {run_name}: {e}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return fail(format!("cannot open run {run_name}: {e}")),
     };
+    let dir = dir.path();
     if args.status {
-        return status_mode(dir.path(), &args, &config);
+        return status_mode(dir, &args, &config);
     }
     if args.merge {
-        return merge_mode(dir.path(), &args, &config);
+        return merge_mode(dir, &args, &config);
     }
-    if let Some(workers) = args.workers {
-        return shard_parent_mode(dir.path(), workers, &args, &config);
-    }
-    println!(
-        "suite-runner: run {run_name} ({} profile, seed {}, {} pool workers) → {}",
-        config.profile(),
-        args.options.seed,
-        args.pool_workers,
-        dir.path().display()
-    );
-    let pool = Arc::new(WorkerPool::with_workers(args.pool_workers));
-    if let Some(path) = &args.specs {
-        return run_specs_mode(&dir, path, &args, pool);
-    }
-    // Stream progress events on a printer thread while the suite runs.
-    let (tx, printer) = spawn_printer(args.quiet);
-    let started = std::time::Instant::now();
-    let outcome = run_suite(&dir, &config, pool, Some(tx));
-    printer.join().expect("printer thread");
-    let outcome = match outcome {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("suite-runner: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Err(e) = write_summaries(&dir, &config, &outcome) {
-        eprintln!("suite-runner: writing summaries: {e}");
-        return ExitCode::from(2);
-    }
-    let wall = started.elapsed();
-    println!(
-        "suite-runner: {} of {} jobs complete in {:.2?}{}",
-        outcome.completed(),
-        outcome.jobs.len(),
-        wall,
-        if outcome.is_complete() {
-            String::new()
-        } else {
-            format!(
-                " — {} suspended; re-run the same command to resume",
-                outcome.suspended()
-            )
-        }
-    );
-    ExitCode::SUCCESS
-}
-
-/// The `--workers N` parent: seed the queue, fork N `--join` children over
-/// it, survive child deaths, and merge when the queue drains.
-fn shard_parent_mode(dir: &Path, workers: usize, args: &Args, config: &SuiteConfig) -> ExitCode {
-    let specs = match resolve_specs(dir, args, config) {
+    // Step 1: record the spec list as the run's queue (refusing a run
+    // directory that already holds a different suite).
+    let specs = match requested {
         Ok(specs) => specs,
-        Err(message) => {
-            eprintln!("suite-runner: {message}");
-            return ExitCode::from(2);
-        }
+        Err(message) => return fail(message),
     };
     if let Err(e) = write_queue(dir, &specs) {
-        eprintln!("suite-runner: cannot seed queue: {e}");
-        return ExitCode::from(2);
+        return fail(e);
     }
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("suite-runner: cannot locate own binary to fork workers: {e}");
-            return ExitCode::from(2);
-        }
+    // Steps 2 and 3: execute, then merge.
+    let started = Instant::now();
+    let merged = match args.workers {
+        Some(workers) => shard_parent_mode(dir, workers, &specs, &args),
+        None => in_process_mode(dir, &specs, &args),
     };
+    let merged = match merged {
+        Ok(merged) => merged,
+        Err(code) => return code,
+    };
+    let pending = merged.jobs.len() - merged.completed();
+    println!(
+        "suite-runner: {} of {} jobs complete in {:.2?}{} — merged manifest at {}",
+        merged.completed(),
+        merged.jobs.len(),
+        started.elapsed(),
+        if pending > 0 && args.halt_after_rounds.is_some() {
+            format!(" ({pending} suspended; re-run the same command to resume)")
+        } else {
+            String::new()
+        },
+        dir.join(MERGED_MANIFEST_ARTIFACT).display()
+    );
+    if merged.is_complete() || args.halt_after_rounds.is_some() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    }
+}
+
+/// The single-process run: every queued job executes concurrently on one
+/// pool through `ClaptonService::run_all`, so the jobs' population batches
+/// interleave instead of running back to back; then the results merge.
+fn in_process_mode(dir: &Path, specs: &[JobSpec], args: &Args) -> Result<MergedManifest, ExitCode> {
+    let cache = open_cache(dir, args).map_err(fail)?;
+    println!(
+        "suite-runner: running {} jobs on {} pool workers → {}",
+        specs.len(),
+        args.pool_workers,
+        dir.display()
+    );
+    let pool = Arc::new(WorkerPool::with_workers(args.pool_workers));
+    let mut service = ClaptonService::with_pool(pool)
+        .with_artifacts(dir)
+        .map_err(fail)?
+        .with_lease_ttl(args.lease_ttl);
+    if let Some(worker_id) = &args.worker_id {
+        service = service.with_worker_id(worker_id.clone());
+    }
+    if let Some(cache) = &cache {
+        service = service.with_cache(Arc::clone(cache));
+    }
+    let budgeted = specs
+        .iter()
+        .map(|spec| JobSpec {
+            budget: args.halt_after_rounds.or(spec.budget),
+            ..spec.clone()
+        })
+        .collect();
+    let (tx, printer) = spawn_printer(args.quiet);
+    let results = service.run_all(budgeted, Some(tx));
+    printer.join().expect("printer thread");
+    let mut failed = false;
+    for (spec, result) in specs.iter().zip(results.map_err(fail)?) {
+        match result {
+            Ok(_) | Err(ClaptonError::Suspended { .. }) => {}
+            Err(e) => {
+                failed = true;
+                eprintln!("[{}] failed: {e}", spec.display_name());
+            }
+        }
+    }
+    print_cache_summary(cache.as_ref());
+    let merged = merge_shards(dir, specs).map_err(|e| fail(format!("merge failed: {e}")))?;
+    if failed {
+        return Err(ExitCode::from(2));
+    }
+    Ok(merged)
+}
+
+/// The `--workers N` parent: fork N `--join` children over the queue,
+/// survive child deaths, and merge when the queue drains.
+fn shard_parent_mode(
+    dir: &Path,
+    workers: usize,
+    specs: &[JobSpec],
+    args: &Args,
+) -> Result<MergedManifest, ExitCode> {
+    let exe = std::env::current_exe()
+        .map_err(|e| fail(format!("cannot locate own binary to fork workers: {e}")))?;
     println!(
         "suite-runner: sharding {} jobs across {workers} worker processes \
          (lease TTL {:.1?}) → {}",
@@ -466,7 +495,6 @@ fn shard_parent_mode(dir: &Path, workers: usize, args: &Args, config: &SuiteConf
         args.lease_ttl,
         dir.display()
     );
-    let started = std::time::Instant::now();
     let mut children = Vec::with_capacity(workers);
     for index in 0..workers {
         let mut command = std::process::Command::new(&exe);
@@ -500,13 +528,10 @@ fn shard_parent_mode(dir: &Path, workers: usize, args: &Args, config: &SuiteConf
                 schedule_spec(&rules),
             );
         }
-        match command.spawn() {
-            Ok(child) => children.push((index, child)),
-            Err(e) => {
-                eprintln!("suite-runner: cannot spawn worker {index}: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        let child = command
+            .spawn()
+            .map_err(|e| fail(format!("cannot spawn worker {index}: {e}")))?;
+        children.push((index, child));
     }
     let mut died = 0usize;
     for (index, mut child) in children {
@@ -522,85 +547,38 @@ fn shard_parent_mode(dir: &Path, workers: usize, args: &Args, config: &SuiteConf
             }
         }
     }
+    println!("suite-runner: {died} worker deaths survived");
+    let merge = || merge_shards(dir, specs).map_err(|e| fail(format!("merge failed: {e}")));
+    let merged = merge()?;
+    if merged.is_complete() || args.halt_after_rounds.is_some() {
+        return Ok(merged);
+    }
     // Dead workers are tolerated by design — the queue outlives any of
     // them — but if *every* worker died the sweep may be incomplete, so
     // finish it inline before merging.
-    let merged = match merge_shards(dir, &specs) {
-        Ok(merged) => merged,
-        Err(e) => {
-            eprintln!("suite-runner: merge failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let merged = if !merged.is_complete() && args.halt_after_rounds.is_none() {
-        eprintln!(
-            "suite-runner: {} of {} jobs unfinished after all workers exited; \
-             finishing the sweep inline",
-            merged.jobs.len() - merged.completed(),
-            merged.jobs.len()
-        );
-        let cache = match open_cache(dir, args) {
-            Ok(cache) => cache,
-            Err(message) => {
-                eprintln!("suite-runner: {message}");
-                return ExitCode::from(2);
-            }
-        };
-        let shard_config = ShardWorkerConfig {
-            worker_id: args.worker_id.clone(),
-            lease_ttl: args.lease_ttl,
-            halt_after_rounds: args.halt_after_rounds,
-            cache,
-            ..ShardWorkerConfig::default()
-        };
-        let pool = Arc::new(WorkerPool::with_workers(args.pool_workers));
-        let (tx, printer) = spawn_printer(args.quiet);
-        let outcome = run_shard_worker(dir, pool, Some(tx), &shard_config);
-        printer.join().expect("printer thread");
-        if let Err(e) = outcome {
-            eprintln!("suite-runner: inline sweep failed: {e}");
-            return ExitCode::from(2);
-        }
-        match merge_shards(dir, &specs) {
-            Ok(merged) => merged,
-            Err(e) => {
-                eprintln!("suite-runner: merge failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        merged
-    };
-    println!(
-        "suite-runner: {} of {} jobs complete in {:.2?} ({died} worker deaths survived) — \
-         merged manifest at {}",
-        merged.completed(),
-        merged.jobs.len(),
-        started.elapsed(),
-        dir.join(clapton_bench::MERGED_MANIFEST_ARTIFACT).display()
+    eprintln!(
+        "suite-runner: {} of {} jobs unfinished after all workers exited; \
+         finishing the sweep inline",
+        merged.jobs.len() - merged.completed(),
+        merged.jobs.len()
     );
-    if merged.is_complete() || args.halt_after_rounds.is_some() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    let cache = open_cache(dir, args).map_err(fail)?;
+    sweep(dir, args, cache).map_err(|e| fail(format!("inline sweep failed: {e}")))?;
+    merge()
 }
 
-/// The `--join DIR` worker: sweep an existing shard queue until nothing is
-/// left to do.
-fn join_mode(dir: &Path, args: &Args) -> ExitCode {
-    let cache = match open_cache(dir, args) {
-        Ok(cache) => cache,
-        Err(message) => {
-            eprintln!("suite-runner: {message}");
-            return ExitCode::from(2);
-        }
-    };
+/// Sweeps the queue at `dir` in this process with [`run_shard_worker`]
+/// until nothing is left to do.
+fn sweep(
+    dir: &Path,
+    args: &Args,
+    cache: Option<Arc<CacheStore>>,
+) -> Result<ShardOutcome, ClaptonError> {
     let shard_config = ShardWorkerConfig {
         worker_id: args.worker_id.clone(),
         lease_ttl: args.lease_ttl,
         halt_after_rounds: args.halt_after_rounds,
-        cache: cache.clone(),
+        cache,
         // Under an armed fault schedule a job may error far more than the
         // usual attempt cap without being broken; injected faults are
         // finite, so retrying forever still converges.
@@ -613,10 +591,20 @@ fn join_mode(dir: &Path, args: &Args) -> ExitCode {
     };
     let pool = Arc::new(WorkerPool::with_workers(args.pool_workers));
     let (tx, printer) = spawn_printer(args.quiet);
-    let started = std::time::Instant::now();
     let outcome = run_shard_worker(dir, pool, Some(tx), &shard_config);
     printer.join().expect("printer thread");
-    match outcome {
+    outcome
+}
+
+/// The `--join DIR` worker: sweep an existing queue until nothing is left
+/// to do.
+fn join_mode(dir: &Path, args: &Args) -> ExitCode {
+    let cache = match open_cache(dir, args) {
+        Ok(cache) => cache,
+        Err(message) => return fail(message),
+    };
+    let started = Instant::now();
+    match sweep(dir, args, cache.clone()) {
         Ok(outcome) => {
             println!(
                 "suite-runner: worker drained the queue in {:.2?} — {} of {} jobs done",
@@ -627,28 +615,20 @@ fn join_mode(dir: &Path, args: &Args) -> ExitCode {
             print_cache_summary(cache.as_ref());
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("suite-runner: worker failed: {e}");
-            ExitCode::from(2)
-        }
+        Err(e) => fail(format!("worker failed: {e}")),
     }
 }
 
-/// The `--status` mode: who holds what, per job.
+/// The `--status` mode: who holds what, per job of the run's `queue.json`
+/// (else of the requested spec list).
 fn status_mode(dir: &Path, args: &Args, config: &SuiteConfig) -> ExitCode {
-    let specs = match resolve_specs(dir, args, config) {
+    let specs = match read_queue(dir).or_else(|_| requested_specs(args, config)) {
         Ok(specs) => specs,
-        Err(message) => {
-            eprintln!("suite-runner: {message}");
-            return ExitCode::from(2);
-        }
+        Err(message) => return fail(message),
     };
     let rows = match shard_status(dir, &specs, args.lease_ttl) {
         Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("suite-runner: {e}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return fail(e),
     };
     println!(
         "{:<34} {:<10} {:<20} {:>12} {:>8} {:>12}",
@@ -678,14 +658,11 @@ fn status_mode(dir: &Path, args: &Args, config: &SuiteConfig) -> ExitCode {
 }
 
 /// The `--merge` mode: re-fold `suite_manifest.json` without running
-/// anything.
+/// anything, like `--status` over the queued (else requested) spec list.
 fn merge_mode(dir: &Path, args: &Args, config: &SuiteConfig) -> ExitCode {
-    let specs = match resolve_specs(dir, args, config) {
+    let specs = match read_queue(dir).or_else(|_| requested_specs(args, config)) {
         Ok(specs) => specs,
-        Err(message) => {
-            eprintln!("suite-runner: {message}");
-            return ExitCode::from(2);
-        }
+        Err(message) => return fail(message),
     };
     match merge_shards(dir, &specs) {
         Ok(merged) => {
@@ -693,20 +670,16 @@ fn merge_mode(dir: &Path, args: &Args, config: &SuiteConfig) -> ExitCode {
                 "suite-runner: merged {} jobs ({} done) → {}",
                 merged.jobs.len(),
                 merged.completed(),
-                dir.join(clapton_bench::MERGED_MANIFEST_ARTIFACT).display()
+                dir.join(MERGED_MANIFEST_ARTIFACT).display()
             );
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("suite-runner: merge failed: {e}");
-            ExitCode::from(2)
-        }
+        Err(e) => fail(format!("merge failed: {e}")),
     }
 }
 
-/// Streams [`RunEvent`]s to stdout on a dedicated thread (shared by the
-/// built-in and spec-file modes); the returned sender feeds it, and joining
-/// the handle after the run drains it.
+/// Streams [`RunEvent`]s to stdout on a dedicated thread; the returned
+/// sender feeds it, and joining the handle after the run drains it.
 fn spawn_printer(quiet: bool) -> (mpsc::Sender<RunEvent>, std::thread::JoinHandle<()>) {
     let (tx, rx) = mpsc::channel::<RunEvent>();
     let printer = std::thread::spawn(move || {
@@ -731,121 +704,4 @@ fn spawn_printer(quiet: bool) -> (mpsc::Sender<RunEvent>, std::thread::JoinHandl
         }
     });
     (tx, printer)
-}
-
-/// The `--specs FILE` mode: run an arbitrary `JobSpec` list through the
-/// `ClaptonService` front door, with per-job artifact subdirectories under
-/// the run directory.
-fn run_specs_mode(
-    dir: &clapton_runtime::RunDirectory,
-    path: &str,
-    args: &Args,
-    pool: Arc<WorkerPool>,
-) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("suite-runner: cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let specs: Vec<JobSpec> = match serde_json::from_str(&text) {
-        Ok(specs) => specs,
-        Err(e) => {
-            eprintln!("suite-runner: {path} is not a JSON array of job specs: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    println!("suite-runner: {} job specs from {path}", specs.len());
-    let cache = match open_cache(dir.path(), args) {
-        Ok(cache) => cache,
-        Err(message) => {
-            eprintln!("suite-runner: {message}");
-            return ExitCode::from(2);
-        }
-    };
-    let (tx, printer) = spawn_printer(args.quiet);
-    let started = std::time::Instant::now();
-    let outcome = run_spec_suite_with_cache(
-        dir.path(),
-        specs,
-        pool,
-        Some(tx),
-        args.halt_after_rounds,
-        cache.clone(),
-    );
-    printer.join().expect("printer thread");
-    let outcomes = match outcome {
-        Ok(outcomes) => outcomes,
-        Err(e) => {
-            eprintln!("suite-runner: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut completed = 0usize;
-    let mut suspended = 0usize;
-    let mut failed = 0usize;
-    for (name, result) in &outcomes {
-        match result {
-            Ok(_) => completed += 1,
-            Err(ClaptonError::Suspended { rounds }) => {
-                suspended += 1;
-                println!("[{name}] checkpointed at round {rounds}");
-            }
-            Err(e) => {
-                failed += 1;
-                eprintln!("[{name}] failed: {e}");
-            }
-        }
-    }
-    println!(
-        "suite-runner: {completed} of {} jobs complete in {:.2?}{}",
-        outcomes.len(),
-        started.elapsed(),
-        if suspended > 0 {
-            format!(" — {suspended} suspended; re-run the same command to resume")
-        } else {
-            String::new()
-        }
-    );
-    print_cache_summary(cache.as_ref());
-    if failed > 0 {
-        ExitCode::from(2)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Writes the wall-clock summary and the BENCH-format rows for this
-/// invocation (separate from the deterministic result artifacts).
-fn write_summaries(
-    dir: &clapton_runtime::RunDirectory,
-    config: &SuiteConfig,
-    outcome: &SuiteOutcome,
-) -> std::io::Result<()> {
-    let summary: Vec<SummaryJob> = outcome
-        .jobs
-        .iter()
-        .map(|j| SummaryJob {
-            name: j.name.clone(),
-            rounds: j.rounds,
-            completed: j.completed,
-            skipped: j.skipped,
-            wall_ms: j.wall_ms as u64,
-        })
-        .collect();
-    dir.write_json("suite_summary.json", &summary)?;
-    let rows: Vec<BenchRow> = outcome
-        .jobs
-        .iter()
-        .filter(|j| j.completed && !j.skipped)
-        .map(|j| BenchRow {
-            group: format!("suite_{}", config.profile()),
-            id: j.name.clone(),
-            median_ns: j.wall_ms as u64 * 1_000_000,
-            best_ns: j.wall_ms as u64 * 1_000_000,
-            samples: 1,
-        })
-        .collect();
-    dir.write_json("bench_rows.json", &rows)
 }

@@ -16,17 +16,12 @@
 
 pub mod chaos;
 pub mod shard;
-pub mod suite_run;
 
 pub use chaos::{chaos_schedule, run_chaos_suite, schedule_spec, ChaosOutcome};
 pub use shard::{
     merge_shards, read_queue, run_shard_worker, shard_status, write_queue, MergedJob,
     MergedManifest, ShardJobOutcome, ShardOutcome, ShardStatusRow, ShardWorkerConfig,
     MERGED_MANIFEST_ARTIFACT, QUEUE_ARTIFACT,
-};
-pub use suite_run::{
-    run_spec_suite, run_spec_suite_with_cache, run_suite, JobOutcome, SuiteConfig, SuiteOutcome,
-    SuiteRecord,
 };
 
 use clapton_core::{
@@ -35,8 +30,12 @@ use clapton_core::{
 };
 use clapton_devices::FakeBackend;
 use clapton_ga::{GaConfig, MultiGaConfig};
+use clapton_models::benchmark_suite;
 use clapton_noise::NoiseModel;
 use clapton_pauli::PauliSum;
+use clapton_service::{
+    EngineSpec, JobSpec, MethodSpec, NoiseSpec, ProblemSpec, SuiteProblem, UniformNoise,
+};
 use clapton_sim::{ground_energy, DeviceEvaluator};
 
 /// Command-line options shared by all figure binaries.
@@ -101,6 +100,67 @@ impl Options {
             _ => 300,
         }
     }
+}
+
+/// The uniform device model the suite scores against (the same rates as the
+/// `population_batch` bench, so suite wall-clock tracks the bench rows).
+const SUITE_NOISE: (f64, f64, f64) = (3e-4, 8e-3, 2e-2);
+
+/// The paper's benchmark suite (12 instances at `N = 10`, Figure 5): its
+/// [`SuiteConfig::specs`] list is what `suite-runner` queues by default
+/// (see [`shard`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SuiteConfig {
+    /// Effort scale and base seed (the CLI's `--quick`/`--full`/`--seed`).
+    pub options: Options,
+    /// Physics-suite register size; `10` includes the chemistry benchmarks
+    /// for the paper's full 12-instance suite.
+    pub qubits: usize,
+}
+
+impl SuiteConfig {
+    /// Human-readable effort name, used in the default run name.
+    pub fn profile(&self) -> &'static str {
+        match self.options.effort {
+            0 => "quick",
+            1 => "default",
+            _ => "full",
+        }
+    }
+
+    /// One [`JobSpec`] per benchmark: the suite noise model, Clapton only,
+    /// the effort level's engine, and a per-job seed derived from the base
+    /// seed. `suite-runner --emit-specs` writes this list; `--specs` runs
+    /// it (or any hand-edited variant).
+    pub fn specs(&self) -> Vec<JobSpec> {
+        let (p1, p2, readout) = SUITE_NOISE;
+        benchmark_suite(self.qubits)
+            .iter()
+            .enumerate()
+            .map(|(index, bench)| {
+                let mut spec = JobSpec::new(ProblemSpec::Suite(SuiteProblem {
+                    name: bench.name.clone(),
+                    qubits: self.qubits,
+                }));
+                spec.noise = NoiseSpec::Uniform(UniformNoise {
+                    p1,
+                    p2,
+                    readout,
+                    t1: None,
+                });
+                spec.methods = vec![MethodSpec::Clapton];
+                spec.engine = EngineSpec::from_config(self.options.engine());
+                spec.seed = job_seed(self.options.seed, index);
+                spec
+            })
+            .collect()
+    }
+}
+
+/// The per-job seed: the base seed mixed with the (stable) job index, so
+/// jobs are decorrelated but the whole suite reproduces from one `--seed`.
+fn job_seed(base: u64, index: usize) -> u64 {
+    base ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// The three energies the paper reports for one solution (Figures 2 and 5):

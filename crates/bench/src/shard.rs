@@ -1,22 +1,26 @@
-//! Sharded suite execution: many worker processes, one queue directory.
+//! Suite runs: one queue directory, executed in one process or sharded
+//! across many.
 //!
-//! A *shard run* is a run directory holding a `queue.json` spec list plus
-//! one artifact subdirectory per job. Any number of worker processes (the
-//! children of `suite-runner --workers N`, or external processes attaching
-//! with `--join <dir>`, possibly on other hosts over a shared filesystem)
-//! repeatedly sweep the queue, claim unfinished jobs through the lease
-//! protocol (`claim.json`, see `clapton_runtime::WorkQueue`), and execute
-//! them through the [`ClaptonService`] front door. A worker SIGKILLed
-//! mid-job leaves a staling lease; a surviving worker takes the job over
-//! and resumes it from its last round checkpoint bit-identically.
+//! A *suite run* is a run directory holding a `queue.json` spec list
+//! ([`write_queue`]) plus one artifact subdirectory per job, each written
+//! by the [`ClaptonService`] job body. One process can execute the whole
+//! queue with `ClaptonService::run_all`; or any number of worker processes
+//! (the children of `suite-runner --workers N`, or external processes
+//! attaching with `--join <dir>`, possibly on other hosts over a shared
+//! filesystem) repeatedly sweep it with [`run_shard_worker`], claiming
+//! unfinished jobs through the lease protocol (`claim.json`, see
+//! `clapton_runtime::WorkQueue`). A worker SIGKILLed mid-job leaves a
+//! staling lease; a surviving worker takes the job over and resumes it from
+//! its last round checkpoint bit-identically.
 //!
 //! When the queue drains, [`merge_shards`] folds the per-job artifacts into
 //! one `suite_manifest.json` ordered by job id — byte-stable regardless of
-//! which worker ran what, how often workers died, or how many there were.
+//! whether one process or many ran the jobs, which worker ran what, or how
+//! often workers died.
 
 use clapton_error::ClaptonError;
 use clapton_runtime::{Artifact, CancelToken, RunDirectory, RunEvent, RunRegistry, WorkerPool};
-use clapton_service::{CacheStore, ClaptonService, JobArtifactState, JobSpec, Report};
+use clapton_service::{AdmittedJob, CacheStore, ClaptonService, JobArtifactState, JobSpec, Report};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -24,25 +28,38 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The spec list a shard run's workers sweep, written once by the
-/// coordinating parent (or by hand for multi-host runs).
+/// The spec list of a suite run, written by `suite-runner` before any job
+/// runs (or by hand for multi-host runs).
 pub const QUEUE_ARTIFACT: &str = "queue.json";
 
 /// The deterministic merged suite manifest (see [`merge_shards`]).
 pub const MERGED_MANIFEST_ARTIFACT: &str = "suite_manifest.json";
 
-/// Writes the shard run's `queue.json` spec list (atomic, idempotent).
+/// Records `specs` as the run's `queue.json` spec list (atomic,
+/// idempotent). A run directory holds one suite: an existing queue must
+/// list the same specs, round budgets aside, so a run created with another
+/// seed, register size, effort level or spec file is refused rather than
+/// mixed. A corrupt queue is quarantined and rewritten.
 ///
 /// # Errors
 ///
-/// [`ClaptonError::Io`] when the run directory cannot be written.
+/// [`ClaptonError::Conflict`] when the directory already queues a
+/// different spec list, [`ClaptonError::Io`] when it cannot be written.
 pub fn write_queue(root: &Path, specs: &[JobSpec]) -> Result<(), ClaptonError> {
     let dir = RunDirectory::create(root)?;
+    let identity = |specs: &[JobSpec]| specs.iter().map(JobSpec::identity).collect::<Vec<_>>();
+    if let Artifact::Valid(queued) = dir.load::<Vec<JobSpec>>(QUEUE_ARTIFACT)? {
+        if identity(&queued) != identity(specs) {
+            return Err(ClaptonError::Conflict {
+                run: root.display().to_string(),
+            });
+        }
+    }
     dir.write_json(QUEUE_ARTIFACT, specs)?;
     Ok(())
 }
 
-/// Reads the shard run's `queue.json` spec list.
+/// Reads the suite run's `queue.json` spec list.
 ///
 /// # Errors
 ///
@@ -57,8 +74,8 @@ pub fn read_queue(root: &Path) -> Result<Vec<JobSpec>, ClaptonError> {
         Artifact::Valid(specs) => Ok(specs),
         Artifact::Missing => Err(ClaptonError::Parse {
             what: format!("{}/{QUEUE_ARTIFACT}", root.display()),
-            detail: "no queue.json — this directory is not a shard run (create one with \
-                         suite-runner --workers N, or write the spec list yourself)"
+            detail: "no queue.json — this directory is not a suite run (create one with \
+                         suite-runner, or write the spec list yourself)"
                 .to_string(),
         }),
         Artifact::Corrupt { quarantined_to, .. } => Err(ClaptonError::CorruptArtifact {
@@ -80,9 +97,8 @@ pub struct ShardWorkerConfig {
     /// How long to sleep between sweeps when every unfinished job is leased
     /// by a live peer.
     pub poll: Duration,
-    /// Per-job round budget for this invocation (the spec-mode
-    /// `--halt-after-rounds` semantics); suspended jobs are not re-entered
-    /// within the same invocation.
+    /// Per-job round budget for this invocation (`--halt-after-rounds`);
+    /// suspended jobs are not re-entered within the same invocation.
     pub halt_after_rounds: Option<u64>,
     /// How many times this worker re-attempts a job whose execution failed
     /// before persisting a terminal `failed` state. Transient faults —
@@ -230,31 +246,42 @@ pub fn run_shard_worker(
             std::thread::sleep(config.poll);
         }
     }
-    // Final status sweep, ordered by job id like everything queue-shaped.
-    let mut jobs: Vec<ShardJobOutcome> = specs
-        .iter()
-        .map(|spec| {
-            let admitted = service.admit(spec.clone())?;
-            let job = admitted
-                .artifact_dir()
-                .and_then(|p| p.file_name())
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| admitted.job().name.clone());
-            let state = match service.inspect(&admitted)? {
+    let jobs = job_states(&service, &specs)?
+        .into_iter()
+        .map(|(job, admitted, state)| ShardJobOutcome {
+            job,
+            name: admitted.job().name.clone(),
+            state: match state {
                 JobArtifactState::Done(_) => "done",
                 JobArtifactState::Cancelled { .. } => "cancelled",
                 JobArtifactState::Failed { .. } => "failed",
                 JobArtifactState::Fresh | JobArtifactState::InFlight => "suspended",
-            };
-            Ok(ShardJobOutcome {
-                job,
-                name: admitted.job().name.clone(),
-                state: state.to_string(),
-            })
+            }
+            .to_string(),
         })
-        .collect::<Result<_, ClaptonError>>()?;
-    jobs.sort_by(|a, b| a.job.cmp(&b.job));
+        .collect();
     Ok(ShardOutcome { jobs })
+}
+
+/// Admits every spec and reads its artifact state, ordered by job id (the
+/// artifact-directory name) like everything queue-shaped.
+fn job_states(
+    service: &ClaptonService,
+    specs: &[JobSpec],
+) -> Result<Vec<(String, AdmittedJob, JobArtifactState)>, ClaptonError> {
+    let mut jobs = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let admitted = service.admit(spec.clone())?;
+        let state = service.inspect(&admitted)?;
+        let job = admitted
+            .artifact_dir()
+            .and_then(|p| p.file_name())
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_else(|| admitted.job().name.clone());
+        jobs.push((job, admitted, state));
+    }
+    jobs.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok(jobs)
 }
 
 /// One entry of the merged suite manifest: only deterministic fields — the
@@ -274,7 +301,7 @@ pub struct MergedJob {
     pub report: Option<Report>,
 }
 
-/// The deterministic merged result of a shard run (`suite_manifest.json`).
+/// The deterministic merged result of a suite run (`suite_manifest.json`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MergedManifest {
     /// Per-job entries, ordered by job id.
@@ -293,7 +320,7 @@ impl MergedManifest {
     }
 }
 
-/// Folds a shard run's per-job artifacts into one `suite_manifest.json`.
+/// Folds a suite run's per-job artifacts into one `suite_manifest.json`.
 ///
 /// The manifest is ordered by job id and contains only deterministic
 /// fields, so it is byte-stable: any worker count, any interleaving, any
@@ -308,14 +335,8 @@ pub fn merge_shards(root: &Path, specs: &[JobSpec]) -> Result<MergedManifest, Cl
     let service =
         ClaptonService::with_pool(Arc::new(WorkerPool::with_workers(0))).with_artifacts(root)?;
     let mut jobs = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let admitted = service.admit(spec.clone())?;
-        let job = admitted
-            .artifact_dir()
-            .and_then(|p| p.file_name())
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| admitted.job().name.clone());
-        let (state, report) = match service.inspect(&admitted)? {
+    for (job, admitted, state) in job_states(&service, specs)? {
+        let (state, report) = match state {
             JobArtifactState::Done(report) => ("done", Some(*report)),
             JobArtifactState::Cancelled { .. } => ("cancelled", None),
             JobArtifactState::Failed { .. } => ("failed", None),
@@ -329,7 +350,6 @@ pub fn merge_shards(root: &Path, specs: &[JobSpec]) -> Result<MergedManifest, Cl
             report,
         });
     }
-    jobs.sort_by(|a, b| a.job.cmp(&b.job));
     let manifest = MergedManifest { jobs };
     RunDirectory::create(root)?.write_json(MERGED_MANIFEST_ARTIFACT, &manifest)?;
     Ok(manifest)
@@ -373,14 +393,8 @@ pub fn shard_status(
         .with_artifacts(root)?
         .with_lease_ttl(lease_ttl);
     let mut rows = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let admitted = service.admit(spec.clone())?;
-        let job = admitted
-            .artifact_dir()
-            .and_then(|p| p.file_name())
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| admitted.job().name.clone());
-        let state = match service.inspect(&admitted)? {
+    for (job, admitted, state) in job_states(&service, specs)? {
+        let state = match state {
             JobArtifactState::Done(_) => "done",
             JobArtifactState::Cancelled { .. } => "cancelled",
             JobArtifactState::Failed { .. } => "failed",
@@ -399,6 +413,5 @@ pub fn shard_status(
             cache_hits: lease.cache_hits,
         });
     }
-    rows.sort_by(|a, b| a.job.cmp(&b.job));
     Ok(rows)
 }

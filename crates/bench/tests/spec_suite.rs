@@ -1,13 +1,19 @@
-//! The spec-driven suite path: `SuiteConfig::specs()` round-trips through
-//! JSON, runs end-to-end via `run_spec_suite`, and interrupted runs resume
-//! to byte-identical `report.json` artifacts.
+//! The suite path end to end: `SuiteConfig::specs()` round-trips through
+//! JSON, a run records its queue, executes it through
+//! `ClaptonService::run_all` (the single-process `suite-runner`) or a shard
+//! worker, and merges one `suite_manifest.json` — byte-identical across
+//! interruptions, replays and execution shapes.
 
-use clapton_bench::{run_spec_suite, Options, SuiteConfig};
+use clapton_bench::{
+    merge_shards, run_shard_worker, write_queue, MergedManifest, Options, ShardWorkerConfig,
+    SuiteConfig, MERGED_MANIFEST_ARTIFACT,
+};
 use clapton_error::ClaptonError;
-use clapton_runtime::WorkerPool;
-use clapton_service::JobSpec;
+use clapton_runtime::{EventKind, RunEvent, WorkerPool};
+use clapton_service::{ClaptonService, JobSpec, Report};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -16,18 +22,14 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn quick_config() -> SuiteConfig {
-    SuiteConfig {
-        options: Options { effort: 0, seed: 7 },
+/// A small slice of the quick `N = 4` suite keeps the test fast while still
+/// exercising concurrent jobs.
+fn test_specs(seed: u64) -> Vec<JobSpec> {
+    let mut specs = SuiteConfig {
+        options: Options { effort: 0, seed },
         qubits: 4,
-        halt_after_rounds: None,
     }
-}
-
-/// A small slice of the suite keeps the test fast while still exercising
-/// concurrent jobs.
-fn test_specs() -> Vec<JobSpec> {
-    let mut specs = quick_config().specs();
+    .specs();
     specs.truncate(3);
     // Spec-file round trip: what the CLI writes with --emit-specs is what
     // --specs reads back.
@@ -37,75 +39,162 @@ fn test_specs() -> Vec<JobSpec> {
     specs
 }
 
-fn report_files(root: &Path) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(root).unwrap() {
-        let entry = entry.unwrap();
-        if entry.file_type().unwrap().is_dir() {
-            let report = entry.path().join("report.json");
-            assert!(report.is_file(), "missing {}", report.display());
-            out.push((
-                entry.file_name().to_string_lossy().into_owned(),
-                fs::read_to_string(report).unwrap(),
-            ));
-        }
-    }
-    out.sort();
-    out
+/// One single-process `suite-runner` invocation: record the queue, run every
+/// job concurrently with a per-job round `budget`, merge.
+fn run_in_process(
+    root: &Path,
+    specs: &[JobSpec],
+    budget: Option<u64>,
+    events: Option<Sender<RunEvent>>,
+) -> (Vec<Result<Report, ClaptonError>>, MergedManifest) {
+    write_queue(root, specs).unwrap();
+    let budgeted = specs
+        .iter()
+        .map(|spec| JobSpec {
+            budget,
+            ..spec.clone()
+        })
+        .collect();
+    let results = ClaptonService::with_pool(Arc::new(WorkerPool::with_workers(2)))
+        .with_artifacts(root)
+        .unwrap()
+        .run_all(budgeted, events)
+        .unwrap();
+    (results, merge_shards(root, specs).unwrap())
+}
+
+fn manifest_bytes(root: &Path) -> Vec<u8> {
+    fs::read(root.join(MERGED_MANIFEST_ARTIFACT)).expect("merged manifest written")
 }
 
 #[test]
-fn spec_suite_resumes_byte_identically_after_interruption() {
-    let pool = Arc::new(WorkerPool::with_workers(2));
+fn interrupted_suite_resumes_byte_identically_and_seeds_reproduce() {
+    let specs = test_specs(7);
 
-    // Reference: the spec suite run uninterrupted.
+    // Reference: one uninterrupted run.
     let reference_root = scratch("reference");
-    let outcomes =
-        run_spec_suite(&reference_root, test_specs(), Arc::clone(&pool), None, None).unwrap();
-    assert_eq!(outcomes.len(), 3);
-    for (name, result) in &outcomes {
-        let report = result.as_ref().unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(&report.name, name);
-        assert!(report.clapton.is_some(), "{name}: suite jobs run Clapton");
+    let (results, reference) = run_in_process(&reference_root, &specs, None, None);
+    for result in &results {
+        let report = result.as_ref().expect("uninterrupted job completes");
+        assert!(report.clapton.is_some(), "suite jobs run Clapton");
     }
+    assert!(reference.is_complete());
+    let reference_bytes = manifest_bytes(&reference_root);
 
-    // Interrupted: a 2-round budget per invocation, re-run until complete
-    // (the deterministic stand-in for `kill -9` + retry).
+    // Interrupted: a 2-round budget per job and invocation, re-run until
+    // complete (the deterministic stand-in for `kill -9` + retry).
     let resumed_root = scratch("resumed");
-    let mut rounds_of_resume = 0usize;
+    let mut invocations = 0usize;
     loop {
-        rounds_of_resume += 1;
-        assert!(rounds_of_resume <= 64, "suite did not converge");
-        let outcomes = run_spec_suite(
-            &resumed_root,
-            test_specs(),
-            Arc::clone(&pool),
-            None,
-            Some(2),
-        )
-        .unwrap();
-        let all_done = outcomes.iter().all(|(_, r)| r.is_ok());
-        let any_hard_failure = outcomes
-            .iter()
-            .any(|(_, r)| matches!(r, Err(e) if !matches!(e, ClaptonError::Suspended { .. })));
-        assert!(!any_hard_failure, "only suspension is acceptable");
-        if all_done {
+        invocations += 1;
+        assert!(invocations <= 64, "suite did not converge");
+        let (results, merged) = run_in_process(&resumed_root, &specs, Some(2), None);
+        assert!(
+            results
+                .iter()
+                .all(|r| matches!(r, Ok(_) | Err(ClaptonError::Suspended { .. }))),
+            "only suspension is acceptable"
+        );
+        if merged.is_complete() {
             break;
         }
     }
-    assert!(rounds_of_resume > 1, "the 2-round budget must interrupt");
+    assert!(invocations > 1, "the 2-round budget must interrupt");
+    assert_eq!(
+        manifest_bytes(&resumed_root),
+        reference_bytes,
+        "interrupted + resumed manifest must be byte-identical"
+    );
 
-    // The final artifacts are byte-identical.
-    let reference = report_files(&reference_root);
-    let resumed = report_files(&resumed_root);
-    assert_eq!(reference.len(), resumed.len());
-    for ((name_a, bytes_a), (name_b, bytes_b)) in reference.iter().zip(&resumed) {
-        assert_eq!(name_a, name_b);
-        assert_eq!(bytes_a, bytes_b, "{name_a}: reports differ");
+    // The same seed replays byte-identically...
+    let replay_root = scratch("replay");
+    run_in_process(&replay_root, &specs, None, None);
+    assert_eq!(manifest_bytes(&replay_root), reference_bytes);
+
+    // ...and a different seed steers the searches elsewhere.
+    let other_root = scratch("other-seed");
+    let (_, other) = run_in_process(&other_root, &test_specs(8), None, None);
+    let round_bests = |manifest: &MergedManifest| -> Vec<Vec<f64>> {
+        manifest
+            .jobs
+            .iter()
+            .map(|job| {
+                let report = job.report.as_ref().expect("job done");
+                report
+                    .clapton
+                    .as_ref()
+                    .expect("clapton ran")
+                    .round_bests
+                    .clone()
+            })
+            .collect()
+    };
+    assert_ne!(round_bests(&other), round_bests(&reference));
+
+    // Re-running a complete run answers every job from its report: no GA
+    // round executes and no byte changes.
+    let (tx, rx) = mpsc::channel();
+    let (results, _) = run_in_process(&reference_root, &specs, None, Some(tx));
+    assert!(results.iter().all(Result::is_ok));
+    let events: Vec<RunEvent> = rx.into_iter().collect();
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::Round(..) | EventKind::Checkpointed(_))),
+        "a complete run must not execute a GA round"
+    );
+    assert_eq!(manifest_bytes(&reference_root), reference_bytes);
+
+    for root in [reference_root, resumed_root, replay_root, other_root] {
+        fs::remove_dir_all(root).unwrap();
     }
+}
 
-    fs::remove_dir_all(&reference_root).unwrap();
-    fs::remove_dir_all(&resumed_root).unwrap();
+#[test]
+fn a_run_directory_refuses_a_different_spec_list() {
+    let root = scratch("refuse");
+    let specs = test_specs(3);
+    write_queue(&root, &specs).unwrap();
+    // Budgets are execution policy, not identity.
+    let budgeted: Vec<JobSpec> = specs
+        .iter()
+        .map(|spec| JobSpec {
+            budget: Some(1),
+            ..spec.clone()
+        })
+        .collect();
+    write_queue(&root, &budgeted).unwrap();
+    // A different seed, or a different suite shape, is refused.
+    for other in [test_specs(4), specs[..2].to_vec()] {
+        assert!(matches!(
+            write_queue(&root, &other),
+            Err(ClaptonError::Conflict { .. })
+        ));
+    }
+    fs::remove_dir_all(root).unwrap();
+}
+
+#[test]
+fn in_process_and_single_worker_runs_merge_identical_manifests() {
+    let specs = test_specs(7);
+    let in_process = scratch("in-process");
+    run_in_process(&in_process, &specs, None, None);
+
+    let sharded = scratch("one-worker");
+    write_queue(&sharded, &specs).unwrap();
+    let outcome = run_shard_worker(
+        &sharded,
+        Arc::new(WorkerPool::with_workers(2)),
+        None,
+        &ShardWorkerConfig::default(),
+    )
+    .unwrap();
+    assert!(outcome.is_complete());
+    merge_shards(&sharded, &specs).unwrap();
+
+    assert_eq!(manifest_bytes(&in_process), manifest_bytes(&sharded));
+    fs::remove_dir_all(in_process).unwrap();
+    fs::remove_dir_all(sharded).unwrap();
 }
 
 #[test]
@@ -113,7 +202,6 @@ fn full_suite_specs_cover_the_benchmark_suite_and_validate() {
     let config = SuiteConfig {
         options: Options { effort: 0, seed: 0 },
         qubits: 10,
-        halt_after_rounds: None,
     };
     let specs = config.specs();
     assert_eq!(specs.len(), 12, "the paper's full 12-instance suite");

@@ -1,5 +1,6 @@
 //! The end-to-end Clapton optimization (§4.1, Figure 4).
 
+use crate::loss::hash_terms;
 use crate::{EvaluatorKind, ExecutableAnsatz, TransformLoss, Transformation};
 use clapton_circuits::TransformationAnsatz;
 use clapton_eval::LossStore;
@@ -7,6 +8,7 @@ use clapton_ga::{EngineState, MultiGa, MultiGaConfig};
 use clapton_noise::NoisyCircuit;
 use clapton_pauli::PauliSum;
 use clapton_runtime::WorkerPool;
+use clapton_telemetry::Fnv1a;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -105,17 +107,26 @@ pub struct ClaptonResult {
 /// assert!((result.loss_0 - (-2.0)).abs() < 1e-12);
 /// ```
 pub fn run_clapton(h: &PauliSum, exec: &ExecutableAnsatz, config: &ClaptonConfig) -> ClaptonResult {
-    run_clapton_resumable(h, exec, config, None, None, &mut |_| true)
+    run_clapton_resumable(h, exec, config, None, None, None, &mut |_| true)
         .1
         .expect("uninterrupted run converges")
 }
 
-/// [`run_clapton`] with a shared worker pool, round-level checkpoint hooks,
-/// and resume — the job body of the `suite-runner` orchestrator.
+/// [`run_clapton`] with a shared worker pool, a persistent loss store,
+/// round-level checkpoint hooks, and resume — the Clapton search inside the
+/// service's job body.
 ///
 /// * `pool` — when given, GA instances and population batches execute on the
 ///   shared persistent [`WorkerPool`] instead of spawning threads per round
 ///   (results are bit-identical either way).
+/// * `store` — memo misses consult the store before computing, and computed
+///   losses are written back, so a repeated search (same Hamiltonian,
+///   device, evaluator, ablation) answers its loss queries from disk. The
+///   store namespace is [`loss_namespace`] — deliberately independent of the
+///   engine hyper-parameters and seed, so differently-configured searches
+///   over the same objective share entries. Results and all reported
+///   statistics are bit-identical with or without the store (disk hits are
+///   recorded as fresh memo inserts).
 /// * `resume` — an [`EngineState`] snapshot from a previous, interrupted
 ///   run. The search continues from the captured round, bit-identical to a
 ///   run that was never interrupted.
@@ -135,26 +146,6 @@ pub fn run_clapton(h: &PauliSum, exec: &ExecutableAnsatz, config: &ClaptonConfig
 /// all match — a memo cache built against a different objective would
 /// silently corrupt the search.
 pub fn run_clapton_resumable(
-    h: &PauliSum,
-    exec: &ExecutableAnsatz,
-    config: &ClaptonConfig,
-    pool: Option<&Arc<WorkerPool>>,
-    resume: Option<EngineState>,
-    on_round: &mut dyn FnMut(&EngineState) -> bool,
-) -> (EngineState, Option<ClaptonResult>) {
-    run_clapton_resumable_with_store(h, exec, config, pool, None, resume, on_round)
-}
-
-/// [`run_clapton_resumable`] with an optional persistent loss store: memo
-/// misses consult the store before computing, and computed losses are written
-/// back, so a repeated search (same Hamiltonian, device, evaluator, ablation)
-/// answers its loss queries from disk. The store namespace is
-/// [`loss_namespace`] — deliberately independent of the engine
-/// hyper-parameters and seed, so differently-configured searches over the
-/// same objective share entries. Results and all reported statistics are
-/// bit-identical with or without the store (disk hits are recorded as fresh
-/// memo inserts).
-pub fn run_clapton_resumable_with_store(
     h: &PauliSum,
     exec: &ExecutableAnsatz,
     config: &ClaptonConfig,
@@ -226,7 +217,7 @@ pub fn run_clapton_resumable_with_store(
 }
 
 /// The persistent-store namespace for loss entries of this objective: a
-/// deterministic FNV-style fingerprint of everything a genome's loss depends
+/// deterministic FNV-1a fingerprint of everything a genome's loss depends
 /// on — the Hamiltonian's terms, the noisy transpiled ansatz (via
 /// [`NoisyCircuit::fingerprint`], which covers layout, coupling, and the
 /// per-qubit noise model), the evaluator backend, and the ablation switch.
@@ -236,80 +227,60 @@ pub fn run_clapton_resumable_with_store(
 /// different GA settings over the same problem share one namespace (unlike
 /// the resume tag, which must pin the full engine configuration).
 pub fn loss_namespace(h: &PauliSum, exec: &ExecutableAnsatz, config: &ClaptonConfig) -> u64 {
-    let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        acc ^= v;
-        acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    mix(h.num_qubits() as u64);
-    for (c, p) in h.iter() {
-        mix(c.to_bits());
-        for &w in p.x_words() {
-            mix(w);
-        }
-        for &w in p.z_words() {
-            mix(w);
-        }
-    }
     let noisy = NoisyCircuit::from_circuit(&exec.circuit_at_zero(), exec.noise_model())
         .expect("the transpiled ansatz at θ=0 is Clifford");
-    mix(noisy.fingerprint());
-    match config.evaluator {
-        EvaluatorKind::Exact => mix(1),
-        EvaluatorKind::Sampled { shots, seed } => {
-            mix(2);
-            mix(shots as u64);
-            mix(seed);
-        }
-        EvaluatorKind::Dense => mix(3),
-    }
-    mix(u64::from(config.two_qubit_slots));
-    acc
+    let mut hash = hash_problem(h);
+    hash.write_u64(noisy.fingerprint());
+    hash_objective_settings(&mut hash, config);
+    hash.finish()
 }
 
-/// A deterministic FNV-style fingerprint of everything that shapes the
-/// search besides the seed: the Hamiltonian's terms, the evaluator backend,
-/// the ablation switch, and the engine hyper-parameters. Stamped into
+/// A deterministic FNV-1a fingerprint of everything that shapes the search
+/// besides the seed: the Hamiltonian's terms, the evaluator backend, the
+/// ablation switch, and the engine hyper-parameters. Stamped into
 /// [`EngineState::tag`] so checkpoints refuse to resume a different search.
 fn problem_fingerprint(h: &PauliSum, config: &ClaptonConfig) -> u64 {
-    let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        acc ^= v;
-        acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    mix(h.num_qubits() as u64);
-    for (c, p) in h.iter() {
-        mix(c.to_bits());
-        for &w in p.x_words() {
-            mix(w);
-        }
-        for &w in p.z_words() {
-            mix(w);
-        }
-    }
-    match config.evaluator {
-        EvaluatorKind::Exact => mix(1),
-        EvaluatorKind::Sampled { shots, seed } => {
-            mix(2);
-            mix(shots as u64);
-            mix(seed);
-        }
-        EvaluatorKind::Dense => mix(3),
-    }
-    mix(u64::from(config.two_qubit_slots));
+    let mut hash = hash_problem(h);
+    hash_objective_settings(&mut hash, config);
     let engine = &config.engine;
-    mix(engine.instances as u64);
-    mix(engine.top_k as u64);
-    mix(engine.max_retry_rounds as u64);
-    mix(engine.max_rounds as u64);
-    mix(engine.pool_fraction.to_bits());
-    mix(engine.ga.population_size as u64);
-    mix(engine.ga.generations as u64);
-    mix(engine.ga.tournament_size as u64);
-    mix(engine.ga.crossover_rate.to_bits());
-    mix(engine.ga.mutation_rate.to_bits());
-    mix(engine.ga.elite as u64);
-    acc
+    for word in [
+        engine.instances as u64,
+        engine.top_k as u64,
+        engine.max_retry_rounds as u64,
+        engine.max_rounds as u64,
+        engine.pool_fraction.to_bits(),
+        engine.ga.population_size as u64,
+        engine.ga.generations as u64,
+        engine.ga.tournament_size as u64,
+        engine.ga.crossover_rate.to_bits(),
+        engine.ga.mutation_rate.to_bits(),
+        engine.ga.elite as u64,
+    ] {
+        hash.write_u64(word);
+    }
+    hash.finish()
+}
+
+/// The Hamiltonian prefix both fingerprints share: register size, then
+/// every term.
+fn hash_problem(h: &PauliSum) -> Fnv1a {
+    let mut hash = Fnv1a::new();
+    hash.write_u64(h.num_qubits() as u64);
+    hash_terms(&mut hash, h);
+    hash
+}
+
+/// The objective settings both fingerprints share: the evaluator backend
+/// and the ablation switch.
+fn hash_objective_settings(hash: &mut Fnv1a, config: &ClaptonConfig) {
+    match config.evaluator {
+        EvaluatorKind::Exact => hash.write_u64(1),
+        EvaluatorKind::Sampled { shots, seed } => {
+            hash.write_u64(2).write_u64(shots as u64).write_u64(seed)
+        }
+        EvaluatorKind::Dense => hash.write_u64(3),
+    };
+    hash.write_u64(u64::from(config.two_qubit_slots));
 }
 
 #[cfg(test)]
@@ -319,6 +290,22 @@ mod tests {
     use clapton_models::{ising, xxz};
     use clapton_noise::NoiseModel;
     use clapton_sim::ground_energy;
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Literal values: persistent loss stores and checkpoint tags written
+        // by earlier builds must keep matching.
+        let h = ising(4, 0.5);
+        let model = NoiseModel::uniform(4, 1e-3, 1e-2, 2e-2);
+        let exec = ExecutableAnsatz::untranspiled(4, &model);
+        let mut config = ClaptonConfig::quick(7);
+        assert_eq!(loss_namespace(&h, &exec, &config), 2635942514741787798);
+        assert_eq!(problem_fingerprint(&h, &config), 15643032294655219296);
+        config.evaluator = EvaluatorKind::Sampled { shots: 64, seed: 3 };
+        config.two_qubit_slots = false;
+        assert_eq!(loss_namespace(&h, &exec, &config), 8107244060515132249);
+        assert_eq!(problem_fingerprint(&h, &config), 13802064013204535589);
+    }
 
     #[test]
     fn clapton_reaches_exact_clifford_optimum_on_small_ising() {
@@ -385,20 +372,22 @@ mod tests {
         // Pool-backed execution produces the identical result.
         let pool = std::sync::Arc::new(clapton_runtime::WorkerPool::with_workers(2));
         let (_, pooled) =
-            run_clapton_resumable(&h, &exec, &config, Some(&pool), None, &mut |_| true);
+            run_clapton_resumable(&h, &exec, &config, Some(&pool), None, None, &mut |_| true);
         assert_eq!(pooled.expect("converged"), reference);
 
         // Suspend after the first round, round-trip the state through JSON,
         // resume: bit-identical to the uninterrupted run.
         let (suspended, early) =
-            run_clapton_resumable(&h, &exec, &config, None, None, &mut |_| false);
+            run_clapton_resumable(&h, &exec, &config, None, None, None, &mut |_| false);
         assert!(early.is_none(), "observer suspended the run");
         assert!(!suspended.finished);
         assert_eq!(suspended.rounds(), 1);
         let json = serde_json::to_string(&suspended).expect("state serializes");
         let restored: EngineState = serde_json::from_str(&json).expect("state parses");
         let (final_state, resumed) =
-            run_clapton_resumable(&h, &exec, &config, None, Some(restored), &mut |_| true);
+            run_clapton_resumable(&h, &exec, &config, None, None, Some(restored), &mut |_| {
+                true
+            });
         assert!(final_state.finished);
         assert_eq!(resumed.expect("converged"), reference);
     }
@@ -411,12 +400,20 @@ mod tests {
         let model = NoiseModel::uniform(3, 1e-3, 1e-2, 2e-2);
         let exec = ExecutableAnsatz::untranspiled(3, &model);
         let config = ClaptonConfig::quick(5);
-        let (state, _) =
-            run_clapton_resumable(&ising(3, 0.25), &exec, &config, None, None, &mut |_| false);
+        let (state, _) = run_clapton_resumable(
+            &ising(3, 0.25),
+            &exec,
+            &config,
+            None,
+            None,
+            None,
+            &mut |_| false,
+        );
         run_clapton_resumable(
             &xxz(3, 0.25),
             &exec,
             &config,
+            None,
             None,
             Some(state),
             &mut |_| true,

@@ -34,8 +34,7 @@ mod transform;
 
 pub use baselines::{run_cafqa, run_ncafqa, CafqaResult};
 pub use clapton::{
-    loss_namespace, run_clapton, run_clapton_resumable, run_clapton_resumable_with_store,
-    ClaptonConfig, ClaptonResult,
+    loss_namespace, run_clapton, run_clapton_resumable, ClaptonConfig, ClaptonResult,
 };
 pub use clapton_eval::{
     CacheStats, CachedEvaluator, FnEvaluator, LossEvaluator, LossStore, ParallelEvaluator,

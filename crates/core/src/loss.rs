@@ -6,6 +6,7 @@ use clapton_circuits::Circuit;
 use clapton_noise::{ExactEvaluator, FrameSampler, NoiseModel, NoisyCircuit, TermCache};
 use clapton_pauli::PauliSum;
 use clapton_sim::DeviceEvaluator;
+use clapton_telemetry::Fnv1a;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -158,7 +159,7 @@ impl EnergyBackend for SampledBackend {
 struct PreparedSampled {
     noisy: NoisyCircuit,
     terms: TermCache,
-    circuit_hash: u64,
+    circuit_hash: Fnv1a,
     shots: usize,
     seed: u64,
 }
@@ -415,31 +416,33 @@ fn content_hash(circuit: &Circuit, h: &PauliSum) -> u64 {
 
 /// The circuit half of [`content_hash`] (hoistable: the GA evaluates every
 /// candidate against one fixed circuit).
-fn circuit_hash(circuit: &Circuit) -> u64 {
-    let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-    mix(&mut acc, circuit.len() as u64);
+fn circuit_hash(circuit: &Circuit) -> Fnv1a {
+    let mut hash = Fnv1a::new();
+    hash.write_u64(circuit.len() as u64);
     for g in circuit.gates() {
         for q in g.qubits() {
-            mix(&mut acc, q as u64 + 1);
+            hash.write_u64(q as u64 + 1);
         }
     }
-    acc
+    hash
 }
 
-/// Folds a Hamiltonian into a running [`circuit_hash`] accumulator,
-/// completing [`content_hash`].
-fn hamiltonian_hash(mut acc: u64, h: &PauliSum) -> u64 {
+/// Folds a Hamiltonian into a running [`circuit_hash`], completing
+/// [`content_hash`].
+fn hamiltonian_hash(mut hash: Fnv1a, h: &PauliSum) -> u64 {
+    hash_terms(&mut hash, h);
+    hash.finish()
+}
+
+/// Folds every term of `h` — its coefficient bits, then every x and every z
+/// word — into `hash`.
+pub(crate) fn hash_terms(hash: &mut Fnv1a, h: &PauliSum) {
     for (c, p) in h.iter() {
-        mix(&mut acc, c.to_bits());
-        mix(&mut acc, p.x_words().first().copied().unwrap_or(0));
-        mix(&mut acc, p.z_words().first().copied().unwrap_or(0));
+        hash.write_u64(c.to_bits());
+        for &w in p.x_words().iter().chain(p.z_words()) {
+            hash.write_u64(w);
+        }
     }
-    acc
-}
-
-fn mix(acc: &mut u64, v: u64) {
-    *acc ^= v;
-    *acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
 }
 
 #[cfg(test)]
@@ -450,6 +453,30 @@ mod tests {
 
     fn ps(s: &str) -> PauliString {
         s.parse().unwrap()
+    }
+
+    #[test]
+    fn sampler_seed_hash_is_pinned_and_reads_every_word() {
+        // Literal value: sampled losses written by earlier builds (memo
+        // checkpoints, persistent stores) must keep replaying exactly.
+        let model = NoiseModel::uniform(3, 1e-3, 1e-2, 2e-2);
+        let exec = ExecutableAnsatz::untranspiled(3, &model);
+        let h = PauliSum::from_terms(3, vec![(2.0, ps("ZZI")), (5.0, ps("XII"))]);
+        assert_eq!(
+            content_hash(&exec.circuit_at_zero(), &h),
+            15856928381146388308
+        );
+        // Terms that differ only beyond qubit 63 must seed differently.
+        let wide = |q| {
+            PauliSum::from_terms(
+                70,
+                vec![(1.0, PauliString::single(70, q, clapton_pauli::Pauli::Z))],
+            )
+        };
+        assert_ne!(
+            hamiltonian_hash(Fnv1a::new(), &wide(65)),
+            hamiltonian_hash(Fnv1a::new(), &wide(66))
+        );
     }
 
     #[test]

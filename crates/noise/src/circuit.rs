@@ -4,6 +4,7 @@ use crate::NoiseModel;
 use clapton_circuits::{Circuit, Gate};
 use clapton_pauli::{Pauli, PauliString};
 use clapton_stabilizer::CliffordGate;
+use clapton_telemetry::Fnv1a;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -167,39 +168,34 @@ impl NoisyCircuit {
     /// the same qubits hash differently.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
-            let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut mix = |v: u64| {
-                acc ^= v;
-                acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
-            };
-            mix(self.num_qubits as u64);
+            let mut hash = Fnv1a::new();
+            hash.write_u64(self.num_qubits as u64);
             for op in &self.ops {
                 match *op {
                     NoisyOp::Clifford(g) => {
-                        mix(1);
-                        mix(gate_code(g));
+                        hash.write_u64(1).write_u64(gate_code(g));
                         for q in g.qubits() {
-                            mix(q as u64 + 1);
+                            hash.write_u64(q as u64 + 1);
                         }
                     }
                     NoisyOp::Depol1(q, p) => {
-                        mix(2);
-                        mix(q as u64 + 1);
-                        mix(p.to_bits());
+                        hash.write_u64(2)
+                            .write_u64(q as u64 + 1)
+                            .write_u64(p.to_bits());
                     }
                     NoisyOp::Depol2(a, b, p) => {
-                        mix(3);
-                        mix(a as u64 + 1);
-                        mix(b as u64 + 1);
-                        mix(p.to_bits());
+                        hash.write_u64(3)
+                            .write_u64(a as u64 + 1)
+                            .write_u64(b as u64 + 1)
+                            .write_u64(p.to_bits());
                     }
                 }
             }
             for q in 0..self.num_qubits {
-                mix(self.readout[q].to_bits());
-                mix(self.p1[q].to_bits());
+                hash.write_u64(self.readout[q].to_bits())
+                    .write_u64(self.p1[q].to_bits());
             }
-            acc
+            hash.finish()
         })
     }
 
@@ -296,6 +292,18 @@ mod tests {
         assert_eq!(h.fingerprint(), h.fingerprint());
         // Equality ignores whether the fingerprint has been computed.
         assert_eq!(h, build(Gate::H(0)));
+        // Literal value: term caches and loss-store namespaces built by
+        // earlier builds must keep matching.
+        let mut c = Circuit::new(2);
+        c.push(Gate::H(0));
+        c.push(Gate::Cx(0, 1));
+        let model = NoiseModel::uniform(2, 1e-3, 1e-2, 2e-2);
+        assert_eq!(
+            NoisyCircuit::from_circuit(&c, &model)
+                .unwrap()
+                .fingerprint(),
+            8052092271163807589
+        );
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Durable run state: atomic JSON artifacts, manifests, and the run
 //! registry.
 //!
-//! A *run directory* holds everything one suite run produces: a
-//! `manifest.json` describing the configuration, one `<job>.checkpoint.json`
-//! per in-flight job (replaced atomically every round), and one
-//! `<job>.result.json` per finished job. Because every write is
+//! A *run directory* holds everything one job produces. The service layer
+//! writes the submitted `spec.json` and a `manifest.json` on admission, a
+//! `checkpoint.json` every GA round (the previous generation kept as
+//! `checkpoint.prev.json`), and a `report.json` when the job finishes. A
+//! suite run is a registry of such directories plus a `queue.json` spec
+//! list and the merged `suite_manifest.json`. Because every write is
 //! tmp-file + rename, a run killed at any instant leaves only complete
-//! artifacts — resuming re-reads the manifest, skips finished jobs, and
-//! continues the rest from their latest round snapshot.
+//! artifacts: resuming skips finished jobs and continues the rest from
+//! their latest round snapshot.
 //!
 //! # Integrity envelope
 //!
@@ -32,15 +34,15 @@
 //! written before the envelope existed keep resuming.
 
 use crate::failpoint;
+use clapton_telemetry::fnv1a64;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Configuration record of a suite run, written once at run creation and
-/// verified on resume (a resume with a different seed or suite would
-/// silently corrupt the run, so it is rejected instead).
+/// Configuration record of a run directory (`manifest.json`), written once
+/// when the directory is first prepared.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
     /// Job names, in scheduling order.
@@ -82,17 +84,6 @@ pub fn artifact_slug(name: &str) -> String {
     out.trim_matches('-').to_string()
 }
 
-/// FNV-1a 64-bit — the integrity checksum of the artifact envelope. Not
-/// cryptographic; it only needs to catch torn writes and bit rot.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// The envelope header line prefix — also the discriminator between
 /// enveloped and legacy bare-JSON artifacts (a JSON document whose first
 /// bytes spell the header's fixed key order is, by construction, a header).
@@ -112,7 +103,14 @@ struct EnvelopeHeader {
 /// result cache's segment files) share the exact artifact envelope and its
 /// corruption semantics.
 pub fn seal_envelope(payload: &[u8]) -> Vec<u8> {
-    seal(payload)
+    let header = format!(
+        "{{\"clapton\":\"envelope\",\"v\":1,\"len\":{},\"fnv64\":\"{:016x}\"}}\n",
+        payload.len(),
+        fnv1a64(payload)
+    );
+    let mut sealed = header.into_bytes();
+    sealed.extend_from_slice(payload);
+    sealed
 }
 
 /// Parses one enveloped record at the *start* of `bytes` and returns the
@@ -165,49 +163,19 @@ pub fn open_envelope_record(bytes: &[u8]) -> Result<(&[u8], usize), String> {
     Ok((payload, payload_end))
 }
 
-/// Wraps `payload` in the integrity envelope: header line, then the exact
-/// payload bytes.
-fn seal(payload: &[u8]) -> Vec<u8> {
-    let header = format!(
-        "{{\"clapton\":\"envelope\",\"v\":1,\"len\":{},\"fnv64\":\"{:016x}\"}}\n",
-        payload.len(),
-        fnv1a64(payload)
-    );
-    let mut sealed = header.into_bytes();
-    sealed.extend_from_slice(payload);
-    sealed
-}
-
-/// Verifies and strips the envelope, returning the payload bytes. Bytes
-/// without a header are legacy bare JSON and pass through unverified.
+/// Verifies and strips the envelope of a whole-file artifact, returning the
+/// payload bytes: the file must be exactly one record. Bytes without a
+/// header are legacy bare JSON and pass through unverified.
 fn unseal(bytes: &[u8]) -> Result<&[u8], String> {
     if !bytes.starts_with(ENVELOPE_MAGIC) {
         return Ok(bytes);
     }
-    let newline = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or("envelope header line is unterminated")?;
-    let header_text = std::str::from_utf8(&bytes[..newline])
-        .map_err(|e| format!("envelope header is not UTF-8: {e}"))?;
-    let header: EnvelopeHeader = serde_json::from_str(header_text)
-        .map_err(|e| format!("envelope header does not parse: {e}"))?;
-    if header.v != 1 {
-        return Err(format!("unsupported envelope version {}", header.v));
-    }
-    let payload = &bytes[newline + 1..];
-    if payload.len() != header.len {
+    let (payload, end) = open_envelope_record(bytes)?;
+    if end != bytes.len() {
         return Err(format!(
             "payload is {} bytes, envelope promised {} (torn write)",
-            payload.len(),
-            header.len
-        ));
-    }
-    let sum = format!("{:016x}", fnv1a64(payload));
-    if sum != header.fnv64 {
-        return Err(format!(
-            "payload checksum {sum} != enveloped {} (corrupt write)",
-            header.fnv64
+            payload.len() + bytes.len() - end,
+            payload.len()
         ));
     }
     Ok(payload)
@@ -281,7 +249,7 @@ impl RunDirectory {
     pub fn write_json<T: Serialize + ?Sized>(&self, name: &str, value: &T) -> io::Result<()> {
         let json = serde_json::to_string_pretty(value)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut sealed = seal(json.as_bytes());
+        let mut sealed = seal_envelope(json.as_bytes());
         let target = self.root.join(name);
         let tmp = self.root.join(tmp_name(name));
         // `torn` here writes a truncated file that still gets renamed into
@@ -420,11 +388,6 @@ impl RunDirectory {
     pub fn write_manifest(&self, manifest: &RunManifest) -> io::Result<()> {
         self.write_json("manifest.json", manifest)
     }
-
-    /// Reads the run manifest, if the run was initialized.
-    pub fn manifest(&self) -> io::Result<Option<RunManifest>> {
-        self.read_json("manifest.json")
-    }
 }
 
 fn count_corrupt(name: &str) {
@@ -435,26 +398,6 @@ fn count_corrupt(name: &str) {
             &[("artifact", name)],
         )
         .inc();
-}
-
-/// Completion summary of one registered run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunInfo {
-    /// Directory name of the run.
-    pub name: String,
-    /// The manifest it was created with.
-    pub manifest: RunManifest,
-    /// Jobs with a final result artifact.
-    pub complete_jobs: usize,
-    /// Jobs with only a checkpoint (interrupted mid-run).
-    pub checkpointed_jobs: usize,
-}
-
-impl RunInfo {
-    /// Whether every job of the run has a final result.
-    pub fn is_complete(&self) -> bool {
-        self.complete_jobs == self.manifest.jobs.len()
-    }
 }
 
 /// A root directory containing one subdirectory per run — the registry the
@@ -482,10 +425,9 @@ impl RunRegistry {
         RunDirectory::create(self.root.join(run_name))
     }
 
-    /// Every run directory under the registry (initialized or not), sorted
-    /// by name — the raw listing queue-style consumers (e.g. a job server
-    /// re-admitting persisted work after a restart) scan, without requiring
-    /// a suite manifest the way [`RunRegistry::list`] does.
+    /// Every run directory under the registry, sorted by name — the listing
+    /// queue-style consumers scan (a job server re-admitting persisted work
+    /// after a restart, `suite-runner --list`).
     ///
     /// Dot-prefixed directories are reserved for registry-internal state
     /// (e.g. the `.cache` persistent result store) and never listed as runs.
@@ -501,58 +443,29 @@ impl RunRegistry {
         names.sort();
         Ok(names)
     }
-
-    /// Summarizes every initialized run under the registry, sorted by name.
-    pub fn list(&self) -> io::Result<Vec<RunInfo>> {
-        let mut runs = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
-            let entry = entry?;
-            if !entry.file_type()?.is_dir() {
-                continue;
-            }
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let dir = RunDirectory::create(entry.path())?;
-            // A corrupt manifest quarantines and skips this run rather than
-            // failing the whole listing — the other runs are still fine.
-            let Artifact::Valid(manifest) = dir.load::<RunManifest>("manifest.json")? else {
-                continue;
-            };
-            let mut complete = 0;
-            let mut checkpointed = 0;
-            for job in &manifest.jobs {
-                let slug = artifact_slug(job);
-                if dir.exists(&format!("{slug}.result.json")) {
-                    complete += 1;
-                } else if dir.exists(&format!("{slug}.checkpoint.json")) {
-                    checkpointed += 1;
-                }
-            }
-            runs.push(RunInfo {
-                name,
-                manifest,
-                complete_jobs: complete,
-                checkpointed_jobs: checkpointed,
-            });
-        }
-        runs.sort_by(|a, b| a.name.cmp(&b.name));
-        Ok(runs)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::MutexGuard;
 
-    fn scratch(tag: &str) -> PathBuf {
+    /// A fresh scratch directory, handed out together with the failpoint
+    /// gate. Failpoint hit counters are process-global, so a test writing
+    /// artifacts without the gate would use up another test's armed hits or
+    /// receive its injected faults.
+    fn scratch(tag: &str) -> (MutexGuard<'static, ()>, PathBuf) {
+        let gate = failpoint::tests_exclusive();
         let dir =
             std::env::temp_dir().join(format!("clapton-runtime-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        dir
+        (gate, dir)
     }
 
     #[test]
     fn artifacts_round_trip_and_overwrite_atomically() {
-        let dir = RunDirectory::create(scratch("rt")).unwrap();
+        let (_gate, root) = scratch("rt");
+        let dir = RunDirectory::create(root).unwrap();
         assert_eq!(dir.read_json::<Vec<u64>>("x.json").unwrap(), None);
         dir.write_json("x.json", &vec![1u64, 2, 3]).unwrap();
         assert_eq!(
@@ -574,7 +487,8 @@ mod tests {
 
     #[test]
     fn corrupt_artifacts_error_instead_of_vanishing() {
-        let dir = RunDirectory::create(scratch("corrupt")).unwrap();
+        let (_gate, root) = scratch("corrupt");
+        let dir = RunDirectory::create(root).unwrap();
         fs::write(dir.path().join("bad.json"), b"{not json").unwrap();
         let err = dir.read_json::<Vec<u64>>("bad.json").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -594,7 +508,8 @@ mod tests {
 
     #[test]
     fn envelope_catches_torn_and_garbled_writes() {
-        let dir = RunDirectory::create(scratch("envelope")).unwrap();
+        let (_gate, root) = scratch("envelope");
+        let dir = RunDirectory::create(root).unwrap();
         dir.write_json("doc.json", &vec![1u64, 2, 3]).unwrap();
         // On disk: header line + payload.
         let bytes = fs::read(dir.path().join("doc.json")).unwrap();
@@ -627,8 +542,20 @@ mod tests {
     }
 
     #[test]
+    fn envelope_checksum_is_pinned() {
+        // Literal value: artifacts sealed by earlier builds must keep
+        // verifying.
+        let sealed = seal_envelope(b"[7, 8]");
+        assert_eq!(
+            std::str::from_utf8(&sealed).unwrap(),
+            "{\"clapton\":\"envelope\",\"v\":1,\"len\":6,\"fnv64\":\"e406c8ec243cb104\"}\n[7, 8]"
+        );
+    }
+
+    #[test]
     fn rotation_keeps_the_previous_generation() {
-        let dir = RunDirectory::create(scratch("rotate")).unwrap();
+        let (_gate, root) = scratch("rotate");
+        let dir = RunDirectory::create(root).unwrap();
         // First write: nothing to rotate.
         dir.write_json_rotating("ck.json", "ck.prev.json", &1u64)
             .unwrap();
@@ -646,8 +573,8 @@ mod tests {
 
     #[test]
     fn write_failpoints_inject_real_corruption() {
-        let dir = RunDirectory::create(scratch("failpoint")).unwrap();
-        let _guard = failpoint::tests_exclusive();
+        let (_gate, root) = scratch("failpoint");
+        let dir = RunDirectory::create(root).unwrap();
         failpoint::configure("registry.write.flush=torn:20@2").unwrap();
         dir.write_json("a.json", &vec![1u64; 32]).unwrap(); // hit 1: clean
         dir.write_json("b.json", &vec![2u64; 32]).unwrap(); // hit 2: torn
@@ -663,35 +590,6 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::Other);
         assert!(!dir.exists("c.json"), "failed rename leaves no target");
         fs::remove_dir_all(dir.path()).unwrap();
-    }
-
-    #[test]
-    fn registry_tracks_completion() {
-        let registry = RunRegistry::open(scratch("registry")).unwrap();
-        let manifest = RunManifest {
-            jobs: vec!["ising(J=0.25)".to_string(), "xxz(J=1.00)".to_string()],
-            seed: 7,
-            profile: "quick".to_string(),
-        };
-        let run = registry.run("run-a").unwrap();
-        run.write_manifest(&manifest).unwrap();
-        run.write_json(
-            &format!("{}.result.json", artifact_slug("ising(J=0.25)")),
-            &1u64,
-        )
-        .unwrap();
-        run.write_json(
-            &format!("{}.checkpoint.json", artifact_slug("xxz(J=1.00)")),
-            &2u64,
-        )
-        .unwrap();
-        let runs = registry.list().unwrap();
-        assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].manifest, manifest);
-        assert_eq!(runs[0].complete_jobs, 1);
-        assert_eq!(runs[0].checkpointed_jobs, 1);
-        assert!(!runs[0].is_complete());
-        fs::remove_dir_all(registry.path()).unwrap();
     }
 
     #[test]

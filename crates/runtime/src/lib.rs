@@ -38,8 +38,8 @@ mod workqueue;
 
 pub use cancel::{CancelToken, Interrupt};
 pub use checkpoint::{
-    artifact_slug, open_envelope_record, seal_envelope, Artifact, RunDirectory, RunInfo,
-    RunManifest, RunRegistry,
+    artifact_slug, open_envelope_record, seal_envelope, Artifact, RunDirectory, RunManifest,
+    RunRegistry,
 };
 pub use evaluator::PooledEvaluator;
 pub use pool::{PoolScope, WorkerPool};

@@ -7,7 +7,7 @@ use clapton_runtime::{
     acquire, lease_state, ClaimOutcome, LeaseKeeper, RunRegistry, WorkQueue, CLAIM_ARTIFACT,
 };
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -18,6 +18,22 @@ fn scratch(tag: &str) -> PathBuf {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// The claim's owner once a heartbeat rewrite in flight has landed. A claim
+/// read mid-rewrite shows the `<unreadable>` placeholder, so re-read it a
+/// bounded number of times; a claim that stays unreadable is returned as is.
+fn settled_owner(dir: &Path, ttl: Duration, mut owner: String) -> String {
+    for _ in 0..20 {
+        if owner != "<unreadable>" {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+        owner = lease_state(dir, ttl)
+            .unwrap()
+            .map_or_else(|| "<released>".to_string(), |state| state.owner);
+    }
+    owner
 }
 
 #[test]
@@ -71,7 +87,9 @@ fn keeper_heartbeats_hold_the_lease_past_many_ttls() {
     for _ in 0..5 {
         std::thread::sleep(ttl);
         match acquire(&dir, "vulture", ttl).unwrap() {
-            ClaimOutcome::Held { owner, .. } => assert_eq!(owner, "long-runner"),
+            ClaimOutcome::Held { owner, .. } => {
+                assert_eq!(settled_owner(&dir, ttl, owner), "long-runner")
+            }
             ClaimOutcome::Acquired(_) => panic!("kept lease must never expire"),
         }
     }

@@ -12,6 +12,7 @@
 //! do not retry in lockstep — and a 429 honors the server's `Retry-After`.
 
 use crate::server::{ErrorBody, HealthBody, JobStatusBody, QueueBody};
+use clapton_telemetry::Fnv1a;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -131,16 +132,11 @@ impl Client {
             .retry_base
             .saturating_mul(1u32 << attempt.min(16))
             .min(MAX_BACKOFF);
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in self
-            .addr
-            .bytes()
-            .chain(path.bytes())
-            .chain(attempt.to_le_bytes())
-        {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let hash = Fnv1a::new()
+            .write(self.addr.as_bytes())
+            .write(path.as_bytes())
+            .write(&attempt.to_le_bytes())
+            .finish();
         base + base.mul_f64((hash % 1024) as f64 / 2048.0)
     }
 
@@ -433,6 +429,10 @@ mod tests {
         let a = client.backoff("/v1/jobs", 0);
         assert_eq!(a, client.backoff("/v1/jobs", 0), "same inputs, same sleep");
         assert_ne!(a, client.backoff("/v1/queue", 0), "jitter keys on the path");
+        assert_eq!(
+            client.backoff("/v1/jobs", 2),
+            Duration::from_nanos(236_718_750)
+        );
         assert!(client.backoff("/v1/jobs", 3) > a, "backoff grows");
         for attempt in 0..40 {
             assert!(client.backoff("/v1/jobs", attempt) <= MAX_BACKOFF + MAX_BACKOFF / 2);

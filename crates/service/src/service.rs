@@ -3,7 +3,7 @@
 
 use crate::{JobSpec, MethodSpec, Report, ResolvedJob};
 use clapton_cache::{CacheConfig, CacheStore};
-use clapton_core::{run_cafqa, run_clapton_resumable_with_store, run_ncafqa, LossStore};
+use clapton_core::{run_cafqa, run_clapton_resumable, run_ncafqa, LossStore};
 use clapton_error::{ClaptonError, SpecError};
 use clapton_ga::EngineState;
 use clapton_pauli::PauliSum;
@@ -65,23 +65,16 @@ fn job_slug(job: &ResolvedJob) -> String {
 /// FNV-1a 64 of a versioned tag, bumped whenever the report schema or the
 /// spec-identity serialization changes incompatibly.
 fn report_namespace() -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in b"clapton-report-v1" {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    clapton_telemetry::fnv1a64(b"clapton-report-v1")
 }
 
-/// The report-tier cache key: the job's spec identity — the canonical spec
-/// JSON with the budget cleared, exactly the identity [`prepare_dir`]'s
-/// resubmission conflict check compares. Everything that shapes the report
-/// (problem, backend, noise, methods, engine, evaluator, seed, VQE refine)
-/// is in here; execution policy is not.
+/// The report-tier cache key: the canonical JSON of [`JobSpec::identity`],
+/// exactly the identity [`prepare_dir`]'s resubmission conflict check
+/// compares. Everything that shapes the report (problem, backend, noise,
+/// methods, engine, evaluator, seed, VQE refine) is in here; execution
+/// policy is not.
 fn report_key(job: &ResolvedJob) -> Vec<u8> {
-    let mut spec = job.spec.clone();
-    spec.budget = None;
-    serde_json::to_string(&spec)
+    serde_json::to_string(&job.spec.identity())
         .expect("spec serializes")
         .into_bytes()
 }
@@ -562,21 +555,14 @@ impl ClaptonService {
         };
         let slug = job_slug(job);
         let dir = registry.run(&slug)?;
-        // The round budget is execution *policy*, not job identity: a run
-        // suspended under `--halt-after-rounds` may be finished by a
-        // resubmission with a different (or no) budget, so it is excluded
-        // from the conflict check.
-        let identity = |spec: &JobSpec| {
-            let mut spec = spec.clone();
-            spec.budget = None;
-            spec
-        };
+        // The check compares identities, so a run suspended under
+        // `--halt-after-rounds` may be finished under another budget.
         // A corrupt persisted spec is quarantined and rewritten from the
         // submission: the conflict check cannot be made against garbage,
         // and the round checkpoints (which carry the actual search state)
         // remain authoritative either way.
         match dir.load::<JobSpec>(SPEC_ARTIFACT)? {
-            Artifact::Valid(existing) if identity(&existing) != identity(&job.spec) => {
+            Artifact::Valid(existing) if existing.identity() != job.spec.identity() => {
                 return Err(ClaptonError::Conflict {
                     run: dir.path().display().to_string(),
                 });
@@ -877,7 +863,7 @@ fn execute_inner(
         // — so even a *partially* overlapping search (different seed or
         // engine effort over the same objective) answers from disk.
         let store = cache.map(|c| Arc::clone(c) as Arc<dyn LossStore>);
-        let (state, result) = run_clapton_resumable_with_store(
+        let (state, result) = run_clapton_resumable(
             h,
             exec,
             config,
@@ -1030,4 +1016,16 @@ fn execute_inner(
         None => "complete".to_string(),
     }));
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_namespace_is_pinned() {
+        // Literal value: reports stored by earlier builds must keep
+        // answering.
+        assert_eq!(report_namespace(), 17657249915177827693);
+    }
 }

@@ -248,6 +248,17 @@ impl JobSpec {
         }
     }
 
+    /// The job's identity: this spec with the round budget cleared. The
+    /// budget is execution *policy*, not identity — a job suspended under
+    /// one budget may be finished by a resubmission with another (or none),
+    /// and both name the same job, report and cache entry.
+    pub fn identity(&self) -> JobSpec {
+        JobSpec {
+            budget: None,
+            ..self.clone()
+        }
+    }
+
     /// The job's display name: the explicit `name` when set, otherwise a
     /// name derived from the problem.
     pub fn display_name(&self) -> String {

@@ -9,10 +9,15 @@
 //! constant `false` so the whole layer folds away. Clock helpers
 //! ([`mono_ns`], [`wall_ns`]) ignore both switches because protocol
 //! timestamps (e.g. SSE event frames) must stay meaningful regardless.
+//!
+//! The crate also hosts [`Fnv1a`], the content hash every layer above
+//! shares, because it is the one crate all of them depend on.
 
+mod hash;
 pub mod metrics;
 pub mod span;
 
+pub use hash::{fnv1a64, Fnv1a};
 pub use metrics::{parse_text, registry, Counter, Gauge, Histogram, Registry, Sample};
 pub use span::{
     current_context, flight_recorder_snapshot, from_jsonl, mono_ns, push_context, record_complete,

@@ -89,10 +89,11 @@ fn clapton_resume_on_real_objective_is_bit_identical() {
     let mut k = 1;
     loop {
         let mut seen = 0;
-        let (state, result) = run_clapton_resumable(&h, &exec, &config, None, None, &mut |_| {
-            seen += 1;
-            seen < k
-        });
+        let (state, result) =
+            run_clapton_resumable(&h, &exec, &config, None, None, None, &mut |_| {
+                seen += 1;
+                seen < k
+            });
         if let Some(result) = result {
             assert_eq!(result, reference, "uninterrupted tail at k={k}");
             break;
@@ -100,7 +101,9 @@ fn clapton_resume_on_real_objective_is_bit_identical() {
         let json = serde_json::to_string(&state).expect("serializes");
         let restored: EngineState = serde_json::from_str(&json).expect("parses");
         let (_, resumed) =
-            run_clapton_resumable(&h, &exec, &config, None, Some(restored), &mut |_| true);
+            run_clapton_resumable(&h, &exec, &config, None, None, Some(restored), &mut |_| {
+                true
+            });
         assert_eq!(
             resumed.expect("resumed run converges"),
             reference,
@@ -150,11 +153,14 @@ fn sampled_backend_checkpoints_identically() {
     let mut config = ClaptonConfig::quick(13);
     config.evaluator = EvaluatorKind::Sampled { shots: 32, seed: 3 };
     let reference = run_clapton(&h, &exec, &config);
-    let (state, early) = run_clapton_resumable(&h, &exec, &config, None, None, &mut |_| false);
+    let (state, early) =
+        run_clapton_resumable(&h, &exec, &config, None, None, None, &mut |_| false);
     assert!(early.is_none());
     let json = serde_json::to_string(&state).expect("serializes");
     let restored: EngineState = serde_json::from_str(&json).expect("parses");
     let (_, resumed) =
-        run_clapton_resumable(&h, &exec, &config, None, Some(restored), &mut |_| true);
+        run_clapton_resumable(&h, &exec, &config, None, None, Some(restored), &mut |_| {
+            true
+        });
     assert_eq!(resumed.expect("converges"), reference);
 }
