@@ -2,7 +2,7 @@
 //! frame sampling for the noisy loss `LN` — the design choice that makes
 //! this reproduction's default loss deterministic — plus the
 //! population-batch evaluation paths of the `LossEvaluator` API
-//! (sequential vs thread-parallel vs cached).
+//! (sequential vs pooled vs cached).
 //!
 //! The sampled rows exercise the bit-parallel `FrameBatch` kernel
 //! (`ln_sampled_*`), its scalar one-frame-per-shot reference
@@ -12,8 +12,8 @@
 
 use clapton_circuits::{HardwareEfficientAnsatz, TransformationAnsatz};
 use clapton_core::{
-    CachedEvaluator, EvaluatorKind, ExecutableAnsatz, LossEvaluator, ParallelEvaluator,
-    PooledEvaluator, TransformLoss, WorkerPool,
+    CachedEvaluator, EvaluatorKind, ExecutableAnsatz, LossEvaluator, PooledEvaluator,
+    TransformLoss, WorkerPool,
 };
 use clapton_models::{ising, xxz};
 use clapton_noise::{ExactEvaluator, FrameSampler, NoiseModel, NoisyCircuit};
@@ -186,33 +186,11 @@ fn counterbalanced_samples(
     (samples_a, samples_b)
 }
 
-/// Times two contenders with [`counterbalanced_samples`] and emits one row
-/// per contender in the standard format.
-fn bench_head_to_head(
-    group: &str,
-    (id_a, mut run_a): (&str, impl FnMut()),
-    (id_b, mut run_b): (&str, impl FnMut()),
-) {
-    let (samples_a, samples_b) = counterbalanced_samples(12, &mut run_a, &mut run_b);
-    for (id, mut samples) in [(id_a, samples_a), (id_b, samples_b)] {
-        samples.sort_unstable();
-        let (median, best) = (samples[samples.len() / 2], samples[0]);
-        println!(
-            "{group}/{id}: median {:.2} ms (best {:.2} ms, {} interleaved samples)",
-            median as f64 / 1e6,
-            best as f64 / 1e6,
-            samples.len()
-        );
-        criterion::append_record(group, id, median, best, samples.len());
-    }
-}
-
 /// Measures the batched-vs-scalar sampled-path speedup directly and appends
 /// it to the BENCH results file, so a regression of the word-level kernel
 /// shows up as a number, not as two rows someone has to divide. Samples are
-/// interleaved via [`counterbalanced_samples`] for the same reason as
-/// [`bench_head_to_head`]: a ratio of two back-to-back blocks would bake
-/// row-order clock drift into the headline metric.
+/// interleaved via [`counterbalanced_samples`]: a ratio of two back-to-back
+/// blocks would bake row-order clock drift into the headline metric.
 fn emit_sampled_speedup(_c: &mut Criterion) {
     for n in [10usize, 20] {
         let h = ising(n, 0.25);
@@ -548,14 +526,12 @@ fn bench_dense_hamiltonian(c: &mut Criterion) {
 ///
 /// * `sequential` — genome-at-a-time `evaluate` calls: what a closure-based
 ///   GA pays, rebuilding the noisy circuit for every genome.
-/// * `parallel` — the legacy `ParallelEvaluator`, spawning scoped threads
-///   per batch.
 /// * `parallel_pooled` — chunks dispatched onto the persistent shared
 ///   `WorkerPool`; each chunk runs the batch fast path (backend prepared
 ///   once per chunk), and on multicore machines chunks execute in parallel
 ///   with no per-batch spawn cost.
 /// * `cached*` — a 50%-duplicate population (the mix-and-restart regime)
-///   replayed through the genome → loss memo.
+///   replayed through the genome → loss memo, inline or on the pool.
 fn bench_population_batch(c: &mut Criterion) {
     let n = 10;
     let h = ising(n, 0.25);
@@ -587,23 +563,11 @@ fn bench_population_batch(c: &mut Criterion) {
                 .collect::<Vec<f64>>()
         });
     });
-    {
-        // The pooled-vs-scoped-threads comparison drove the PooledEvaluator
-        // chunk tuning; measure it ABBA-interleaved so row-order clock
-        // drift cannot manufacture a winner.
-        let parallel = ParallelEvaluator::new(&loss);
-        let pool = Arc::new(WorkerPool::new());
-        let pooled = PooledEvaluator::new(&loss, pool);
-        bench_head_to_head(
-            "population_batch_96",
-            ("parallel", || {
-                black_box(parallel.evaluate_population(black_box(&population)));
-            }),
-            ("parallel_pooled", || {
-                black_box(pooled.evaluate_population(black_box(&population)));
-            }),
-        );
-    }
+    let pool = Arc::new(WorkerPool::new());
+    group.bench_function("parallel_pooled", |b| {
+        let pooled = PooledEvaluator::new(&loss, Arc::clone(&pool));
+        b.iter(|| pooled.evaluate_population(black_box(&population)));
+    });
     group.bench_function("cached_mix_round", |b| {
         b.iter(|| {
             // Fresh cache per iteration: first submission pays, the mixed
@@ -616,7 +580,7 @@ fn bench_population_batch(c: &mut Criterion) {
     });
     group.bench_function("parallel_cached_mix_round", |b| {
         b.iter(|| {
-            let cached = CachedEvaluator::new(ParallelEvaluator::new(&loss));
+            let cached = CachedEvaluator::new(PooledEvaluator::new(&loss, Arc::clone(&pool)));
             let first = cached.evaluate_population(black_box(&mixed));
             let replay = cached.evaluate_population(black_box(&mixed));
             black_box((first, replay))
@@ -634,8 +598,7 @@ fn bench_population_batch(c: &mut Criterion) {
         },
     );
     group.bench_function("sampled_pooled_256shots", |b| {
-        let pool = Arc::new(WorkerPool::new());
-        let pooled = PooledEvaluator::new(&sampled_loss, pool);
+        let pooled = PooledEvaluator::new(&sampled_loss, Arc::clone(&pool));
         b.iter(|| pooled.evaluate_population(black_box(&population)));
     });
     group.finish();

@@ -6,7 +6,7 @@
 use clapton_circuits::TransformationAnsatz;
 use clapton_core::{
     run_clapton, transform_hamiltonian, ClaptonConfig, EvaluatorKind, ExecutableAnsatz,
-    LossFunction,
+    LossFunction, WorkerPool,
 };
 use clapton_models::{ising, molecular, Molecule};
 use clapton_noise::NoiseModel;
@@ -16,6 +16,7 @@ use clapton_service::{
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_loss_evaluation(c: &mut Criterion) {
     let mut group = c.benchmark_group("clapton_loss_eval");
@@ -45,12 +46,14 @@ fn bench_loss_evaluation(c: &mut Criterion) {
 fn bench_full_quick_run(c: &mut Criterion) {
     let mut group = c.benchmark_group("clapton_quick_run");
     group.sample_size(10);
+    // Inline, as this row has always measured: one search on one thread.
+    let pool = Arc::new(WorkerPool::with_workers(0));
     for n in [6usize, 10] {
         let h = ising(n, 0.25);
         let model = NoiseModel::uniform(n, 3e-4, 8e-3, 2e-2);
         let exec = ExecutableAnsatz::untranspiled(n, &model);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| run_clapton(black_box(&h), &exec, &ClaptonConfig::quick(1)));
+            b.iter(|| run_clapton(black_box(&h), &exec, &ClaptonConfig::quick(1), &pool));
         });
     }
     group.finish();
@@ -58,8 +61,8 @@ fn bench_full_quick_run(c: &mut Criterion) {
 
 /// Pins the cost of the declarative front door: parsing a spec from JSON
 /// plus `validate()` (the pure dispatch work every submission pays) against
-/// the direct `run_clapton` call it routes to, and the full
-/// `ClaptonService::run` of the same job. The headline
+/// the direct `run_clapton` call it routes to, on the service's own pool,
+/// and the full `ClaptonService::run` of the same job. The headline
 /// `dispatch_overhead_pct` row asserts the front door stays off the hot
 /// path — parse + validate is microseconds against a run of hundreds of
 /// milliseconds.
@@ -113,11 +116,17 @@ fn emit_service_dispatch_overhead(_c: &mut Criterion) {
     // so clock drift cannot manufacture an overhead.
     let mut direct_samples = Vec::new();
     let mut service_samples = Vec::new();
-    black_box(run_clapton(&h, &exec, &ClaptonConfig::quick(1)));
+    let pool = service.pool();
+    black_box(run_clapton(&h, &exec, &ClaptonConfig::quick(1), pool));
     black_box(service.run(spec.clone()).expect("job converges"));
     for round in 0..4 {
         let run_direct = &mut || {
-            black_box(run_clapton(black_box(&h), &exec, &ClaptonConfig::quick(1)));
+            black_box(run_clapton(
+                black_box(&h),
+                &exec,
+                &ClaptonConfig::quick(1),
+                pool,
+            ));
         };
         let run_service = &mut || {
             let parsed: JobSpec = serde_json::from_str(&spec_json).expect("parses");

@@ -11,9 +11,12 @@ use clapton_bench::{Instance, Options};
 use clapton_core::{run_clapton, ClaptonConfig, EvaluatorKind};
 use clapton_devices::FakeBackend;
 use clapton_models::{ising, xxz};
+use clapton_runtime::WorkerPool;
+use std::sync::Arc;
 
 fn main() {
     let options = Options::from_args();
+    let pool = Arc::new(WorkerPool::new());
     let backend = FakeBackend::toronto();
     let benchmarks = vec![
         ("ising(J=0.50)", ising(10, 0.5)),
@@ -59,7 +62,7 @@ fn main() {
             ),
         ];
         for (label, config) in variants {
-            let result = run_clapton(h, &instance.exec, &config);
+            let result = run_clapton(h, &instance.exec, &config, &pool);
             let device = instance.device_energy(&result.transformation.transformed, &zeros, None);
             println!(
                 "{:<14} {:<22} {:>12.5} {:>12.5} {:>12.5}",

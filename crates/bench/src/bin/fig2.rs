@@ -11,9 +11,12 @@ use clapton_bench::{Instance, Options};
 use clapton_core::normalized_energy;
 use clapton_devices::FakeBackend;
 use clapton_models::xxz;
+use clapton_runtime::WorkerPool;
+use std::sync::Arc;
 
 fn main() {
     let options = Options::from_args();
+    let pool = Arc::new(WorkerPool::new());
     let n = 10;
     let backend = FakeBackend::toronto();
     let h = xxz(n, 1.0);
@@ -27,7 +30,7 @@ fn main() {
         "{:<10} {:>14} {:>14} {:>14} {:>12} {:>12}",
         "method", "noiseless", "cliff-model", "device", "norm(device)", "model-gap"
     );
-    let outcomes = instance.run_methods(&options);
+    let outcomes = instance.run_methods(&options, &pool);
     for o in &outcomes {
         let norm = normalized_energy(o.initial.device, instance.e0, instance.e_mixed);
         let gap = (o.initial.clifford_model - o.initial.device).abs();

@@ -15,21 +15,24 @@ use clapton_bench::{Instance, Options};
 use clapton_core::{geometric_mean, normalized_energy, relative_improvement};
 use clapton_devices::FakeBackend;
 use clapton_models::{benchmark_suite, physics_suite};
+use clapton_runtime::WorkerPool;
 use clapton_vqe::{run_vqe, VqeConfig};
+use std::sync::Arc;
 
 fn main() {
     let options = Options::from_args();
+    let pool = Arc::new(WorkerPool::new());
     let backends: Vec<FakeBackend> = match options.effort {
         0 => vec![FakeBackend::nairobi()],
         1 => vec![FakeBackend::nairobi(), FakeBackend::toronto()],
         _ => FakeBackend::all(),
     };
     for backend in &backends {
-        run_backend(backend, &options);
+        run_backend(backend, &options, &pool);
     }
 }
 
-fn run_backend(backend: &FakeBackend, options: &Options) {
+fn run_backend(backend: &FakeBackend, options: &Options, pool: &Arc<WorkerPool>) {
     // nairobi hosts only the 7-qubit physics models (§5.2.2).
     let benchmarks = if backend.name() == "nairobi" {
         physics_suite(7)
@@ -69,7 +72,7 @@ fn run_backend(backend: &FakeBackend, options: &Options) {
         // On hanoi, final points are evaluated on the perturbed "hardware"
         // model restricted to the same compact register.
         let hw_model = hardware.as_ref().map(|hw| restricted_model(&instance, hw));
-        let outcomes = instance.run_methods(options);
+        let outcomes = instance.run_methods(options, pool);
         let vqe_config = VqeConfig::new(options.vqe_iterations());
         let mut initial = Vec::new();
         let mut fin = Vec::new();

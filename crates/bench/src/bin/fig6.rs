@@ -9,10 +9,13 @@ use clapton_bench::{Instance, Options};
 use clapton_core::ExecutableAnsatz;
 use clapton_devices::FakeBackend;
 use clapton_models::xxz;
+use clapton_runtime::WorkerPool;
 use clapton_vqe::{run_vqe, VqeConfig};
+use std::sync::Arc;
 
 fn main() {
     let options = Options::from_args();
+    let pool = Arc::new(WorkerPool::new());
     let backends = match options.effort {
         0 => vec![FakeBackend::toronto()],
         _ => vec![FakeBackend::toronto(), FakeBackend::hanoi()],
@@ -29,7 +32,7 @@ fn main() {
                 backend.name(),
                 instance.e0
             );
-            let outcomes = instance.run_methods(&options);
+            let outcomes = instance.run_methods(&options, &pool);
             let vqe_config = VqeConfig::new(options.vqe_iterations());
             let hardware =
                 (backend.name() == "hanoi").then(|| backend.hardware_variant(options.seed));

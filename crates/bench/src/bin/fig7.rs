@@ -11,9 +11,12 @@ use clapton_bench::{run_sweep, Options};
 use clapton_models::{ising, molecular, Molecule};
 use clapton_noise::NoiseModel;
 use clapton_pauli::PauliSum;
+use clapton_runtime::WorkerPool;
+use std::sync::Arc;
 
 fn main() {
     let options = Options::from_args();
+    let pool = Arc::new(WorkerPool::new());
     let gate_errors: Vec<f64> = match options.effort {
         0 => vec![5e-4, 5e-3],
         1 => vec![5e-4, 2e-3, 5e-3],
@@ -37,7 +40,7 @@ fn main() {
     };
     let benchmarks: Vec<(&str, &PauliSum)> =
         benchmarks.iter().map(|(n, h)| (n.as_str(), h)).collect();
-    run_sweep(&options, &benchmarks, &t1s, &gate_errors, |p, t1| {
+    run_sweep(&options, &pool, &benchmarks, &t1s, &gate_errors, |p, t1| {
         // Gate-error sweep: readout off, 2q error = 10p (§5.2.3).
         let mut model = NoiseModel::uniform(27, p, (10.0 * p).min(1.0), 0.0);
         model.set_t1_uniform(t1);

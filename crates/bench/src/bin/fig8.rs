@@ -9,9 +9,12 @@ use clapton_bench::{run_sweep, Options};
 use clapton_models::{ising, molecular, Molecule};
 use clapton_noise::NoiseModel;
 use clapton_pauli::PauliSum;
+use clapton_runtime::WorkerPool;
+use std::sync::Arc;
 
 fn main() {
     let options = Options::from_args();
+    let pool = Arc::new(WorkerPool::new());
     let readout_errors: Vec<f64> = match options.effort {
         0 => vec![5e-3, 9.5e-2],
         1 => vec![5e-3, 3.5e-2, 9.5e-2],
@@ -34,10 +37,17 @@ fn main() {
         v
     };
     let benchmarks: Vec<(&str, &PauliSum)> = owned.iter().map(|(n, h)| (n.as_str(), h)).collect();
-    run_sweep(&options, &benchmarks, &t1s, &readout_errors, |p, t1| {
-        // Measurement-error sweep: gates noiseless (§5.2.3).
-        let mut model = NoiseModel::uniform(27, 0.0, 0.0, p);
-        model.set_t1_uniform(t1);
-        model
-    });
+    run_sweep(
+        &options,
+        &pool,
+        &benchmarks,
+        &t1s,
+        &readout_errors,
+        |p, t1| {
+            // Measurement-error sweep: gates noiseless (§5.2.3).
+            let mut model = NoiseModel::uniform(27, 0.0, 0.0, p);
+            model.set_t1_uniform(t1);
+            model
+        },
+    );
 }

@@ -14,10 +14,13 @@ use clapton_bench::{linear_fit, quadratic_fit, Options};
 use clapton_core::{run_cafqa, run_clapton, ClaptonConfig, EvaluatorKind, ExecutableAnsatz};
 use clapton_models::ising;
 use clapton_noise::NoiseModel;
+use clapton_runtime::WorkerPool;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
     let options = Options::from_args();
+    let pool = Arc::new(WorkerPool::new());
     let (ns, guesses): (Vec<usize>, usize) = match options.effort {
         0 => ((11..=19).step_by(4).collect(), 2),
         1 => ((11..=29).step_by(3).collect(), 3),
@@ -53,13 +56,14 @@ fn main() {
                     seed,
                     two_qubit_slots: true,
                 },
+                &pool,
             );
             t_clap += start.elapsed().as_secs_f64();
             rounds_clap += result.rounds;
             unique_evals += result.unique_evaluations;
             cache_hits += result.cache_hits;
             let start = Instant::now();
-            let result = run_cafqa(&h, &exec, &options.engine(), seed);
+            let result = run_cafqa(&h, &exec, &options.engine(), seed, &pool);
             t_caf += start.elapsed().as_secs_f64();
             rounds_caf += result.rounds;
         }

@@ -7,10 +7,13 @@ use clapton_bench::Options;
 use clapton_core::{run_cafqa, ExecutableAnsatz};
 use clapton_models::benchmark_suite;
 use clapton_noise::NoiseModel;
+use clapton_runtime::WorkerPool;
 use clapton_sim::ground_energy;
+use std::sync::Arc;
 
 fn main() {
     let options = Options::from_args();
+    let pool = Arc::new(WorkerPool::new());
     println!(
         "{:<14} {:>6} {:>6} {:>12} {:>12} {:>12} {:>10}",
         "benchmark", "N", "terms", "E_mixed", "E0", "E_CAFQA", "accuracy"
@@ -21,7 +24,7 @@ fn main() {
         let e0 = ground_energy(h);
         let e_mixed = h.identity_coefficient();
         let exec = ExecutableAnsatz::untranspiled(n, &NoiseModel::noiseless(n));
-        let cafqa = run_cafqa(h, &exec, &options.engine(), options.seed);
+        let cafqa = run_cafqa(h, &exec, &options.engine(), options.seed, &pool);
         // Accuracy per CAFQA's definition: fraction of the mixed-to-ground
         // gap closed by the best Clifford state.
         let accuracy = (e_mixed - cafqa.energy_noiseless) / (e_mixed - e0);

@@ -33,10 +33,12 @@ use clapton_ga::{GaConfig, MultiGaConfig};
 use clapton_models::benchmark_suite;
 use clapton_noise::NoiseModel;
 use clapton_pauli::PauliSum;
+use clapton_runtime::WorkerPool;
 use clapton_service::{
     EngineSpec, JobSpec, MethodSpec, NoiseSpec, ProblemSpec, SuiteProblem, UniformNoise,
 };
 use clapton_sim::{ground_energy, DeviceEvaluator};
+use std::sync::Arc;
 
 /// Command-line options shared by all figure binaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -247,9 +249,9 @@ impl Instance {
             .energy(&mapped)
     }
 
-    /// Runs all three initialization methods and evaluates their initial
-    /// points in the three noise environments.
-    pub fn run_methods(&self, options: &Options) -> Vec<MethodOutcome> {
+    /// Runs all three initialization methods on `pool` and evaluates their
+    /// initial points in the three noise environments.
+    pub fn run_methods(&self, options: &Options, pool: &Arc<WorkerPool>) -> Vec<MethodOutcome> {
         let loss = LossFunction::new(&self.exec, EvaluatorKind::Exact);
         let zeros = vec![0.0; self.exec.ansatz().num_parameters()];
         // CAFQA.
@@ -258,6 +260,7 @@ impl Instance {
             &self.exec,
             &options.engine(),
             options.seed,
+            pool,
         );
         let cafqa_outcome = self.theta_outcome("CAFQA", &loss, &cafqa);
         // nCAFQA.
@@ -267,19 +270,11 @@ impl Instance {
             &options.engine(),
             EvaluatorKind::Exact,
             options.seed + 1,
+            pool,
         );
         let ncafqa_outcome = self.theta_outcome("nCAFQA", &loss, &ncafqa);
         // Clapton.
-        let clapton = run_clapton(
-            &self.hamiltonian,
-            &self.exec,
-            &ClaptonConfig {
-                engine: options.engine(),
-                evaluator: EvaluatorKind::Exact,
-                seed: options.seed + 2,
-                two_qubit_slots: true,
-            },
-        );
+        let clapton = self.run_clapton_only(options, pool);
         let clapton_outcome = MethodOutcome {
             method: "Clapton",
             initial: EnergyTriple {
@@ -313,8 +308,9 @@ impl Instance {
         }
     }
 
-    /// Runs Clapton only (used by the sweep figures).
-    pub fn run_clapton_only(&self, options: &Options) -> ClaptonResult {
+    /// Runs Clapton only on `pool`: the sweep figures' search and
+    /// [`Instance::run_methods`]'s Clapton leg.
+    pub fn run_clapton_only(&self, options: &Options, pool: &Arc<WorkerPool>) -> ClaptonResult {
         run_clapton(
             &self.hamiltonian,
             &self.exec,
@@ -324,6 +320,7 @@ impl Instance {
                 seed: options.seed + 2,
                 two_qubit_slots: true,
             },
+            pool,
         )
     }
 }
@@ -331,10 +328,11 @@ impl Instance {
 /// Shared sweep driver for Figures 7 and 8: for every `(benchmark, T1,
 /// sweep point)` builds the 27-qubit uniform noise model via `model_for`,
 /// transpiles the ten-qubit ansatz onto the `toronto` topology (§5.2.3),
-/// runs nCAFQA and Clapton, and prints η(initial) under the full device
-/// model.
+/// runs nCAFQA and Clapton on `pool`, and prints η(initial) under the full
+/// device model.
 pub fn run_sweep<F>(
     options: &Options,
+    pool: &Arc<WorkerPool>,
     benchmarks: &[(&str, &PauliSum)],
     t1s: &[f64],
     sweep: &[f64],
@@ -368,8 +366,9 @@ pub fn run_sweep<F>(
                     &options.engine(),
                     EvaluatorKind::Exact,
                     options.seed + 1,
+                    pool,
                 );
-                let clapton = instance.run_clapton_only(options);
+                let clapton = instance.run_clapton_only(options, pool);
                 let e_ncafqa = instance.device_energy(h, &ncafqa.theta, None);
                 let e_clapton =
                     instance.device_energy(&clapton.transformation.transformed, &zeros, None);
@@ -476,7 +475,7 @@ mod tests {
         let h = ising(4, 0.25);
         let inst = Instance::prepare("ising4", &h, &backend);
         assert!(inst.e0 < inst.e_mixed);
-        let outcomes = inst.run_methods(&options);
+        let outcomes = inst.run_methods(&options, &Arc::new(WorkerPool::with_workers(0)));
         assert_eq!(outcomes.len(), 3);
         for o in &outcomes {
             // Noiseless value lower-bounds the noisy evaluations... not in

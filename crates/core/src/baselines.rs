@@ -3,7 +3,9 @@
 use crate::{CafqaLoss, EvaluatorKind, ExecutableAnsatz};
 use clapton_ga::{MultiGa, MultiGaConfig};
 use clapton_pauli::PauliSum;
+use clapton_runtime::WorkerPool;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Result of a CAFQA or nCAFQA initialization search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -27,20 +29,23 @@ pub struct CafqaResult {
 /// minimizing the **noiseless** energy `⟨0|A†(θ) H A(θ)|0⟩` (§2.5).
 ///
 /// The original CAFQA used Bayesian optimization; like the paper's own
-/// re-implementation (§5.2) we reuse the Figure-4 genetic engine so that
-/// baseline and Clapton differ only in search space and cost function.
+/// re-implementation (§5.2) we reuse the Figure-4 genetic engine, on the
+/// same `pool` as Clapton, so that baseline and Clapton differ only in
+/// search space and cost function.
 ///
 /// # Example
 ///
 /// ```
-/// use clapton_core::{run_cafqa, ExecutableAnsatz};
+/// use clapton_core::{run_cafqa, ExecutableAnsatz, WorkerPool};
 /// use clapton_ga::MultiGaConfig;
 /// use clapton_noise::NoiseModel;
 /// use clapton_pauli::PauliSum;
+/// use std::sync::Arc;
 ///
 /// let h = PauliSum::from_terms(2, vec![(1.0, "ZI".parse().unwrap())]);
 /// let exec = ExecutableAnsatz::untranspiled(2, &NoiseModel::noiseless(2));
-/// let result = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 7);
+/// let pool = Arc::new(WorkerPool::new());
+/// let result = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 7, &pool);
 /// // The ground state |1⟩⊗|ψ⟩ is Clifford-reachable: energy -1.
 /// assert!((result.energy_noiseless + 1.0).abs() < 1e-12);
 /// ```
@@ -49,8 +54,9 @@ pub fn run_cafqa(
     exec: &ExecutableAnsatz,
     engine_config: &MultiGaConfig,
     seed: u64,
+    pool: &Arc<WorkerPool>,
 ) -> CafqaResult {
-    run_cafqa_impl(h, exec, engine_config, seed, None)
+    run_cafqa_impl(h, exec, engine_config, seed, None, pool)
 }
 
 /// Runs noise-aware CAFQA (nCAFQA): the same `θ` search but with the
@@ -66,8 +72,9 @@ pub fn run_ncafqa(
     engine_config: &MultiGaConfig,
     evaluator: EvaluatorKind,
     seed: u64,
+    pool: &Arc<WorkerPool>,
 ) -> CafqaResult {
-    run_cafqa_impl(h, exec, engine_config, seed, Some(evaluator))
+    run_cafqa_impl(h, exec, engine_config, seed, Some(evaluator), pool)
 }
 
 fn run_cafqa_impl(
@@ -76,6 +83,7 @@ fn run_cafqa_impl(
     engine_config: &MultiGaConfig,
     seed: u64,
     noise_aware: Option<EvaluatorKind>,
+    pool: &Arc<WorkerPool>,
 ) -> CafqaResult {
     let ansatz = exec.ansatz();
     let objective = match noise_aware {
@@ -83,7 +91,7 @@ fn run_cafqa_impl(
         Some(evaluator) => CafqaLoss::ncafqa(h, exec, evaluator),
     };
     let engine = MultiGa::new(ansatz.num_parameters(), 4, *engine_config);
-    let result = engine.run(seed, &objective);
+    let result = engine.run_pooled(seed, &objective, pool);
     let theta_indices = result.best.genes.clone();
     let theta = ansatz.angles_from_indices(&theta_indices);
     let energy_noiseless = objective.noiseless_energy(&theta_indices);
@@ -104,6 +112,11 @@ mod tests {
     use clapton_noise::NoiseModel;
     use clapton_sim::ground_energy;
 
+    /// A 0-worker pool: every search runs inline on the test thread.
+    fn inline() -> Arc<WorkerPool> {
+        Arc::new(WorkerPool::with_workers(0))
+    }
+
     #[test]
     fn cafqa_finds_good_stabilizer_approximation_for_small_j() {
         // At J = 0.25 the Ising ground state is near the |1…1⟩ product
@@ -112,7 +125,7 @@ mod tests {
         let n = 4;
         let h = ising(n, 0.25);
         let exec = ExecutableAnsatz::untranspiled(n, &NoiseModel::noiseless(n));
-        let result = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 2);
+        let result = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 2, &inline());
         let e0 = ground_energy(&h);
         let mixed = h.identity_coefficient();
         let accuracy = (mixed - result.energy_noiseless) / (mixed - e0);
@@ -128,7 +141,7 @@ mod tests {
     fn cafqa_loss_equals_noiseless_energy() {
         let h = xxz(3, 0.5);
         let exec = ExecutableAnsatz::untranspiled(3, &NoiseModel::noiseless(3));
-        let result = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 4);
+        let result = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 4, &inline());
         assert!((result.loss - result.energy_noiseless).abs() < 1e-12);
         assert_eq!(result.theta.len(), 12);
         assert_eq!(result.theta_indices.len(), 12);
@@ -145,8 +158,16 @@ mod tests {
         let h = ising(n, 0.5);
         let model = NoiseModel::uniform(n, 5e-3, 3e-2, 4e-2);
         let exec = ExecutableAnsatz::untranspiled(n, &model);
-        let cafqa = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 5);
-        let ncafqa = run_ncafqa(&h, &exec, &MultiGaConfig::quick(), EvaluatorKind::Exact, 5);
+        let pool = inline();
+        let cafqa = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 5, &pool);
+        let ncafqa = run_ncafqa(
+            &h,
+            &exec,
+            &MultiGaConfig::quick(),
+            EvaluatorKind::Exact,
+            5,
+            &pool,
+        );
         // Both reach negative noiseless energies.
         assert!(cafqa.energy_noiseless < 0.0);
         assert!(ncafqa.energy_noiseless < 0.0);
@@ -159,8 +180,14 @@ mod tests {
     fn deterministic_given_seed() {
         let h = ising(3, 1.0);
         let exec = ExecutableAnsatz::untranspiled(3, &NoiseModel::noiseless(3));
-        let a = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 9);
-        let b = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 9);
+        let a = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 9, &inline());
+        let b = run_cafqa(
+            &h,
+            &exec,
+            &MultiGaConfig::quick(),
+            9,
+            &Arc::new(WorkerPool::with_workers(2)),
+        );
         assert_eq!(a.theta_indices, b.theta_indices);
     }
 }

@@ -88,12 +88,16 @@ pub struct ClaptonResult {
 /// the transformed Hamiltonian on the *transpiled* ansatz under the device
 /// noise model.
 ///
+/// GA instances and population batches run on `pool`; results are
+/// bit-identical for every pool size (a 0-worker pool runs inline).
+///
 /// # Example
 ///
 /// ```
-/// use clapton_core::{run_clapton, ClaptonConfig, ExecutableAnsatz};
+/// use clapton_core::{run_clapton, ClaptonConfig, ExecutableAnsatz, WorkerPool};
 /// use clapton_noise::NoiseModel;
 /// use clapton_pauli::PauliSum;
+/// use std::sync::Arc;
 ///
 /// // A problem whose ground state is |11⟩: Clapton should find a
 /// // transformation making |00⟩ optimal.
@@ -103,22 +107,26 @@ pub struct ClaptonResult {
 /// ]);
 /// let model = NoiseModel::uniform(2, 1e-3, 1e-2, 2e-2);
 /// let exec = ExecutableAnsatz::untranspiled(2, &model);
-/// let result = run_clapton(&h, &exec, &ClaptonConfig::quick(1));
+/// let pool = Arc::new(WorkerPool::new());
+/// let result = run_clapton(&h, &exec, &ClaptonConfig::quick(1), &pool);
 /// assert!((result.loss_0 - (-2.0)).abs() < 1e-12);
 /// ```
-pub fn run_clapton(h: &PauliSum, exec: &ExecutableAnsatz, config: &ClaptonConfig) -> ClaptonResult {
-    run_clapton_resumable(h, exec, config, None, None, None, &mut |_| true)
+pub fn run_clapton(
+    h: &PauliSum,
+    exec: &ExecutableAnsatz,
+    config: &ClaptonConfig,
+    pool: &Arc<WorkerPool>,
+) -> ClaptonResult {
+    run_clapton_resumable(h, exec, config, pool, None, None, &mut |_| true)
         .1
         .expect("uninterrupted run converges")
 }
 
-/// [`run_clapton`] with a shared worker pool, a persistent loss store,
-/// round-level checkpoint hooks, and resume — the Clapton search inside the
-/// service's job body.
+/// [`run_clapton`] with a persistent loss store, round-level checkpoint
+/// hooks, and resume — the Clapton search inside the service's job body.
 ///
-/// * `pool` — when given, GA instances and population batches execute on the
-///   shared persistent [`WorkerPool`] instead of spawning threads per round
-///   (results are bit-identical either way).
+/// * `pool` — GA instances and population batches execute on this shared
+///   persistent [`WorkerPool`] (results are bit-identical for every size).
 /// * `store` — memo misses consult the store before computing, and computed
 ///   losses are written back, so a repeated search (same Hamiltonian,
 ///   device, evaluator, ablation) answers its loss queries from disk. The
@@ -149,7 +157,7 @@ pub fn run_clapton_resumable(
     h: &PauliSum,
     exec: &ExecutableAnsatz,
     config: &ClaptonConfig,
-    pool: Option<&Arc<WorkerPool>>,
+    pool: &Arc<WorkerPool>,
     store: Option<Arc<dyn LossStore>>,
     resume: Option<EngineState>,
     on_round: &mut dyn FnMut(&EngineState) -> bool,
@@ -189,10 +197,7 @@ pub fn run_clapton_resumable(
         }
     };
     while !state.finished {
-        match pool {
-            Some(pool) => engine.step_pooled(&mut state, &objective, pool),
-            None => engine.step(&mut state, &objective),
-        };
+        engine.step_pooled(&mut state, &objective, pool);
         if !on_round(&state) && !state.finished {
             return (state, None);
         }
@@ -291,6 +296,11 @@ mod tests {
     use clapton_noise::NoiseModel;
     use clapton_sim::ground_energy;
 
+    /// A 0-worker pool: every search runs inline on the test thread.
+    fn inline() -> Arc<WorkerPool> {
+        Arc::new(WorkerPool::with_workers(0))
+    }
+
     #[test]
     fn fingerprints_are_pinned() {
         // Literal values: persistent loss stores and checkpoint tags written
@@ -315,7 +325,7 @@ mod tests {
         let h = ising(3, 0.25);
         let model = NoiseModel::uniform(3, 1e-3, 1e-2, 2e-2);
         let exec = ExecutableAnsatz::untranspiled(3, &model);
-        let result = run_clapton(&h, &exec, &ClaptonConfig::quick(3));
+        let result = run_clapton(&h, &exec, &ClaptonConfig::quick(3), &inline());
         // The transformed problem's |0⟩ energy must at least beat the
         // original |0…0⟩ energy (= +3) massively.
         assert!(result.loss_0 <= -3.0, "loss_0 = {}", result.loss_0);
@@ -334,7 +344,7 @@ mod tests {
         let exec = ExecutableAnsatz::untranspiled(4, &model);
         let loss = LossFunction::new(&exec, EvaluatorKind::Exact);
         let untransformed = loss.total(&h);
-        let result = run_clapton(&h, &exec, &ClaptonConfig::quick(11));
+        let result = run_clapton(&h, &exec, &ClaptonConfig::quick(11), &inline());
         assert!(
             result.loss < untransformed,
             "clapton {} vs untransformed {untransformed}",
@@ -351,13 +361,13 @@ mod tests {
         let exec = ExecutableAnsatz::untranspiled(3, &model);
         let mut config = ClaptonConfig::quick(8);
         config.two_qubit_slots = false;
-        let result = run_clapton(&h, &exec, &config);
+        let result = run_clapton(&h, &exec, &config, &inline());
         // Slot genes (positions 2N..2N+pairs) must be identity.
         let slots = &result.transformation.gamma[6..9];
         assert_eq!(slots, &[0, 0, 0]);
         // The full ansatz can only do at least as well (same seed budget may
         // vary, so compare against the ablated loss with a margin).
-        let full = run_clapton(&h, &exec, &ClaptonConfig::quick(8));
+        let full = run_clapton(&h, &exec, &ClaptonConfig::quick(8), &inline());
         assert!(full.loss <= result.loss + 1e-9);
     }
 
@@ -367,27 +377,33 @@ mod tests {
         let model = NoiseModel::uniform(3, 1e-3, 1e-2, 2e-2);
         let exec = ExecutableAnsatz::untranspiled(3, &model);
         let config = ClaptonConfig::quick(9);
-        let reference = run_clapton(&h, &exec, &config);
+        let inline = inline();
+        let reference = run_clapton(&h, &exec, &config, &inline);
 
-        // Pool-backed execution produces the identical result.
-        let pool = std::sync::Arc::new(clapton_runtime::WorkerPool::with_workers(2));
+        // A pool with workers produces the identical result.
+        let pool = Arc::new(WorkerPool::with_workers(2));
         let (_, pooled) =
-            run_clapton_resumable(&h, &exec, &config, Some(&pool), None, None, &mut |_| true);
+            run_clapton_resumable(&h, &exec, &config, &pool, None, None, &mut |_| true);
         assert_eq!(pooled.expect("converged"), reference);
 
         // Suspend after the first round, round-trip the state through JSON,
         // resume: bit-identical to the uninterrupted run.
         let (suspended, early) =
-            run_clapton_resumable(&h, &exec, &config, None, None, None, &mut |_| false);
+            run_clapton_resumable(&h, &exec, &config, &inline, None, None, &mut |_| false);
         assert!(early.is_none(), "observer suspended the run");
         assert!(!suspended.finished);
         assert_eq!(suspended.rounds(), 1);
         let json = serde_json::to_string(&suspended).expect("state serializes");
         let restored: EngineState = serde_json::from_str(&json).expect("state parses");
-        let (final_state, resumed) =
-            run_clapton_resumable(&h, &exec, &config, None, None, Some(restored), &mut |_| {
-                true
-            });
+        let (final_state, resumed) = run_clapton_resumable(
+            &h,
+            &exec,
+            &config,
+            &inline,
+            None,
+            Some(restored),
+            &mut |_| true,
+        );
         assert!(final_state.finished);
         assert_eq!(resumed.expect("converged"), reference);
     }
@@ -400,11 +416,12 @@ mod tests {
         let model = NoiseModel::uniform(3, 1e-3, 1e-2, 2e-2);
         let exec = ExecutableAnsatz::untranspiled(3, &model);
         let config = ClaptonConfig::quick(5);
+        let pool = inline();
         let (state, _) = run_clapton_resumable(
             &ising(3, 0.25),
             &exec,
             &config,
-            None,
+            &pool,
             None,
             None,
             &mut |_| false,
@@ -413,7 +430,7 @@ mod tests {
             &xxz(3, 0.25),
             &exec,
             &config,
-            None,
+            &pool,
             None,
             Some(state),
             &mut |_| true,
@@ -425,8 +442,8 @@ mod tests {
         let h = ising(3, 1.0);
         let model = NoiseModel::uniform(3, 1e-3, 1e-2, 1e-2);
         let exec = ExecutableAnsatz::untranspiled(3, &model);
-        let a = run_clapton(&h, &exec, &ClaptonConfig::quick(42));
-        let b = run_clapton(&h, &exec, &ClaptonConfig::quick(42));
+        let a = run_clapton(&h, &exec, &ClaptonConfig::quick(42), &inline());
+        let b = run_clapton(&h, &exec, &ClaptonConfig::quick(42), &inline());
         assert_eq!(a.transformation.gamma, b.transformation.gamma);
         assert_eq!(a.loss, b.loss);
         for w in a.round_bests.windows(2) {

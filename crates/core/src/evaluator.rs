@@ -6,7 +6,7 @@
 //! [`EnergyBackend`](crate::EnergyBackend)). [`CafqaLoss`] is the θ-space
 //! analogue for the CAFQA / nCAFQA baselines.
 //!
-//! Both are pure and `Sync`, so the engine's parallel batch path and
+//! Both are pure and `Sync`, so the engine's pooled batch path and
 //! genome → loss cache apply transparently.
 
 use crate::{
@@ -240,11 +240,13 @@ impl LossEvaluator for CafqaLoss<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clapton_eval::{CachedEvaluator, ParallelEvaluator};
+    use crate::{PooledEvaluator, WorkerPool};
+    use clapton_eval::CachedEvaluator;
     use clapton_models::ising;
     use clapton_noise::NoiseModel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn random_genomes(n: usize, genes: usize, seed: u64) -> Vec<Vec<u8>> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -263,9 +265,9 @@ mod tests {
         let genomes = random_genomes(24, ansatz.num_genes(), 3);
         let sequential: Vec<f64> = genomes.iter().map(|g| loss.evaluate(g)).collect();
         assert_eq!(loss.evaluate_population(&genomes), sequential);
-        // Parallel and cached wrappers preserve the values exactly.
-        let parallel = ParallelEvaluator::with_threads(&loss, 4);
-        assert_eq!(parallel.evaluate_population(&genomes), sequential);
+        // Pooled and cached wrappers preserve the values exactly.
+        let pooled = PooledEvaluator::new(&loss, Arc::new(WorkerPool::with_workers(3)));
+        assert_eq!(pooled.evaluate_population(&genomes), sequential);
         let cached = CachedEvaluator::new(&loss);
         assert_eq!(cached.evaluate_population(&genomes), sequential);
         assert_eq!(cached.evaluate_population(&genomes), sequential);
@@ -278,8 +280,6 @@ mod tests {
         // cache hoisted) and the pool-backed wrapper must replay the
         // genome-at-a-time losses exactly: per-candidate seeding is content
         // hashed and term-prep cache hits consume no randomness.
-        use crate::{PooledEvaluator, WorkerPool};
-        use std::sync::Arc;
         let h = ising(3, 0.5);
         let model = NoiseModel::uniform(3, 1e-3, 1e-2, 2e-2);
         let exec = ExecutableAnsatz::untranspiled(3, &model);

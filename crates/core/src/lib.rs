@@ -14,13 +14,13 @@
 //!    or dense density-matrix simulation ([`DenseBackend`]).
 //! 4. [`TransformLoss`] packages the objective as a batched
 //!    [`LossEvaluator`](clapton_eval::LossEvaluator) which [`run_clapton`]
-//!    hands to the multi-GA engine of Figure 4 — population-parallel and
-//!    memoized by default — returning the [`Transformation`] plus
-//!    diagnostics.
+//!    hands to the multi-GA engine of Figure 4 — memoized, with instances
+//!    and population batches on the caller's [`WorkerPool`] — returning
+//!    the [`Transformation`] plus diagnostics.
 //!
 //! Baselines: [`run_cafqa`] (noiseless Clifford search over `θ`, prior art
 //! [38]) and [`run_ncafqa`] (the paper's noise-aware CAFQA, §5.2), both
-//! through [`CafqaLoss`].
+//! through [`CafqaLoss`] on the same engine and pool.
 //! Metrics: [`relative_improvement`] (η, Eq. 14), [`geometric_mean`],
 //! [`normalized_energy`].
 
@@ -36,9 +36,7 @@ pub use baselines::{run_cafqa, run_ncafqa, CafqaResult};
 pub use clapton::{
     loss_namespace, run_clapton, run_clapton_resumable, ClaptonConfig, ClaptonResult,
 };
-pub use clapton_eval::{
-    CacheStats, CachedEvaluator, FnEvaluator, LossEvaluator, LossStore, ParallelEvaluator,
-};
+pub use clapton_eval::{CacheStats, CachedEvaluator, FnEvaluator, LossEvaluator, LossStore};
 pub use clapton_ga::EngineState;
 pub use clapton_runtime::{PooledEvaluator, WorkerPool};
 pub use evaluator::{CafqaLoss, TransformLoss};

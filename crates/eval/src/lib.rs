@@ -8,18 +8,17 @@
 //!   provide genome-at-a-time [`LossEvaluator::evaluate`]; the provided
 //!   [`LossEvaluator::evaluate_population`] gives callers a population-batch
 //!   entry point that implementations (or wrappers) can accelerate.
-//! * [`ParallelEvaluator`] — fans a population batch out over worker threads
-//!   (order-preserving, bit-identical to the sequential path because losses
-//!   are pure functions of the genome).
 //! * [`CachedEvaluator`] — a genome → loss memo table with hit/miss
 //!   statistics. Duplicate genomes recur heavily across the engine's
 //!   mix-and-restart rounds, so this turns a large fraction of evaluations
 //!   into hash lookups.
 //! * [`FnEvaluator`] — adapts a plain closure for tests and toy problems.
 //!
-//! The combinators nest: `CachedEvaluator<ParallelEvaluator<&E>>` is the
-//! engine's default stack (cache lookup first, misses evaluated as one
-//! parallel batch).
+//! Population-parallel execution lives one layer up, in
+//! `clapton_runtime::PooledEvaluator`, which fans a batch out over the
+//! shared worker pool. The combinators nest:
+//! `CachedEvaluator<PooledEvaluator<&E>>` is the engine's stack (cache
+//! lookup first, misses evaluated as one pooled batch).
 
 use clapton_telemetry::metrics::{registry, Counter};
 use serde::{Deserialize, Serialize};
@@ -66,8 +65,8 @@ pub trait LossEvaluator: Sync {
     /// The losses of a whole population, in order.
     ///
     /// The default implementation evaluates sequentially; wrappers such as
-    /// [`ParallelEvaluator`] and [`CachedEvaluator`] override the execution
-    /// strategy while preserving results bit-for-bit.
+    /// [`CachedEvaluator`] override the execution strategy while preserving
+    /// results bit-for-bit.
     fn evaluate_population(&self, genomes: &[Vec<u8>]) -> Vec<f64> {
         genomes.iter().map(|g| self.evaluate(g)).collect()
     }
@@ -145,72 +144,6 @@ impl<F: Fn(&[u8]) -> f64 + Sync> FnEvaluator<F> {
 impl<F: Fn(&[u8]) -> f64 + Sync> LossEvaluator for FnEvaluator<F> {
     fn evaluate(&self, genome: &[u8]) -> f64 {
         (self.f)(genome)
-    }
-}
-
-/// Population-parallel batch evaluation over scoped worker threads.
-///
-/// Splits each batch into contiguous chunks, one per worker, and reassembles
-/// results in order — the output is bit-identical to sequential evaluation
-/// because [`LossEvaluator`] implementations are pure.
-#[derive(Debug, Clone)]
-pub struct ParallelEvaluator<E> {
-    inner: E,
-    threads: usize,
-}
-
-impl<E: LossEvaluator> ParallelEvaluator<E> {
-    /// Wraps `inner`, using all available cores per batch.
-    pub fn new(inner: E) -> ParallelEvaluator<E> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ParallelEvaluator::with_threads(inner, threads)
-    }
-
-    /// Wraps `inner` with an explicit worker count (`1` evaluates inline,
-    /// with no thread spawns).
-    pub fn with_threads(inner: E, threads: usize) -> ParallelEvaluator<E> {
-        ParallelEvaluator {
-            inner,
-            threads: threads.max(1),
-        }
-    }
-
-    /// The wrapped evaluator.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-}
-
-impl<E: LossEvaluator> LossEvaluator for ParallelEvaluator<E> {
-    fn evaluate(&self, genome: &[u8]) -> f64 {
-        self.inner.evaluate(genome)
-    }
-
-    fn evaluate_population(&self, genomes: &[Vec<u8>]) -> Vec<f64> {
-        // Spawning threads for tiny batches costs more than it saves.
-        const MIN_CHUNK: usize = 4;
-        let workers = self.threads.min(genomes.len().div_ceil(MIN_CHUNK)).max(1);
-        if workers == 1 {
-            return self.inner.evaluate_population(genomes);
-        }
-        let chunk_len = genomes.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = genomes
-                .chunks(chunk_len)
-                .map(|chunk| scope.spawn(|| self.inner.evaluate_population(chunk)))
-                .collect();
-            let mut out = Vec::with_capacity(genomes.len());
-            for handle in handles {
-                out.extend(handle.join().expect("population evaluation worker"));
-            }
-            out
-        })
-    }
-
-    fn canonical_key(&self, genome: &[u8]) -> Vec<u8> {
-        self.inner.canonical_key(genome)
     }
 }
 
@@ -515,29 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_bit_identical_to_sequential() {
-        let base = CountingLoss::new();
-        let pop = population(103, 12);
-        let sequential = base.evaluate_population(&pop);
-        for threads in [1, 2, 3, 8, 64] {
-            let par = ParallelEvaluator::with_threads(CountingLoss::new(), threads);
-            assert_eq!(
-                par.evaluate_population(&pop),
-                sequential,
-                "threads {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_handles_empty_and_tiny_batches() {
-        let par = ParallelEvaluator::with_threads(CountingLoss::new(), 8);
-        assert_eq!(par.evaluate_population(&[]), Vec::<f64>::new());
-        let one = population(1, 4);
-        assert_eq!(par.evaluate_population(&one), vec![par.evaluate(&one[0])]);
-    }
-
-    #[test]
     fn cache_deduplicates_within_and_across_batches() {
         let cached = CachedEvaluator::new(CountingLoss::new());
         let mut pop = population(10, 6);
@@ -558,7 +468,7 @@ mod tests {
     fn cache_is_transparent() {
         let pop = population(23, 7);
         let plain = CountingLoss::new().evaluate_population(&pop);
-        let cached = CachedEvaluator::new(ParallelEvaluator::with_threads(CountingLoss::new(), 4));
+        let cached = CachedEvaluator::new(CountingLoss::new());
         assert_eq!(cached.evaluate_population(&pop), plain);
         // Single-genome path too.
         assert_eq!(cached.evaluate(&pop[0]), plain[0]);

@@ -2,7 +2,7 @@
 //! state machine.
 
 use crate::{GaConfig, GaInstance, Individual};
-use clapton_eval::{CacheStats, CachedEvaluator, LossEvaluator, LossStore, ParallelEvaluator};
+use clapton_eval::{CacheStats, CachedEvaluator, LossEvaluator, LossStore};
 use clapton_runtime::{PooledEvaluator, WorkerPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,10 +24,11 @@ pub struct MultiGaConfig {
     /// Fraction of each new population drawn from the mixed pool (the rest
     /// are fresh random guesses).
     pub pool_fraction: f64,
-    /// Run instances on parallel threads and fan population batches out over
-    /// the remaining cores. Results are bit-identical to the serial path.
-    /// (With [`MultiGa::run_pooled`] the shared worker pool takes over both
-    /// roles and this flag is ignored.)
+    /// Ignored: every search runs its instances and population batches on
+    /// the caller's [`WorkerPool`], and a 0-worker pool runs them inline.
+    /// The field stays because it is serialized into custom engine specs, so
+    /// dropping it would change their hashes, report-cache keys and stored
+    /// spec files.
     pub parallel: bool,
     /// Per-instance GA settings.
     pub ga: GaConfig,
@@ -112,12 +113,12 @@ impl MultiGaResult {
 /// The complete engine state between two rounds — the checkpoint unit.
 ///
 /// Produced by [`MultiGa::start`], advanced one round at a time by
-/// [`MultiGa::step`] (or [`MultiGa::step_pooled`]), and serializable as
-/// JSON. A state written after round `k` and deserialized later continues
-/// **bit-identically** to a run that was never interrupted: the mixing RNG
-/// state, the per-instance restart seeds, and the full genome → loss memo
-/// (with its statistics) are all part of the snapshot, and per-instance GA
-/// streams are derived deterministically from `(seed, round, instance)`.
+/// [`MultiGa::step_pooled`], and serializable as JSON. A state written after
+/// round `k` and deserialized later continues **bit-identically** to a run
+/// that was never interrupted: the mixing RNG state, the per-instance
+/// restart seeds, and the full genome → loss memo (with its statistics) are
+/// all part of the snapshot, and per-instance GA streams are derived
+/// deterministically from `(seed, round, instance)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineState {
     /// The base seed the run was started with.
@@ -158,41 +159,36 @@ impl EngineState {
     }
 }
 
-/// How one round's GA instances are executed.
-#[derive(Clone, Copy)]
-enum RoundExec<'p> {
-    /// All instances on the calling thread.
-    Serial,
-    /// One scoped thread per instance (the legacy `parallel: true` path).
-    Threads,
-    /// Instance tasks on the shared persistent worker pool.
-    Pool(&'p WorkerPool),
-}
-
 /// The multi-instance engine (Figure 4): spawn, evolve, mix, repeat until the
 /// global loss stops decreasing.
 ///
 /// Fitness flows through the [`LossEvaluator`] trait: the engine stacks a
-/// shared genome → loss cache on top of a population-parallel batch path, so
+/// shared genome → loss cache on top of a [`PooledEvaluator`] batch path, so
 /// every instance's generation is evaluated as one deduplicated batch. Both
 /// wrappers are bit-transparent — results are identical to calling
 /// `evaluate` genome-at-a-time on a single thread.
 ///
-/// The engine is a resumable state machine: [`MultiGa::run`] is a loop over
-/// [`MultiGa::step`] on an [`EngineState`], and callers that need
-/// checkpointing drive the steps themselves, serializing the state between
-/// rounds. [`MultiGa::run_pooled`] / [`MultiGa::step_pooled`] execute both
-/// the instances and their population batches on a shared persistent
-/// [`WorkerPool`] instead of spawning threads per round.
+/// Each round's instances are tasks on the caller's [`WorkerPool`], and their
+/// population batches fan out on the same pool, so concurrent searches share
+/// one set of threads. Results are bit-identical for every pool size; a
+/// 0-worker pool runs everything inline on the calling thread.
+///
+/// The engine is a resumable state machine: [`MultiGa::run_pooled`] is a
+/// loop over [`MultiGa::step_pooled`] on an [`EngineState`], and callers
+/// that need checkpointing drive the steps themselves, serializing the state
+/// between rounds.
 ///
 /// # Example
 ///
 /// ```
 /// use clapton_eval::FnEvaluator;
 /// use clapton_ga::{MultiGa, MultiGaConfig};
+/// use clapton_runtime::WorkerPool;
+/// use std::sync::Arc;
 ///
 /// let fitness = FnEvaluator::new(|g: &[u8]| g.iter().map(|&x| x as f64).sum::<f64>());
-/// let result = MultiGa::new(10, 4, MultiGaConfig::quick()).run(42, &fitness);
+/// let pool = Arc::new(WorkerPool::with_workers(0));
+/// let result = MultiGa::new(10, 4, MultiGaConfig::quick()).run_pooled(42, &fitness, &pool);
 /// assert_eq!(result.best.loss, 0.0);
 /// // Mix-and-restart rounds re-submit known genomes: the cache absorbs them.
 /// assert!(result.cache_hits > 0);
@@ -225,11 +221,6 @@ impl MultiGa {
         self
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &MultiGaConfig {
-        &self.config
-    }
-
     /// Wraps `batched` in the per-run memo cache, attaching the persistent
     /// store tier when one is configured.
     fn cached_for<E2: LossEvaluator>(
@@ -248,20 +239,13 @@ impl MultiGa {
         }
     }
 
-    /// Runs the engine to convergence, minimizing `evaluator`'s loss.
-    pub fn run<E: LossEvaluator + ?Sized>(&self, seed: u64, evaluator: &E) -> MultiGaResult {
-        let mut state = self.start(seed);
-        if self.config.parallel {
-            let batched = ParallelEvaluator::with_threads(evaluator, self.batch_workers());
-            self.run_to_convergence(&mut state, batched, RoundExec::Threads)
-        } else {
-            self.run_to_convergence(&mut state, evaluator, RoundExec::Serial)
-        }
-    }
-
-    /// [`MultiGa::run`] with instances and population batches executed on a
-    /// shared persistent pool — bit-identical results, no per-round thread
-    /// spawns, and fair sharing with other runs on the same pool.
+    /// Runs the engine to convergence on `pool`, minimizing `evaluator`'s
+    /// loss.
+    ///
+    /// The run keeps the genome → loss memo live across rounds and
+    /// materializes the serializable snapshot only once at the end, instead
+    /// of paying the per-round export/import that checkpointing steps
+    /// require.
     pub fn run_pooled<E: LossEvaluator + ?Sized>(
         &self,
         seed: u64,
@@ -269,25 +253,14 @@ impl MultiGa {
         pool: &Arc<WorkerPool>,
     ) -> MultiGaResult {
         let mut state = self.start(seed);
-        let batched = PooledEvaluator::new(evaluator, Arc::clone(pool));
-        self.run_to_convergence(&mut state, batched, RoundExec::Pool(pool))
-    }
-
-    /// Drives a fresh state to convergence on a *live* cache: monolithic
-    /// runs keep the genome → loss memo across rounds and materialize the
-    /// serializable snapshot only once at the end, instead of paying the
-    /// per-round export/import that checkpointing steps require.
-    fn run_to_convergence<E2: LossEvaluator>(
-        &self,
-        state: &mut EngineState,
-        batched: E2,
-        exec: RoundExec<'_>,
-    ) -> MultiGaResult {
-        let cached = self.cached_for(batched, state);
-        while !self.step_core(state, &cached, exec) {}
+        let cached = self.cached_for(
+            PooledEvaluator::new(evaluator, Arc::clone(pool)),
+            &mut state,
+        );
+        while !self.step_core(&mut state, &cached, pool) {}
         state.cache_entries = cached.export();
         state.cache_stats = cached.stats();
-        self.result(state)
+        self.result(&state)
     }
 
     /// The initial [`EngineState`] for a run seeded with `seed`.
@@ -308,29 +281,12 @@ impl MultiGa {
         }
     }
 
-    /// Executes one round (evolve all instances, pool the elites, mix) and
-    /// returns whether the run has converged.
+    /// Executes one round (evolve all instances, pool the elites, mix) on
+    /// `pool` and returns whether the run has converged.
     ///
-    /// Respects `config.parallel` exactly like the original monolithic loop:
-    /// scoped instance threads plus a per-batch thread fan-out, or fully
-    /// serial execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.finished` is already set.
-    pub fn step<E: LossEvaluator + ?Sized>(&self, state: &mut EngineState, evaluator: &E) -> bool {
-        if self.config.parallel {
-            let batched = ParallelEvaluator::with_threads(evaluator, self.batch_workers());
-            self.step_stacked(state, batched, RoundExec::Threads)
-        } else {
-            self.step_stacked(state, evaluator, RoundExec::Serial)
-        }
-    }
-
-    /// [`MultiGa::step`] on a shared persistent [`WorkerPool`]: instances
-    /// become pool tasks and population batches go through a
-    /// [`PooledEvaluator`], so concurrent engine runs interleave fairly on
-    /// one set of threads.
+    /// The genome → loss memo is restored from the state snapshot before the
+    /// round and snapshotted back after it, so the state can be checkpointed
+    /// between any two steps.
     ///
     /// # Panics
     ///
@@ -341,8 +297,11 @@ impl MultiGa {
         evaluator: &E,
         pool: &Arc<WorkerPool>,
     ) -> bool {
-        let batched = PooledEvaluator::new(evaluator, Arc::clone(pool));
-        self.step_stacked(state, batched, RoundExec::Pool(pool))
+        let cached = self.cached_for(PooledEvaluator::new(evaluator, Arc::clone(pool)), state);
+        let finished = self.step_core(state, &cached, pool);
+        state.cache_entries = cached.export();
+        state.cache_stats = cached.stats();
+        finished
     }
 
     /// The final result of a converged run (or the best-so-far snapshot of a
@@ -365,39 +324,13 @@ impl MultiGa {
         }
     }
 
-    /// Workers per population batch when instance threads are also running
-    /// (avoids oversubscription in the legacy scoped-thread mode).
-    fn batch_workers(&self) -> usize {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        (cores / self.config.instances.max(1)).max(1)
-    }
-
-    /// One checkpointable round: restore the genome → loss memo from the
-    /// state snapshot, run the round, snapshot the memo back.
-    fn step_stacked<E: LossEvaluator>(
-        &self,
-        state: &mut EngineState,
-        batched: E,
-        exec: RoundExec<'_>,
-    ) -> bool {
-        // Evaluation stack: cache → batch path → user loss, exactly as in a
-        // monolithic run.
-        let cached = self.cached_for(batched, state);
-        let finished = self.step_core(state, &cached, exec);
-        state.cache_entries = cached.export();
-        state.cache_stats = cached.stats();
-        finished
-    }
-
     /// One round (evolve, pool elites, mix) against a live cache. The
     /// caller owns the cache ↔ snapshot synchronization.
     fn step_core<E: LossEvaluator>(
         &self,
         state: &mut EngineState,
         cached: &CachedEvaluator<E>,
-        exec: RoundExec<'_>,
+        pool: &WorkerPool,
     ) -> bool {
         assert!(!state.finished, "stepping a finished engine run");
         let cfg = &self.config;
@@ -408,7 +341,7 @@ impl MultiGa {
             round,
             &mut state.seeds_per_instance,
             cached,
-            exec,
+            pool,
         );
         let stats_after = cached.stats();
         state.round_eval_stats.push(CacheStats {
@@ -458,14 +391,14 @@ impl MultiGa {
         finished
     }
 
-    /// Runs all instances of one round on the configured executor.
+    /// Runs all instances of one round as tasks on `pool`.
     fn run_round<E: LossEvaluator + ?Sized>(
         &self,
         seed: u64,
         round: usize,
         seeds_per_instance: &mut [Option<Vec<Vec<u8>>>],
         evaluator: &E,
-        exec: RoundExec<'_>,
+        pool: &WorkerPool,
     ) -> Vec<crate::Population> {
         let cfg = &self.config;
         let run_one = |i: usize, seeds: Option<Vec<Vec<u8>>>| {
@@ -476,46 +409,22 @@ impl MultiGa {
             let mut ga = GaInstance::new(self.num_genes, self.cardinality, cfg.ga, inst_seed);
             ga.run(evaluator, seeds)
         };
-        match exec {
-            RoundExec::Serial => seeds_per_instance
+        let mut out: Vec<Option<crate::Population>> =
+            seeds_per_instance.iter().map(|_| None).collect();
+        pool.scope(|s| {
+            for (i, (slot, inst_seeds)) in out
                 .iter_mut()
+                .zip(seeds_per_instance.iter_mut())
                 .enumerate()
-                .map(|(i, s)| run_one(i, s.take()))
-                .collect(),
-            RoundExec::Threads => std::thread::scope(|scope| {
-                let handles: Vec<_> = seeds_per_instance
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, s)| {
-                        let seeds = s.take();
-                        let run_one = &run_one;
-                        scope.spawn(move || run_one(i, seeds))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("GA thread"))
-                    .collect()
-            }),
-            RoundExec::Pool(pool) => {
-                let mut out: Vec<Option<crate::Population>> =
-                    seeds_per_instance.iter().map(|_| None).collect();
-                pool.scope(|s| {
-                    for (i, (slot, inst_seeds)) in out
-                        .iter_mut()
-                        .zip(seeds_per_instance.iter_mut())
-                        .enumerate()
-                    {
-                        let seeds = inst_seeds.take();
-                        let run_one = &run_one;
-                        s.spawn(move || *slot = Some(run_one(i, seeds)));
-                    }
-                });
-                out.into_iter()
-                    .map(|p| p.expect("instance task completed"))
-                    .collect()
+            {
+                let seeds = inst_seeds.take();
+                let run_one = &run_one;
+                s.spawn(move || *slot = Some(run_one(i, seeds)));
             }
-        }
+        });
+        out.into_iter()
+            .map(|p| p.expect("instance task completed"))
+            .collect()
     }
 }
 
@@ -528,16 +437,23 @@ mod tests {
         FnEvaluator::new(|g: &[u8]| g.iter().map(|&x| x as f64).sum())
     }
 
+    /// A 0-worker pool: every round runs inline on the test thread.
+    fn inline() -> Arc<WorkerPool> {
+        Arc::new(WorkerPool::with_workers(0))
+    }
+
     #[test]
     fn converges_on_simple_problem() {
-        let result = MultiGa::new(15, 4, MultiGaConfig::quick()).run(7, &sum_fitness());
+        let result =
+            MultiGa::new(15, 4, MultiGaConfig::quick()).run_pooled(7, &sum_fitness(), &inline());
         assert_eq!(result.best.loss, 0.0);
         assert!(result.rounds >= 2, "needs at least the retry rounds");
     }
 
     #[test]
     fn round_bests_are_monotone() {
-        let result = MultiGa::new(30, 4, MultiGaConfig::quick()).run(11, &sum_fitness());
+        let result =
+            MultiGa::new(30, 4, MultiGaConfig::quick()).run_pooled(11, &sum_fitness(), &inline());
         for w in result.round_bests.windows(2) {
             assert!(w[1] <= w[0] + 1e-12);
         }
@@ -546,28 +462,30 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let engine = MultiGa::new(12, 4, MultiGaConfig::quick());
-        let a = engine.run(99, &sum_fitness());
-        let b = engine.run(99, &sum_fitness());
+        let pool = Arc::new(WorkerPool::with_workers(2));
+        let a = engine.run_pooled(99, &sum_fitness(), &pool);
+        let b = engine.run_pooled(99, &sum_fitness(), &pool);
         assert_eq!(a.best, b.best);
         assert_eq!(a.round_bests, b.round_bests);
     }
 
     #[test]
     fn parallel_matches_serial() {
+        // `parallel` is ignored: flipping it leaves the run unchanged.
+        let pool = Arc::new(WorkerPool::with_workers(2));
         let mut cfg = MultiGaConfig::quick();
-        let serial = MultiGa::new(12, 4, cfg).run(5, &sum_fitness());
+        let serial = MultiGa::new(12, 4, cfg).run_pooled(5, &sum_fitness(), &pool);
         cfg.parallel = true;
-        let parallel = MultiGa::new(12, 4, cfg).run(5, &sum_fitness());
-        assert_eq!(serial.best, parallel.best);
-        assert_eq!(serial.round_bests, parallel.round_bests);
+        let parallel = MultiGa::new(12, 4, cfg).run_pooled(5, &sum_fitness(), &pool);
+        assert_eq!(serial, parallel);
     }
 
     #[test]
     fn pooled_matches_serial_bit_for_bit() {
         let cfg = MultiGaConfig::quick();
         let engine = MultiGa::new(12, 4, cfg);
-        let serial = engine.run(5, &sum_fitness());
-        for workers in [0, 2] {
+        let serial = engine.run_pooled(5, &sum_fitness(), &inline());
+        for workers in [1, 2, 4] {
             let pool = Arc::new(WorkerPool::with_workers(workers));
             let pooled = engine.run_pooled(5, &sum_fitness(), &pool);
             assert_eq!(serial, pooled, "workers {workers}");
@@ -578,13 +496,14 @@ mod tests {
     fn respects_max_rounds() {
         let mut cfg = MultiGaConfig::quick();
         cfg.max_rounds = 1;
-        let result = MultiGa::new(10, 4, cfg).run(3, &sum_fitness());
+        let result = MultiGa::new(10, 4, cfg).run_pooled(3, &sum_fitness(), &inline());
         assert_eq!(result.rounds, 1);
     }
 
     #[test]
     fn cache_diagnostics_are_consistent() {
-        let result = MultiGa::new(12, 4, MultiGaConfig::quick()).run(21, &sum_fitness());
+        let result =
+            MultiGa::new(12, 4, MultiGaConfig::quick()).run_pooled(21, &sum_fitness(), &inline());
         assert_eq!(result.round_eval_stats.len(), result.rounds);
         let hits: u64 = result.round_eval_stats.iter().map(|s| s.hits).sum();
         let misses: u64 = result.round_eval_stats.iter().map(|s| s.misses).sum();
@@ -610,7 +529,7 @@ mod tests {
         let mut cfg = MultiGaConfig::quick();
         cfg.ga.generations = 40;
         cfg.max_rounds = 12;
-        let result = MultiGa::new(20, 4, cfg).run(13, &fitness);
+        let result = MultiGa::new(20, 4, cfg).run_pooled(13, &fitness, &inline());
         assert_eq!(result.best.loss, 0.0, "engine should solve 20-gene pattern");
     }
 
@@ -618,10 +537,11 @@ mod tests {
     fn stepping_matches_monolithic_run() {
         let engine = MultiGa::new(14, 4, MultiGaConfig::quick());
         let fitness = sum_fitness();
-        let reference = engine.run(31, &fitness);
+        let pool = inline();
+        let reference = engine.run_pooled(31, &fitness, &pool);
         let mut state = engine.start(31);
         let mut steps = 0;
-        while !engine.step(&mut state, &fitness) {
+        while !engine.step_pooled(&mut state, &fitness, &pool) {
             steps += 1;
             assert_eq!(state.rounds(), steps);
         }
@@ -632,18 +552,22 @@ mod tests {
     fn checkpoint_resume_is_bit_identical() {
         let engine = MultiGa::new(14, 4, MultiGaConfig::quick());
         let fitness = sum_fitness();
-        let reference = engine.run(77, &fitness);
+        let pool = inline();
+        let reference = engine.run_pooled(77, &fitness, &pool);
         // Interrupt after every possible round k, resume from a JSON
         // round-trip of the state, and compare the final result.
         for k in 1..reference.rounds {
             let mut state = engine.start(77);
             for _ in 0..k {
-                assert!(!engine.step(&mut state, &fitness), "k within run");
+                assert!(
+                    !engine.step_pooled(&mut state, &fitness, &pool),
+                    "k within run"
+                );
             }
             let json = serde_json::to_string(&state).expect("state serializes");
             let mut resumed: EngineState = serde_json::from_str(&json).expect("state parses");
             assert_eq!(resumed, state);
-            while !engine.step(&mut resumed, &fitness) {}
+            while !engine.step_pooled(&mut resumed, &fitness, &pool) {}
             assert_eq!(engine.result(&resumed), reference, "interrupted at {k}");
         }
     }
@@ -652,11 +576,12 @@ mod tests {
     fn finished_state_rejects_further_steps() {
         let engine = MultiGa::new(8, 4, MultiGaConfig::quick());
         let fitness = sum_fitness();
+        let pool = inline();
         let mut state = engine.start(3);
-        while !engine.step(&mut state, &fitness) {}
+        while !engine.step_pooled(&mut state, &fitness, &pool) {}
         assert!(state.finished);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.step(&mut state, &fitness)
+            engine.step_pooled(&mut state, &fitness, &pool)
         }));
         assert!(result.is_err());
     }

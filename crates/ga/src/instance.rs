@@ -106,7 +106,7 @@ impl Population {
 ///
 /// Fitness is requested through the [`LossEvaluator`] trait in population
 /// batches: each generation first breeds the full offspring set, then issues
-/// one `evaluate_population` call — so a parallel or cached evaluator sees
+/// one `evaluate_population` call — so a pooled or cached evaluator sees
 /// the widest possible batch. Because selection only consults the *previous*
 /// generation, batching is bit-identical to genome-at-a-time evaluation.
 ///

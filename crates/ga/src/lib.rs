@@ -18,15 +18,14 @@
 //! Fitness is consumed exclusively through the [`LossEvaluator`] trait
 //! (re-exported from `clapton-eval`): instances request losses in population
 //! batches, and [`MultiGa`] stacks a shared genome → loss cache on a
-//! population-parallel batch path. Wrap a plain closure with
-//! [`FnEvaluator`] when a full evaluator object is overkill.
+//! [`PooledEvaluator`] batch path over the caller's [`WorkerPool`]. Wrap a
+//! plain closure with [`FnEvaluator`] when a full evaluator object is
+//! overkill.
 
 mod engine;
 mod instance;
 
-pub use clapton_eval::{
-    CacheStats, CachedEvaluator, FnEvaluator, LossEvaluator, ParallelEvaluator,
-};
+pub use clapton_eval::{CacheStats, CachedEvaluator, FnEvaluator, LossEvaluator};
 pub use clapton_runtime::{PooledEvaluator, WorkerPool};
 pub use engine::{EngineState, MultiGa, MultiGaConfig, MultiGaResult};
 pub use instance::{GaConfig, GaInstance, Individual, Population};

@@ -4,18 +4,25 @@ use crate::WorkerPool;
 use clapton_eval::LossEvaluator;
 use std::sync::Arc;
 
-/// Population-parallel batch evaluation on a shared persistent
-/// [`WorkerPool`] — the pool-backed successor of
-/// [`clapton_eval::ParallelEvaluator`].
+/// Minimum genomes per chunk task.
 ///
-/// Where `ParallelEvaluator` spawns scoped threads per batch, this wrapper
-/// submits chunk tasks to workers that already exist and are shared with
-/// every other batch, GA round, and scheduler job in the process. Chunks are
-/// sized so idle workers can steal meaningful work while each chunk is still
-/// wide enough to amortize the wrapped evaluator's per-batch setup (e.g. the
-/// prepared-backend hoist of `TransformLoss`, whose exact backend then runs
-/// the bit-parallel batched back-propagation — 64 Hamiltonian terms per
-/// circuit walk — inside every chunk).
+/// Each chunk is one `evaluate_population` call into the wrapped evaluator,
+/// so any per-batch setup the wrapped evaluator has not hoisted to
+/// construction time is paid per chunk, and every chunk pays fixed
+/// spawn/steal bookkeeping. Smaller chunks lose more to that than they gain
+/// in stealing granularity for realistic populations.
+const MIN_CHUNK: usize = 8;
+
+/// Population-parallel batch evaluation on a shared persistent
+/// [`WorkerPool`] — the one batch executor of the GA engine.
+///
+/// Batches become chunk tasks on workers that already exist and are shared
+/// with every other batch, GA round, and scheduler job in the process.
+/// Chunks are sized so idle workers can steal meaningful work while each
+/// chunk is still wide enough to amortize the wrapped evaluator's per-batch
+/// setup (e.g. the prepared-backend hoist of `TransformLoss`, whose exact
+/// backend then runs the bit-parallel batched back-propagation — 64
+/// Hamiltonian terms per circuit walk — inside every chunk).
 ///
 /// Results are written into per-chunk output slots, so the batch is
 /// bit-identical to sequential evaluation no matter which worker executes
@@ -24,7 +31,6 @@ use std::sync::Arc;
 pub struct PooledEvaluator<E> {
     inner: E,
     pool: Arc<WorkerPool>,
-    min_chunk: usize,
     /// Effective parallelism: pool workers plus the calling thread (which
     /// drains its own scope), capped at the machine's cores. Threads beyond
     /// the hardware are pure scheduling overhead, so on a saturated (or
@@ -45,32 +51,13 @@ impl<E: LossEvaluator> PooledEvaluator<E> {
         PooledEvaluator {
             inner,
             pool,
-            min_chunk: 8,
             effective,
         }
-    }
-
-    /// Overrides the minimum genomes per chunk task (default 8).
-    ///
-    /// Each chunk is one `evaluate_population` call into the wrapped
-    /// evaluator, so any per-batch setup the wrapped evaluator has not
-    /// hoisted to construction time is paid per chunk, and every chunk
-    /// pays fixed spawn/steal bookkeeping. Chunks below the default lose
-    /// more to that than they gain in stealing granularity for realistic
-    /// populations.
-    pub fn with_min_chunk(mut self, min_chunk: usize) -> PooledEvaluator<E> {
-        self.min_chunk = min_chunk.max(1);
-        self
     }
 
     /// The wrapped evaluator.
     pub fn inner(&self) -> &E {
         &self.inner
-    }
-
-    /// The shared pool batches run on.
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
     }
 }
 
@@ -88,12 +75,12 @@ impl<E: LossEvaluator> LossEvaluator for PooledEvaluator<E> {
         }
         // A few chunks per thread lets stealing balance uneven losses, but
         // every chunk re-enters the wrapped evaluator's batch entry point
-        // and pays the spawn/steal bookkeeping — two per thread is the
-        // measured sweet spot on population_batch_96 against ad-hoc scoped
-        // threads (which use exactly one chunk per thread).
+        // and pays the spawn/steal bookkeeping — two per thread was the
+        // measured sweet spot on population_batch_96 against one chunk per
+        // thread.
         let chunks = genomes
             .len()
-            .div_ceil(self.min_chunk)
+            .div_ceil(MIN_CHUNK)
             .clamp(1, self.effective * 2);
         if chunks == 1 {
             return self.inner.evaluate_population(genomes);

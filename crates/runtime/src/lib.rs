@@ -10,8 +10,9 @@
 //!   may borrow from the caller's stack; scope owners drain their own queue
 //!   while waiting, so nested fan-out (suite → job → GA round → population
 //!   batch) shares one set of threads without deadlock or oversubscription.
-//! * [`PooledEvaluator`] — population-batch evaluation on the shared pool,
-//!   replacing per-batch thread spawns (`clapton_eval::ParallelEvaluator`).
+//! * [`PooledEvaluator`] — population-batch evaluation on the shared pool:
+//!   the GA engine's one batch executor, so every search (Clapton, CAFQA,
+//!   nCAFQA) runs on the caller's pool.
 //! * [`JobScheduler`] — runs many jobs concurrently with fair round-robin
 //!   interleaving of their batches, streaming [`RunEvent`]s while they run.
 //! * [`RunDirectory`] / [`RunRegistry`] — atomic JSON artifact storage for

@@ -2,8 +2,7 @@
 //!
 //! One [`WorkerPool`] is created per process (or per suite run) and shared by
 //! every consumer — population-batch evaluation, GA instance rounds, and
-//! whole scheduler jobs — replacing the per-batch `std::thread::scope` spawns
-//! of the previous design. Work is organized in [`PoolScope`]s:
+//! whole scheduler jobs. Work is organized in [`PoolScope`]s:
 //!
 //! * [`WorkerPool::scope`] opens a scope whose spawned closures may borrow
 //!   from the caller's stack (like `std::thread::scope`), registers the

@@ -9,9 +9,11 @@
 //!   sibling and `hard_link`s it to `claim.json`. Link creation is atomic
 //!   and fails with `AlreadyExists` when a claim is present, so exactly one
 //!   of N racing claimants wins (plain rename would silently overwrite).
-//! * **Heartbeat** — the owner periodically rewrites the claim in place
-//!   (open-without-create, so a stolen claim is detected as `NotFound`),
-//!   which refreshes the file's mtime. Liveness is judged from mtime age.
+//! * **Heartbeat** — the owner periodically opens the claim (without
+//!   create, so a stolen claim is detected as `NotFound`), checks that it
+//!   still names the owner, and sets the file's mtime to now. The claim's
+//!   bytes are written once, by the link, so an observer never reads a
+//!   partial claim. Liveness is judged from mtime age.
 //! * **Expiry / steal** — a claim whose mtime is older than the lease TTL
 //!   belongs to a dead owner. A stealer renames `claim.json` to a private
 //!   temporary name — rename succeeds for exactly one of N racing stealers,
@@ -32,7 +34,7 @@ use crate::checkpoint::{artifact_slug, RunRegistry};
 use clapton_telemetry::metrics::{registry, Gauge};
 use serde::{Deserialize, Serialize};
 use std::fs;
-use std::io::{self, Read as _, Seek as _, Write as _};
+use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -54,22 +56,20 @@ const CLAIM_ATTEMPTS: usize = 8;
 /// The serialized body of a `claim.json` lease file.
 ///
 /// The *content* identifies the owner; *liveness* is carried by the file's
-/// mtime, refreshed on every heartbeat rewrite.
+/// mtime, refreshed on every heartbeat.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LeaseClaim {
     /// Owner identity (unique per worker process).
     pub owner: String,
     /// Wall-clock milliseconds when the lease was acquired.
     pub acquired_unix_ms: u64,
-    /// Heartbeats written since acquisition.
-    pub heartbeats: u64,
 }
 
 /// Read-only view of a job directory's lease, as seen by an observer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseState {
-    /// Owner recorded in the claim (`"<unreadable>"` for a claim caught
-    /// mid-rewrite).
+    /// Owner recorded in the claim (`"<unreadable>"` for a claim that does
+    /// not parse).
     pub owner: String,
     /// Age of the last heartbeat (mtime), on the observer's clock.
     pub heartbeat_age: Duration,
@@ -170,7 +170,7 @@ pub fn default_worker_id() -> &'static str {
 }
 
 /// Reads the claim beside `claim_path`, returning the parsed body (or a
-/// placeholder for a claim caught mid-rewrite) plus its mtime age.
+/// placeholder for a claim that does not parse) plus its mtime age.
 fn read_claim(claim_path: &Path) -> io::Result<Option<(LeaseClaim, Duration)>> {
     let meta = match fs::metadata(claim_path) {
         Ok(meta) => meta,
@@ -190,7 +190,6 @@ fn read_claim(claim_path: &Path) -> io::Result<Option<(LeaseClaim, Duration)>> {
     let claim = serde_json::from_str(&text).unwrap_or(LeaseClaim {
         owner: "<unreadable>".to_string(),
         acquired_unix_ms: 0,
-        heartbeats: 0,
     });
     Ok(Some((claim, age)))
 }
@@ -202,7 +201,6 @@ fn attempt_link(dir: &Path, claim_path: &Path, owner: &str) -> io::Result<Option
     let claim = LeaseClaim {
         owner: owner.to_string(),
         acquired_unix_ms: now_unix_ms(),
-        heartbeats: 0,
     };
     let json = serde_json::to_string_pretty(&claim)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -217,8 +215,6 @@ fn attempt_link(dir: &Path, claim_path: &Path, owner: &str) -> io::Result<Option
         Ok(()) => Ok(Some(Lease {
             dir: dir.to_path_buf(),
             owner: owner.to_string(),
-            acquired_unix_ms: claim.acquired_unix_ms,
-            heartbeats: 0,
         })),
         Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(None),
         Err(e) => Err(e),
@@ -257,11 +253,9 @@ pub fn acquire(dir: &Path, owner: &str, ttl: Duration) -> io::Result<ClaimOutcom
             }
             Some((claim, _)) if claim.owner == owner => {
                 // Re-entrant: adopt the existing claim and refresh its mtime.
-                let mut lease = Lease {
+                let lease = Lease {
                     dir: dir.to_path_buf(),
                     owner: owner.to_string(),
-                    acquired_unix_ms: claim.acquired_unix_ms,
-                    heartbeats: claim.heartbeats,
                 };
                 lease.heartbeat()?;
                 return Ok(ClaimOutcome::Acquired(lease));
@@ -315,8 +309,6 @@ pub fn acquire(dir: &Path, owner: &str, ttl: Duration) -> io::Result<ClaimOutcom
 pub struct Lease {
     dir: PathBuf,
     owner: String,
-    acquired_unix_ms: u64,
-    heartbeats: u64,
 }
 
 impl Lease {
@@ -330,19 +322,22 @@ impl Lease {
         &self.owner
     }
 
-    /// Rewrites the claim in place, refreshing its mtime.
+    /// Refreshes the claim's mtime, leaving its bytes as the claim wrote
+    /// them.
     ///
     /// Returns `Ok(false)` — without touching anything — when the lease has
     /// been stolen (claim gone or owned by someone else): the caller no
     /// longer owns the directory and must stop writing checkpoints into it.
-    pub fn heartbeat(&mut self) -> io::Result<bool> {
+    pub fn heartbeat(&self) -> io::Result<bool> {
         // An injected error here stands the owner down (`LeaseKeeper` maps
         // heartbeat errors to a lost lease), modeling a stalled worker whose
         // lease expires under it.
         crate::failpoint::check("workqueue.heartbeat")?;
         let claim_path = self.dir.join(CLAIM_ARTIFACT);
         // Open without `create`: a stolen-and-removed claim surfaces as
-        // NotFound instead of silently resurrecting under our ownership.
+        // NotFound instead of silently resurrecting under our ownership. A
+        // thief renames the claim away before claiming, so a stale owner
+        // holding the old file only ever touches the orphan.
         let mut file = match fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -356,22 +351,11 @@ impl Lease {
         file.read_to_string(&mut text)?;
         match serde_json::from_str::<LeaseClaim>(&text) {
             Ok(claim) if claim.owner == self.owner => {}
-            // Stolen (different owner) or caught mid-rewrite by a thief —
+            // Stolen: a different owner, or a claim that no longer parses —
             // either way the slot is no longer provably ours.
             _ => return Ok(false),
         }
-        self.heartbeats += 1;
-        let claim = LeaseClaim {
-            owner: self.owner.clone(),
-            acquired_unix_ms: self.acquired_unix_ms,
-            heartbeats: self.heartbeats,
-        };
-        let json = serde_json::to_string_pretty(&claim)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        file.seek(io::SeekFrom::Start(0))?;
-        file.set_len(0)?;
-        file.write_all(json.as_bytes())?;
-        file.flush()?;
+        file.set_modified(SystemTime::now())?;
         Ok(true)
     }
 
@@ -416,7 +400,6 @@ impl LeaseKeeper {
             let lost = Arc::clone(&lost);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let mut lease = lease;
                 let tick = Duration::from_millis(10).min(interval);
                 let mut since_beat = Duration::ZERO;
                 while !stop.load(Ordering::Acquire) {
@@ -530,11 +513,9 @@ impl WorkQueue {
         let dir = self.registry.path().join(job);
         match read_claim(&dir.join(CLAIM_ARTIFACT))? {
             Some((claim, _)) if claim.owner == self.owner => {
-                let mut lease = Lease {
+                let lease = Lease {
                     dir,
                     owner: self.owner.clone(),
-                    acquired_unix_ms: claim.acquired_unix_ms,
-                    heartbeats: claim.heartbeats,
                 };
                 lease.heartbeat()
             }
@@ -547,8 +528,6 @@ impl WorkQueue {
         let lease = Lease {
             dir: self.registry.path().join(job),
             owner: self.owner.clone(),
-            acquired_unix_ms: 0,
-            heartbeats: 0,
         };
         lease.release()
     }
@@ -625,7 +604,6 @@ mod tests {
             "claim now records the thief"
         );
         // The dead owner's heartbeat must observe the theft, not resurrect.
-        let mut dead = dead;
         assert!(!dead.heartbeat().unwrap());
         thief.release().unwrap();
         fs::remove_dir_all(&dir).unwrap();
@@ -635,7 +613,7 @@ mod tests {
     fn heartbeat_refreshes_mtime() {
         let dir = scratch("beat");
         let ttl = Duration::from_millis(150);
-        let ClaimOutcome::Acquired(mut lease) = acquire(&dir, "alive", ttl).unwrap() else {
+        let ClaimOutcome::Acquired(lease) = acquire(&dir, "alive", ttl).unwrap() else {
             panic!("claim");
         };
         for _ in 0..6 {

@@ -7,8 +7,8 @@ use clapton_runtime::{
     acquire, lease_state, ClaimOutcome, LeaseKeeper, RunRegistry, WorkQueue, CLAIM_ARTIFACT,
 };
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -18,22 +18,6 @@ fn scratch(tag: &str) -> PathBuf {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// The claim's owner once a heartbeat rewrite in flight has landed. A claim
-/// read mid-rewrite shows the `<unreadable>` placeholder, so re-read it a
-/// bounded number of times; a claim that stays unreadable is returned as is.
-fn settled_owner(dir: &Path, ttl: Duration, mut owner: String) -> String {
-    for _ in 0..20 {
-        if owner != "<unreadable>" {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-        owner = lease_state(dir, ttl)
-            .unwrap()
-            .map_or_else(|| "<released>".to_string(), |state| state.owner);
-    }
-    owner
 }
 
 #[test]
@@ -87,9 +71,7 @@ fn keeper_heartbeats_hold_the_lease_past_many_ttls() {
     for _ in 0..5 {
         std::thread::sleep(ttl);
         match acquire(&dir, "vulture", ttl).unwrap() {
-            ClaimOutcome::Held { owner, .. } => {
-                assert_eq!(settled_owner(&dir, ttl, owner), "long-runner")
-            }
+            ClaimOutcome::Held { owner, .. } => assert_eq!(owner, "long-runner"),
             ClaimOutcome::Acquired(_) => panic!("kept lease must never expire"),
         }
     }
@@ -99,6 +81,35 @@ fn keeper_heartbeats_hold_the_lease_past_many_ttls() {
         lease_state(&dir, ttl).unwrap().is_none(),
         "release removes the claim"
     );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn observers_never_read_a_partial_claim_during_heartbeats() {
+    let dir = scratch("observer");
+    let ttl = Duration::from_secs(60);
+    let ClaimOutcome::Acquired(lease) = acquire(&dir, "steady", ttl).unwrap() else {
+        panic!("claim");
+    };
+    let stop = Arc::new(AtomicBool::new(false));
+    let beater = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                assert!(lease.heartbeat().unwrap(), "nobody steals this lease");
+            }
+            lease
+        })
+    };
+    // Every observation races a heartbeat; each must name the real owner.
+    let torn = (0..20_000).find_map(|poll| {
+        let owner = lease_state(&dir, ttl).unwrap().map(|state| state.owner);
+        (owner.as_deref() != Some("steady")).then_some((poll, owner))
+    });
+    stop.store(true, Ordering::Relaxed);
+    let lease = beater.join().unwrap();
+    assert_eq!(torn, None, "an observer read a claim mid-heartbeat");
+    lease.release().unwrap();
     fs::remove_dir_all(&dir).unwrap();
 }
 

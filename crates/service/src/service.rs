@@ -839,11 +839,18 @@ fn execute_inner(
     let e0 = ground_energy(h);
     let cafqa = job.runs(&MethodSpec::Cafqa).then(|| {
         let _span = clapton_telemetry::span("cafqa");
-        run_cafqa(h, exec, &config.engine, config.seed)
+        run_cafqa(h, exec, &config.engine, config.seed, ctx.pool())
     });
     let ncafqa = job.runs(&MethodSpec::Ncafqa).then(|| {
         let _span = clapton_telemetry::span("ncafqa");
-        run_ncafqa(h, exec, &config.engine, config.evaluator, config.seed)
+        run_ncafqa(
+            h,
+            exec,
+            &config.engine,
+            config.evaluator,
+            config.seed,
+            ctx.pool(),
+        )
     });
     let clapton = if job.runs(&MethodSpec::Clapton) {
         let resume = match dir {
@@ -863,14 +870,8 @@ fn execute_inner(
         // — so even a *partially* overlapping search (different seed or
         // engine effort over the same objective) answers from disk.
         let store = cache.map(|c| Arc::clone(c) as Arc<dyn LossStore>);
-        let (state, result) = run_clapton_resumable(
-            h,
-            exec,
-            config,
-            Some(ctx.pool()),
-            store,
-            resume,
-            &mut |state| {
+        let (state, result) =
+            run_clapton_resumable(h, exec, config, ctx.pool(), store, resume, &mut |state| {
                 let round_ended = clapton_telemetry::mono_ns();
                 clapton_telemetry::record_complete("round", round_started, round_ended);
                 round_started = round_ended;
@@ -928,8 +929,7 @@ fn execute_inner(
                     }
                     None => true,
                 }
-            },
-        );
+            });
         if let Some(e) = checkpoint_error {
             return Err(e.into());
         }

@@ -128,7 +128,7 @@ pub fn run_vqe_with_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clapton_core::{run_clapton, ClaptonConfig};
+    use clapton_core::{run_clapton, ClaptonConfig, WorkerPool};
     use clapton_models::ising;
     use clapton_noise::NoiseModel;
     use clapton_sim::ground_energy;
@@ -158,7 +158,8 @@ mod tests {
         let exec = ExecutableAnsatz::untranspiled(3, &model);
         let zeros = vec![0.0; 12];
         let raw = run_vqe(&h, &exec, &zeros, &VqeConfig::new(1));
-        let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(5));
+        let pool = std::sync::Arc::new(WorkerPool::with_workers(0));
+        let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(5), &pool);
         let transformed = run_vqe(
             &clapton.transformation.transformed,
             &exec,

@@ -8,14 +8,16 @@
 //! ```
 
 use clapton::core::{
-    relative_improvement, run_cafqa, run_clapton, ClaptonConfig, ExecutableAnsatz,
+    relative_improvement, run_cafqa, run_clapton, ClaptonConfig, ExecutableAnsatz, WorkerPool,
 };
 use clapton::devices::FakeBackend;
 use clapton::ga::MultiGaConfig;
 use clapton::models::ising;
 use clapton::sim::{ground_energy, DeviceEvaluator};
+use std::sync::Arc;
 
 fn main() {
+    let pool = Arc::new(WorkerPool::new());
     println!(
         "{:<10} {:>8} {:>12} {:>12} {:>8} {:>14}",
         "backend", "N", "E_CAFQA(x)", "E_Clapton(x)", "eta", "E_Clapton(hw*)"
@@ -34,9 +36,9 @@ fn main() {
                 DeviceEvaluator::run(&circuit, exec_eval.noise_model())
                     .energy(&exec_eval.map_hamiltonian(h_eval))
             };
-        let cafqa = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 0);
+        let cafqa = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 0, &pool);
         let e_cafqa = device_energy(&h, &cafqa.theta, &exec);
-        let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(1));
+        let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(1), &pool);
         let e_clapton = device_energy(&clapton.transformation.transformed, &zeros, &exec);
         // Evaluate the same transformation on the perturbed hardware variant
         // (the calibration/device discrepancy).

@@ -6,13 +6,15 @@
 //! ```
 
 use clapton::circuits::Circuit;
-use clapton::core::{run_clapton, ClaptonConfig, ExecutableAnsatz};
+use clapton::core::{run_clapton, ClaptonConfig, ExecutableAnsatz, WorkerPool};
 use clapton::models::xxz;
 use clapton::noise::NoiseModel;
 use clapton::sim::{ground_energy, StateVector};
 use clapton::vqe::{run_vqe, VqeConfig};
+use std::sync::Arc;
 
 fn main() {
+    let pool = Arc::new(WorkerPool::new());
     // The 6-qubit XXZ chain at J = 0.5.
     let n = 6;
     let h = xxz(n, 0.5);
@@ -24,7 +26,7 @@ fn main() {
     let exec = ExecutableAnsatz::untranspiled(n, &model);
 
     // Clapton transforms the problem so θ = 0 is a good start.
-    let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(7));
+    let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(7), &pool);
     let h_hat = clapton.transformation.transformed.clone();
     println!(
         "Clapton: L0 = {:+.5}, LN = {:+.5} ({} rounds)",

@@ -8,14 +8,16 @@
 
 use clapton::core::{
     relative_improvement, run_cafqa, run_clapton, run_ncafqa, ClaptonConfig, EvaluatorKind,
-    ExecutableAnsatz,
+    ExecutableAnsatz, WorkerPool,
 };
 use clapton::devices::FakeBackend;
 use clapton::ga::MultiGaConfig;
 use clapton::models::{molecular, Molecule};
 use clapton::sim::{ground_energy, DeviceEvaluator};
+use std::sync::Arc;
 
 fn main() {
+    let pool = Arc::new(WorkerPool::new());
     let backend = FakeBackend::toronto();
     println!(
         "backend: {} ({} qubits, mean 2q error {:.1e}, mean readout {:.1e})",
@@ -45,21 +47,21 @@ fn main() {
         };
         let zeros = vec![0.0; exec.ansatz().num_parameters()];
 
-        let cafqa = run_cafqa(&h, &exec, &engine, 0);
+        let cafqa = run_cafqa(&h, &exec, &engine, 0, &pool);
         let e_cafqa = device_energy(&h, &cafqa.theta);
         println!(
             "CAFQA   : noiseless {:+.5}, device {:+.5}",
             cafqa.energy_noiseless, e_cafqa
         );
 
-        let ncafqa = run_ncafqa(&h, &exec, &engine, EvaluatorKind::Exact, 1);
+        let ncafqa = run_ncafqa(&h, &exec, &engine, EvaluatorKind::Exact, 1, &pool);
         let e_ncafqa = device_energy(&h, &ncafqa.theta);
         println!(
             "nCAFQA  : noiseless {:+.5}, device {:+.5}",
             ncafqa.energy_noiseless, e_ncafqa
         );
 
-        let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(2));
+        let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(2), &pool);
         let e_clapton = device_energy(&clapton.transformation.transformed, &zeros);
         println!(
             "Clapton : noiseless {:+.5}, device {:+.5}",

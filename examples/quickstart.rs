@@ -13,13 +13,17 @@
 use clapton::circuits::TransformationAnsatz;
 use clapton::core::{
     run_clapton, CachedEvaluator, ClaptonConfig, EvaluatorKind, ExecutableAnsatz, LossEvaluator,
-    LossFunction, ParallelEvaluator, TransformLoss,
+    LossFunction, PooledEvaluator, TransformLoss, WorkerPool,
 };
 use clapton::models::ising;
 use clapton::noise::NoiseModel;
 use clapton::sim::ground_energy;
+use std::sync::Arc;
 
 fn main() {
+    // One worker pool for every search and batch in this process.
+    let pool = Arc::new(WorkerPool::new());
+
     // 1. A VQE problem: the 6-qubit transverse-field Ising chain.
     let n = 6;
     let h = ising(n, 0.5);
@@ -42,14 +46,14 @@ fn main() {
 
     // 4. The search objective is a first-class object: `TransformLoss`
     //    implements the batched `LossEvaluator` trait, so populations can be
-    //    scored in one call — and wrapped for thread-parallel or memoized
-    //    evaluation without touching the loss itself.
+    //    scored in one call — and wrapped for pooled or memoized evaluation
+    //    without touching the loss itself.
     let ansatz = TransformationAnsatz::new(n);
     let objective = TransformLoss::new(&h, &exec, &ansatz, EvaluatorKind::Exact);
     let identity = vec![0u8; ansatz.num_genes()];
     let batch = objective.evaluate_population(&[identity.clone(), identity]);
     println!("\nbatched objective at the identity genome: {batch:?}");
-    let stacked = CachedEvaluator::new(ParallelEvaluator::new(&objective));
+    let stacked = CachedEvaluator::new(PooledEvaluator::new(&objective, Arc::clone(&pool)));
     stacked.evaluate(&vec![0u8; ansatz.num_genes()]);
     stacked.evaluate(&vec![0u8; ansatz.num_genes()]);
     println!(
@@ -61,7 +65,7 @@ fn main() {
     // 5. Run Clapton: search Clifford transformations Ĥ = C†(γ)HC(γ) that
     //    make |0…0⟩ a good, noise-robust starting state. The engine stacks
     //    exactly the wrappers above over this objective internally.
-    let result = run_clapton(&h, &exec, &ClaptonConfig::quick(42));
+    let result = run_clapton(&h, &exec, &ClaptonConfig::quick(42), &pool);
     println!(
         "\nClapton transformation found in {} engine rounds:",
         result.rounds

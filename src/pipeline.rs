@@ -89,9 +89,10 @@ impl Pipeline {
         }
     }
 
-    /// Runs the Clapton search on a shared persistent [`WorkerPool`] — the
-    /// runtime substrate suite runs and concurrent pipelines share. Results
-    /// are bit-identical to the private-pool path.
+    /// Runs the job's searches (CAFQA and Clapton alike) on a shared
+    /// persistent [`WorkerPool`] — the runtime substrate suite runs and
+    /// concurrent pipelines share. Results are bit-identical to the
+    /// private-pool path.
     #[must_use]
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Pipeline {
         self.pool = Some(pool);

@@ -15,6 +15,11 @@ use clapton::noise::NoiseModel;
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// A 0-worker pool: every search runs inline on the test thread.
+fn inline() -> Arc<WorkerPool> {
+    Arc::new(WorkerPool::with_workers(0))
+}
+
 /// A small engine configuration whose runs finish in a few rounds.
 fn tiny_config() -> MultiGaConfig {
     MultiGaConfig {
@@ -44,27 +49,28 @@ proptest! {
         let fitness = FnEvaluator::new(|g: &[u8]| {
             g.iter().enumerate().map(|(i, &x)| (x as f64 - (i % 3) as f64).abs()).sum()
         });
-        let reference = engine.run(seed, &fitness);
+        let pool = inline();
+        let reference = engine.run_pooled(seed, &fitness, &pool);
         let mut state = engine.start(seed);
         let mut finished = false;
         for _ in 0..k.min(reference.rounds.saturating_sub(1)) {
-            finished = engine.step(&mut state, &fitness);
+            finished = engine.step_pooled(&mut state, &fitness, &pool);
         }
         prop_assert!(!finished, "interrupt point must be mid-run");
         let json = serde_json::to_string(&state).expect("engine state serializes");
         let mut resumed: EngineState = serde_json::from_str(&json).expect("engine state parses");
         prop_assert_eq!(&resumed, &state, "state survives the JSON round trip");
-        while !engine.step(&mut resumed, &fitness) {}
+        while !engine.step_pooled(&mut resumed, &fitness, &pool) {}
         prop_assert_eq!(engine.result(&resumed), reference);
     }
 
-    /// The pooled execution path converges to the identical result from any
-    /// resume point, for any worker count.
+    /// A run resumed on a pool with workers converges to the result of an
+    /// inline run, for any worker count.
     #[test]
-    fn pooled_resume_matches_serial(seed in 0u64..1_000, workers in 0usize..3) {
+    fn pooled_resume_matches_serial(seed in 0u64..1_000, workers in 1usize..4) {
         let engine = MultiGa::new(10, 4, tiny_config());
         let fitness = FnEvaluator::new(|g: &[u8]| g.iter().map(|&x| x as f64).sum());
-        let reference = engine.run(seed, &fitness);
+        let reference = engine.run_pooled(seed, &fitness, &inline());
         let pool = Arc::new(WorkerPool::with_workers(workers));
         let mut state = engine.start(seed);
         engine.step_pooled(&mut state, &fitness, &pool);
@@ -83,14 +89,15 @@ fn clapton_resume_on_real_objective_is_bit_identical() {
     let model = NoiseModel::uniform(3, 1e-3, 1e-2, 2e-2);
     let exec = ExecutableAnsatz::untranspiled(3, &model);
     let config = ClaptonConfig::quick(21);
-    let reference = run_clapton(&h, &exec, &config);
+    let pool = inline();
+    let reference = run_clapton(&h, &exec, &config, &pool);
     // Interrupt at every possible round boundary via the observer, resume
     // from a JSON round trip each time.
     let mut k = 1;
     loop {
         let mut seen = 0;
         let (state, result) =
-            run_clapton_resumable(&h, &exec, &config, None, None, None, &mut |_| {
+            run_clapton_resumable(&h, &exec, &config, &pool, None, None, &mut |_| {
                 seen += 1;
                 seen < k
             });
@@ -101,7 +108,7 @@ fn clapton_resume_on_real_objective_is_bit_identical() {
         let json = serde_json::to_string(&state).expect("serializes");
         let restored: EngineState = serde_json::from_str(&json).expect("parses");
         let (_, resumed) =
-            run_clapton_resumable(&h, &exec, &config, None, None, Some(restored), &mut |_| {
+            run_clapton_resumable(&h, &exec, &config, &pool, None, Some(restored), &mut |_| {
                 true
             });
         assert_eq!(
@@ -118,7 +125,7 @@ fn clapton_resume_on_real_objective_is_bit_identical() {
 fn multiga_result_round_trips_through_json() {
     let engine = MultiGa::new(12, 4, tiny_config());
     let fitness = FnEvaluator::new(|g: &[u8]| g.iter().map(|&x| x as f64).sum());
-    let result = engine.run(5, &fitness);
+    let result = engine.run_pooled(5, &fitness, &inline());
     let json = serde_json::to_string(&result).expect("MultiGaResult serializes");
     let parsed: MultiGaResult = serde_json::from_str(&json).expect("MultiGaResult parses");
     assert_eq!(parsed, result);
@@ -132,7 +139,7 @@ fn clapton_result_round_trips_through_json() {
     let h = ising(3, 1.0);
     let model = NoiseModel::uniform(3, 1e-3, 1e-2, 2e-2);
     let exec = ExecutableAnsatz::untranspiled(3, &model);
-    let result = run_clapton(&h, &exec, &ClaptonConfig::quick(2));
+    let result = run_clapton(&h, &exec, &ClaptonConfig::quick(2), &inline());
     let json = serde_json::to_string_pretty(&result).expect("ClaptonResult serializes");
     let parsed: ClaptonResult = serde_json::from_str(&json).expect("ClaptonResult parses");
     assert_eq!(parsed, result);
@@ -152,14 +159,15 @@ fn sampled_backend_checkpoints_identically() {
     let exec = ExecutableAnsatz::untranspiled(2, &model);
     let mut config = ClaptonConfig::quick(13);
     config.evaluator = EvaluatorKind::Sampled { shots: 32, seed: 3 };
-    let reference = run_clapton(&h, &exec, &config);
+    let pool = inline();
+    let reference = run_clapton(&h, &exec, &config, &pool);
     let (state, early) =
-        run_clapton_resumable(&h, &exec, &config, None, None, None, &mut |_| false);
+        run_clapton_resumable(&h, &exec, &config, &pool, None, None, &mut |_| false);
     assert!(early.is_none());
     let json = serde_json::to_string(&state).expect("serializes");
     let restored: EngineState = serde_json::from_str(&json).expect("parses");
     let (_, resumed) =
-        run_clapton_resumable(&h, &exec, &config, None, None, Some(restored), &mut |_| {
+        run_clapton_resumable(&h, &exec, &config, &pool, None, Some(restored), &mut |_| {
             true
         });
     assert_eq!(resumed.expect("converges"), reference);

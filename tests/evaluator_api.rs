@@ -1,16 +1,17 @@
-//! Property tests of the batched `LossEvaluator` API: the parallel and
-//! cached evaluation paths must be bit-identical to sequential evaluation,
-//! and the engine must stay deterministic with `parallel: true`.
+//! Property tests of the batched `LossEvaluator` API: the pooled and cached
+//! evaluation paths must be bit-identical to sequential evaluation, and the
+//! engine must stay deterministic for every pool size.
 
 use clapton::circuits::TransformationAnsatz;
 use clapton::core::{
-    CachedEvaluator, EvaluatorKind, ExecutableAnsatz, LossEvaluator, ParallelEvaluator,
-    TransformLoss,
+    CachedEvaluator, EvaluatorKind, ExecutableAnsatz, LossEvaluator, PooledEvaluator,
+    TransformLoss, WorkerPool,
 };
 use clapton::ga::{FnEvaluator, MultiGa, MultiGaConfig};
 use clapton::models::ising;
 use clapton::noise::NoiseModel;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_population(genes: usize, max_size: usize) -> impl Strategy<Value = Vec<Vec<u8>>> {
     proptest::collection::vec(proptest::collection::vec(0u8..4, genes), 1..max_size)
@@ -19,12 +20,12 @@ fn arb_population(genes: usize, max_size: usize) -> impl Strategy<Value = Vec<Ve
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Parallel population evaluation of the real Clapton objective is
+    /// Pooled population evaluation of the real Clapton objective is
     /// bit-identical to genome-at-a-time sequential evaluation.
     #[test]
     fn parallel_batch_is_bit_identical(
         population in arb_population(TransformationAnsatz::new(3).num_genes(), 20),
-        threads in 1usize..6,
+        workers in 0usize..5,
     ) {
         let h = ising(3, 0.5);
         let model = NoiseModel::uniform(3, 1e-3, 1e-2, 2e-2);
@@ -32,8 +33,8 @@ proptest! {
         let ansatz = TransformationAnsatz::new(3);
         let loss = TransformLoss::new(&h, &exec, &ansatz, EvaluatorKind::Exact);
         let sequential: Vec<f64> = population.iter().map(|g| loss.evaluate(g)).collect();
-        let parallel = ParallelEvaluator::with_threads(&loss, threads);
-        prop_assert_eq!(parallel.evaluate_population(&population), sequential);
+        let pooled = PooledEvaluator::new(&loss, Arc::new(WorkerPool::with_workers(workers)));
+        prop_assert_eq!(pooled.evaluate_population(&population), sequential);
     }
 
     /// Cached evaluation returns exactly the sequential losses, no matter
@@ -61,7 +62,7 @@ proptest! {
     }
 
     /// The sampled (stim-style) backend is equally deterministic under the
-    /// batched API: parallel + cached results replay exactly.
+    /// batched API: pooled + cached results replay exactly.
     #[test]
     fn sampled_backend_batches_deterministically(
         population in arb_population(TransformationAnsatz::new(2).num_genes(), 8),
@@ -77,7 +78,8 @@ proptest! {
             EvaluatorKind::Sampled { shots: 64, seed: 9 },
         );
         let sequential: Vec<f64> = population.iter().map(|g| loss.evaluate(g)).collect();
-        let stacked = CachedEvaluator::new(ParallelEvaluator::with_threads(&loss, 3));
+        let pool = Arc::new(WorkerPool::with_workers(2));
+        let stacked = CachedEvaluator::new(PooledEvaluator::new(&loss, pool));
         prop_assert_eq!(stacked.evaluate_population(&population), sequential);
     }
 }
@@ -93,17 +95,15 @@ fn multiga_parallel_is_deterministic_and_matches_serial() {
     let mut cfg = MultiGaConfig::quick();
     cfg.parallel = true;
     let engine = MultiGa::new(14, 4, cfg);
-    let a = engine.run(77, &fitness);
-    let b = engine.run(77, &fitness);
-    assert_eq!(a.best, b.best, "parallel runs with one seed must agree");
-    assert_eq!(a.round_bests, b.round_bests);
+    let pool = Arc::new(WorkerPool::with_workers(3));
+    let a = engine.run_pooled(77, &fitness, &pool);
+    let b = engine.run_pooled(77, &fitness, &pool);
+    assert_eq!(a, b, "parallel runs with one seed must agree");
+    // The ignored `parallel` flag and an inline pool change nothing.
     cfg.parallel = false;
-    let serial = MultiGa::new(14, 4, cfg).run(77, &fitness);
-    assert_eq!(
-        a.best, serial.best,
-        "parallel must match serial bit-for-bit"
-    );
-    assert_eq!(a.round_bests, serial.round_bests);
+    let inline = Arc::new(WorkerPool::with_workers(0));
+    let serial = MultiGa::new(14, 4, cfg).run_pooled(77, &fitness, &inline);
+    assert_eq!(a, serial, "parallel must match serial bit-for-bit");
 }
 
 #[test]
@@ -111,7 +111,9 @@ fn clapton_run_reports_cache_traffic() {
     let h = ising(3, 0.5);
     let model = NoiseModel::uniform(3, 1e-3, 1e-2, 2e-2);
     let exec = ExecutableAnsatz::untranspiled(3, &model);
-    let result = clapton::core::run_clapton(&h, &exec, &clapton::core::ClaptonConfig::quick(4));
+    let pool = Arc::new(WorkerPool::with_workers(0));
+    let result =
+        clapton::core::run_clapton(&h, &exec, &clapton::core::ClaptonConfig::quick(4), &pool);
     assert!(result.unique_evaluations > 0);
     assert!(
         result.cache_hits > 0,

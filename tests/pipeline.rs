@@ -3,13 +3,19 @@
 
 use clapton::core::{
     run_cafqa, run_clapton, run_ncafqa, ClaptonConfig, EvaluatorKind, ExecutableAnsatz,
-    LossFunction,
+    LossFunction, WorkerPool,
 };
 use clapton::devices::FakeBackend;
 use clapton::ga::MultiGaConfig;
 use clapton::models::{benchmark_suite, ising, physics_suite, xxz};
 use clapton::sim::{ground_energy, DeviceEvaluator};
 use clapton::vqe::{run_vqe, VqeConfig};
+use std::sync::Arc;
+
+/// A 0-worker pool: every search runs inline on the test thread.
+fn inline() -> Arc<WorkerPool> {
+    Arc::new(WorkerPool::with_workers(0))
+}
 
 fn device_energy(exec: &ExecutableAnsatz, h: &clapton::pauli::PauliSum, theta: &[f64]) -> f64 {
     let circuit = exec.circuit(theta);
@@ -28,9 +34,9 @@ fn clapton_improves_over_cafqa_on_nairobi_physics_suite() {
         let exec =
             ExecutableAnsatz::on_device(7, backend.coupling_map(), &backend.noise_model()).unwrap();
         let e0 = ground_energy(h);
-        let cafqa = run_cafqa(h, &exec, &MultiGaConfig::quick(), 0);
+        let cafqa = run_cafqa(h, &exec, &MultiGaConfig::quick(), 0, &inline());
         let e_cafqa = device_energy(&exec, h, &cafqa.theta);
-        let clapton = run_clapton(h, &exec, &ClaptonConfig::quick(1));
+        let clapton = run_clapton(h, &exec, &ClaptonConfig::quick(1), &inline());
         let zeros = vec![0.0; exec.ansatz().num_parameters()];
         let e_clapton = device_energy(&exec, &clapton.transformation.transformed, &zeros);
         etas.push(clapton::core::relative_improvement(e0, e_cafqa, e_clapton));
@@ -45,7 +51,7 @@ fn transformed_problems_keep_their_spectrum_across_the_suite() {
         let h = &bench.hamiltonian;
         let model = clapton::noise::NoiseModel::uniform(10, 1e-3, 1e-2, 2e-2);
         let exec = ExecutableAnsatz::untranspiled(10, &model);
-        let result = run_clapton(h, &exec, &ClaptonConfig::quick(3));
+        let result = run_clapton(h, &exec, &ClaptonConfig::quick(3), &inline());
         let e0 = ground_energy(h);
         let e0_hat = ground_energy(&result.transformation.transformed);
         assert!(
@@ -74,13 +80,14 @@ fn ncafqa_beats_cafqa_under_noise_on_average() {
     let mut total = 0;
     for (i, bench) in physics_suite(n).into_iter().enumerate() {
         let h = &bench.hamiltonian;
-        let cafqa = run_cafqa(h, &exec, &MultiGaConfig::quick(), i as u64);
+        let cafqa = run_cafqa(h, &exec, &MultiGaConfig::quick(), i as u64, &inline());
         let ncafqa = run_ncafqa(
             h,
             &exec,
             &MultiGaConfig::quick(),
             EvaluatorKind::Exact,
             i as u64,
+            &inline(),
         );
         let e_c = device_energy(&exec, h, &cafqa.theta);
         let e_n = device_energy(&exec, h, &ncafqa.theta);
@@ -102,7 +109,7 @@ fn full_vqe_pipeline_converges_from_clapton_start() {
     let mut model = clapton::noise::NoiseModel::uniform(n, 5e-4, 5e-3, 1e-2);
     model.set_t1_uniform(150e-6);
     let exec = ExecutableAnsatz::untranspiled(n, &model);
-    let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(9));
+    let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(9), &inline());
     let zeros = vec![0.0; exec.ansatz().num_parameters()];
     let trace = run_vqe(
         &clapton.transformation.transformed,
@@ -124,7 +131,7 @@ fn loss_total_decomposes_and_orders_methods_consistently() {
     let model = clapton::noise::NoiseModel::uniform(n, 2e-3, 1.5e-2, 3e-2);
     let exec = ExecutableAnsatz::untranspiled(n, &model);
     let loss = LossFunction::new(&exec, EvaluatorKind::Exact);
-    let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(17));
+    let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(17), &inline());
     // Reported pieces must reproduce independent recomputation.
     let recomputed_ln = loss.loss_n(&clapton.transformation.transformed);
     let recomputed_l0 = loss.loss_0(&clapton.transformation.transformed);

@@ -4,12 +4,13 @@
 //! legacy `Pipeline::run` path — for all four methods (CAFQA, nCAFQA,
 //! Clapton, VQE refinement) in quick mode.
 
-use clapton::core::{run_ncafqa, EvaluatorKind, ExecutableAnsatz};
+use clapton::core::{run_ncafqa, EvaluatorKind, ExecutableAnsatz, WorkerPool};
 use clapton::devices::FakeBackend;
 use clapton::models::{ising, xxz};
 use clapton::noise::NoiseModel;
 use clapton::pipeline::Pipeline;
 use clapton::service::{ClaptonService, JobSpec, MethodSpec};
+use std::sync::Arc;
 
 /// JSON round trip: the wire format must not change the spec.
 fn reparse(spec: &JobSpec) -> JobSpec {
@@ -89,7 +90,8 @@ fn ncafqa_through_the_front_door_matches_the_free_function() {
     let model = NoiseModel::uniform(4, 1e-3, 1e-2, 2e-2);
     let exec = ExecutableAnsatz::untranspiled(4, &model);
     let engine = clapton::ga::MultiGaConfig::quick();
-    let legacy = run_ncafqa(&h, &exec, &engine, EvaluatorKind::Exact, 7);
+    let pool = Arc::new(WorkerPool::with_workers(0));
+    let legacy = run_ncafqa(&h, &exec, &engine, EvaluatorKind::Exact, 7, &pool);
 
     let pipeline = Pipeline::new(h)
         .with_uniform_noise(1e-3, 1e-2, 2e-2)
