@@ -1,11 +1,11 @@
 //! Microbenchmarks of the Clifford machinery underlying Figure 9's scaling:
-//! tableau construction, Hamiltonian transformation and stabilizer
-//! evolution, as a function of qubit count.
+//! the batched Hamiltonian transformation and stabilizer evolution, as a
+//! function of qubit count.
 
 use clapton_circuits::TransformationAnsatz;
 use clapton_core::transform_hamiltonian;
 use clapton_models::ising;
-use clapton_stabilizer::{CliffordMap, StabilizerState};
+use clapton_stabilizer::StabilizerState;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -13,18 +13,6 @@ fn genome_for(ansatz: &TransformationAnsatz, seed: u64) -> Vec<u8> {
     (0..ansatz.num_genes())
         .map(|i| ((seed.wrapping_mul(0x9E3779B97F4A7C15) >> (i % 60)) & 3) as u8)
         .collect()
-}
-
-fn bench_tableau_build(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tableau_build");
-    for n in [10usize, 20, 40] {
-        let ansatz = TransformationAnsatz::new(n);
-        let gates = ansatz.gates(&genome_for(&ansatz, 7));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| CliffordMap::anticonjugation(n, black_box(&gates)));
-        });
-    }
-    group.finish();
 }
 
 fn bench_hamiltonian_transform(c: &mut Criterion) {
@@ -59,6 +47,6 @@ fn bench_stabilizer_evolution(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_tableau_build, bench_hamiltonian_transform, bench_stabilizer_evolution
+    targets = bench_hamiltonian_transform, bench_stabilizer_evolution
 }
 criterion_main!(benches);

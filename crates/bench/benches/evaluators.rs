@@ -4,8 +4,9 @@
 //! population-batch evaluation paths of the `LossEvaluator` API
 //! (sequential vs pooled vs cached).
 //!
-//! The sampled rows exercise the bit-parallel `FrameBatch` kernel
-//! (`ln_sampled_*`), its scalar one-frame-per-shot reference
+//! The sampled rows exercise the bit-parallel frame sampler, whose 64-shot
+//! error frames travel as the lanes of a `TermBatch` (`ln_sampled_*`), its
+//! scalar one-frame-per-shot reference
 //! (`ln_sampled_scalar_*`), and emit an explicit batched-vs-scalar speedup
 //! record so regressions of the word-level path are visible directly in
 //! `BENCH_results.json`.
@@ -63,7 +64,7 @@ fn bench_exact_batched(c: &mut Criterion) {
         let nc = noisy_zero_circuit(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             let eval = ExactEvaluator::new(&nc);
-            b.iter(|| eval.energy_batched(black_box(&h)));
+            b.iter(|| eval.energy(black_box(&h)));
         });
     }
     group.finish();
@@ -83,7 +84,7 @@ fn emit_exact_speedup(_c: &mut Criterion) {
         const REPS: usize = 24;
         let mut run_batched = || {
             for _ in 0..REPS {
-                black_box(eval.energy_batched(black_box(&h)));
+                black_box(eval.energy(black_box(&h)));
             }
         };
         let mut run_scalar = || {

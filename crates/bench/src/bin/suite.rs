@@ -1,6 +1,6 @@
 //! Benchmark-suite statistics: reproduces the paper's background claim that
 //! Clifford (stabilizer) initial states reach 90-99% of the ground-state
-//! energy (§2.5, citing CAFQA [38]), and prints the structural properties of
+//! energy (§2.5, citing CAFQA \[38\]), and prints the structural properties of
 //! every benchmark instance.
 
 use clapton_bench::Options;

@@ -224,22 +224,6 @@ impl Instance {
         }
     }
 
-    /// Prepares a benchmark with a plain (untranspiled) noise model.
-    pub fn prepare_untranspiled(
-        name: &str,
-        hamiltonian: &PauliSum,
-        model: &NoiseModel,
-    ) -> Instance {
-        let exec = ExecutableAnsatz::untranspiled(hamiltonian.num_qubits(), model);
-        Instance {
-            name: name.to_string(),
-            hamiltonian: hamiltonian.clone(),
-            e0: ground_energy(hamiltonian),
-            e_mixed: hamiltonian.identity_coefficient(),
-            exec,
-        }
-    }
-
     /// Evaluates the device-model energy of `A'(θ)` w.r.t. a logical
     /// Hamiltonian, optionally under a different ("hardware") noise model.
     pub fn device_energy(&self, h: &PauliSum, theta: &[f64], model: Option<&NoiseModel>) -> f64 {

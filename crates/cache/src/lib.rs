@@ -389,7 +389,7 @@ impl CacheStore {
     /// (values are pure functions of their key, so a differing value can
     /// only mean a caller bug — the first write wins within a process).
     /// The record is buffered; it reaches disk on the next [`flush`]
-    /// (automatic once a shard buffers [`AUTO_FLUSH_BYTES`]).
+    /// (automatic once a shard buffers 512 KiB).
     ///
     /// [`flush`]: CacheStore::flush
     pub fn put(&self, ns: u64, key: &[u8], value: &str) {

@@ -181,11 +181,6 @@ impl TransformationAnsatz {
         4 * self.n + self.pairs.len()
     }
 
-    /// Number of values each gene can take (always 4, §4).
-    pub fn gene_cardinality(&self) -> usize {
-        4
-    }
-
     /// Builds the Clifford gate sequence for a genome.
     ///
     /// # Panics

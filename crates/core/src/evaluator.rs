@@ -305,6 +305,66 @@ mod tests {
     }
 
     #[test]
+    fn transform_and_loss_bits_are_pinned() {
+        // Literal values pin Ĥ and every loss bit for a fixed workload, so
+        // a change to the transform or either kernel that moves one ulp
+        // fails here instead of in a byte-identity smoke.
+        use crate::loss::hash_terms;
+        use clapton_pauli::PauliString;
+        use clapton_telemetry::Fnv1a;
+        let exec = ExecutableAnsatz::untranspiled(10, &NoiseModel::uniform(10, 3e-4, 8e-3, 2e-2));
+        let ansatz = TransformationAnsatz::new(10);
+        let mut r = StdRng::seed_from_u64(29);
+        let random200 = PauliSum::from_terms(
+            10,
+            (0..200).map(|_| (r.gen_range(-1.0..1.0), PauliString::random(10, &mut r))),
+        );
+        let cases = [
+            (
+                ising(10, 0.25),
+                [
+                    2118874139779274196u64,
+                    6171616619059228055,
+                    6519778712691030469,
+                ],
+            ),
+            (
+                random200,
+                [
+                    13022607837748263950,
+                    12161962213042174405,
+                    11386228176384697609,
+                ],
+            ),
+        ];
+        for (h, [transform_pin, exact_pin, sampled_pin]) in cases {
+            let genomes = random_genomes(8, ansatz.num_genes(), 17);
+            let mut transform = Fnv1a::new();
+            for g in &genomes {
+                hash_terms(&mut transform, &transform_hamiltonian(&h, &ansatz.gates(g)));
+            }
+            assert_eq!(
+                transform.finish(),
+                transform_pin,
+                "transform, M = {}",
+                h.num_terms()
+            );
+            let kinds = [
+                (EvaluatorKind::Exact, exact_pin),
+                (EvaluatorKind::Sampled { shots: 64, seed: 5 }, sampled_pin),
+            ];
+            for (kind, pin) in kinds {
+                let loss = TransformLoss::new(&h, &exec, &ansatz, kind);
+                let mut bits = Fnv1a::new();
+                for l in loss.evaluate_population(&genomes) {
+                    bits.write_u64(l.to_bits());
+                }
+                assert_eq!(bits.finish(), pin, "{kind:?} loss, M = {}", h.num_terms());
+            }
+        }
+    }
+
+    #[test]
     fn transformed_into_matches_transformed() {
         let h = ising(4, 0.5);
         let model = NoiseModel::uniform(4, 1e-3, 1e-2, 1e-2);

@@ -41,8 +41,6 @@ pub struct ExecutableAnsatz {
     layout: Vec<usize>,
     /// Initial layout logical → compact (what routing uses).
     compact_layout: Vec<usize>,
-    /// Physical → compact re-indexing.
-    compact_of_phys: BTreeMap<usize, usize>,
     /// Logical qubit → compact index at circuit end (measurement mapping).
     final_compact: Vec<usize>,
     /// Noise model on the compact register.
@@ -122,7 +120,6 @@ impl ExecutableAnsatz {
             coupling: Some(sub_coupling),
             layout,
             compact_layout,
-            compact_of_phys,
             final_compact,
             noise,
             num_compact,
@@ -142,7 +139,6 @@ impl ExecutableAnsatz {
             coupling: None,
             layout: (0..n).collect(),
             compact_layout: (0..n).collect(),
-            compact_of_phys: (0..n).map(|q| (q, q)).collect(),
             final_compact: (0..n).collect(),
             noise: model.clone(),
             num_compact: n,
@@ -172,12 +168,6 @@ impl ExecutableAnsatz {
     /// The physical chain layout chosen for the logical register.
     pub fn layout(&self) -> &[usize] {
         &self.layout
-    }
-
-    /// The compact index of a physical device qubit, if it is part of the
-    /// executable register.
-    pub fn compact_index(&self, physical: usize) -> Option<usize> {
-        self.compact_of_phys.get(&physical).copied()
     }
 
     /// Builds the executable circuit `A'(θ)` on the compact register.

@@ -13,13 +13,13 @@
 //!    ([`ExactBackend`]), the stim-style frame sampler ([`SampledBackend`]),
 //!    or dense density-matrix simulation ([`DenseBackend`]).
 //! 4. [`TransformLoss`] packages the objective as a batched
-//!    [`LossEvaluator`](clapton_eval::LossEvaluator) which [`run_clapton`]
+//!    [`LossEvaluator`] which [`run_clapton`]
 //!    hands to the multi-GA engine of Figure 4 — memoized, with instances
 //!    and population batches on the caller's [`WorkerPool`] — returning
 //!    the [`Transformation`] plus diagnostics.
 //!
 //! Baselines: [`run_cafqa`] (noiseless Clifford search over `θ`, prior art
-//! [38]) and [`run_ncafqa`] (the paper's noise-aware CAFQA, §5.2), both
+//! \[38\]) and [`run_ncafqa`] (the paper's noise-aware CAFQA, §5.2), both
 //! through [`CafqaLoss`] on the same engine and pool.
 //! Metrics: [`relative_improvement`] (η, Eq. 14), [`geometric_mean`],
 //! [`normalized_energy`].

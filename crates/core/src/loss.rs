@@ -97,10 +97,10 @@ impl EnergyBackend for ExactBackend {
 /// [`ExactBackend`] with the noisy circuit attached once.
 ///
 /// Energies route through the bit-parallel batched back-propagation
-/// (`ExactEvaluator::energy`: 64 Hamiltonian terms per circuit walk for
-/// `M ≥ ExactEvaluator::BATCH_MIN_TERMS`, scalar below); the prepared
-/// circuit also memoizes the reversed-and-inverted op list the walks share,
-/// so every genome of every batch reuses one back-propagation program.
+/// (`ExactEvaluator::energy`: 64 Hamiltonian terms per circuit walk); the
+/// prepared circuit also memoizes the reversed-and-inverted op list the
+/// walks share, so every genome of every batch reuses one back-propagation
+/// program.
 #[derive(Debug)]
 struct PreparedExact {
     noisy: NoisyCircuit,

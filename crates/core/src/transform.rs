@@ -1,8 +1,15 @@
 //! The Clapton Hamiltonian transformation `Ĥ = C†(γ) H C(γ)` (§3.2).
+//!
+//! Every term is anticonjugated through the transformation circuit on the
+//! same word-level engine the noise kernels use: 64 terms per
+//! [`clapton_pauli::TermBatch`] pass through
+//! [`CliffordGate::conjugate_terms`], with
+//! `clapton_stabilizer::anticonjugate_through` as the one-string reference
+//! the batched path is tested against.
 
 use clapton_circuits::{Circuit, TransformationAnsatz};
-use clapton_pauli::PauliSum;
-use clapton_stabilizer::{CliffordGate, CliffordMap};
+use clapton_pauli::{PauliSum, TermBatch};
+use clapton_stabilizer::CliffordGate;
 use serde::{Deserialize, Serialize};
 
 /// Anticonjugates every term of `h` through the Clifford circuit `C`
@@ -34,14 +41,39 @@ pub fn transform_hamiltonian(h: &PauliSum, gates: &[CliffordGate]) -> PauliSum {
 /// [`transform_hamiltonian`] writing into `out`, reusing its term storage.
 ///
 /// The GA scores thousands of genomes against one Hamiltonian, and every
-/// score starts with this transform; routing the per-term conjugation
-/// through [`CliffordMap::conjugate_into`] into a caller-owned sum means
-/// that after the first call, the per-genome transform allocates no term
-/// strings at all (the transformed problem always has exactly `M` terms on
-/// the same register — the structure is closed, Eq. 6).
+/// score starts with this transform. The terms travel 64 at a time as the
+/// lanes of one reusable [`TermBatch`], anticonjugated through the inverted
+/// gates in reverse by word-level [`CliffordGate::conjugate_terms`] (about
+/// one word operation per gate per 64 terms), and each lane is read back
+/// into `out` in term order with its sign absorbed into the coefficient.
+/// `out` always ends with exactly `M` terms on the same register (the
+/// structure is closed, Eq. 6), so after the first call the transform
+/// allocates only the batch.
 pub fn transform_hamiltonian_into(h: &PauliSum, gates: &[CliffordGate], out: &mut PauliSum) {
-    let map = CliffordMap::anticonjugation(h.num_qubits(), gates);
-    h.map_terms_into(|p, image| map.conjugate_into(p, image), out);
+    let terms = h.terms();
+    let mut batch = TermBatch::new(h.num_qubits());
+    let mut next = 0;
+    h.map_terms_into(
+        |_, image| {
+            let lane = next % TermBatch::LANES;
+            if lane == 0 {
+                batch.clear();
+                for (l, term) in terms[next..].iter().take(TermBatch::LANES).enumerate() {
+                    batch.set_lane(l, &term.pauli, false);
+                }
+                for g in gates.iter().rev() {
+                    g.inverse().conjugate_terms(&mut batch);
+                }
+            }
+            next += 1;
+            if batch.lane_into(lane, image) {
+                -1.0
+            } else {
+                1.0
+            }
+        },
+        out,
+    );
 }
 
 /// A found Clapton transformation: the genome, the Clifford circuit
@@ -195,6 +227,53 @@ mod tests {
         let t = transform_hamiltonian(&h, &[CliffordGate::S(0)]);
         // S† X S: conjugation by S†, i.e. apply Sdg-rule: X → -Y.
         assert_eq!(t.coefficient_of(&ps("Y")), Some(-3.0));
+    }
+
+    #[test]
+    fn batched_transform_matches_scalar_anticonjugation() {
+        // Every output term — coefficient bits and string — must equal the
+        // one-string reference applied to its input term, for all 13 gate
+        // variants, registers across the 64-qubit word boundary and term
+        // counts around the 64-lane batch boundary.
+        use clapton_stabilizer::anticonjugate_through;
+        let mut rng = StdRng::seed_from_u64(57);
+        for n in [1usize, 5, 70] {
+            for m in [1usize, 63, 64, 65, 200] {
+                let h = PauliSum::from_terms(
+                    n,
+                    (0..m).map(|_| (rng.gen_range(-1.0..1.0), PauliString::random(n, &mut rng))),
+                );
+                let gates: Vec<CliffordGate> = (0..40)
+                    .map(|_| {
+                        let a = rng.gen_range(0..n);
+                        let b = (a + rng.gen_range(1..n.max(2))) % n;
+                        match rng.gen_range(0..if n > 1 { 13 } else { 10 }) {
+                            0 => CliffordGate::H(a),
+                            1 => CliffordGate::S(a),
+                            2 => CliffordGate::Sdg(a),
+                            3 => CliffordGate::X(a),
+                            4 => CliffordGate::Y(a),
+                            5 => CliffordGate::Z(a),
+                            6 => CliffordGate::SqrtX(a),
+                            7 => CliffordGate::SqrtXdg(a),
+                            8 => CliffordGate::SqrtY(a),
+                            9 => CliffordGate::SqrtYdg(a),
+                            10 => CliffordGate::Cx(a, b),
+                            11 => CliffordGate::Cz(a, b),
+                            _ => CliffordGate::Swap(a, b),
+                        }
+                    })
+                    .collect();
+                let t = transform_hamiltonian(&h, &gates);
+                assert_eq!(t.num_terms(), m);
+                for ((c, p), (tc, tp)) in h.iter().zip(t.iter()) {
+                    let mut image = p.clone();
+                    let sign = anticonjugate_through(&gates, &mut image);
+                    assert_eq!(tp, &image, "n {n} M {m}");
+                    assert_eq!(tc.to_bits(), (sign * c).to_bits(), "n {n} M {m}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The typed error hierarchy of the Clapton stack.
 //!
 //! Before the `JobSpec` front door, every entry point reported failures its
-//! own way: panics in [`Pipeline`]-style builders, `Result<_, String>` in
+//! own way: panics in `Pipeline`-style builders, `Result<_, String>` in
 //! `FakeBackend::from_json` and `ExecutableAnsatz::on_device`, `io::Error`
 //! with stringified payloads in the suite runner. This crate is the one
 //! vocabulary they all share now:

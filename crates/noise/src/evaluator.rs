@@ -3,8 +3,8 @@
 
 use crate::{NoisyCircuit, NoisyOp};
 use clapton_pauli::{
-    uniform_pauli_pair_planes, uniform_pauli_planes, BernoulliWords, FrameBatch, Pauli,
-    PauliString, PauliSum, TermBatch,
+    uniform_pauli_pair_planes, uniform_pauli_planes, BernoulliWords, Pauli, PauliString, PauliSum,
+    TermBatch,
 };
 use clapton_telemetry::metrics::{registry, Counter};
 use rand::Rng;
@@ -61,11 +61,9 @@ fn kernel_metrics() -> &'static KernelMetrics {
 ///
 /// Whole-Hamiltonian energies are **bit-parallel**: [`ExactEvaluator::energy`]
 /// back-propagates 64 terms per circuit walk through a signed
-/// [`TermBatch`] (the term-major sibling of the sampler's [`FrameBatch`]),
-/// falling back to the scalar walk below
-/// [`ExactEvaluator::BATCH_MIN_TERMS`] terms. Batched and scalar energies
-/// are bit-identical; [`ExactEvaluator::energy_scalar`] keeps the
-/// term-at-a-time reference.
+/// [`TermBatch`] (transposed planes + sign plane) at every Hamiltonian
+/// size. [`ExactEvaluator::energy_scalar`] keeps the term-at-a-time
+/// reference, and the two are bit-identical.
 ///
 /// # Example
 ///
@@ -114,36 +112,19 @@ impl<'a> ExactEvaluator<'a> {
         self.back_propagate(term, false)
     }
 
-    /// Minimum Hamiltonian size at which [`ExactEvaluator::energy`] routes
-    /// through the bit-parallel batched pass. Below this the lane-packing
-    /// and per-chunk plane work outweigh the shared-walk win; energies are
-    /// bit-identical either way, so the threshold is purely a performance
-    /// knob.
-    pub const BATCH_MIN_TERMS: usize = 8;
-
     /// Noisy energy of a full Hamiltonian: `Σ_i c_i ⟨P_i⟩_noisy` (the `LN`
-    /// building block, Eq. 9).
-    ///
-    /// Hamiltonians with at least [`ExactEvaluator::BATCH_MIN_TERMS`] terms
-    /// take the bit-parallel batched pass ([`ExactEvaluator::energy_batched`]:
-    /// one circuit walk per 64 terms); smaller ones take the scalar walk
-    /// ([`ExactEvaluator::energy_scalar`]). The two paths are bit-identical.
+    /// building block, Eq. 9), back-propagated bit-parallel in `⌈M/64⌉`
+    /// reverse circuit walks instead of `M` (see the batch pass below).
+    /// Bit-identical to [`ExactEvaluator::energy_scalar`].
     pub fn energy(&self, hamiltonian: &PauliSum) -> f64 {
-        if hamiltonian.num_terms() >= ExactEvaluator::BATCH_MIN_TERMS {
-            self.energy_batched(hamiltonian)
-        } else {
-            self.energy_scalar(hamiltonian)
-        }
+        self.energy_batch_pass(hamiltonian, true)
     }
 
-    /// Noiseless energy of a full Hamiltonian, with the same batched/scalar
-    /// dispatch as [`ExactEvaluator::energy`].
+    /// Noiseless energy of a full Hamiltonian (all damping dropped), on the
+    /// same batch pass as [`ExactEvaluator::energy`]. Bit-identical to
+    /// [`ExactEvaluator::noiseless_energy_scalar`].
     pub fn noiseless_energy(&self, hamiltonian: &PauliSum) -> f64 {
-        if hamiltonian.num_terms() >= ExactEvaluator::BATCH_MIN_TERMS {
-            self.noiseless_energy_batched(hamiltonian)
-        } else {
-            self.noiseless_energy_scalar(hamiltonian)
-        }
+        self.energy_batch_pass(hamiltonian, false)
     }
 
     /// The term-at-a-time reference implementation of
@@ -170,20 +151,7 @@ impl<'a> ExactEvaluator<'a> {
             .sum()
     }
 
-    /// Bit-parallel noisy energy: back-propagates the Hamiltonian in
-    /// `⌈M/64⌉` reverse circuit walks instead of `M` (see the shared batch
-    /// pass below). Bit-identical to [`ExactEvaluator::energy_scalar`].
-    pub fn energy_batched(&self, hamiltonian: &PauliSum) -> f64 {
-        self.energy_batch_pass(hamiltonian, true)
-    }
-
-    /// Bit-parallel noiseless energy (all damping dropped). Bit-identical
-    /// to [`ExactEvaluator::noiseless_energy_scalar`].
-    pub fn noiseless_energy_batched(&self, hamiltonian: &PauliSum) -> f64 {
-        self.energy_batch_pass(hamiltonian, false)
-    }
-
-    /// The shared walk behind the batched energies: packs up to 64 term
+    /// The shared walk behind both energies: packs up to 64 term
     /// observables into a [`TermBatch`] (transposed planes + sign plane)
     /// and conjugates all lanes through the circuit at once.
     ///
@@ -357,11 +325,14 @@ impl<'a> ExactEvaluator<'a> {
 /// readout flips.
 ///
 /// The propagation is **bit-parallel**: frames travel through the circuit as
-/// a [`FrameBatch`] (64 shots transposed into one `u64` x/z word pair per
-/// qubit), so Clifford conjugation, depolarizing-error injection
-/// ([`BernoulliWords`] buffered geometric masks plus word-level rejection
-/// for the uniform Pauli kick), commutation-sign extraction and readout
-/// flips are all word-level boolean algebra instead of per-shot
+/// the lanes of a [`TermBatch`] (64 shots transposed into one `u64` x/z word
+/// pair per qubit; the sign plane is ignored, since error frames are only
+/// observed through their commutation with the measured observable), so
+/// Clifford conjugation (`CliffordGate::conjugate_terms`, the engine the
+/// exact path and the Hamiltonian transform use), depolarizing-error
+/// injection ([`BernoulliWords`] buffered geometric masks plus word-level
+/// rejection for the uniform Pauli kick), commutation-sign extraction and
+/// readout flips are all word-level boolean algebra instead of per-shot
 /// `get`/`mul`/`set` calls. Shot counts are rounded up to whole 64-shot
 /// words internally, but the estimate averages over exactly `shots`
 /// outcomes (the trailing word is masked), and results are deterministic
@@ -492,7 +463,7 @@ impl<'a> FrameSampler<'a> {
         // templates built once by `prepare`.
         let mut channels = prep.channels.clone();
         let mut readout = prep.readout.clone();
-        let mut batch = FrameBatch::new(self.circuit.num_qubits());
+        let mut batch = TermBatch::new(self.circuit.num_qubits());
         let mut acc: i64 = 0;
         let mut remaining = shots;
         while remaining > 0 {
@@ -500,7 +471,7 @@ impl<'a> FrameSampler<'a> {
             let mut channel = channels.iter_mut();
             for op in self.circuit.ops().iter().chain(prep.prep_ops.iter()) {
                 match *op {
-                    NoisyOp::Clifford(g) => g.conjugate_frames(&mut batch),
+                    NoisyOp::Clifford(g) => g.conjugate_terms(&mut batch),
                     NoisyOp::Depol1(q, _) => {
                         let mask = channel
                             .next()
@@ -540,8 +511,8 @@ impl<'a> FrameSampler<'a> {
             } else if prep.noiseless.abs() <= 0.5 {
                 neg ^= rng.gen::<u64>();
             }
-            let lanes = remaining.min(FrameBatch::LANES);
-            let live = if lanes == FrameBatch::LANES {
+            let lanes = remaining.min(TermBatch::LANES);
+            let live = if lanes == TermBatch::LANES {
                 !0u64
             } else {
                 (1u64 << lanes) - 1

@@ -26,8 +26,9 @@
 //!   term-at-a-time scalar reference.
 //! * [`FrameSampler`] — faithful stim-style Pauli-frame Monte Carlo (what the
 //!   paper actually ran); its mean converges to the exact value, which the
-//!   tests pin down. Frames propagate 64 shots at a time through a
-//!   bit-parallel [`clapton_pauli::FrameBatch`]; per-term preparation is
+//!   tests pin down. Frames propagate 64 shots at a time as the lanes of a
+//!   [`clapton_pauli::TermBatch`] (sign plane ignored), conjugated by the
+//!   same word-level gate rules as the exact path; per-term preparation is
 //!   hoisted into [`TermPrep`] and shared across calls via [`TermCache`].
 
 mod circuit;

@@ -188,11 +188,6 @@ impl NoiseModel {
         self.durations = durations;
     }
 
-    /// Overrides the SWAP decomposition cost factor (default 3.0).
-    pub fn set_swap_factor(&mut self, factor: f64) {
-        self.swap_factor = factor;
-    }
-
     /// Whether any Pauli-channel noise is present (T1 not included).
     pub fn has_pauli_noise(&self) -> bool {
         self.p1.iter().any(|&p| p > 0.0)

@@ -65,7 +65,7 @@ fn batched_energy_is_bit_identical_on_random_noisy_circuits() {
         let m = rng.gen_range(1..90);
         let h = random_hamiltonian(n, m, &mut rng);
         let scalar = eval.energy_scalar(&h);
-        let batched = eval.energy_batched(&h);
+        let batched = eval.energy(&h);
         assert_eq!(
             batched.to_bits(),
             scalar.to_bits(),
@@ -86,10 +86,6 @@ fn noiseless_batched_energy_is_bit_identical() {
         let eval = ExactEvaluator::new(&nc);
         let h = random_hamiltonian(n, rng.gen_range(1..80), &mut rng);
         let scalar = eval.noiseless_energy_scalar(&h);
-        assert_eq!(
-            eval.noiseless_energy_batched(&h).to_bits(),
-            scalar.to_bits()
-        );
         assert_eq!(eval.noiseless_energy(&h).to_bits(), scalar.to_bits());
     }
 }
@@ -106,7 +102,7 @@ fn partial_last_word_accumulates_in_term_order() {
     for m in [63, 64, 65, 70, 128, 129] {
         let h = random_hamiltonian(n, m, &mut rng);
         assert_eq!(
-            eval.energy_batched(&h).to_bits(),
+            eval.energy(&h).to_bits(),
             eval.energy_scalar(&h).to_bits(),
             "m = {m}"
         );
@@ -138,12 +134,9 @@ fn batched_exact_handles_more_than_64_qubits() {
     for _ in 0..66 {
         h.push(rng.gen_range(-1.0..1.0), PauliString::random(n, &mut rng));
     }
+    assert_eq!(eval.energy(&h).to_bits(), eval.energy_scalar(&h).to_bits());
     assert_eq!(
-        eval.energy_batched(&h).to_bits(),
-        eval.energy_scalar(&h).to_bits()
-    );
-    assert_eq!(
-        eval.noiseless_energy_batched(&h).to_bits(),
+        eval.noiseless_energy(&h).to_bits(),
         eval.noiseless_energy_scalar(&h).to_bits()
     );
 }
@@ -166,14 +159,11 @@ fn per_term_expectations_match_through_the_batch() {
     for (c0, p) in &terms {
         let single = PauliSum::from_terms(n, vec![(*c0, p.clone())]);
         assert_eq!(
-            eval.energy_batched(&single).to_bits(),
+            eval.energy(&single).to_bits(),
             eval.energy_scalar(&single).to_bits(),
             "term {p}"
         );
     }
     let h = PauliSum::from_terms(n, terms);
-    assert_eq!(
-        eval.energy_batched(&h).to_bits(),
-        eval.energy_scalar(&h).to_bits()
-    );
+    assert_eq!(eval.energy(&h).to_bits(), eval.energy_scalar(&h).to_bits());
 }

@@ -11,12 +11,14 @@
 //!   support queries,
 //! * [`PauliSum`] — a real-weighted sum of Pauli strings, the representation of
 //!   every VQE Hamiltonian in the paper (`H = Σ_i c_i P_i`, §3.2),
-//! * [`FrameBatch`] — 64 Pauli error frames stored shot-major (one `u64`
-//!   x/z word pair per qubit), the bit-parallel substrate of the stim-style
-//!   frame sampler, with [`BernoulliWords`] buffered-geometric error masks,
-//! * [`TermBatch`] — the signed sibling of [`FrameBatch`]: 64 Hamiltonian-term
-//!   observables stored term-major plus a sign bit-plane, the substrate of
-//!   the bit-parallel *exact* back-propagation path.
+//! * [`TermBatch`] — 64 Pauli strings stored transposed (one `u64` x/z word
+//!   pair per qubit, bit `ℓ` = lane `ℓ`) plus a sign bit-plane: the one
+//!   bit-parallel substrate of every Pauli propagation in the stack — the
+//!   Hamiltonian transform, the exact back-propagation kernel and the
+//!   frame sampler's 64-shot error frames,
+//! * [`BernoulliWords`], [`uniform_pauli_planes`] and
+//!   [`uniform_pauli_pair_planes`] — the frame sampler's random 64-shot
+//!   error masks.
 //!
 //! The representation follows the symplectic convention used by stim and
 //! Qiskit: a qubit with `(x, z)` bits `(0,0), (1,0), (1,1), (0,1)` carries
@@ -48,16 +50,14 @@
 //! # }
 //! ```
 
-mod frame_batch;
+mod masks;
 mod phase;
 mod single;
 mod string;
 mod sum;
 mod term_batch;
 
-pub use frame_batch::{
-    uniform_pauli_pair_planes, uniform_pauli_planes, BernoulliWords, FrameBatch,
-};
+pub use masks::{uniform_pauli_pair_planes, uniform_pauli_planes, BernoulliWords};
 pub use phase::Phase;
 pub use single::Pauli;
 pub use string::{PauliParseError, PauliString};

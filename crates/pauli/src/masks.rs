@@ -1,161 +1,19 @@
-//! Bit-parallel batches of Pauli error frames (64 frames per word).
+//! Random 64-shot error masks for the bit-parallel frame sampler.
 //!
-//! A Pauli-frame Monte Carlo simulator propagates one Pauli *error frame*
-//! per shot through a Clifford circuit. Done one shot at a time that is a
-//! scalar loop over per-qubit `get`/`mul`/`set` calls; stim's key insight is
-//! that `K` frames can share one pass when their bits are stored
-//! **transposed**: instead of one `(x, z)` bit pair per qubit per frame,
-//! [`FrameBatch`] keeps, for every qubit, one `u64` x-word and one `u64`
-//! z-word whose bit `s` belongs to shot `s`. Every frame operation then
-//! becomes word-level boolean algebra applied to all 64 shots at once:
-//!
-//! * Clifford conjugation is a fixed XOR/swap network on the two words of
-//!   the touched qubits (signs are irrelevant for error frames — only
-//!   commutation with the measured observable matters),
-//! * depolarizing-error injection XORs random masks into the words,
-//! * the measurement flip of every shot is the XOR, over the observable's
-//!   support, of the anticommuting bit planes ([`FrameBatch::anticommutation_mask`]).
-//!
-//! The random masks come from [`BernoulliWords`], a buffered geometric
-//! sampler: for a channel of probability `p` it draws the *gaps* between
-//! error shots (`⌊ln U / ln(1-p)⌋`), so a word of 64 shots costs `O(1 + 64p)`
-//! RNG draws instead of 64 — the regime that matters, since physical error
-//! rates are `10⁻⁴`–`10⁻²`. The gap state is carried across word boundaries,
-//! so a multi-word shot sequence is one exact Bernoulli process.
+//! A Pauli-frame Monte Carlo pass propagates 64 shots at once as the lanes
+//! of a [`crate::TermBatch`]; injecting a stochastic channel into all of
+//! them is XORing random words into the batch's x/z planes. The masks come
+//! from [`BernoulliWords`], a buffered geometric sampler: for a channel of
+//! probability `p` it draws the *gaps* between error shots
+//! (`⌊ln U / ln(1-p)⌋`), so a word of 64 shots costs `O(1 + 64p)` RNG draws
+//! instead of 64 — the regime that matters, since physical error rates are
+//! `10⁻⁴`–`10⁻²`. The gap state is carried across word boundaries, so a
+//! multi-word shot sequence is one exact Bernoulli process.
+//! [`uniform_pauli_planes`] and [`uniform_pauli_pair_planes`] then draw the
+//! depolarizing kick for every shot whose mask bit is set.
 
-use crate::{Pauli, PauliString};
+use crate::TermBatch;
 use rand::Rng;
-
-/// A batch of [`FrameBatch::LANES`] Pauli frames stored shot-major: for each
-/// qubit `q`, bit `s` of `x(q)`/`z(q)` is the symplectic `(x, z)` bit of
-/// shot `s`'s frame on that qubit.
-///
-/// The batch carries no phases: frames are error operators and only their
-/// commutation structure is observable.
-///
-/// # Example
-///
-/// ```
-/// use clapton_pauli::{FrameBatch, Pauli, PauliString};
-///
-/// let mut batch = FrameBatch::new(3);
-/// // Inject X on qubit 1 into shots 0 and 5.
-/// batch.xor_x(1, 0b100001);
-/// assert_eq!(batch.frame(0), PauliString::single(3, 1, Pauli::X));
-/// assert_eq!(batch.frame(1), PauliString::identity(3));
-/// // Shots 0 and 5 anticommute with Z on qubit 1.
-/// let obs = PauliString::single(3, 1, Pauli::Z);
-/// assert_eq!(batch.anticommutation_mask(&obs), 0b100001);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameBatch {
-    n: usize,
-    x: Vec<u64>,
-    z: Vec<u64>,
-}
-
-impl FrameBatch {
-    /// Shots per batch: one per bit of the per-qubit storage words.
-    pub const LANES: usize = 64;
-
-    /// A batch of identity frames on `n` qubits.
-    pub fn new(n: usize) -> FrameBatch {
-        FrameBatch {
-            n,
-            x: vec![0; n],
-            z: vec![0; n],
-        }
-    }
-
-    /// The register size.
-    #[inline]
-    pub fn num_qubits(&self) -> usize {
-        self.n
-    }
-
-    /// Resets every frame to the identity.
-    pub fn clear(&mut self) {
-        self.x.fill(0);
-        self.z.fill(0);
-    }
-
-    /// The x bit-plane of `qubit` (bit `s` = shot `s`).
-    #[inline]
-    pub fn x(&self, qubit: usize) -> u64 {
-        self.x[qubit]
-    }
-
-    /// The z bit-plane of `qubit`.
-    #[inline]
-    pub fn z(&self, qubit: usize) -> u64 {
-        self.z[qubit]
-    }
-
-    /// XORs `mask` into the x plane of `qubit` (multiplies an `X` error into
-    /// every frame whose mask bit is set).
-    #[inline]
-    pub fn xor_x(&mut self, qubit: usize, mask: u64) {
-        self.x[qubit] ^= mask;
-    }
-
-    /// XORs `mask` into the z plane of `qubit`.
-    #[inline]
-    pub fn xor_z(&mut self, qubit: usize, mask: u64) {
-        self.z[qubit] ^= mask;
-    }
-
-    /// Swaps the x and z planes of `qubit` (the H / √Y symplectic action).
-    #[inline]
-    pub fn swap_xz(&mut self, qubit: usize) {
-        std::mem::swap(&mut self.x[qubit], &mut self.z[qubit]);
-    }
-
-    /// Swaps two qubits across all lanes (the SWAP gate).
-    #[inline]
-    pub fn swap_qubits(&mut self, a: usize, b: usize) {
-        self.x.swap(a, b);
-        self.z.swap(a, b);
-    }
-
-    /// Per-shot anticommutation with `obs`: bit `s` of the result is `1` iff
-    /// shot `s`'s frame anticommutes with `obs`. Cost is one or two XORs per
-    /// support qubit of `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obs` acts on a different number of qubits.
-    pub fn anticommutation_mask(&self, obs: &PauliString) -> u64 {
-        assert_eq!(self.n, obs.num_qubits(), "qubit count mismatch");
-        let mut acc = 0u64;
-        for q in obs.support() {
-            let (ox, oz) = obs.get(q).xz();
-            if oz {
-                acc ^= self.x[q];
-            }
-            if ox {
-                acc ^= self.z[q];
-            }
-        }
-        acc
-    }
-
-    /// Extracts shot `lane`'s frame as a [`PauliString`] (diagnostics/tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= FrameBatch::LANES`.
-    pub fn frame(&self, lane: usize) -> PauliString {
-        assert!(lane < FrameBatch::LANES, "lane {lane} out of range");
-        PauliString::from_sparse(
-            self.n,
-            (0..self.n).map(|q| {
-                let xb = (self.x[q] >> lane) & 1 == 1;
-                let zb = (self.z[q] >> lane) & 1 == 1;
-                (q, Pauli::from_xz(xb, zb))
-            }),
-        )
-    }
-}
 
 /// A buffered geometric sampler producing 64-shot Bernoulli masks: each bit
 /// of [`BernoulliWords::next_mask`] is set independently with probability
@@ -223,7 +81,7 @@ impl BernoulliWords {
             self.primed = true;
         }
         let mut mask = 0u64;
-        while self.gap < FrameBatch::LANES as u64 {
+        while self.gap < TermBatch::LANES as u64 {
             mask |= 1 << self.gap;
             // Two saturating steps: `1 + draw_gap()` itself overflows when
             // the draw saturated at u64::MAX.
@@ -232,7 +90,7 @@ impl BernoulliWords {
                 .saturating_add(1)
                 .saturating_add(self.draw_gap(rng));
         }
-        self.gap -= FrameBatch::LANES as u64;
+        self.gap -= TermBatch::LANES as u64;
         mask
     }
 }
@@ -279,58 +137,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn new_batch_is_all_identity() {
-        let batch = FrameBatch::new(5);
-        for lane in 0..FrameBatch::LANES {
-            assert!(batch.frame(lane).is_identity());
-        }
-    }
-
-    #[test]
-    fn injection_and_extraction_round_trip() {
-        let mut batch = FrameBatch::new(4);
-        batch.xor_x(0, 0b01);
-        batch.xor_z(0, 0b10);
-        batch.xor_x(3, 0b10);
-        batch.xor_z(3, 0b10);
-        assert_eq!(batch.frame(0), "XIII".parse().unwrap());
-        assert_eq!(batch.frame(1), "ZIIY".parse().unwrap());
-        assert_eq!(batch.frame(2), PauliString::identity(4));
-        batch.clear();
-        assert_eq!(batch.frame(0), PauliString::identity(4));
-    }
-
-    #[test]
-    fn anticommutation_mask_matches_per_lane_check() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for n in [1usize, 3, 70] {
-            let mut batch = FrameBatch::new(n);
-            for q in 0..n {
-                batch.xor_x(q, rng.gen());
-                batch.xor_z(q, rng.gen());
-            }
-            for _ in 0..5 {
-                let obs = PauliString::random(n, &mut rng);
-                let mask = batch.anticommutation_mask(&obs);
-                for lane in [0usize, 1, 17, 63] {
-                    let expected = !batch.frame(lane).commutes_with(&obs);
-                    assert_eq!((mask >> lane) & 1 == 1, expected, "lane {lane} n {n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn swap_qubits_and_planes() {
-        let mut batch = FrameBatch::new(2);
-        batch.xor_x(0, 0b1);
-        batch.swap_qubits(0, 1);
-        assert_eq!(batch.frame(0), "IX".parse().unwrap());
-        batch.swap_xz(1);
-        assert_eq!(batch.frame(0), "IZ".parse().unwrap());
-    }
 
     #[test]
     fn bernoulli_words_edge_probabilities() {

@@ -143,6 +143,13 @@ impl PauliString {
         &self.z
     }
 
+    /// Mutable `x` and `z` bit words, for word-level writers inside the
+    /// crate. Bits above qubit `n - 1` must stay zero.
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> (&mut [u64], &mut [u64]) {
+        (&mut self.x, &mut self.z)
+    }
+
     /// Resets every qubit to the identity, keeping the register size (and
     /// the storage allocation — the in-place counterpart of
     /// [`PauliString::identity`] for scratch buffers).
@@ -178,23 +185,24 @@ impl PauliString {
         self.x.iter().all(|&w| w == 0)
     }
 
-    /// Whether every non-identity factor is `X`.
-    pub fn is_x_type(&self) -> bool {
-        self.z.iter().all(|&w| w == 0)
-    }
-
-    /// Iterates over the qubits in the support (non-identity positions).
+    /// Iterates over the qubits in the support (non-identity positions), in
+    /// ascending order, straight off the borrowed `x | z` words.
     pub fn support(&self) -> impl Iterator<Item = usize> + '_ {
-        SupportIter {
-            words: self
-                .x
-                .iter()
-                .zip(&self.z)
-                .map(|(&x, &z)| x | z)
-                .collect::<Vec<_>>(),
-            word: 0,
-            n: self.n,
-        }
+        self.x
+            .iter()
+            .zip(&self.z)
+            .enumerate()
+            .flat_map(|(w, (&x, &z))| {
+                let mut bits = x | z;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let b = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        w * WORD_BITS + b
+                    })
+                })
+            })
+            .take_while(|&q| q < self.n)
     }
 
     /// Whether two Pauli strings commute (symplectic inner product is even).
@@ -342,32 +350,6 @@ impl PauliString {
     /// terms deterministically).
     pub fn order_key(&self) -> (usize, &[u64], &[u64]) {
         (self.n, &self.z, &self.x)
-    }
-}
-
-struct SupportIter {
-    words: Vec<u64>,
-    word: usize,
-    n: usize,
-}
-
-impl Iterator for SupportIter {
-    type Item = usize;
-    fn next(&mut self) -> Option<usize> {
-        while self.word < self.words.len() {
-            let w = self.words[self.word];
-            if w == 0 {
-                self.word += 1;
-                continue;
-            }
-            let bit = w.trailing_zeros() as usize;
-            self.words[self.word] &= w - 1;
-            let q = self.word * WORD_BITS + bit;
-            if q < self.n {
-                return Some(q);
-            }
-        }
-        None
     }
 }
 

@@ -1,22 +1,28 @@
-//! Bit-parallel batches of *signed* Pauli observables (64 terms per word).
+//! Bit-parallel batches of signed Pauli strings (64 per word).
 //!
-//! [`crate::FrameBatch`] made the sampled noise path bit-parallel by storing
-//! 64 error frames transposed; error frames carry no phases, so its gate
-//! action is sign-free. The **exact** noisy-loss path (Heisenberg
-//! back-propagation of every Hamiltonian term) needs the same transposition
-//! trick *with signs*: conjugating an observable through a Clifford gate can
-//! flip its sign, and that sign multiplies the term's energy contribution.
-//!
-//! [`TermBatch`] therefore packs 64 Hamiltonian-term observables term-major —
-//! for every qubit one `u64` x-word and one `u64` z-word whose bit `ℓ`
-//! belongs to lane (term) `ℓ` — **plus one `u64` sign bit-plane** whose bit
-//! `ℓ` records whether lane `ℓ` has accumulated a `-1` so far. Clifford
-//! conjugation of all 64 observables is then a handful of word operations
-//! per gate, with the Aaronson–Gottesman sign rules evaluated as word-level
+//! Propagating one Pauli string through a Clifford circuit is a scalar loop
+//! of per-qubit `get`/`set` calls; stim's key insight is that 64 strings can
+//! share one pass when their bits are stored **transposed**: [`TermBatch`]
+//! keeps, for every qubit, one `u64` x-word and one `u64` z-word whose bit
+//! `ℓ` belongs to lane `ℓ`, **plus one `u64` sign bit-plane** whose bit `ℓ`
+//! records whether lane `ℓ` has accumulated a `-1` so far. Clifford
+//! conjugation of all 64 lanes is then a handful of word operations per
+//! gate, with the Aaronson–Gottesman sign rules evaluated as word-level
 //! boolean formulas on the same planes (see
 //! `CliffordGate::conjugate_terms` in `clapton-stabilizer`).
+//!
+//! Every batched Pauli propagation in the stack runs on this one type:
+//!
+//! * the Hamiltonian transform `Ĥ = C† H C` anticonjugates 64 terms per
+//!   pass through the transformation circuit,
+//! * the exact noisy-loss kernel back-propagates 64 measured observables
+//!   per reverse circuit walk, reading each lane's sign into its energy,
+//! * the frame sampler pushes 64 shots' error frames forward per pass and
+//!   ignores the sign plane (error frames are only observed through their
+//!   commutation with the measured observable,
+//!   [`TermBatch::anticommutation_mask`]).
 
-use crate::{Pauli, PauliString};
+use crate::{PauliString, WORD_BITS};
 
 /// A batch of [`TermBatch::LANES`] signed Pauli observables stored
 /// term-major: for each qubit `q`, bit `ℓ` of `x(q)`/`z(q)` is the
@@ -139,7 +145,31 @@ impl TermBatch {
         self.x.iter().fold(0, |acc, &w| acc | w)
     }
 
-    /// Loads `p` (with sign `-1` iff `negative`) into `lane`.
+    /// Per-lane anticommutation with `obs`: bit `ℓ` of the result is `1`
+    /// iff lane `ℓ` anticommutes with `obs` (signs play no part). Cost is
+    /// one or two XORs per support qubit of `obs` — how the frame sampler
+    /// reads 64 shots' measurement flips at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obs` acts on a different number of qubits.
+    pub fn anticommutation_mask(&self, obs: &PauliString) -> u64 {
+        assert_eq!(self.n, obs.num_qubits(), "qubit count mismatch");
+        let mut acc = 0u64;
+        for q in obs.support() {
+            let (ox, oz) = obs.get(q).xz();
+            if oz {
+                acc ^= self.x[q];
+            }
+            if ox {
+                acc ^= self.z[q];
+            }
+        }
+        acc
+    }
+
+    /// Loads `p` (with sign `-1` iff `negative`) into `lane`, reading the
+    /// string's x/z words directly.
     ///
     /// The lane must currently be the positive identity (e.g. right after
     /// [`TermBatch::new`] or [`TermBatch::clear`]); cost is `O(weight)`.
@@ -157,13 +187,14 @@ impl TermBatch {
             "lane {lane} must be cleared before set_lane"
         );
         let bit = 1u64 << lane;
-        for q in p.support() {
-            let (x, z) = p.get(q).xz();
-            if x {
-                self.x[q] |= bit;
-            }
-            if z {
-                self.z[q] |= bit;
+        let words = p.x_words().iter().zip(p.z_words());
+        for (w, (&xw, &zw)) in words.enumerate() {
+            let base = w * WORD_BITS;
+            for (planes, mut bits) in [(&mut self.x, xw), (&mut self.z, zw)] {
+                while bits != 0 {
+                    planes[base + bits.trailing_zeros() as usize] |= bit;
+                    bits &= bits - 1;
+                }
             }
         }
         if negative {
@@ -171,22 +202,42 @@ impl TermBatch {
         }
     }
 
-    /// Extracts lane `lane` as `(negative, observable)` (diagnostics/tests).
+    /// Writes lane `lane`'s string into `out` word by word (any prior
+    /// contents are overwritten) and returns whether the lane is negative.
+    /// The caller owns `out`, so reading a whole batch back allocates
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= TermBatch::LANES` or if `out` acts on a different
+    /// number of qubits.
+    pub fn lane_into(&self, lane: usize, out: &mut PauliString) -> bool {
+        assert!(lane < TermBatch::LANES, "lane {lane} out of range");
+        assert_eq!(self.n, out.num_qubits(), "qubit count mismatch");
+        let (out_x, out_z) = out.words_mut();
+        let gather = |planes: &[u64]| {
+            planes.iter().enumerate().fold(0u64, |word, (b, &plane)| {
+                word | (((plane >> lane) & 1) << b)
+            })
+        };
+        let chunks = self.x.chunks(WORD_BITS).zip(self.z.chunks(WORD_BITS));
+        for ((x, z), (ox, oz)) in chunks.zip(out_x.iter_mut().zip(out_z.iter_mut())) {
+            *ox = gather(x);
+            *oz = gather(z);
+        }
+        (self.sign >> lane) & 1 == 1
+    }
+
+    /// Extracts lane `lane` as `(negative, observable)` (diagnostics/tests;
+    /// allocates — see [`TermBatch::lane_into`]).
     ///
     /// # Panics
     ///
     /// Panics if `lane >= TermBatch::LANES`.
     pub fn lane(&self, lane: usize) -> (bool, PauliString) {
-        assert!(lane < TermBatch::LANES, "lane {lane} out of range");
-        let p = PauliString::from_sparse(
-            self.n,
-            (0..self.n).map(|q| {
-                let xb = (self.x[q] >> lane) & 1 == 1;
-                let zb = (self.z[q] >> lane) & 1 == 1;
-                (q, Pauli::from_xz(xb, zb))
-            }),
-        );
-        ((self.sign >> lane) & 1 == 1, p)
+        let mut p = PauliString::identity(self.n);
+        let negative = self.lane_into(lane, &mut p);
+        (negative, p)
     }
 }
 
@@ -246,6 +297,26 @@ mod tests {
         let any_x = batch.any_x_mask();
         for (lane, p) in terms.iter().enumerate() {
             assert_eq!((any_x >> lane) & 1 == 1, !p.is_z_type(), "lane {lane}");
+        }
+    }
+
+    #[test]
+    fn anticommutation_mask_matches_per_lane_check() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for n in [1usize, 3, 70] {
+            let mut batch = TermBatch::new(n);
+            for q in 0..n {
+                batch.xor_x(q, rng.gen());
+                batch.xor_z(q, rng.gen());
+            }
+            for _ in 0..5 {
+                let obs = PauliString::random(n, &mut rng);
+                let mask = batch.anticommutation_mask(&obs);
+                for lane in [0usize, 1, 17, 63] {
+                    let expected = !batch.lane(lane).1.commutes_with(&obs);
+                    assert_eq!((mask >> lane) & 1 == 1, expected, "lane {lane} n {n}");
+                }
+            }
         }
     }
 

@@ -294,16 +294,6 @@ impl RunDirectory {
         fs::rename(&tmp, &target)
     }
 
-    /// Reads artifact `name` as raw text, returning `Ok(None)` when it does
-    /// not exist.
-    pub fn read_text(&self, name: &str) -> io::Result<Option<String>> {
-        match fs::read_to_string(self.root.join(name)) {
-            Ok(text) => Ok(Some(text)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
     /// Reads artifact `name`, returning `Ok(None)` when it does not exist
     /// and an `InvalidData` error when it exists but fails envelope
     /// verification or parsing — in which case the corrupt file has been

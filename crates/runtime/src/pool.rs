@@ -138,9 +138,10 @@ impl PoolShared {
 
 /// A persistent pool of worker threads executing scoped tasks.
 ///
-/// See the [module docs](self) for the execution model. The pool is cheap to
-/// share (`Arc<WorkerPool>`); dropping the last handle shuts the workers
-/// down. A pool with zero workers is valid and runs every scope inline on
+/// Work runs in [`PoolScope`]s opened by [`WorkerPool::scope`], whose owner
+/// drains its own queue while idle workers steal from every open scope.
+/// The pool is cheap to share (`Arc<WorkerPool>`); dropping the last handle
+/// shuts the workers down. A pool with zero workers is valid and runs every scope inline on
 /// the calling thread — handy for tests and for forcing serial execution.
 ///
 /// # Example

@@ -122,12 +122,6 @@ impl JobContext {
         self.cancel.interrupt()
     }
 
-    /// The job's cancellation token (cloneable; the controlling side usually
-    /// keeps its own clone from [`ScheduledJob::with_cancel`]).
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// Streams a progress event (dropped silently when no listener is
     /// attached or the receiver hung up — progress must never block a job).
     /// `Started`/`Round` emits also feed the scheduler's round metrics.

@@ -686,11 +686,6 @@ impl JobHandle {
         self.cancel.cancel();
     }
 
-    /// The job's cancellation token (cloneable, e.g. for a signal handler).
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// Blocks until the job finishes and returns its report.
     ///
     /// # Errors

@@ -214,8 +214,8 @@ pub struct JobSpec {
     pub backend: BackendSpec,
     /// The noise environment (default: noiseless).
     pub noise: NoiseSpec,
-    /// Which methods to run (default: CAFQA + Clapton, the [`Pipeline`]
-    /// pairing).
+    /// Which methods to run (default: CAFQA + Clapton, the legacy
+    /// `Pipeline` pairing).
     pub methods: Vec<MethodSpec>,
     /// Engine effort (default: the paper's settings).
     pub engine: EngineSpec,

@@ -12,8 +12,9 @@
 //!   channels, **amplitude damping** (thermal relaxation — the non-Clifford
 //!   channel the Clifford evaluators deliberately exclude) and analytic
 //!   readout-error treatment,
-//! * [`DeviceEvaluator`] — runs a circuit under a full [`NoiseModel`]
-//!   (gate depolarizing + T1 decay per scheduled moment + readout) and
+//! * [`DeviceEvaluator`] — runs a circuit under a full
+//!   [`NoiseModel`](clapton_noise::NoiseModel) (gate depolarizing + T1
+//!   decay per scheduled moment + readout) and
 //!   returns Hamiltonian energies: the "device (model) evaluation" of
 //!   Figures 2 and 5,
 //! * [`ground_energy`] — Lanczos exact minimum eigenvalue (the paper's `E0`

@@ -1,6 +1,6 @@
 //! Clifford gates and their exact Heisenberg conjugation rules.
 
-use clapton_pauli::{FrameBatch, Pauli, PauliString, TermBatch};
+use clapton_pauli::{Pauli, PauliString, TermBatch};
 use std::fmt;
 
 /// A single- or two-qubit Clifford gate.
@@ -205,63 +205,17 @@ impl CliffordGate {
         }
     }
 
-    /// Conjugates all 64 frames of a [`FrameBatch`] at once: the gate's
-    /// symplectic action applied to the transposed bit planes, one or two
-    /// word operations per gate regardless of shot count.
+    /// Conjugates all 64 signed Pauli strings of a [`TermBatch`] at once:
+    /// `P_ℓ → g P_ℓ g†` for every lane `ℓ`, with the gate's symplectic
+    /// action applied to the transposed x/z planes and the
+    /// Aaronson–Gottesman sign rules evaluated as word-level boolean
+    /// formulas XORed into the batch's sign plane.
     ///
-    /// Frames carry no phases, so this is the sign-free projection of
-    /// [`CliffordGate::conjugate`]: lane `s` of the batch ends up exactly
-    /// where per-shot conjugation would put shot `s`'s frame (up to the
-    /// discarded sign).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a gate qubit is out of range for the batch.
-    pub fn conjugate_frames(&self, frames: &mut FrameBatch) {
-        use CliffordGate::*;
-        match *self {
-            // H, √Y and √Y† all exchange the x and z planes.
-            H(q) | SqrtY(q) | SqrtYdg(q) => frames.swap_xz(q),
-            // S/S†: (x, z) → (x, z ⊕ x).
-            S(q) | Sdg(q) => {
-                let x = frames.x(q);
-                frames.xor_z(q, x);
-            }
-            // √X/√X†: (x, z) → (x ⊕ z, z).
-            SqrtX(q) | SqrtXdg(q) => {
-                let z = frames.z(q);
-                frames.xor_x(q, z);
-            }
-            // Pauli gates only touch signs, which frames do not carry.
-            X(_) | Y(_) | Z(_) => {}
-            // CX: x_t ⊕= x_c, z_c ⊕= z_t (Eq. 3).
-            Cx(c, t) => {
-                let xc = frames.x(c);
-                frames.xor_x(t, xc);
-                let zt = frames.z(t);
-                frames.xor_z(c, zt);
-            }
-            // CZ: z_t ⊕= x_c, z_c ⊕= x_t.
-            Cz(a, b) => {
-                let xa = frames.x(a);
-                frames.xor_z(b, xa);
-                let xb = frames.x(b);
-                frames.xor_z(a, xb);
-            }
-            Swap(a, b) => frames.swap_qubits(a, b),
-        }
-    }
-
-    /// Conjugates all 64 signed observables of a [`TermBatch`] at once:
-    /// `P_ℓ → g P_ℓ g†` for every lane `ℓ`, with the Aaronson–Gottesman
-    /// sign rules evaluated as word-level boolean formulas on the
-    /// transposed bit planes and XORed into the batch's sign plane.
-    ///
-    /// This is the sign-carrying generalization of
-    /// [`CliffordGate::conjugate_frames`]: lane `ℓ` ends up exactly where
-    /// scalar [`CliffordGate::conjugate`] would put that lane's observable,
-    /// *including* the sign flip (differentially tested lane-by-lane for
-    /// every gate variant).
+    /// Lane `ℓ` ends up exactly where scalar [`CliffordGate::conjugate`]
+    /// would put that lane's string, *including* the sign flip
+    /// (differentially tested lane-by-lane for every gate variant). The x/z
+    /// planes never depend on the sign plane, so a caller that only needs
+    /// the strings — the frame sampler's error frames — ignores the signs.
     ///
     /// # Panics
     ///
@@ -535,46 +489,6 @@ mod tests {
         );
         assert_eq!(CliffordGate::rz_quarter(1, 1), Some(CliffordGate::S(1)));
         assert_eq!(CliffordGate::rz_quarter(1, 3), Some(CliffordGate::Sdg(1)));
-    }
-
-    #[test]
-    fn batched_conjugation_matches_per_shot_conjugation() {
-        // Every lane of conjugate_frames must land exactly where the scalar
-        // conjugation sends that lane's frame (signs aside — frames carry
-        // none).
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let gates = [
-            CliffordGate::H(0),
-            CliffordGate::S(0),
-            CliffordGate::Sdg(1),
-            CliffordGate::X(0),
-            CliffordGate::Y(1),
-            CliffordGate::Z(0),
-            CliffordGate::SqrtX(1),
-            CliffordGate::SqrtXdg(0),
-            CliffordGate::SqrtY(1),
-            CliffordGate::SqrtYdg(0),
-            CliffordGate::Cx(0, 1),
-            CliffordGate::Cx(1, 0),
-            CliffordGate::Cz(0, 1),
-            CliffordGate::Swap(0, 1),
-        ];
-        let mut rng = StdRng::seed_from_u64(44);
-        for g in gates {
-            let mut batch = FrameBatch::new(3);
-            for q in 0..3 {
-                batch.xor_x(q, rng.gen());
-                batch.xor_z(q, rng.gen());
-            }
-            let before: Vec<PauliString> = (0..FrameBatch::LANES).map(|l| batch.frame(l)).collect();
-            g.conjugate_frames(&mut batch);
-            for (lane, frame) in before.into_iter().enumerate() {
-                let mut scalar = frame;
-                g.conjugate(&mut scalar);
-                assert_eq!(batch.frame(lane), scalar, "{g} lane {lane}");
-            }
-        }
     }
 
     #[test]

@@ -12,54 +12,43 @@
 //!
 //! * [`CliffordGate`] — the single- and two-qubit Clifford gates used by the
 //!   VQE and transformation ansätze, with exact Heisenberg conjugation rules
-//!   (`P → g P g†`, sign included),
-//! * [`CliffordMap`] — a tableau holding the images of all `X_j`/`Z_j`
-//!   generators under a circuit, supporting `O(N·w)` conjugation of arbitrary
-//!   Pauli strings, composition and inversion,
+//!   (`P → g P g†`, sign included) for one string
+//!   ([`CliffordGate::conjugate`]) and, as word-level formulas, for 64
+//!   strings at once ([`CliffordGate::conjugate_terms`] on a
+//!   [`clapton_pauli::TermBatch`]) — the one batched engine behind the
+//!   Hamiltonian transform, the exact noisy-loss kernel and the frame
+//!   sampler,
 //! * [`StabilizerState`] — an Aaronson–Gottesman tableau simulator with
 //!   deterministic/random `Z`-measurements and exact Pauli expectation values.
 
 mod gate;
-mod map;
 mod state;
 
 pub use gate::CliffordGate;
-pub use map::CliffordMap;
 pub use state::StabilizerState;
 
 use clapton_pauli::PauliString;
-
-/// Conjugates `p` through a gate sequence **forward**: returns the sign `s`
-/// such that `C p C† = s · result` for `C = g_k ⋯ g_1` applied in iteration
-/// order (`g_1` first).
-///
-/// # Example
-///
-/// ```
-/// use clapton_pauli::PauliString;
-/// use clapton_stabilizer::{conjugate_through, CliffordGate};
-///
-/// // CX propagates X on the control to X⊗X (Eq. 3 of the paper).
-/// let mut p: PauliString = "XI".parse().unwrap();
-/// let sign = conjugate_through(&[CliffordGate::Cx(0, 1)], &mut p);
-/// assert_eq!(sign, 1.0);
-/// assert_eq!(p, "XX".parse().unwrap());
-/// ```
-pub fn conjugate_through(gates: &[CliffordGate], p: &mut PauliString) -> f64 {
-    let mut sign = 1.0;
-    for g in gates {
-        if g.conjugate(p) {
-            sign = -sign;
-        }
-    }
-    sign
-}
 
 /// Anticonjugates `p` through a gate sequence: returns the sign `s` such that
 /// `C† p C = s · result` for `C = g_k ⋯ g_1` applied in iteration order.
 ///
 /// This is the transformation direction Clapton uses for Hamiltonians
-/// (§3.2): the gates are traversed in reverse with each gate inverted.
+/// (§3.2): the gates are traversed in reverse with each gate inverted. It is
+/// the one-string scalar reference of the batched transform
+/// (`clapton_core::transform_hamiltonian`).
+///
+/// # Example
+///
+/// ```
+/// use clapton_pauli::PauliString;
+/// use clapton_stabilizer::{anticonjugate_through, CliffordGate};
+///
+/// // CX† (X⊗X) CX = X⊗I: Eq. 3 read backwards.
+/// let mut p: PauliString = "XX".parse().unwrap();
+/// let sign = anticonjugate_through(&[CliffordGate::Cx(0, 1)], &mut p);
+/// assert_eq!(sign, 1.0);
+/// assert_eq!(p, "XI".parse().unwrap());
+/// ```
 pub fn anticonjugate_through(gates: &[CliffordGate], p: &mut PauliString) -> f64 {
     let mut sign = 1.0;
     for g in gates.iter().rev() {

@@ -1,7 +1,7 @@
 //! VQE execution: classical optimizers driving the noisy quantum objective.
 //!
 //! The paper runs full VQE from each initialization with the SPSA optimizer
-//! (§5.2, [45]) on Qiskit's noisy simulators. Here:
+//! (§5.2, \[45\]) on Qiskit's noisy simulators. Here:
 //!
 //! * [`Spsa`] — simultaneous perturbation stochastic approximation with the
 //!   standard Spall gain schedules,
