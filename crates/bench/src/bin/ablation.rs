@@ -7,71 +7,54 @@
 //!
 //! Reports the winning loss and the device-model energy of each variant.
 
-use clapton_bench::{Instance, Options};
-use clapton_core::{run_clapton, ClaptonConfig, EvaluatorKind};
-use clapton_devices::FakeBackend;
-use clapton_models::{ising, xxz};
-use clapton_runtime::WorkerPool;
-use std::sync::Arc;
+use clapton_bench::{reports, Options};
+use clapton_core::EvaluatorKind;
+use clapton_service::{BackendSpec, ClaptonService, MethodSpec, NamedBackend, NoiseSpec};
 
 fn main() {
     let options = Options::from_args();
-    let pool = Arc::new(WorkerPool::new());
-    let backend = FakeBackend::toronto();
-    let benchmarks = vec![
-        ("ising(J=0.50)", ising(10, 0.5)),
-        ("xxz(J=1.00)", xxz(10, 1.0)),
+    let benchmarks = ["ising(J=0.50)", "xxz(J=1.00)"];
+    let variants = [
+        "full (exact LN)",
+        "no two-qubit slots",
+        "sampled LN (256 shots)",
     ];
+    let specs = benchmarks.iter().flat_map(|name| {
+        let mut full = options.spec(name, 10);
+        full.backend = BackendSpec::Named(NamedBackend {
+            name: "toronto".to_string(),
+        });
+        full.noise = NoiseSpec::Backend;
+        full.methods = vec![MethodSpec::Clapton];
+        let mut no_slots = full.clone();
+        no_slots.two_qubit_slots = false;
+        let mut sampled = full.clone();
+        sampled.evaluator = EvaluatorKind::Sampled {
+            shots: 256,
+            seed: options.seed,
+        };
+        [full, no_slots, sampled]
+    });
+    let reports = reports(&ClaptonService::new(), specs.collect());
     println!(
         "{:<14} {:<22} {:>12} {:>12} {:>12}",
         "benchmark", "variant", "loss", "L0", "E_device(x)"
     );
-    for (name, h) in &benchmarks {
-        let instance = Instance::prepare(name, h, &backend);
-        let zeros = vec![0.0; instance.exec.ansatz().num_parameters()];
-        let variants: Vec<(&str, ClaptonConfig)> = vec![
-            (
-                "full (exact LN)",
-                ClaptonConfig {
-                    engine: options.engine(),
-                    evaluator: EvaluatorKind::Exact,
-                    seed: options.seed,
-                    two_qubit_slots: true,
-                },
-            ),
-            (
-                "no two-qubit slots",
-                ClaptonConfig {
-                    engine: options.engine(),
-                    evaluator: EvaluatorKind::Exact,
-                    seed: options.seed,
-                    two_qubit_slots: false,
-                },
-            ),
-            (
-                "sampled LN (256 shots)",
-                ClaptonConfig {
-                    engine: options.engine(),
-                    evaluator: EvaluatorKind::Sampled {
-                        shots: 256,
-                        seed: options.seed,
-                    },
-                    seed: options.seed,
-                    two_qubit_slots: true,
-                },
-            ),
-        ];
-        for (label, config) in variants {
-            let result = run_clapton(h, &instance.exec, &config, &pool);
-            let device = instance.device_energy(&result.transformation.transformed, &zeros, None);
+    for (name, runs) in benchmarks.iter().zip(reports.chunks(variants.len())) {
+        for (label, report) in variants.iter().zip(runs) {
+            let clapton = report.clapton.as_ref().expect("Clapton ran");
             println!(
                 "{:<14} {:<22} {:>12.5} {:>12.5} {:>12.5}",
-                instance.name, label, result.loss, result.loss_0, device
+                name,
+                label,
+                clapton.loss,
+                clapton.loss_0,
+                report.clapton_initial_energy.expect("Clapton ran")
             );
         }
         println!(
             "{:<14} {:<22} {:>12} {:>12} {:>12.5}",
-            instance.name, "(reference E0)", "", "", instance.e0
+            name, "(reference E0)", "", "", runs[0].e0
         );
     }
 }

@@ -5,39 +5,63 @@
 //! SPSA run) and, for `hanoi`, the "hardware star" evaluations of the
 //! initial and final points under the perturbed hardware variant.
 
-use clapton_bench::{Instance, Options};
-use clapton_core::ExecutableAnsatz;
-use clapton_devices::FakeBackend;
-use clapton_models::xxz;
-use clapton_runtime::WorkerPool;
-use clapton_vqe::{run_vqe, VqeConfig};
-use std::sync::Arc;
+use clapton_bench::{reports, Options};
+use clapton_core::device_energy;
+use clapton_service::{
+    BackendSpec, ClaptonService, MethodSpec, NamedBackend, NoiseSpec, VqeRefineSpec,
+};
 
 fn main() {
     let options = Options::from_args();
-    let pool = Arc::new(WorkerPool::new());
-    let backends = match options.effort {
-        0 => vec![FakeBackend::toronto()],
-        _ => vec![FakeBackend::toronto(), FakeBackend::hanoi()],
+    let service = ClaptonService::new();
+    let backends: &[&str] = match options.effort {
+        0 => &["toronto"],
+        _ => &["toronto", "hanoi"],
     };
-    let n = 10;
-    for backend in &backends {
-        for j in [0.25, 1.0] {
-            let name = format!("xxz(J={j:.2})");
-            let h = xxz(n, j);
-            let instance = Instance::prepare(&name, &h, backend);
-            println!(
-                "\n## {} on {} (E0 = {:.5})",
-                name,
-                backend.name(),
-                instance.e0
-            );
-            let outcomes = instance.run_methods(&options, &pool);
-            let vqe_config = VqeConfig::new(options.vqe_iterations());
-            let hardware =
-                (backend.name() == "hanoi").then(|| backend.hardware_variant(options.seed));
-            for o in &outcomes {
-                let trace = run_vqe(&o.vqe_hamiltonian, &instance.exec, &o.theta0, &vqe_config);
+    let names = ["xxz(J=0.25)", "xxz(J=1.00)"];
+    let spec_on = |name: &str, backend: &str| {
+        let mut spec = options.spec(name, 10);
+        spec.backend = BackendSpec::Named(NamedBackend {
+            name: backend.to_string(),
+        });
+        spec.noise = NoiseSpec::Backend;
+        spec.methods = vec![
+            MethodSpec::Cafqa,
+            MethodSpec::Ncafqa,
+            MethodSpec::Clapton,
+            MethodSpec::VqeRefine(VqeRefineSpec {
+                iterations: options.vqe_iterations(),
+            }),
+        ];
+        spec
+    };
+    for &backend in backends {
+        let specs = names.iter().map(|name| spec_on(name, backend)).collect();
+        for (name, report) in names.iter().zip(reports(&service, specs)) {
+            println!("\n## {name} on {backend} (E0 = {:.5})", report.e0);
+            // The hanoi "hardware stars": the same points scored on the
+            // perturbed hardware variant of the register.
+            let hardware = (backend == "hanoi").then(|| {
+                let spec = spec_on(name, &format!("hanoi-hw:{}", options.seed));
+                spec.validate()
+                    .expect("the hardware variant hosts the chain")
+            });
+            let cafqa = report.cafqa.as_ref().expect("CAFQA ran");
+            let ncafqa = report.ncafqa.as_ref().expect("nCAFQA ran");
+            let clapton = report.clapton.as_ref().expect("Clapton ran");
+            let zeros = vec![0.0; cafqa.theta.len()];
+            let starts = [
+                ("CAFQA", &report.cafqa_vqe, None, &cafqa.theta),
+                ("nCAFQA", &report.ncafqa_vqe, None, &ncafqa.theta),
+                (
+                    "Clapton",
+                    &report.clapton_vqe,
+                    Some(&clapton.transformation.transformed),
+                    &zeros,
+                ),
+            ];
+            for (method, trace, transformed, theta0) in starts {
+                let trace = trace.as_ref().expect("VqeRefine ran");
                 let series: Vec<String> = trace
                     .trace
                     .iter()
@@ -45,26 +69,17 @@ fn main() {
                     .collect();
                 println!(
                     "{:<8} init(x)={:.5} final(x)={:.5} | series: {}",
-                    o.method,
+                    method,
                     trace.initial_energy,
                     trace.final_energy,
                     series.join(" ")
                 );
                 if let Some(hw) = &hardware {
-                    let exec_hw =
-                        ExecutableAnsatz::on_device(n, hw.coupling_map(), &hw.noise_model())
-                            .expect("hardware variant hosts the chain");
-                    let hw_model = exec_hw.noise_model().clone();
-                    let e_init_hw =
-                        instance.device_energy(&o.vqe_hamiltonian, &o.theta0, Some(&hw_model));
-                    let e_final_hw = instance.device_energy(
-                        &o.vqe_hamiltonian,
-                        &trace.final_theta,
-                        Some(&hw_model),
-                    );
+                    let h = transformed.unwrap_or(&hw.hamiltonian);
+                    let e_init_hw = device_energy(&hw.exec, h, theta0);
+                    let e_final_hw = device_energy(&hw.exec, h, &trace.final_theta);
                     println!(
-                        "{:<8} hardware stars: init*={e_init_hw:.5} final*={e_final_hw:.5}",
-                        o.method
+                        "{method:<8} hardware stars: init*={e_init_hw:.5} final*={e_final_hw:.5}"
                     );
                 }
             }

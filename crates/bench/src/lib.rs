@@ -10,6 +10,13 @@
 //! | `fig7` | Figure 7 — η vs gate-error sweep |
 //! | `fig8` | Figure 8 — η vs measurement-error sweep |
 //! | `fig9` | Figure 9 — Clapton/CAFQA optimization-time scaling with N |
+//! | `ablation` | two-qubit transformation slots and exact vs sampled `LN` |
+//! | `suite` | the benchmark suite and CAFQA's Clifford accuracy (§2.5) |
+//!
+//! `fig2`, `fig5`–`fig8` and `ablation` build [`JobSpec`]s with
+//! [`Options::spec`] and run them through [`ClaptonService`] with
+//! [`reports`]: the one job body the server and `suite-runner` run too.
+//! `fig9` times the searches and `suite` runs CAFQA directly.
 //!
 //! All binaries accept `--quick` (reduced hyper-parameters; the default is a
 //! middle ground) and `--full` (paper-scale settings), plus `--seed <u64>`.
@@ -24,21 +31,12 @@ pub use shard::{
     MERGED_MANIFEST_ARTIFACT, QUEUE_ARTIFACT,
 };
 
-use clapton_core::{
-    relative_improvement, run_cafqa, run_clapton, run_ncafqa, CafqaResult, ClaptonConfig,
-    ClaptonResult, EvaluatorKind, ExecutableAnsatz, LossFunction,
-};
-use clapton_devices::FakeBackend;
 use clapton_ga::{GaConfig, MultiGaConfig};
-use clapton_models::benchmark_suite;
-use clapton_noise::NoiseModel;
-use clapton_pauli::PauliSum;
-use clapton_runtime::WorkerPool;
+use clapton_models::benchmark_names;
 use clapton_service::{
-    EngineSpec, JobSpec, MethodSpec, NoiseSpec, ProblemSpec, SuiteProblem, UniformNoise,
+    BackendSpec, ClaptonService, EngineSpec, JobSpec, MethodSpec, NamedBackend, NoiseSpec,
+    ProblemSpec, Report, SuiteProblem, UniformNoise,
 };
-use clapton_sim::{ground_energy, DeviceEvaluator};
-use std::sync::Arc;
 
 /// Command-line options shared by all figure binaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,6 +92,19 @@ impl Options {
         }
     }
 
+    /// A spec for the registry problem `name` on `qubits` qubits, with this
+    /// effort level's engine and the base seed; every other field at its
+    /// default.
+    pub fn spec(&self, name: &str, qubits: usize) -> JobSpec {
+        let mut spec = JobSpec::new(ProblemSpec::Suite(SuiteProblem {
+            name: name.to_string(),
+            qubits,
+        }));
+        spec.engine = EngineSpec::from_config(self.engine());
+        spec.seed = self.seed;
+        spec
+    }
+
     /// The number of VQE iterations for this effort level.
     pub fn vqe_iterations(&self) -> usize {
         match self.effort {
@@ -136,14 +147,11 @@ impl SuiteConfig {
     /// it (or any hand-edited variant).
     pub fn specs(&self) -> Vec<JobSpec> {
         let (p1, p2, readout) = SUITE_NOISE;
-        benchmark_suite(self.qubits)
+        benchmark_names(self.qubits)
             .iter()
             .enumerate()
-            .map(|(index, bench)| {
-                let mut spec = JobSpec::new(ProblemSpec::Suite(SuiteProblem {
-                    name: bench.name.clone(),
-                    qubits: self.qubits,
-                }));
+            .map(|(index, name)| {
+                let mut spec = self.options.spec(name, self.qubits);
                 spec.noise = NoiseSpec::Uniform(UniformNoise {
                     p1,
                     p2,
@@ -151,7 +159,6 @@ impl SuiteConfig {
                     t1: None,
                 });
                 spec.methods = vec![MethodSpec::Clapton];
-                spec.engine = EngineSpec::from_config(self.options.engine());
                 spec.seed = job_seed(self.options.seed, index);
                 spec
             })
@@ -165,209 +172,80 @@ fn job_seed(base: u64, index: usize) -> u64 {
     base ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// The three energies the paper reports for one solution (Figures 2 and 5):
-/// noiseless (⋄), Clifford noise model (◦), full device model (×).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyTriple {
-    /// Noiseless evaluation (lower bound; `L0`-like).
-    pub noiseless: f64,
-    /// Clifford (Pauli-channel) noise-model evaluation (`LN`).
-    pub clifford_model: f64,
-    /// Full density-matrix device-model evaluation.
-    pub device: f64,
+/// Runs `specs` as one [`ClaptonService::run_all`] batch and returns their
+/// reports in submission order.
+///
+/// # Panics
+///
+/// Panics with the error of a spec that does not validate or a job that
+/// fails.
+pub fn reports(service: &ClaptonService, specs: Vec<JobSpec>) -> Vec<Report> {
+    service
+        .run_all(specs, None)
+        .unwrap_or_else(|e| panic!("figure spec rejected: {e}"))
+        .into_iter()
+        .map(|report| report.unwrap_or_else(|e| panic!("figure job failed: {e}")))
+        .collect()
 }
 
-/// One initialization method's outcome on a benchmark.
-#[derive(Debug, Clone)]
-pub struct MethodOutcome {
-    /// "CAFQA", "nCAFQA" or "Clapton".
-    pub method: &'static str,
-    /// Energies of the initial point.
-    pub initial: EnergyTriple,
-    /// The starting parameters for the follow-up VQE.
-    pub theta0: Vec<f64>,
-    /// The Hamiltonian the VQE optimizes (transformed for Clapton).
-    pub vqe_hamiltonian: PauliSum,
-}
-
-/// A prepared benchmark instance on a backend.
-pub struct Instance {
-    /// Benchmark name.
-    pub name: String,
-    /// The original problem Hamiltonian.
-    pub hamiltonian: PauliSum,
-    /// Exact ground energy `E0`.
-    pub e0: f64,
-    /// Fully-mixed-state energy `E_ρ = tr(H)/2^N`.
-    pub e_mixed: f64,
-    /// The transpiled executable ansatz.
-    pub exec: ExecutableAnsatz,
-}
-
-impl Instance {
-    /// Prepares a benchmark on a backend: transpiles the ansatz and computes
-    /// the exact references.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend cannot host the benchmark.
-    pub fn prepare(name: &str, hamiltonian: &PauliSum, backend: &FakeBackend) -> Instance {
-        let n = hamiltonian.num_qubits();
-        let exec = ExecutableAnsatz::on_device(n, backend.coupling_map(), &backend.noise_model())
-            .unwrap_or_else(|e| panic!("cannot place {name} on {}: {e}", backend.name()));
-        Instance {
-            name: name.to_string(),
-            hamiltonian: hamiltonian.clone(),
-            e0: ground_energy(hamiltonian),
-            e_mixed: hamiltonian.identity_coefficient(),
-            exec,
-        }
-    }
-
-    /// Evaluates the device-model energy of `A'(θ)` w.r.t. a logical
-    /// Hamiltonian, optionally under a different ("hardware") noise model.
-    pub fn device_energy(&self, h: &PauliSum, theta: &[f64], model: Option<&NoiseModel>) -> f64 {
-        let circuit = self.exec.circuit(theta);
-        let mapped = self.exec.map_hamiltonian(h);
-        DeviceEvaluator::run(&circuit, model.unwrap_or_else(|| self.exec.noise_model()))
-            .energy(&mapped)
-    }
-
-    /// Runs all three initialization methods on `pool` and evaluates their
-    /// initial points in the three noise environments.
-    pub fn run_methods(&self, options: &Options, pool: &Arc<WorkerPool>) -> Vec<MethodOutcome> {
-        let loss = LossFunction::new(&self.exec, EvaluatorKind::Exact);
-        let zeros = vec![0.0; self.exec.ansatz().num_parameters()];
-        // CAFQA.
-        let cafqa = run_cafqa(
-            &self.hamiltonian,
-            &self.exec,
-            &options.engine(),
-            options.seed,
-            pool,
-        );
-        let cafqa_outcome = self.theta_outcome("CAFQA", &loss, &cafqa);
-        // nCAFQA.
-        let ncafqa = run_ncafqa(
-            &self.hamiltonian,
-            &self.exec,
-            &options.engine(),
-            EvaluatorKind::Exact,
-            options.seed + 1,
-            pool,
-        );
-        let ncafqa_outcome = self.theta_outcome("nCAFQA", &loss, &ncafqa);
-        // Clapton.
-        let clapton = self.run_clapton_only(options, pool);
-        let clapton_outcome = MethodOutcome {
-            method: "Clapton",
-            initial: EnergyTriple {
-                noiseless: clapton.loss_0,
-                clifford_model: clapton.loss_n,
-                device: self.device_energy(&clapton.transformation.transformed, &zeros, None),
-            },
-            theta0: zeros,
-            vqe_hamiltonian: clapton.transformation.transformed.clone(),
-        };
-        vec![cafqa_outcome, ncafqa_outcome, clapton_outcome]
-    }
-
-    /// Builds the outcome record for a θ-space method (CAFQA/nCAFQA).
-    fn theta_outcome(
-        &self,
-        method: &'static str,
-        loss: &LossFunction<'_>,
-        result: &CafqaResult,
-    ) -> MethodOutcome {
-        let circuit = self.exec.circuit(&result.theta);
-        MethodOutcome {
-            method,
-            initial: EnergyTriple {
-                noiseless: result.energy_noiseless,
-                clifford_model: loss.loss_n_for_circuit(&circuit, &self.hamiltonian),
-                device: self.device_energy(&self.hamiltonian, &result.theta, None),
-            },
-            theta0: result.theta.clone(),
-            vqe_hamiltonian: self.hamiltonian.clone(),
-        }
-    }
-
-    /// Runs Clapton only on `pool`: the sweep figures' search and
-    /// [`Instance::run_methods`]'s Clapton leg.
-    pub fn run_clapton_only(&self, options: &Options, pool: &Arc<WorkerPool>) -> ClaptonResult {
-        run_clapton(
-            &self.hamiltonian,
-            &self.exec,
-            &ClaptonConfig {
-                engine: options.engine(),
-                evaluator: EvaluatorKind::Exact,
-                seed: options.seed + 2,
-                two_qubit_slots: true,
-            },
-            pool,
-        )
-    }
-}
-
-/// Shared sweep driver for Figures 7 and 8: for every `(benchmark, T1,
-/// sweep point)` builds the 27-qubit uniform noise model via `model_for`,
-/// transpiles the ten-qubit ansatz onto the `toronto` topology (§5.2.3),
-/// runs nCAFQA and Clapton on `pool`, and prints η(initial) under the full
-/// device model.
-pub fn run_sweep<F>(
+/// Shared sweep driver for Figures 7 and 8 (Ising, H2O, LiH and H6 by
+/// effort level). For every `(benchmark, T1, sweep point p)` it builds one
+/// spec on the `toronto` topology (§5.2.3)
+/// with uniform noise `rates(p) = (p1, p2, readout)` plus the T1, running
+/// nCAFQA and Clapton. All of them run in one batch; each prints η(initial)
+/// under the full device model.
+pub fn run_sweep(
     options: &Options,
-    pool: &Arc<WorkerPool>,
-    benchmarks: &[(&str, &PauliSum)],
-    t1s: &[f64],
+    service: &ClaptonService,
     sweep: &[f64],
-    model_for: F,
-) where
-    F: Fn(f64, f64) -> NoiseModel,
-{
-    let backend = FakeBackend::toronto();
+    rates: impl Fn(f64) -> (f64, f64, f64),
+) {
+    let t1s: &[f64] = match options.effort {
+        0 => &[150e-6],
+        1 => &[50e-6, 250e-6],
+        _ => &[50e-6, 150e-6, 250e-6],
+    };
+    let benchmarks: &[&str] = match options.effort {
+        0 => &["ising(J=1.00)"],
+        1 => &["ising(J=1.00)", "H2O(l=1.0)", "LiH(l=4.5)"],
+        _ => &["ising(J=1.00)", "H2O(l=1.0)", "LiH(l=4.5)", "H6(l=1.0)"],
+    };
+    let mut points = Vec::new();
+    let mut specs = Vec::new();
+    for &name in benchmarks {
+        for &t1 in t1s {
+            for &p in sweep {
+                let (p1, p2, readout) = rates(p);
+                let mut spec = options.spec(name, 10);
+                spec.backend = BackendSpec::Named(NamedBackend {
+                    name: "toronto".to_string(),
+                });
+                spec.noise = NoiseSpec::Uniform(UniformNoise {
+                    p1,
+                    p2,
+                    readout,
+                    t1: Some(t1),
+                });
+                spec.methods = vec![MethodSpec::Ncafqa, MethodSpec::Clapton];
+                points.push((name, t1, p));
+                specs.push(spec);
+            }
+        }
+    }
     println!(
         "{:<14} {:>10} {:>10} {:>12} {:>12} {:>8}",
         "benchmark", "p", "T1[us]", "E_nCAFQA(x)", "E_Clapton(x)", "eta"
     );
-    for &(name, h) in benchmarks {
-        for &t1 in t1s {
-            for &p in sweep {
-                let model = model_for(p, t1);
-                let exec =
-                    ExecutableAnsatz::on_device(h.num_qubits(), backend.coupling_map(), &model)
-                        .expect("toronto hosts ten qubits");
-                let instance = Instance {
-                    name: name.to_string(),
-                    hamiltonian: h.clone(),
-                    e0: ground_energy(h),
-                    e_mixed: h.identity_coefficient(),
-                    exec,
-                };
-                let zeros = vec![0.0; instance.exec.ansatz().num_parameters()];
-                let ncafqa = run_ncafqa(
-                    h,
-                    &instance.exec,
-                    &options.engine(),
-                    EvaluatorKind::Exact,
-                    options.seed + 1,
-                    pool,
-                );
-                let clapton = instance.run_clapton_only(options, pool);
-                let e_ncafqa = instance.device_energy(h, &ncafqa.theta, None);
-                let e_clapton =
-                    instance.device_energy(&clapton.transformation.transformed, &zeros, None);
-                let eta = relative_improvement(instance.e0, e_ncafqa, e_clapton);
-                println!(
-                    "{:<14} {:>10.2e} {:>10.0} {:>12.5} {:>12.5} {:>8.3}",
-                    name,
-                    p,
-                    t1 * 1e6,
-                    e_ncafqa,
-                    e_clapton,
-                    eta
-                );
-            }
-        }
+    for ((name, t1, p), report) in points.into_iter().zip(reports(service, specs)) {
+        println!(
+            "{:<14} {:>10.2e} {:>10.0} {:>12.5} {:>12.5} {:>8.3}",
+            name,
+            p,
+            t1 * 1e6,
+            report.ncafqa_initial_energy.expect("nCAFQA ran"),
+            report.clapton_initial_energy.expect("Clapton ran"),
+            report.eta_initial.expect("nCAFQA is the baseline")
+        );
     }
 }
 
@@ -431,7 +309,8 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clapton_models::ising;
+    use clapton_runtime::WorkerPool;
+    use std::sync::Arc;
 
     #[test]
     fn quadratic_fit_recovers_coefficients() {
@@ -453,28 +332,41 @@ mod tests {
     }
 
     #[test]
-    fn instance_preparation_and_methods_smoke() {
-        let backend = FakeBackend::nairobi();
-        let options = Options { effort: 0, seed: 1 };
-        let h = ising(4, 0.25);
-        let inst = Instance::prepare("ising4", &h, &backend);
-        assert!(inst.e0 < inst.e_mixed);
-        let outcomes = inst.run_methods(&options, &Arc::new(WorkerPool::with_workers(0)));
-        assert_eq!(outcomes.len(), 3);
-        for o in &outcomes {
-            // Noiseless value lower-bounds the noisy evaluations... not in
-            // general, but all must be finite and above E0 - ε.
-            assert!(o.initial.device.is_finite());
-            assert!(o.initial.noiseless >= inst.e0 - 1e-6, "{}", o.method);
+    fn figure_job_smoke() {
+        let mut spec = Options { effort: 0, seed: 1 }.spec("ising(J=0.25)", 4);
+        spec.backend = BackendSpec::Named(NamedBackend {
+            name: "nairobi".to_string(),
+        });
+        spec.noise = NoiseSpec::Backend;
+        spec.methods = vec![MethodSpec::Cafqa, MethodSpec::Ncafqa, MethodSpec::Clapton];
+        let service = ClaptonService::with_pool(Arc::new(WorkerPool::with_workers(0)));
+        let report = &reports(&service, vec![spec])[0];
+        let (cafqa, ncafqa, clapton) = (
+            report.cafqa.as_ref().expect("CAFQA ran"),
+            report.ncafqa.as_ref().expect("nCAFQA ran"),
+            report.clapton.as_ref().expect("Clapton ran"),
+        );
+        let device = [
+            report.cafqa_initial_energy,
+            report.ncafqa_initial_energy,
+            report.clapton_initial_energy,
+        ]
+        .map(|e| e.expect("every method has a device energy"));
+        assert!(device.iter().all(|e| e.is_finite()), "{device:?}");
+        // Noiseless values respect the variational bound.
+        for (method, noiseless) in [
+            ("CAFQA", cafqa.energy_noiseless),
+            ("nCAFQA", ncafqa.energy_noiseless),
+            ("Clapton", clapton.loss_0),
+        ] {
+            assert!(noiseless >= report.e0 - 1e-6, "{method}: {noiseless}");
         }
-        // Clapton's device energy should beat CAFQA's on this noisy backend.
-        let cafqa = &outcomes[0];
-        let clapton = &outcomes[2];
+        // Clapton's device energy beats CAFQA's on this noisy backend.
         assert!(
-            clapton.initial.device <= cafqa.initial.device + 1e-9,
+            device[2] <= device[0] + 1e-9,
             "clapton {} vs cafqa {}",
-            clapton.initial.device,
-            cafqa.initial.device
+            device[2],
+            device[0]
         );
     }
 }

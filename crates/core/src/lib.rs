@@ -22,7 +22,8 @@
 //! \[38\]) and [`run_ncafqa`] (the paper's noise-aware CAFQA, §5.2), both
 //! through [`CafqaLoss`] on the same engine and pool.
 //! Metrics: [`relative_improvement`] (η, Eq. 14), [`geometric_mean`],
-//! [`normalized_energy`].
+//! [`normalized_energy`]; [`device_energy`] scores a point on the full
+//! device model.
 
 mod baselines;
 mod clapton;
@@ -42,8 +43,8 @@ pub use clapton_runtime::{PooledEvaluator, WorkerPool};
 pub use evaluator::{CafqaLoss, TransformLoss};
 pub use exec::ExecutableAnsatz;
 pub use loss::{
-    DenseBackend, EnergyBackend, EvaluatorKind, ExactBackend, LossFunction, PreparedEnergy,
-    SampledBackend,
+    device_energy, DenseBackend, EnergyBackend, EvaluatorKind, ExactBackend, LossFunction,
+    PreparedEnergy, SampledBackend,
 };
 pub use metrics::{geometric_mean, normalized_energy, relative_improvement};
 pub use transform::{transform_hamiltonian, transform_hamiltonian_into, Transformation};

@@ -408,6 +408,14 @@ impl<'a> LossFunction<'a> {
     }
 }
 
+/// The device-model energy of `A'(θ)` with respect to a logical Hamiltonian:
+/// the full density-matrix simulation under the executable's noise model
+/// (the × evaluation of Figures 2 and 5–8). Every reported initial energy
+/// is computed here.
+pub fn device_energy(exec: &ExecutableAnsatz, h: &PauliSum, theta: &[f64]) -> f64 {
+    DeviceEvaluator::run(&exec.circuit(theta), exec.noise_model()).energy(&exec.map_hamiltonian(h))
+}
+
 /// A cheap deterministic content hash of circuit + Hamiltonian coefficients
 /// for per-candidate sampler seeding.
 fn content_hash(circuit: &Circuit, h: &PauliSum) -> u64 {

@@ -3,16 +3,15 @@
 
 use crate::{JobSpec, MethodSpec, Report, ResolvedJob};
 use clapton_cache::{CacheConfig, CacheStore};
-use clapton_core::{run_cafqa, run_clapton_resumable, run_ncafqa, LossStore};
+use clapton_core::{device_energy, run_cafqa, run_clapton_resumable, run_ncafqa, LossStore};
 use clapton_error::{ClaptonError, SpecError};
 use clapton_ga::EngineState;
-use clapton_pauli::PauliSum;
 use clapton_runtime::{
     artifact_slug, Artifact, CancelToken, ClaimOutcome, EventKind, Interrupt, JobContext,
     JobScheduler, LeaseKeeper, RunDirectory, RunEvent, RunManifest, RunRegistry, ScheduledJob,
     WorkerPool,
 };
-use clapton_sim::{ground_energy, DeviceEvaluator};
+use clapton_sim::ground_energy;
 use clapton_vqe::{run_vqe, VqeConfig};
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -946,16 +945,12 @@ fn execute_inner(
     } else {
         None
     };
-    let device_energy = |h: &PauliSum, theta: &[f64]| {
-        DeviceEvaluator::run(&exec.circuit(theta), exec.noise_model())
-            .energy(&exec.map_hamiltonian(h))
-    };
     let zeros = vec![0.0; exec.ansatz().num_parameters()];
-    let cafqa_initial_energy = cafqa.as_ref().map(|c| device_energy(h, &c.theta));
-    let ncafqa_initial_energy = ncafqa.as_ref().map(|c| device_energy(h, &c.theta));
+    let cafqa_initial_energy = cafqa.as_ref().map(|c| device_energy(exec, h, &c.theta));
+    let ncafqa_initial_energy = ncafqa.as_ref().map(|c| device_energy(exec, h, &c.theta));
     let clapton_initial_energy = clapton
         .as_ref()
-        .map(|c| device_energy(&c.transformation.transformed, &zeros));
+        .map(|c| device_energy(exec, &c.transformation.transformed, &zeros));
     let baseline = cafqa_initial_energy.or(ncafqa_initial_energy);
     let eta_initial = match (baseline, clapton_initial_energy) {
         (Some(base), Some(init)) => Some(clapton_core::relative_improvement(e0, base, init)),

@@ -74,27 +74,6 @@ pub fn run_vqe(
     theta0: &[f64],
     config: &VqeConfig,
 ) -> VqeTrace {
-    run_vqe_with_backend(h_logical, exec, theta0, config, &DenseBackend)
-}
-
-/// [`run_vqe`] with an explicit [`EnergyBackend`]: the same trait objects
-/// that drive the Clapton loss plug in here, so the VQE objective can run on
-/// the exact Clifford model, the frame sampler, or (the default) the dense
-/// device simulation.
-///
-/// Note that away from Clifford angles only [`DenseBackend`] is exact; the
-/// stabilizer-based backends are meaningful for Clifford θ only.
-///
-/// # Panics
-///
-/// Panics if `theta0` has the wrong length for the ansatz.
-pub fn run_vqe_with_backend(
-    h_logical: &PauliSum,
-    exec: &ExecutableAnsatz,
-    theta0: &[f64],
-    config: &VqeConfig,
-    backend: &dyn EnergyBackend,
-) -> VqeTrace {
     assert_eq!(
         theta0.len(),
         exec.ansatz().num_parameters(),
@@ -103,7 +82,7 @@ pub fn run_vqe_with_backend(
     let mapped = exec.map_hamiltonian(h_logical);
     let objective = |theta: &[f64]| {
         let circuit = exec.circuit(theta);
-        backend.energy(&circuit, exec.noise_model(), &mapped)
+        DenseBackend.energy(&circuit, exec.noise_model(), &mapped)
     };
     let initial_energy = objective(theta0);
     let result = Spsa::new(config.spsa).minimize(&objective, theta0.to_vec());

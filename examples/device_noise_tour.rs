@@ -8,12 +8,13 @@
 //! ```
 
 use clapton::core::{
-    relative_improvement, run_cafqa, run_clapton, ClaptonConfig, ExecutableAnsatz, WorkerPool,
+    device_energy, relative_improvement, run_cafqa, run_clapton, ClaptonConfig, ExecutableAnsatz,
+    WorkerPool,
 };
 use clapton::devices::FakeBackend;
 use clapton::ga::MultiGaConfig;
 use clapton::models::ising;
-use clapton::sim::{ground_energy, DeviceEvaluator};
+use clapton::sim::ground_energy;
 use std::sync::Arc;
 
 fn main() {
@@ -30,22 +31,16 @@ fn main() {
         let exec = ExecutableAnsatz::on_device(n, backend.coupling_map(), &backend.noise_model())
             .expect("backend hosts the chain");
         let zeros = vec![0.0; exec.ansatz().num_parameters()];
-        let device_energy =
-            |h_eval: &clapton::pauli::PauliSum, theta: &[f64], exec_eval: &ExecutableAnsatz| {
-                let circuit = exec_eval.circuit(theta);
-                DeviceEvaluator::run(&circuit, exec_eval.noise_model())
-                    .energy(&exec_eval.map_hamiltonian(h_eval))
-            };
         let cafqa = run_cafqa(&h, &exec, &MultiGaConfig::quick(), 0, &pool);
-        let e_cafqa = device_energy(&h, &cafqa.theta, &exec);
+        let e_cafqa = device_energy(&exec, &h, &cafqa.theta);
         let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(1), &pool);
-        let e_clapton = device_energy(&clapton.transformation.transformed, &zeros, &exec);
+        let e_clapton = device_energy(&exec, &clapton.transformation.transformed, &zeros);
         // Evaluate the same transformation on the perturbed hardware variant
         // (the calibration/device discrepancy).
         let hw = backend.hardware_variant(99);
         let exec_hw = ExecutableAnsatz::on_device(n, hw.coupling_map(), &hw.noise_model())
             .expect("hardware variant hosts the chain");
-        let e_clapton_hw = device_energy(&clapton.transformation.transformed, &zeros, &exec_hw);
+        let e_clapton_hw = device_energy(&exec_hw, &clapton.transformation.transformed, &zeros);
         println!(
             "{:<10} {:>8} {:>12.5} {:>12.5} {:>8.2} {:>14.5}",
             backend.name(),

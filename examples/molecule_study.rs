@@ -7,13 +7,13 @@
 //! ```
 
 use clapton::core::{
-    relative_improvement, run_cafqa, run_clapton, run_ncafqa, ClaptonConfig, EvaluatorKind,
-    ExecutableAnsatz, WorkerPool,
+    device_energy, relative_improvement, run_cafqa, run_clapton, run_ncafqa, ClaptonConfig,
+    EvaluatorKind, ExecutableAnsatz, WorkerPool,
 };
 use clapton::devices::FakeBackend;
 use clapton::ga::MultiGaConfig;
 use clapton::models::{molecular, Molecule};
-use clapton::sim::{ground_energy, DeviceEvaluator};
+use clapton::sim::ground_energy;
 use std::sync::Arc;
 
 fn main() {
@@ -41,28 +41,24 @@ fn main() {
         )
         .expect("toronto hosts ten qubits");
         let engine = MultiGaConfig::quick();
-        let device_energy = |h_eval: &clapton::pauli::PauliSum, theta: &[f64]| {
-            let circuit = exec.circuit(theta);
-            DeviceEvaluator::run(&circuit, exec.noise_model()).energy(&exec.map_hamiltonian(h_eval))
-        };
         let zeros = vec![0.0; exec.ansatz().num_parameters()];
 
         let cafqa = run_cafqa(&h, &exec, &engine, 0, &pool);
-        let e_cafqa = device_energy(&h, &cafqa.theta);
+        let e_cafqa = device_energy(&exec, &h, &cafqa.theta);
         println!(
             "CAFQA   : noiseless {:+.5}, device {:+.5}",
             cafqa.energy_noiseless, e_cafqa
         );
 
         let ncafqa = run_ncafqa(&h, &exec, &engine, EvaluatorKind::Exact, 1, &pool);
-        let e_ncafqa = device_energy(&h, &ncafqa.theta);
+        let e_ncafqa = device_energy(&exec, &h, &ncafqa.theta);
         println!(
             "nCAFQA  : noiseless {:+.5}, device {:+.5}",
             ncafqa.energy_noiseless, e_ncafqa
         );
 
         let clapton = run_clapton(&h, &exec, &ClaptonConfig::quick(2), &pool);
-        let e_clapton = device_energy(&clapton.transformation.transformed, &zeros);
+        let e_clapton = device_energy(&exec, &clapton.transformation.transformed, &zeros);
         println!(
             "Clapton : noiseless {:+.5}, device {:+.5}",
             clapton.loss_0, e_clapton

@@ -1,7 +1,9 @@
 //! The paper's qualitative claims, checked on a seed-pinned quick run of the
 //! 7-qubit physics suite on the `nairobi` backend through the service front
 //! door, plus a committed reference (`tests/fixtures/paper_claims.json`) for
-//! the energies behind them.
+//! the energies behind them. The specs come from the figure binaries' spec
+//! helper, so the reference also pins the `nairobi` initial energies that
+//! `fig5 --quick --seed 1` prints.
 //!
 //! Per instance:
 //! * the transformed problem's `|0…0⟩` energy `L0` respects the variational
@@ -16,12 +18,12 @@
 //! searches shows up here.
 
 use clapton::core::{geometric_mean, relative_improvement};
-use clapton::models::benchmark_suite;
+use clapton::models::benchmark_names;
 use clapton::service::{
-    BackendSpec, ClaptonService, EngineSpec, JobSpec, MethodSpec, NamedBackend, NoiseSpec,
-    ProblemSpec, Report, SuiteProblem,
+    BackendSpec, ClaptonService, JobSpec, MethodSpec, NamedBackend, NoiseSpec, Report,
 };
 use clapton::sim::ground_energy;
+use clapton_bench::Options;
 use serde::{Deserialize, Serialize};
 
 const BACKEND: &str = "nairobi";
@@ -69,21 +71,22 @@ impl Row {
     }
 }
 
+/// The specs `fig5 --quick --seed 1` runs on `nairobi`, without its VQE
+/// stage: the fixture pins the initial energies that figure prints.
 fn suite_specs() -> Vec<JobSpec> {
-    benchmark_suite(QUBITS)
-        .into_iter()
-        .map(|bench| {
-            let mut spec = JobSpec::new(ProblemSpec::Suite(SuiteProblem {
-                name: bench.name,
-                qubits: QUBITS,
-            }));
+    let options = Options {
+        effort: 0,
+        seed: SEED,
+    };
+    benchmark_names(QUBITS)
+        .iter()
+        .map(|name| {
+            let mut spec = options.spec(name, QUBITS);
             spec.backend = BackendSpec::Named(NamedBackend {
                 name: BACKEND.to_string(),
             });
             spec.noise = NoiseSpec::Backend;
             spec.methods = vec![MethodSpec::Cafqa, MethodSpec::Ncafqa, MethodSpec::Clapton];
-            spec.engine = EngineSpec::Quick;
-            spec.seed = SEED;
             spec
         })
         .collect()

@@ -2,24 +2,19 @@
 //! flow on real benchmark instances and fake backends.
 
 use clapton::core::{
-    run_cafqa, run_clapton, run_ncafqa, ClaptonConfig, EvaluatorKind, ExecutableAnsatz,
-    LossFunction, WorkerPool,
+    device_energy, run_cafqa, run_clapton, run_ncafqa, ClaptonConfig, EvaluatorKind,
+    ExecutableAnsatz, LossFunction, WorkerPool,
 };
 use clapton::devices::FakeBackend;
 use clapton::ga::MultiGaConfig;
 use clapton::models::{benchmark_suite, ising, physics_suite, xxz};
-use clapton::sim::{ground_energy, DeviceEvaluator};
+use clapton::sim::ground_energy;
 use clapton::vqe::{run_vqe, VqeConfig};
 use std::sync::Arc;
 
 /// A 0-worker pool: every search runs inline on the test thread.
 fn inline() -> Arc<WorkerPool> {
     Arc::new(WorkerPool::with_workers(0))
-}
-
-fn device_energy(exec: &ExecutableAnsatz, h: &clapton::pauli::PauliSum, theta: &[f64]) -> f64 {
-    let circuit = exec.circuit(theta);
-    DeviceEvaluator::run(&circuit, exec.noise_model()).energy(&exec.map_hamiltonian(h))
 }
 
 #[test]
