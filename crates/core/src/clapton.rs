@@ -149,7 +149,7 @@ pub fn run_clapton(
 ///
 /// Panics on a register mismatch, or when `resume` does not belong to this
 /// exact search: the state's seed, instance count, and problem fingerprint
-/// (a hash of the Hamiltonian, the evaluator backend, the ablation switch,
+/// (a hash of the Hamiltonian, the evaluator kind, the ablation switch,
 /// and the engine settings, stamped into [`EngineState::tag`] at start) must
 /// all match — a memo cache built against a different objective would
 /// silently corrupt the search.
@@ -186,7 +186,7 @@ pub fn run_clapton_resumable(
             assert_eq!(
                 state.tag, tag,
                 "resume problem-fingerprint mismatch: the checkpoint belongs to a different \
-                 Hamiltonian, evaluator backend, or engine configuration"
+                 Hamiltonian, evaluator kind, or engine configuration"
             );
             state
         }
@@ -225,7 +225,7 @@ pub fn run_clapton_resumable(
 /// deterministic FNV-1a fingerprint of everything a genome's loss depends
 /// on — the Hamiltonian's terms, the noisy transpiled ansatz (via
 /// [`NoisyCircuit::fingerprint`], which covers layout, coupling, and the
-/// per-qubit noise model), the evaluator backend, and the ablation switch.
+/// per-qubit noise model), the evaluator kind, and the ablation switch.
 ///
 /// Deliberately excluded: the engine hyper-parameters and seed. The loss of
 /// a transformation is a property of the objective alone, so searches with
@@ -241,7 +241,7 @@ pub fn loss_namespace(h: &PauliSum, exec: &ExecutableAnsatz, config: &ClaptonCon
 }
 
 /// A deterministic FNV-1a fingerprint of everything that shapes the search
-/// besides the seed: the Hamiltonian's terms, the evaluator backend, the
+/// besides the seed: the Hamiltonian's terms, the evaluator kind, the
 /// ablation switch, and the engine hyper-parameters. Stamped into
 /// [`EngineState::tag`] so checkpoints refuse to resume a different search.
 fn problem_fingerprint(h: &PauliSum, config: &ClaptonConfig) -> u64 {
@@ -275,7 +275,7 @@ fn hash_problem(h: &PauliSum) -> Fnv1a {
     hash
 }
 
-/// The objective settings both fingerprints share: the evaluator backend
+/// The objective settings both fingerprints share: the evaluator kind
 /// and the ablation switch.
 fn hash_objective_settings(hash: &mut Fnv1a, config: &ClaptonConfig) {
     match config.evaluator {
@@ -283,7 +283,6 @@ fn hash_objective_settings(hash: &mut Fnv1a, config: &ClaptonConfig) {
         EvaluatorKind::Sampled { shots, seed } => {
             hash.write_u64(2).write_u64(shots as u64).write_u64(seed)
         }
-        EvaluatorKind::Dense => hash.write_u64(3),
     };
     hash.write_u64(u64::from(config.two_qubit_slots));
 }

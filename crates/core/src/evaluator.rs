@@ -2,16 +2,16 @@
 //!
 //! [`TransformLoss`] is Clapton's objective `L(γ) = LN(γ) + L0(γ)` packaged
 //! as a [`LossEvaluator`]: it owns the problem Hamiltonian, the
-//! transformation ansatz, the gene mask, and the loss (with its pluggable
-//! [`EnergyBackend`](crate::EnergyBackend)). [`CafqaLoss`] is the θ-space
-//! analogue for the CAFQA / nCAFQA baselines.
+//! transformation ansatz, the gene mask, and the loss (with its
+//! [`EvaluatorKind`]). [`CafqaLoss`] is the θ-space analogue for the
+//! CAFQA / nCAFQA baselines.
 //!
 //! Both are pure and `Sync`, so the engine's pooled batch path and
 //! genome → loss cache apply transparently.
 
 use crate::{
     transform_hamiltonian, transform_hamiltonian_into, EvaluatorKind, ExecutableAnsatz,
-    LossFunction,
+    LossFunction, PreparedEnergy,
 };
 use clapton_circuits::TransformationAnsatz;
 use clapton_eval::LossEvaluator;
@@ -127,30 +127,22 @@ impl LossEvaluator for TransformLoss<'_> {
         self.loss.total(&self.transformed(gamma))
     }
 
-    /// The population-batch fast path: the backend is prepared once per
-    /// loss object for the fixed `θ = 0` circuit (noise attachment and, for
-    /// the sampled backend, the per-term prep cache hoisted out of the
-    /// per-genome loop and shared across batches/rounds/pooled chunks),
-    /// then every genome pays only its own transformation and energy — with
-    /// one transformed-Hamiltonian scratch buffer reused across the whole
-    /// batch, so the per-genome transform allocates no term strings.
-    /// Bit-identical to genome-at-a-time [`LossEvaluator::evaluate`] — the
-    /// losses are the same arithmetic, minus the reconstruction overhead.
+    /// The population-batch fast path: every genome shares the loss
+    /// object's one prepared `θ = 0` evaluator and pays only its own
+    /// transformation and energy — with one transformed-Hamiltonian scratch
+    /// buffer reused across the whole batch, so the per-genome transform
+    /// allocates no term strings. Bit-identical to genome-at-a-time
+    /// [`LossEvaluator::evaluate`].
     fn evaluate_population(&self, genomes: &[Vec<u8>]) -> Vec<f64> {
-        match self.loss.prepared_zero() {
-            Some(prepared) => {
-                let mut transformed = PauliSum::new(self.h.num_qubits());
-                genomes
-                    .iter()
-                    .map(|gamma| {
-                        self.transformed_into(gamma, &mut transformed);
-                        self.loss.loss_n_prepared(prepared, &transformed)
-                            + self.loss.loss_0(&transformed)
-                    })
-                    .collect()
-            }
-            None => genomes.iter().map(|gamma| self.evaluate(gamma)).collect(),
-        }
+        let prepared = self.loss.zero();
+        let mut transformed = PauliSum::new(self.h.num_qubits());
+        genomes
+            .iter()
+            .map(|gamma| {
+                self.transformed_into(gamma, &mut transformed);
+                self.loss.loss_n_prepared(prepared, &transformed) + self.loss.loss_0(&transformed)
+            })
+            .collect()
     }
 
     /// Frozen slot genes do not affect the loss, so the masked genome is the
@@ -164,10 +156,12 @@ impl LossEvaluator for TransformLoss<'_> {
 /// The CAFQA / nCAFQA search objective over quarter-turn indices of θ.
 ///
 /// CAFQA minimizes the noiseless Clifford energy; noise-aware CAFQA adds the
-/// `LN` term computed by the configured backend (§5.2).
+/// `LN` term of the configured [`EvaluatorKind`] (§5.2). Each point lowers
+/// its circuit once for both terms.
 #[derive(Debug, Clone)]
 pub struct CafqaLoss<'a> {
-    h: &'a PauliSum,
+    /// `H` on the executable's compact register (θ-independent).
+    mapped: PauliSum,
     exec: &'a ExecutableAnsatz,
     loss: LossFunction<'a>,
     noise_aware: bool,
@@ -204,7 +198,7 @@ impl<'a> CafqaLoss<'a> {
     ) -> CafqaLoss<'a> {
         assert_eq!(h.num_qubits(), exec.num_logical(), "register mismatch");
         CafqaLoss {
-            h,
+            mapped: exec.map_hamiltonian(h),
             exec,
             loss: LossFunction::new(exec, evaluator),
             noise_aware,
@@ -216,21 +210,24 @@ impl<'a> CafqaLoss<'a> {
         &self.loss
     }
 
+    /// The ansatz circuit at quarter-turn indices, prepared.
+    fn prepare(&self, indices: &[u8]) -> PreparedEnergy {
+        let theta = self.exec.ansatz().angles_from_indices(indices);
+        self.loss.prepare(&self.exec.circuit(&theta))
+    }
+
     /// The noiseless energy of the ansatz at quarter-turn indices.
     pub fn noiseless_energy(&self, indices: &[u8]) -> f64 {
-        let theta = self.exec.ansatz().angles_from_indices(indices);
-        let circuit = self.exec.circuit(&theta);
-        self.loss.noiseless_for_circuit(&circuit, self.h)
+        self.prepare(indices).noiseless_energy(&self.mapped)
     }
 }
 
 impl LossEvaluator for CafqaLoss<'_> {
     fn evaluate(&self, indices: &[u8]) -> f64 {
-        let theta = self.exec.ansatz().angles_from_indices(indices);
-        let circuit = self.exec.circuit(&theta);
-        let noiseless = self.loss.noiseless_for_circuit(&circuit, self.h);
+        let prepared = self.prepare(indices);
+        let noiseless = prepared.noiseless_energy(&self.mapped);
         if self.noise_aware {
-            self.loss.loss_n_for_circuit(&circuit, self.h) + noiseless
+            prepared.energy(&self.mapped) + noiseless
         } else {
             noiseless
         }
@@ -276,27 +273,27 @@ mod tests {
 
     #[test]
     fn sampled_population_batch_is_bit_identical_through_every_path() {
-        // The sampled backend's prepared batch path (noisy circuit + term
-        // cache hoisted) and the pool-backed wrapper must replay the
-        // genome-at-a-time losses exactly: per-candidate seeding is content
+        // The sampled batch path (one prepared circuit and term cache per
+        // loss object) and the pool-backed wrapper must replay losses
+        // scored on a cold cache exactly: per-candidate seeding is content
         // hashed and term-prep cache hits consume no randomness.
         let h = ising(3, 0.5);
         let model = NoiseModel::uniform(3, 1e-3, 1e-2, 2e-2);
         let exec = ExecutableAnsatz::untranspiled(3, &model);
         let ansatz = TransformationAnsatz::new(3);
-        let loss = TransformLoss::new(
-            &h,
-            &exec,
-            &ansatz,
-            EvaluatorKind::Sampled {
-                shots: 96,
-                seed: 11,
-            },
-        );
+        let kind = EvaluatorKind::Sampled {
+            shots: 96,
+            seed: 11,
+        };
+        let loss = TransformLoss::new(&h, &exec, &ansatz, kind);
         let genomes = random_genomes(16, ansatz.num_genes(), 5);
-        let sequential: Vec<f64> = genomes.iter().map(|g| loss.evaluate(g)).collect();
+        // Each genome on a fresh loss object, so on a cold term cache.
+        let sequential: Vec<f64> = genomes
+            .iter()
+            .map(|g| TransformLoss::new(&h, &exec, &ansatz, kind).evaluate(g))
+            .collect();
         assert_eq!(loss.evaluate_population(&genomes), sequential);
-        // A second batch shares the loss object's one prepared backend —
+        // A second batch shares the loss object's one prepared evaluator —
         // its term cache is warm now — and still replays exactly.
         assert_eq!(loss.evaluate_population(&genomes), sequential);
         let pool = Arc::new(WorkerPool::with_workers(2));

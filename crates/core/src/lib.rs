@@ -8,10 +8,10 @@
 //!    circuit `A'`.
 //! 2. [`transform_hamiltonian`] applies `Ĥ = C†(γ) H C(γ)` by anticonjugating
 //!    every Pauli term through the transformation ansatz (Eq. 6).
-//! 3. [`LossFunction`] evaluates `L(γ) = LN(γ) + L0(γ)` (Eq. 9–10) through a
-//!    pluggable [`EnergyBackend`]: exact Clifford back-propagation
-//!    ([`ExactBackend`]), the stim-style frame sampler ([`SampledBackend`]),
-//!    or dense density-matrix simulation ([`DenseBackend`]).
+//! 3. [`LossFunction`] evaluates `L(γ) = LN(γ) + L0(γ)` (Eq. 9–10) on the
+//!    Clifford + Pauli-channel noise model: [`EvaluatorKind::prepare`] lowers
+//!    a circuit once into a [`PreparedEnergy`] that scores Hamiltonians by
+//!    exact Clifford back-propagation or the stim-style frame sampler.
 //! 4. [`TransformLoss`] packages the objective as a batched
 //!    [`LossEvaluator`] which [`run_clapton`]
 //!    hands to the multi-GA engine of Figure 4 — memoized, with instances
@@ -23,7 +23,8 @@
 //! through [`CafqaLoss`] on the same engine and pool.
 //! Metrics: [`relative_improvement`] (η, Eq. 14), [`geometric_mean`],
 //! [`normalized_energy`]; [`device_energy`] scores a point on the full
-//! device model.
+//! device model (dense density-matrix simulation), the one dense energy of
+//! the stack.
 
 mod baselines;
 mod clapton;
@@ -42,9 +43,6 @@ pub use clapton_ga::EngineState;
 pub use clapton_runtime::{PooledEvaluator, WorkerPool};
 pub use evaluator::{CafqaLoss, TransformLoss};
 pub use exec::ExecutableAnsatz;
-pub use loss::{
-    device_energy, DenseBackend, EnergyBackend, EvaluatorKind, ExactBackend, LossFunction,
-    PreparedEnergy, SampledBackend,
-};
+pub use loss::{device_energy, EvaluatorKind, LossFunction, PreparedEnergy};
 pub use metrics::{geometric_mean, normalized_energy, relative_improvement};
 pub use transform::{transform_hamiltonian, transform_hamiltonian_into, Transformation};

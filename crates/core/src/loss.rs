@@ -1,5 +1,5 @@
-//! The Clapton loss `L(γ) = LN(γ) + L0(γ)` (§4.1) and its pluggable
-//! noisy-energy backends.
+//! The Clapton loss `L(γ) = LN(γ) + L0(γ)` (§4.1) and its noisy-energy
+//! evaluator.
 
 use crate::ExecutableAnsatz;
 use clapton_circuits::Circuit;
@@ -9,234 +9,94 @@ use clapton_sim::DeviceEvaluator;
 use clapton_telemetry::Fnv1a;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// A noisy-energy backend specialized to one fixed circuit.
-///
-/// Produced by [`EnergyBackend::prepare`]: the circuit-dependent setup
-/// (noise attachment, Clifford conversion, dense simulation of the state)
-/// is paid once, after which [`PreparedEnergy::energy`] scores arbitrary
-/// Hamiltonians against the same circuit. Results are bit-identical to the
-/// unprepared [`EnergyBackend::energy`] — preparation hoists construction,
-/// never changes arithmetic.
-///
-/// This is the batch fast path of the Clapton hot loop: the GA evaluates
-/// thousands of transformed Hamiltonians against the *same* `θ = 0` circuit,
-/// so rebuilding the noisy circuit per genome is pure overhead.
-pub trait PreparedEnergy: fmt::Debug + Send + Sync {
-    /// The noisy energy of `h` (already on the circuit's register) for the
-    /// prepared circuit.
-    fn energy(&self, h: &PauliSum) -> f64;
-}
-
-/// A noisy-energy backend: computes `⟨H⟩` of a Clifford circuit under a
-/// noise model.
-///
-/// Backends are trait objects so exact stabilizer back-propagation,
-/// stim-style frame sampling, and dense density-matrix simulation plug into
-/// [`LossFunction`] (and everything above it — `TransformLoss`, the GA
-/// engine, the pipeline) uniformly. Implementations must be pure: the energy
-/// may be computed on any thread and memoized.
-pub trait EnergyBackend: fmt::Debug + Send + Sync {
-    /// The noisy energy `Σ_i c_i ⟨P_i⟩_noisy` of `h` for `circuit` under
-    /// `model`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `circuit` is not Clifford (all backends here exploit
-    /// stabilizer structure; the dense backend accepts any circuit but is
-    /// only ever handed Clifford ones by the losses).
-    fn energy(&self, circuit: &Circuit, model: &NoiseModel, h: &PauliSum) -> f64;
-
-    /// Specializes the backend to a fixed circuit for repeated energy
-    /// evaluations of different Hamiltonians.
-    ///
-    /// `None` (the default) means the backend has no circuit-invariant work
-    /// worth hoisting; callers fall back to [`EnergyBackend::energy`]. When
-    /// `Some`, the prepared evaluator must return bit-identical energies.
-    fn prepare(&self, circuit: &Circuit, model: &NoiseModel) -> Option<Box<dyn PreparedEnergy>> {
-        let _ = (circuit, model);
-        None
-    }
-
-    /// The noiseless energy of the same circuit (all damping dropped).
-    fn noiseless_energy(&self, circuit: &Circuit, model: &NoiseModel, h: &PauliSum) -> f64 {
-        let noisy = NoisyCircuit::from_circuit(circuit, model)
-            .expect("energy backends require Clifford circuits");
-        ExactEvaluator::new(&noisy).noiseless_energy(h)
-    }
-
-    /// A short human-readable backend name (diagnostics).
-    fn name(&self) -> &'static str;
-}
-
-/// Closed-form Clifford-noise expectation via Heisenberg back-propagation —
-/// deterministic, zero sampling error (DESIGN.md substitution 4).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactBackend;
-
-impl EnergyBackend for ExactBackend {
-    fn energy(&self, circuit: &Circuit, model: &NoiseModel, h: &PauliSum) -> f64 {
-        let noisy = NoisyCircuit::from_circuit(circuit, model)
-            .expect("exact backend requires a Clifford circuit");
-        ExactEvaluator::new(&noisy).energy(h)
-    }
-
-    fn prepare(&self, circuit: &Circuit, model: &NoiseModel) -> Option<Box<dyn PreparedEnergy>> {
-        let noisy = NoisyCircuit::from_circuit(circuit, model)
-            .expect("exact backend requires a Clifford circuit");
-        Some(Box::new(PreparedExact { noisy }))
-    }
-
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-}
-
-/// [`ExactBackend`] with the noisy circuit attached once.
-///
-/// Energies route through the bit-parallel batched back-propagation
-/// (`ExactEvaluator::energy`: 64 Hamiltonian terms per circuit walk); the
-/// prepared circuit also memoizes the reversed-and-inverted op list the
-/// walks share, so every genome of every batch reuses one back-propagation
-/// program.
-#[derive(Debug)]
-struct PreparedExact {
-    noisy: NoisyCircuit,
-}
-
-impl PreparedEnergy for PreparedExact {
-    fn energy(&self, h: &PauliSum) -> f64 {
-        ExactEvaluator::new(&self.noisy).energy(h)
-    }
-}
-
-/// stim-style Pauli-frame Monte Carlo with a fixed shot budget — the paper's
-/// original estimator. The RNG is re-seeded per evaluation from `seed` and
-/// the candidate's content hash, so the loss stays deterministic (and
-/// thread-safe) inside the GA.
-#[derive(Debug, Clone, Copy)]
-pub struct SampledBackend {
-    /// Shots per Pauli term.
-    pub shots: usize,
-    /// Base RNG seed.
-    pub seed: u64,
-}
-
-impl EnergyBackend for SampledBackend {
-    fn energy(&self, circuit: &Circuit, model: &NoiseModel, h: &PauliSum) -> f64 {
-        let noisy = NoisyCircuit::from_circuit(circuit, model)
-            .expect("frame sampler requires a Clifford circuit");
-        let mut rng = StdRng::seed_from_u64(self.seed ^ content_hash(circuit, h));
-        FrameSampler::new(&noisy).energy(h, self.shots, &mut rng)
-    }
-
-    fn prepare(&self, circuit: &Circuit, model: &NoiseModel) -> Option<Box<dyn PreparedEnergy>> {
-        let noisy = NoisyCircuit::from_circuit(circuit, model)
-            .expect("frame sampler requires a Clifford circuit");
-        Some(Box::new(PreparedSampled {
-            noisy,
-            terms: TermCache::new(),
-            circuit_hash: circuit_hash(circuit),
-            shots: self.shots,
-            seed: self.seed,
-        }))
-    }
-
-    fn name(&self) -> &'static str {
-        "sampled"
-    }
-}
-
-/// [`SampledBackend`] with the noisy circuit and the circuit half of the
-/// per-candidate seed hash computed once, plus a [`TermCache`] so each
-/// distinct Pauli term's preparation (noiseless back-propagation +
-/// basis-prep ops) is derived once across the whole population batch.
-/// Cache hits consume no randomness and the final per-Hamiltonian seed is
-/// identical to the unprepared path, so sampled losses replay exactly.
-#[derive(Debug)]
-struct PreparedSampled {
-    noisy: NoisyCircuit,
-    terms: TermCache,
-    circuit_hash: Fnv1a,
-    shots: usize,
-    seed: u64,
-}
-
-impl PreparedEnergy for PreparedSampled {
-    fn energy(&self, h: &PauliSum) -> f64 {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ hamiltonian_hash(self.circuit_hash, h));
-        FrameSampler::new(&self.noisy).energy_cached(h, self.shots, &mut rng, &self.terms)
-    }
-}
-
-/// Full density-matrix simulation ([`DeviceEvaluator`]) — the Qiskit-style
-/// device environment. Exponential in register width; intended for small
-/// problems and cross-validation of the scalable backends.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DenseBackend;
-
-impl EnergyBackend for DenseBackend {
-    fn energy(&self, circuit: &Circuit, model: &NoiseModel, h: &PauliSum) -> f64 {
-        DeviceEvaluator::run(circuit, model).energy(h)
-    }
-
-    fn prepare(&self, circuit: &Circuit, model: &NoiseModel) -> Option<Box<dyn PreparedEnergy>> {
-        // The density-matrix evolution depends only on the circuit; measuring
-        // a Hamiltonian against the evolved state is the cheap part.
-        Some(Box::new(DeviceEvaluator::run(circuit, model)))
-    }
-
-    fn name(&self) -> &'static str {
-        "dense"
-    }
-}
-
-impl PreparedEnergy for DeviceEvaluator {
-    fn energy(&self, h: &PauliSum) -> f64 {
-        DeviceEvaluator::energy(self, h)
-    }
-}
-
-/// How the noisy loss term `LN` is evaluated — a serializable configuration
-/// tag resolving to an [`EnergyBackend`] trait object via
-/// [`EvaluatorKind::backend`].
+/// How the noisy loss term `LN` is evaluated on Clapton's classically
+/// simulable noise model: Clifford circuits with Pauli channels (§4.1).
+/// Reported energies use the full device model instead ([`device_energy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvaluatorKind {
-    /// Closed-form Clifford-noise expectation ([`ExactBackend`]).
+    /// Closed-form Clifford-noise expectation via Heisenberg
+    /// back-propagation — deterministic, zero sampling error (DESIGN.md
+    /// substitution 4).
     Exact,
-    /// stim-style Pauli-frame Monte Carlo ([`SampledBackend`]).
+    /// stim-style Pauli-frame Monte Carlo with a fixed shot budget — the
+    /// paper's original estimator. The RNG is re-seeded per Hamiltonian from
+    /// `seed` and a content hash of circuit + Hamiltonian, so the loss stays
+    /// deterministic (and thread-safe) inside the GA.
     Sampled {
         /// Shots per Pauli term.
         shots: usize,
         /// Base RNG seed.
         seed: u64,
     },
-    /// Dense density-matrix simulation ([`DenseBackend`]).
-    Dense,
 }
 
 impl EvaluatorKind {
-    /// Resolves the configuration tag to a backend object.
-    pub fn backend(&self) -> Arc<dyn EnergyBackend> {
-        match *self {
-            EvaluatorKind::Exact => Arc::new(ExactBackend),
-            EvaluatorKind::Sampled { shots, seed } => Arc::new(SampledBackend { shots, seed }),
-            EvaluatorKind::Dense => Arc::new(DenseBackend),
+    /// Lowers `circuit` under `model` once, for energies of any number of
+    /// Hamiltonians against it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `circuit` is not Clifford.
+    pub fn prepare(self, circuit: &Circuit, model: &NoiseModel) -> PreparedEnergy {
+        PreparedEnergy {
+            noisy: NoisyCircuit::from_circuit(circuit, model)
+                .expect("LN evaluators require a Clifford circuit"),
+            kind: self,
+            terms: TermCache::new(),
+            circuit_hash: circuit_hash(circuit),
         }
     }
 }
 
+/// The `LN` evaluator specialized to one fixed Clifford circuit, built by
+/// [`EvaluatorKind::prepare`].
+///
+/// This is the batch fast path of the Clapton hot loop: the GA scores
+/// thousands of transformed Hamiltonians against the *same* `θ = 0`
+/// circuit, so the circuit is lowered to a [`NoisyCircuit`] once. Exact
+/// energies run the bit-parallel batched back-propagation (64 Hamiltonian
+/// terms per circuit walk). Sampled energies keep the circuit half of the
+/// per-Hamiltonian seed hash and a [`TermCache`], so each distinct Pauli
+/// term's preparation is derived once across a whole population batch;
+/// cache hits consume no randomness, so sampled losses replay exactly
+/// whether the cache is cold or warm.
+#[derive(Debug)]
+pub struct PreparedEnergy {
+    noisy: NoisyCircuit,
+    kind: EvaluatorKind,
+    terms: TermCache,
+    circuit_hash: Fnv1a,
+}
+
+impl PreparedEnergy {
+    /// The noisy energy `Σ_i c_i ⟨P_i⟩_noisy` of `h` (already on the
+    /// circuit's register).
+    pub fn energy(&self, h: &PauliSum) -> f64 {
+        match self.kind {
+            EvaluatorKind::Exact => ExactEvaluator::new(&self.noisy).energy(h),
+            EvaluatorKind::Sampled { shots, seed } => {
+                let mut rng = StdRng::seed_from_u64(seed ^ hamiltonian_hash(self.circuit_hash, h));
+                FrameSampler::new(&self.noisy).energy_cached(h, shots, &mut rng, &self.terms)
+            }
+        }
+    }
+
+    /// The noiseless energy of `h` on the same circuit (all damping dropped).
+    pub fn noiseless_energy(&self, h: &PauliSum) -> f64 {
+        ExactEvaluator::new(&self.noisy).noiseless_energy(h)
+    }
+}
+
 // Hand-written serde impls (the vendored derive has no struct-variant
-// support): `"Exact"` / `"Dense"` as unit strings, `Sampled` externally
+// support): `"Exact"` as a unit string, `Sampled` externally
 // tagged with a named map — `{"Sampled": {"shots": 256, "seed": 5}}`.
 impl serde::Serialize for EvaluatorKind {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::Value;
         let value = match *self {
             EvaluatorKind::Exact => Value::Str("Exact".to_string()),
-            EvaluatorKind::Dense => Value::Str("Dense".to_string()),
             EvaluatorKind::Sampled { shots, seed } => Value::Map(vec![(
                 "Sampled".to_string(),
                 Value::Map(vec![
@@ -256,9 +116,8 @@ impl<'de> serde::Deserialize<'de> for EvaluatorKind {
         match deserializer.take_value()? {
             Value::Str(s) => match s.as_str() {
                 "Exact" => Ok(EvaluatorKind::Exact),
-                "Dense" => Ok(EvaluatorKind::Dense),
                 other => Err(D::Error::custom(format!(
-                    "unknown evaluator {other:?} (expected Exact, Dense, or Sampled)"
+                    "unknown evaluator {other:?} (expected Exact or Sampled)"
                 ))),
             },
             Value::Map(mut m) if m.len() == 1 && m[0].0 == "Sampled" => {
@@ -303,33 +162,23 @@ impl<'de> serde::Deserialize<'de> for EvaluatorKind {
 #[derive(Debug, Clone)]
 pub struct LossFunction<'a> {
     exec: &'a ExecutableAnsatz,
-    zero_circuit: Circuit,
-    backend: Arc<dyn EnergyBackend>,
-    /// The backend specialized to the fixed `θ = 0` circuit, built lazily
-    /// and shared for the lifetime of this loss object — every population
-    /// batch, pooled chunk, and GA round reuses one preparation (and, for
-    /// the sampled backend, one term-prep cache). Clones of an
-    /// already-prepared loss share the same preparation (`OnceLock::clone`
-    /// copies the initialized value); results are bit-identical either way.
-    prepared_zero: OnceLock<Option<Arc<dyn PreparedEnergy>>>,
+    kind: EvaluatorKind,
+    /// The `θ = 0` circuit prepared lazily and shared for the lifetime of
+    /// this loss object — every population batch, pooled chunk, and GA
+    /// round reuses one preparation (and, for the sampled kind, one
+    /// term-prep cache). Clones of an already-prepared loss share it
+    /// (`OnceLock::clone` copies the initialized value); results are
+    /// bit-identical either way.
+    prepared_zero: OnceLock<Arc<PreparedEnergy>>,
 }
 
 impl<'a> LossFunction<'a> {
-    /// Creates the loss for the ansatz's `θ = 0` circuit with a built-in
-    /// backend kind.
+    /// Creates the loss for the ansatz's `θ = 0` circuit, scoring `LN` with
+    /// `kind`.
     pub fn new(exec: &'a ExecutableAnsatz, kind: EvaluatorKind) -> LossFunction<'a> {
-        LossFunction::with_backend(exec, kind.backend())
-    }
-
-    /// Creates the loss with a custom [`EnergyBackend`] implementation.
-    pub fn with_backend(
-        exec: &'a ExecutableAnsatz,
-        backend: Arc<dyn EnergyBackend>,
-    ) -> LossFunction<'a> {
         LossFunction {
             exec,
-            zero_circuit: exec.circuit_at_zero(),
-            backend,
+            kind,
             prepared_zero: OnceLock::new(),
         }
     }
@@ -339,40 +188,44 @@ impl<'a> LossFunction<'a> {
         self.exec
     }
 
-    /// The backend computing `LN`.
-    pub fn backend(&self) -> &dyn EnergyBackend {
-        self.backend.as_ref()
-    }
-
     /// `LN(γ)`: noisy energy of a (transformed) logical Hamiltonian at the
     /// initial point `θ = 0` on the transpiled circuit (Eq. 9).
     pub fn loss_n(&self, h_logical: &PauliSum) -> f64 {
-        self.loss_n_for_circuit(&self.zero_circuit, h_logical)
+        self.loss_n_prepared(self.zero(), h_logical)
     }
 
-    /// The backend specialized to the fixed `θ = 0` circuit for repeated
-    /// `LN` evaluations (the population-batch fast path), prepared at most
-    /// once per loss object and reused across batches, pooled chunks, and
-    /// GA rounds.
+    /// The evaluator prepared for the fixed `θ = 0` circuit (the
+    /// population-batch fast path), built at most once per loss object and
+    /// reused across batches, pooled chunks, and GA rounds.
     ///
-    /// `None` when the backend has nothing to hoist; results through the
-    /// prepared path are bit-identical to [`LossFunction::loss_n`].
-    pub fn prepared_zero(&self) -> Option<&dyn PreparedEnergy> {
-        self.prepared_zero
-            .get_or_init(|| {
-                self.backend
-                    .prepare(&self.zero_circuit, self.exec.noise_model())
-                    .map(Arc::from)
-            })
-            .as_deref()
+    /// Always `Some`; the `Option` is kept so callers that match on it
+    /// still compile.
+    pub fn prepared_zero(&self) -> Option<&PreparedEnergy> {
+        Some(self.zero())
     }
 
-    /// `LN` through a prepared backend (see [`LossFunction::prepared_zero`]).
+    /// [`LossFunction::prepared_zero`] without the `Option`.
+    pub(crate) fn zero(&self) -> &PreparedEnergy {
+        self.prepared_zero
+            .get_or_init(|| Arc::new(self.prepare(&self.exec.circuit_at_zero())))
+    }
+
+    /// Prepares an executable circuit `A'(θ)` under the executable's noise
+    /// model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `circuit` is not Clifford.
+    pub(crate) fn prepare(&self, circuit: &Circuit) -> PreparedEnergy {
+        self.kind.prepare(circuit, self.exec.noise_model())
+    }
+
+    /// `LN` of a logical Hamiltonian on a prepared circuit.
     ///
     /// Skips the logical → compact Hamiltonian copy when the executable's
     /// mapping is the identity (the untranspiled case) — the mapped sum would
     /// be term-for-term equal, so the energy is bit-identical either way.
-    pub fn loss_n_prepared(&self, prepared: &dyn PreparedEnergy, h_logical: &PauliSum) -> f64 {
+    pub fn loss_n_prepared(&self, prepared: &PreparedEnergy, h_logical: &PauliSum) -> f64 {
         if self.exec.mapping_is_identity() {
             prepared.energy(h_logical)
         } else {
@@ -380,26 +233,16 @@ impl<'a> LossFunction<'a> {
         }
     }
 
-    /// `LN` for an arbitrary executable circuit `A'(θ)` (used by nCAFQA,
-    /// which searches over θ rather than transforming H).
+    /// `LN` for an arbitrary Clifford executable circuit `A'(θ)` (the
+    /// Clifford-model energy at a CAFQA-family point).
     pub fn loss_n_for_circuit(&self, circuit: &Circuit, h_logical: &PauliSum) -> f64 {
-        let mapped = self.exec.map_hamiltonian(h_logical);
-        self.backend
-            .energy(circuit, self.exec.noise_model(), &mapped)
+        self.loss_n_prepared(&self.prepare(circuit), h_logical)
     }
 
     /// `L0(γ) = ⟨0|H(γ)|0⟩` (Eq. 10): the noiseless anchor that prevents
     /// deceptively error-resilient but bad solutions.
     pub fn loss_0(&self, h_logical: &PauliSum) -> f64 {
         h_logical.expectation_all_zeros()
-    }
-
-    /// Noiseless energy of an arbitrary Clifford circuit `A'(θ)` w.r.t. the
-    /// (mapped) Hamiltonian — CAFQA's objective and nCAFQA's `L0` analogue.
-    pub fn noiseless_for_circuit(&self, circuit: &Circuit, h_logical: &PauliSum) -> f64 {
-        let mapped = self.exec.map_hamiltonian(h_logical);
-        self.backend
-            .noiseless_energy(circuit, self.exec.noise_model(), &mapped)
     }
 
     /// The full Clapton loss `L = LN + L0` (§4.1).
@@ -416,14 +259,8 @@ pub fn device_energy(exec: &ExecutableAnsatz, h: &PauliSum, theta: &[f64]) -> f6
     DeviceEvaluator::run(&exec.circuit(theta), exec.noise_model()).energy(&exec.map_hamiltonian(h))
 }
 
-/// A cheap deterministic content hash of circuit + Hamiltonian coefficients
-/// for per-candidate sampler seeding.
-fn content_hash(circuit: &Circuit, h: &PauliSum) -> u64 {
-    hamiltonian_hash(circuit_hash(circuit), h)
-}
-
-/// The circuit half of [`content_hash`] (hoistable: the GA evaluates every
-/// candidate against one fixed circuit).
+/// The circuit half of the sampler's per-Hamiltonian seed hash (hoistable:
+/// the GA evaluates every candidate against one fixed circuit).
 fn circuit_hash(circuit: &Circuit) -> Fnv1a {
     let mut hash = Fnv1a::new();
     hash.write_u64(circuit.len() as u64);
@@ -435,8 +272,8 @@ fn circuit_hash(circuit: &Circuit) -> Fnv1a {
     hash
 }
 
-/// Folds a Hamiltonian into a running [`circuit_hash`], completing
-/// [`content_hash`].
+/// Folds a Hamiltonian into a running [`circuit_hash`], completing the
+/// sampler's seed hash of circuit + Hamiltonian coefficients.
 fn hamiltonian_hash(mut hash: Fnv1a, h: &PauliSum) -> u64 {
     hash_terms(&mut hash, h);
     hash.finish()
@@ -471,7 +308,7 @@ mod tests {
         let exec = ExecutableAnsatz::untranspiled(3, &model);
         let h = PauliSum::from_terms(3, vec![(2.0, ps("ZZI")), (5.0, ps("XII"))]);
         assert_eq!(
-            content_hash(&exec.circuit_at_zero(), &h),
+            hamiltonian_hash(circuit_hash(&exec.circuit_at_zero()), &h),
             15856928381146388308
         );
         // Terms that differ only beyond qubit 63 must seed differently.
@@ -538,62 +375,43 @@ mod tests {
     }
 
     #[test]
-    fn dense_backend_agrees_with_exact_on_pauli_noise() {
-        // For pure Pauli noise (no T1 relaxation), the density-matrix
-        // simulation and the exact back-propagation compute the same
-        // channel, so LN must agree to numerical precision.
-        let model = NoiseModel::uniform(3, 2e-3, 1.5e-2, 2.5e-2);
-        let exec = ExecutableAnsatz::untranspiled(3, &model);
-        let exact = LossFunction::new(&exec, EvaluatorKind::Exact);
-        let dense = LossFunction::new(&exec, EvaluatorKind::Dense);
-        let h = PauliSum::from_terms(
-            3,
-            vec![(1.0, ps("ZZI")), (-0.5, ps("IZZ")), (0.25, ps("XIX"))],
-        );
+    fn device_energy_agrees_with_exact_ln_on_pauli_noise() {
+        // For pure Pauli noise (no T1 relaxation) the density-matrix device
+        // model and the exact back-propagation compute the same channel, so
+        // whole-Hamiltonian energies must agree to numerical precision — on
+        // a routed executable, so the logical → compact mapping is exercised.
+        use clapton_circuits::CouplingMap;
+        use rand::{Rng, SeedableRng};
+        let n = 5;
+        let model = NoiseModel::uniform(n, 2e-3, 1.5e-2, 2.5e-2);
+        let exec = ExecutableAnsatz::on_device(n, &CouplingMap::line(n), &model).unwrap();
         assert!(
-            (exact.loss_n(&h) - dense.loss_n(&h)).abs() < 1e-9,
-            "exact {} vs dense {}",
-            exact.loss_n(&h),
-            dense.loss_n(&h)
+            !exec.mapping_is_identity(),
+            "routing must permute the register"
         );
-    }
-
-    #[test]
-    fn backend_objects_report_names() {
-        assert_eq!(EvaluatorKind::Exact.backend().name(), "exact");
-        assert_eq!(
-            EvaluatorKind::Sampled { shots: 8, seed: 0 }
-                .backend()
-                .name(),
-            "sampled"
+        let loss = LossFunction::new(&exec, EvaluatorKind::Exact);
+        let mut rng = StdRng::seed_from_u64(3);
+        let random100 = PauliSum::from_terms(
+            n,
+            (0..100).map(|_| (rng.gen_range(-1.0..1.0), PauliString::random(n, &mut rng))),
         );
-        assert_eq!(EvaluatorKind::Dense.backend().name(), "dense");
-    }
-
-    #[test]
-    fn custom_backend_plugs_in() {
-        /// A backend that scales the exact energy — checks the trait-object
-        /// path end to end.
-        #[derive(Debug)]
-        struct Halved;
-
-        impl EnergyBackend for Halved {
-            fn energy(&self, circuit: &Circuit, model: &NoiseModel, h: &PauliSum) -> f64 {
-                0.5 * ExactBackend.energy(circuit, model, h)
-            }
-
-            fn name(&self) -> &'static str {
-                "halved"
+        let quarter_turns: Vec<u8> = (0..exec.ansatz().num_parameters())
+            .map(|_| rng.gen_range(0..4u8))
+            .collect();
+        let thetas = [
+            vec![0.0; exec.ansatz().num_parameters()],
+            exec.ansatz().angles_from_indices(&quarter_turns),
+        ];
+        for h in [clapton_models::ising(n, 0.5), random100] {
+            for theta in &thetas {
+                let exact = loss.loss_n_for_circuit(&exec.circuit(theta), &h);
+                let dense = device_energy(&exec, &h, theta);
+                assert!(
+                    (exact - dense).abs() < 1e-9,
+                    "exact {exact} vs dense {dense}"
+                );
             }
         }
-
-        let model = NoiseModel::noiseless(2);
-        let exec = ExecutableAnsatz::untranspiled(2, &model);
-        let loss = LossFunction::with_backend(&exec, Arc::new(Halved));
-        let h = PauliSum::from_terms(2, vec![(1.0, ps("ZZ"))]);
-        assert!((loss.loss_n(&h) - 0.5).abs() < 1e-12);
-        // L0 is backend-independent.
-        assert_eq!(loss.loss_0(&h), 1.0);
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub trait LossEvaluator: Sync {
 /// previously computed loss.
 ///
 /// Lookups are namespaced: `ns` fingerprints everything that shapes the
-/// loss besides the genome (Hamiltonian, noise model, evaluator backend),
+/// loss besides the genome (Hamiltonian, noise model, evaluator kind),
 /// so one store safely serves many problems. Implementations must be
 /// **pure and lossless**: a `load` hit must return the exact bits a prior
 /// `save` stored — the caller counts a disk hit as a fresh evaluation, so

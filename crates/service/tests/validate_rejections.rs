@@ -227,3 +227,15 @@ fn snapshot_backend_with_inconsistent_register_fails_at_parse() {
     }"#;
     assert!(serde_json::from_str::<JobSpec>(json).is_err());
 }
+
+#[test]
+fn dense_evaluator_fails_at_parse() {
+    // `LN` runs only on the Clifford + Pauli-channel model; the dense device
+    // model is not an evaluator kind.
+    let json = r#"{
+        "problem": {"Suite": {"name": "ising(J=0.25)", "qubits": 2}},
+        "evaluator": "Dense"
+    }"#;
+    let err = serde_json::from_str::<JobSpec>(json).expect_err("Dense is not an evaluator");
+    assert!(err.to_string().contains("unknown evaluator"), "{err}");
+}

@@ -1,7 +1,7 @@
 //! Dense density-matrix simulation with non-Clifford noise channels.
 
 use crate::statevector::{i_power, masks};
-use crate::{Complex64, StateVector};
+use crate::Complex64;
 use clapton_circuits::Gate;
 use clapton_pauli::{PauliString, PauliSum};
 
@@ -43,20 +43,6 @@ impl DensityMatrix {
         let dim = 1usize << n;
         let mut data = vec![Complex64::ZERO; dim * dim];
         data[0] = Complex64::ONE;
-        DensityMatrix { n, dim, data }
-    }
-
-    /// The projector onto a pure state.
-    pub fn from_statevector(sv: &StateVector) -> DensityMatrix {
-        let n = sv.num_qubits();
-        let dim = 1usize << n;
-        let amps = sv.amplitudes();
-        let mut data = vec![Complex64::ZERO; dim * dim];
-        for r in 0..dim {
-            for c in 0..dim {
-                data[r * dim + c] = amps[r] * amps[c].conj();
-            }
-        }
         DensityMatrix { n, dim, data }
     }
 
@@ -296,14 +282,6 @@ impl DensityMatrix {
         }
     }
 
-    /// The computational-basis outcome distribution (the diagonal of `ρ`).
-    ///
-    /// Entries are clamped at zero against floating-point round-off; they
-    /// sum to the trace (1 for a valid state).
-    pub fn diagonal_probabilities(&self) -> Vec<f64> {
-        (0..self.dim).map(|r| self.at(r, r).re.max(0.0)).collect()
-    }
-
     /// The expectation value `tr(ρP)` of a Hermitian Pauli string.
     ///
     /// # Panics
@@ -336,6 +314,7 @@ impl DensityMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StateVector;
     use clapton_circuits::Circuit;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -401,18 +380,6 @@ mod tests {
                     "term {p}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn from_statevector_agrees() {
-        let mut rng = StdRng::seed_from_u64(77);
-        let c = random_circuit(3, 12, &mut rng);
-        let sv = StateVector::from_circuit(&c);
-        let rho = DensityMatrix::from_statevector(&sv);
-        for _ in 0..10 {
-            let p = PauliString::random(3, &mut rng);
-            assert!((rho.expectation(&p) - sv.expectation(&p)).abs() < 1e-10);
         }
     }
 

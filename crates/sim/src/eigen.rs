@@ -39,15 +39,6 @@ use rand::{Rng, SeedableRng};
 /// assert!((ground_energy(&h) + (4.0 + j * j).sqrt()).abs() < 1e-9);
 /// ```
 pub fn ground_energy(h: &PauliSum) -> f64 {
-    extremal_eigenvalue(h, false)
-}
-
-/// The maximum eigenvalue of a Pauli-sum Hamiltonian.
-pub fn dominant_eigenvalue(h: &PauliSum) -> f64 {
-    extremal_eigenvalue(h, true)
-}
-
-fn extremal_eigenvalue(h: &PauliSum, largest: bool) -> f64 {
     let n = h.num_qubits();
     assert!(n > 0, "need at least one qubit");
     assert!(
@@ -56,19 +47,14 @@ fn extremal_eigenvalue(h: &PauliSum, largest: bool) -> f64 {
     );
     let mut best = f64::INFINITY;
     for seed in [0xC1AF_0001u64, 0xC1AF_0002u64] {
-        let v = lanczos_min(h, seed, largest);
+        let v = lanczos_min(h, seed);
         best = best.min(v);
     }
-    if largest {
-        -best
-    } else {
-        best
-    }
+    best
 }
 
-/// Lanczos iteration returning the smallest eigenvalue of `H` (or of `-H`
-/// when `negate` is set).
-fn lanczos_min(h: &PauliSum, seed: u64, negate: bool) -> f64 {
+/// Lanczos iteration returning the smallest eigenvalue of `H`.
+fn lanczos_min(h: &PauliSum, seed: u64) -> f64 {
     let dim = 1usize << h.num_qubits();
     let m = dim.min(140);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -84,11 +70,6 @@ fn lanczos_min(h: &PauliSum, seed: u64, negate: bool) -> f64 {
         basis.push(v.clone());
         w.fill(Complex64::ZERO);
         apply_pauli_sum_to(h, &v, &mut w);
-        if negate {
-            for x in &mut w {
-                *x = -*x;
-            }
-        }
         if j > 0 {
             let beta = betas[j - 1];
             for (wi, bi) in w.iter_mut().zip(&basis[j - 1]) {
@@ -204,7 +185,6 @@ mod tests {
     fn single_qubit_z() {
         let h = PauliSum::from_terms(1, vec![(1.0, ps("Z"))]);
         assert!((ground_energy(&h) + 1.0).abs() < 1e-10);
-        assert!((dominant_eigenvalue(&h) - 1.0).abs() < 1e-10);
     }
 
     #[test]

@@ -139,11 +139,6 @@ impl DeviceEvaluator {
     pub fn state_expectation(&self, term: &PauliString) -> f64 {
         self.rho.expectation(term)
     }
-
-    /// The final mixed state.
-    pub fn state(&self) -> &DensityMatrix {
-        &self.rho
-    }
 }
 
 #[cfg(test)]

@@ -33,6 +33,6 @@ mod statevector;
 
 pub use complex::Complex64;
 pub use density::DensityMatrix;
-pub use eigen::{dominant_eigenvalue, ground_energy};
+pub use eigen::ground_energy;
 pub use evaluate::DeviceEvaluator;
 pub use statevector::StateVector;

@@ -178,21 +178,6 @@ impl StateVector {
         apply_pauli_sum_to(h, &self.amps, out);
     }
 
-    /// The squared overlap `|⟨other|self⟩|²` (state fidelity for pure
-    /// states).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the register sizes differ.
-    pub fn fidelity(&self, other: &StateVector) -> f64 {
-        assert_eq!(self.n, other.n, "register size mismatch");
-        let mut acc = Complex64::ZERO;
-        for (a, b) in self.amps.iter().zip(&other.amps) {
-            acc += b.conj() * *a;
-        }
-        acc.norm_sqr()
-    }
-
     /// The state norm (should be 1 for unitary evolution).
     pub fn norm(&self) -> f64 {
         self.amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt()
@@ -376,15 +361,5 @@ mod tests {
         }
         assert!((acc.re - sv.energy(&h)).abs() < 1e-10);
         assert!(acc.im.abs() < 1e-10);
-    }
-
-    #[test]
-    fn fidelity_of_identical_and_orthogonal() {
-        let a = StateVector::new(2);
-        assert!((a.fidelity(&a) - 1.0).abs() < 1e-15);
-        let mut c = Circuit::new(2);
-        c.push(Gate::X(0));
-        let b = StateVector::from_circuit(&c);
-        assert!(a.fidelity(&b) < 1e-15);
     }
 }

@@ -1,7 +1,7 @@
 //! The end-to-end VQE loop against the noisy device model.
 
 use crate::{Spsa, SpsaConfig};
-use clapton_core::{DenseBackend, EnergyBackend, ExecutableAnsatz};
+use clapton_core::{device_energy, ExecutableAnsatz};
 use clapton_pauli::PauliSum;
 use serde::{Deserialize, Serialize};
 
@@ -45,9 +45,9 @@ pub struct VqeTrace {
 ///
 /// For Clapton, `h_logical` is the transformed Hamiltonian `Ĥ` and
 /// `theta0 = 0`; for CAFQA/nCAFQA it is the original `H` with
-/// `theta0 = θ_CAFQA` (§5.2). The objective is evaluated with the full
-/// density-matrix noise model ([`DenseBackend`]), i.e. the same
-/// environment the paper's Qiskit simulations use.
+/// `theta0 = θ_CAFQA` (§5.2). The objective is [`device_energy`], the full
+/// density-matrix noise model, i.e. the same environment the paper's Qiskit
+/// simulations use.
 ///
 /// # Panics
 ///
@@ -79,11 +79,7 @@ pub fn run_vqe(
         exec.ansatz().num_parameters(),
         "θ dimension mismatch"
     );
-    let mapped = exec.map_hamiltonian(h_logical);
-    let objective = |theta: &[f64]| {
-        let circuit = exec.circuit(theta);
-        DenseBackend.energy(&circuit, exec.noise_model(), &mapped)
-    };
+    let objective = |theta: &[f64]| device_energy(exec, h_logical, theta);
     let initial_energy = objective(theta0);
     let result = Spsa::new(config.spsa).minimize(&objective, theta0.to_vec());
     // Re-trace the device energy at recorded SPSA estimates: use the

@@ -135,7 +135,7 @@ impl Pipeline {
         self
     }
 
-    /// Overrides the full Clapton configuration (engine, evaluator backend,
+    /// Overrides the full Clapton configuration (engine, evaluator kind,
     /// seed, ablation switches).
     #[must_use]
     pub fn with_clapton_config(mut self, config: ClaptonConfig) -> Pipeline {
