@@ -23,8 +23,8 @@
 //! through [`CafqaLoss`] on the same engine and pool.
 //! Metrics: [`relative_improvement`] (η, Eq. 14), [`geometric_mean`],
 //! [`normalized_energy`]; [`device_energy`] scores a point on the full
-//! device model (dense density-matrix simulation), the one dense energy of
-//! the stack.
+//! device model, the one device energy of the stack (exact back-propagation
+//! without T1 on a Clifford circuit, the density matrix otherwise).
 
 mod baselines;
 mod clapton;

@@ -251,10 +251,11 @@ impl<'a> LossFunction<'a> {
     }
 }
 
-/// The device-model energy of `A'(θ)` with respect to a logical Hamiltonian:
-/// the full density-matrix simulation under the executable's noise model
-/// (the × evaluation of Figures 2 and 5–8). Every reported initial energy
-/// is computed here.
+/// The device-model energy of `A'(θ)` with respect to a logical Hamiltonian
+/// under the executable's full noise model (the × evaluation of Figures 2
+/// and 5–8), through [`DeviceEvaluator::run`]: exact back-propagation when
+/// the model has no T1 and `A'(θ)` is Clifford, the density matrix
+/// otherwise. Every reported initial energy is computed here.
 pub fn device_energy(exec: &ExecutableAnsatz, h: &PauliSum, theta: &[f64]) -> f64 {
     DeviceEvaluator::run(&exec.circuit(theta), exec.noise_model()).energy(&exec.map_hamiltonian(h))
 }
@@ -404,12 +405,14 @@ mod tests {
         ];
         for h in [clapton_models::ising(n, 0.5), random100] {
             for theta in &thetas {
-                let exact = loss.loss_n_for_circuit(&exec.circuit(theta), &h);
-                let dense = device_energy(&exec, &h, theta);
-                assert!(
-                    (exact - dense).abs() < 1e-9,
-                    "exact {exact} vs dense {dense}"
-                );
+                let circuit = exec.circuit(theta);
+                let dense = DeviceEvaluator::dense(&circuit, exec.noise_model())
+                    .energy(&exec.map_hamiltonian(&h));
+                let exact = loss.loss_n_for_circuit(&circuit, &h);
+                let device = device_energy(&exec, &h, theta);
+                for e in [exact, device] {
+                    assert!((e - dense).abs() < 1e-9, "{e} vs dense {dense}");
+                }
             }
         }
     }

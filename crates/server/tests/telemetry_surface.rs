@@ -120,6 +120,12 @@ fn metrics_scrape_covers_every_layer_and_trace_matches_the_artifact() {
         clapton.children.iter().any(|c| c.name == "round"),
         "round spans under the clapton span"
     );
+    for phase in ["e0", "device_energy"] {
+        assert!(
+            job_root.children.iter().any(|c| c.name == phase),
+            "{phase} span under the job root"
+        );
+    }
 
     let artifact_dir = std::fs::read_dir(root.join("artifacts"))
         .expect("artifacts dir")

@@ -30,7 +30,9 @@ pub struct Report {
     /// Device-model energy of the Clapton initial point (θ = 0 on `Ĥ`).
     pub clapton_initial_energy: Option<f64>,
     /// η of Clapton over the CAFQA-family baseline at the initial point
-    /// (Eq. 14; CAFQA when run, else nCAFQA).
+    /// (Eq. 14; CAFQA when run, else nCAFQA). `None` also when Clapton's
+    /// initial energy equals `e0` to within `1e-9·max(|e0|, 1)`, where η is
+    /// undefined.
     pub eta_initial: Option<f64>,
     /// VQE trace from the Clapton start (when `VqeRefine` was requested).
     pub clapton_vqe: Option<VqeTrace>,

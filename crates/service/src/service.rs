@@ -830,7 +830,10 @@ fn execute_inner(
     let h = &job.hamiltonian;
     let exec = &job.exec;
     let config = &job.config;
-    let e0 = ground_energy(h);
+    let e0 = {
+        let _span = clapton_telemetry::span("e0");
+        ground_energy(h)
+    };
     let cafqa = job.runs(&MethodSpec::Cafqa).then(|| {
         let _span = clapton_telemetry::span("cafqa");
         run_cafqa(h, exec, &config.engine, config.seed, ctx.pool())
@@ -946,14 +949,23 @@ fn execute_inner(
         None
     };
     let zeros = vec![0.0; exec.ansatz().num_parameters()];
-    let cafqa_initial_energy = cafqa.as_ref().map(|c| device_energy(exec, h, &c.theta));
-    let ncafqa_initial_energy = ncafqa.as_ref().map(|c| device_energy(exec, h, &c.theta));
-    let clapton_initial_energy = clapton
-        .as_ref()
-        .map(|c| device_energy(exec, &c.transformation.transformed, &zeros));
+    let (cafqa_initial_energy, ncafqa_initial_energy, clapton_initial_energy) = {
+        let _span = clapton_telemetry::span("device_energy");
+        (
+            cafqa.as_ref().map(|c| device_energy(exec, h, &c.theta)),
+            ncafqa.as_ref().map(|c| device_energy(exec, h, &c.theta)),
+            clapton
+                .as_ref()
+                .map(|c| device_energy(exec, &c.transformation.transformed, &zeros)),
+        )
+    };
     let baseline = cafqa_initial_energy.or(ncafqa_initial_energy);
     let eta_initial = match (baseline, clapton_initial_energy) {
-        (Some(base), Some(init)) => Some(clapton_core::relative_improvement(e0, base, init)),
+        // η divides by Clapton's gap to E0; a start already at E0 (to
+        // rounding) leaves it undefined.
+        (Some(base), Some(init)) if (e0 - init).abs() > 1e-9 * e0.abs().max(1.0) => {
+            Some(clapton_core::relative_improvement(e0, base, init))
+        }
         _ => None,
     };
     let (clapton_vqe, cafqa_vqe, ncafqa_vqe) = match job.vqe_iterations() {

@@ -6,7 +6,7 @@ use clapton_error::ClaptonError;
 use clapton_runtime::{EventKind, WorkerPool};
 use clapton_service::{
     ClaptonService, EngineSpec, JobSpec, MethodSpec, NoiseSpec, ProblemSpec, Report, SuiteProblem,
-    UniformNoise,
+    TermsProblem, UniformNoise,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -52,6 +52,27 @@ fn submit_streams_events_and_returns_the_report() {
     );
     assert!(report.eta_initial.unwrap() >= 0.9);
     assert_eq!(report.best_energy(), Some(clapton.min(cafqa)));
+}
+
+#[test]
+fn clapton_start_at_the_ground_energy_leaves_eta_undefined_not_a_panic() {
+    // Noiseless Σ Z_i: CAFQA and Clapton both start at E0 = -3 exactly, so
+    // η = 0/0. E0 must not land above those energies, and the job must
+    // report no η instead of dividing rounding errors (or panicking).
+    let mut spec = JobSpec::new(ProblemSpec::Terms(TermsProblem {
+        qubits: 3,
+        terms: ["ZII", "IZI", "IIZ"]
+            .iter()
+            .map(|w| (1.0, w.to_string()))
+            .collect(),
+    }));
+    spec.methods = vec![MethodSpec::Cafqa, MethodSpec::Clapton];
+    spec.engine = EngineSpec::Quick;
+    let service = ClaptonService::with_pool(Arc::new(WorkerPool::with_workers(2)));
+    let report = service.run(spec).unwrap();
+    assert!(report.e0 <= -3.0 + 1e-14, "e0 = {}", report.e0);
+    assert_eq!(report.clapton_initial_energy, Some(-3.0));
+    assert_eq!(report.eta_initial, None);
 }
 
 #[test]

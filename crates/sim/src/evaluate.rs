@@ -3,19 +3,29 @@
 
 use crate::DensityMatrix;
 use clapton_circuits::{Circuit, Gate};
-use clapton_noise::NoiseModel;
+use clapton_noise::{ExactEvaluator, NoiseModel, NoisyCircuit};
 use clapton_pauli::{Pauli, PauliString, PauliSum};
 
 /// Runs circuits under the *full* noise model — depolarizing gate errors,
 /// thermal relaxation on every qubit per scheduled moment, and readout
 /// error — and evaluates Hamiltonian energies on the resulting mixed state.
 ///
-/// This is the non-Clifford evaluation environment (Qiskit Aer in the paper):
-/// amplitude damping makes it inaccessible to stabilizer simulation, which is
-/// precisely the model/modeled-noise gap Clapton's hypothesis addresses.
+/// [`DeviceEvaluator::run`] picks its engine from its inputs alone:
 ///
-/// Semantics shared with the Clifford evaluators so the two are comparable
-/// term by term:
+/// * **exact** — when the model has no relaxation
+///   (`!NoiseModel::has_relaxation()`) and the circuit lowers to a
+///   [`NoisyCircuit`] (every rotation on the Clifford grid), the device model
+///   is a Clifford circuit under Pauli channels: the paper's own simulable
+///   noise model (§4.1, Eq. 9). Energies then come from
+///   [`ExactEvaluator`]'s closed-form Heisenberg back-propagation, with no
+///   register-size limit;
+/// * **dense** — otherwise ([`DeviceEvaluator::dense`]): the density-matrix
+///   simulation (Qiskit Aer in the paper). Amplitude damping makes T1
+///   models inaccessible to stabilizer simulation, which is precisely the
+///   model/modeled-noise gap Clapton's hypothesis addresses.
+///
+/// The two engines compute the same channel wherever both apply (the
+/// density matrix is the exact path's test oracle). Their shared semantics:
 /// * every gate slot carries its depolarizing channel (identity rotations
 ///   included),
 /// * measurement of a term includes basis-prep gate noise (depolarizing
@@ -44,18 +54,48 @@ use clapton_pauli::{Pauli, PauliString, PauliSum};
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeviceEvaluator {
-    rho: DensityMatrix,
-    model: NoiseModel,
+    engine: Engine,
+}
+
+#[derive(Debug, Clone)]
+enum Engine {
+    Exact(NoisyCircuit),
+    Dense {
+        rho: DensityMatrix,
+        model: NoiseModel,
+    },
 }
 
 impl DeviceEvaluator {
-    /// Executes `circuit` under `model` from `|0…0⟩`.
+    /// Executes `circuit` under `model` from `|0…0⟩` on the exact engine
+    /// when the model has no relaxation and the circuit is Clifford, and on
+    /// the density matrix ([`DeviceEvaluator::dense`]) otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if circuit and model disagree on the register size, or if the
+    /// dense engine is needed and the register exceeds the density-matrix
+    /// limit (12 qubits).
+    pub fn run(circuit: &Circuit, model: &NoiseModel) -> DeviceEvaluator {
+        if !model.has_relaxation() {
+            if let Ok(noisy) = NoisyCircuit::from_circuit(circuit, model) {
+                return DeviceEvaluator {
+                    engine: Engine::Exact(noisy),
+                };
+            }
+        }
+        DeviceEvaluator::dense(circuit, model)
+    }
+
+    /// Executes `circuit` under `model` from `|0…0⟩` on the density matrix,
+    /// whatever the model and circuit: the T1 and non-Clifford engine, and
+    /// the oracle the exact engine is tested against.
     ///
     /// # Panics
     ///
     /// Panics if circuit and model disagree on the register size, or the
     /// register exceeds the density-matrix limit (12 qubits).
-    pub fn run(circuit: &Circuit, model: &NoiseModel) -> DeviceEvaluator {
+    pub fn dense(circuit: &Circuit, model: &NoiseModel) -> DeviceEvaluator {
         assert_eq!(
             circuit.num_qubits(),
             model.num_qubits(),
@@ -92,8 +132,10 @@ impl DeviceEvaluator {
         // Relaxation while the readout pulse runs.
         Self::relax_all(&mut rho, model, durations.readout);
         DeviceEvaluator {
-            rho,
-            model: model.clone(),
+            engine: Engine::Dense {
+                rho,
+                model: model.clone(),
+            },
         }
     }
 
@@ -113,9 +155,13 @@ impl DeviceEvaluator {
     /// The measured expectation of one Pauli term, including basis-prep gate
     /// noise and readout error.
     pub fn expectation(&self, term: &PauliString) -> f64 {
+        let (rho, model) = match &self.engine {
+            Engine::Exact(noisy) => return ExactEvaluator::new(noisy).expectation(term),
+            Engine::Dense { rho, model } => (rho, model),
+        };
         let mut factor = 1.0;
         for q in term.support() {
-            factor *= 1.0 - 2.0 * self.model.readout(q);
+            factor *= 1.0 - 2.0 * model.readout(q);
             // Basis prep: 1 gate for X, 2 for Y, each a (1-4p/3) damping.
             let prep_gates = match term.get(q) {
                 Pauli::X => 1,
@@ -123,28 +169,26 @@ impl DeviceEvaluator {
                 _ => 0,
             };
             for _ in 0..prep_gates {
-                factor *= 1.0 - 4.0 * self.model.p1(q) / 3.0;
+                factor *= 1.0 - 4.0 * model.p1(q) / 3.0;
             }
         }
-        factor * self.rho.expectation(term)
+        factor * rho.expectation(term)
     }
 
-    /// The measured energy of a Hamiltonian.
+    /// The measured energy of a Hamiltonian (the exact engine evaluates all
+    /// terms in one bit-parallel pass, [`ExactEvaluator::energy`]).
     pub fn energy(&self, h: &PauliSum) -> f64 {
-        h.iter().map(|(c, p)| c * self.expectation(p)).sum()
-    }
-
-    /// The ideal (no readout / no prep noise) expectation `tr(ρP)` on the
-    /// final state.
-    pub fn state_expectation(&self, term: &PauliString) -> f64 {
-        self.rho.expectation(term)
+        match &self.engine {
+            Engine::Exact(noisy) => ExactEvaluator::new(noisy).energy(h),
+            Engine::Dense { .. } => h.iter().map(|(c, p)| c * self.expectation(p)).sum(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clapton_noise::{ExactEvaluator, NoisyCircuit};
+    use clapton_circuits::HardwareEfficientAnsatz;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -157,9 +201,66 @@ mod tests {
         let mut c = Circuit::new(2);
         c.push(Gate::H(0));
         c.push(Gate::Cx(0, 1));
-        let eval = DeviceEvaluator::run(&c, &NoiseModel::noiseless(2));
-        assert!((eval.expectation(&ps("ZZ")) - 1.0).abs() < 1e-12);
-        assert!((eval.expectation(&ps("XX")) - 1.0).abs() < 1e-12);
+        let model = NoiseModel::noiseless(2);
+        for eval in [
+            DeviceEvaluator::run(&c, &model),
+            DeviceEvaluator::dense(&c, &model),
+        ] {
+            assert!((eval.expectation(&ps("ZZ")) - 1.0).abs() < 1e-12);
+            assert!((eval.expectation(&ps("XX")) - 1.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn run_takes_the_exact_engine_only_without_t1_on_clifford_circuits() {
+        let n = 4;
+        let mut rng = StdRng::seed_from_u64(18);
+        let h = PauliSum::from_terms(
+            n,
+            (0..40).map(|_| (rng.gen_range(-1.0..1.0), PauliString::random(n, &mut rng))),
+        );
+        let ansatz = HardwareEfficientAnsatz::new(n);
+        let quarter_turns: Vec<u8> = (0..ansatz.num_parameters())
+            .map(|_| rng.gen_range(0..4u8))
+            .collect();
+        let clifford = ansatz.circuit(&ansatz.angles_from_indices(&quarter_turns));
+        let mut rotated = clifford.clone();
+        rotated.push(Gate::Ry(1, 0.3));
+        let pauli = NoiseModel::uniform(n, 2e-3, 1e-2, 2e-2);
+        let mut t1 = pauli.clone();
+        t1.set_t1_uniform(80e-6);
+        let bits = |eval: DeviceEvaluator| eval.energy(&h).to_bits();
+        assert_eq!(
+            bits(DeviceEvaluator::run(&clifford, &t1)),
+            bits(DeviceEvaluator::dense(&clifford, &t1))
+        );
+        assert_eq!(
+            bits(DeviceEvaluator::run(&rotated, &pauli)),
+            bits(DeviceEvaluator::dense(&rotated, &pauli))
+        );
+        let noisy = NoisyCircuit::from_circuit(&clifford, &pauli).unwrap();
+        assert_eq!(
+            bits(DeviceEvaluator::run(&clifford, &pauli)),
+            ExactEvaluator::new(&noisy).energy(&h).to_bits()
+        );
+        // The exact engine has no density-matrix register limit.
+        let wide = 20;
+        let circuit = HardwareEfficientAnsatz::new(wide).circuit_at_zero();
+        let model = NoiseModel::uniform(wide, 2e-3, 1e-2, 2e-2);
+        let h = PauliSum::from_terms(
+            wide,
+            (0..30).map(|_| {
+                (
+                    rng.gen_range(-1.0..1.0),
+                    PauliString::random(wide, &mut rng),
+                )
+            }),
+        );
+        let noisy = NoisyCircuit::from_circuit(&circuit, &model).unwrap();
+        assert_eq!(
+            DeviceEvaluator::run(&circuit, &model).energy(&h).to_bits(),
+            ExactEvaluator::new(&noisy).energy(&h).to_bits()
+        );
     }
 
     #[test]
@@ -187,7 +288,7 @@ mod tests {
                 }
             }
             let model = NoiseModel::uniform(n, 2e-3, 8e-3, 1.5e-2);
-            let device = DeviceEvaluator::run(&c, &model);
+            let device = DeviceEvaluator::dense(&c, &model);
             let noisy = NoisyCircuit::from_circuit(&c, &model).unwrap();
             let clifford = ExactEvaluator::new(&noisy);
             for _ in 0..10 {
@@ -257,10 +358,14 @@ mod tests {
     fn readout_and_prep_factors_scale_energy() {
         let c = Circuit::new(1);
         let model = NoiseModel::uniform(1, 1e-2, 0.0, 5e-2);
-        let eval = DeviceEvaluator::run(&c, &model);
-        // ⟨Z⟩: readout only.
-        assert!((eval.expectation(&ps("Z")) - (1.0 - 0.1)).abs() < 1e-12);
-        // ⟨X⟩ on |0⟩ is 0 regardless.
-        assert_eq!(eval.expectation(&ps("X")), 0.0);
+        for eval in [
+            DeviceEvaluator::run(&c, &model),
+            DeviceEvaluator::dense(&c, &model),
+        ] {
+            // ⟨Z⟩: readout only.
+            assert!((eval.expectation(&ps("Z")) - (1.0 - 0.1)).abs() < 1e-12);
+            // ⟨X⟩ on |0⟩ is 0 regardless.
+            assert_eq!(eval.expectation(&ps("X")), 0.0);
+        }
     }
 }

@@ -16,9 +16,16 @@
 //!   [`NoiseModel`](clapton_noise::NoiseModel) (gate depolarizing + T1
 //!   decay per scheduled moment + readout) and
 //!   returns Hamiltonian energies: the "device (model) evaluation" of
-//!   Figures 2 and 5,
+//!   Figures 2 and 5. [`DeviceEvaluator::run`] picks the engine from its
+//!   inputs: without T1 on a Clifford circuit the model is Clifford +
+//!   Pauli channels, and the exact back-propagation of
+//!   [`ExactEvaluator`](clapton_noise::ExactEvaluator) computes it with no
+//!   register limit; otherwise the density matrix
+//!   ([`DeviceEvaluator::dense`], at most 12 qubits) runs,
 //! * [`ground_energy`] — Lanczos exact minimum eigenvalue (the paper's `E0`
-//!   obtained "by diagonalizing the Hamiltonian", §5.2.1).
+//!   obtained "by diagonalizing the Hamiltonian", §5.2.1): one fixed start
+//!   vector, stopped once the lowest Ritz value settles to `1e-13`
+//!   relative, with `H` applied as one diagonal per distinct X mask.
 //!
 //! Qubit convention: qubit `k` is bit `k` of the basis-state index
 //! (little-endian), matching the first bit word of

@@ -7,8 +7,8 @@
 //! * [`Spsa`] — simultaneous perturbation stochastic approximation with the
 //!   standard Spall gain schedules,
 //! * [`run_vqe`] / [`VqeTrace`] — the end-to-end loop: the objective is the
-//!   device-model energy of `A'(θ)` (density-matrix simulation with the full
-//!   noise model) w.r.t. the (possibly Clapton-transformed) Hamiltonian,
+//!   device-model energy of `A'(θ)` under the full noise model
+//!   (`device_energy`) w.r.t. the (possibly Clapton-transformed) Hamiltonian,
 //!   recording the convergence traces of Figure 6.
 
 mod runner;

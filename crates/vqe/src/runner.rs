@@ -46,8 +46,8 @@ pub struct VqeTrace {
 /// For Clapton, `h_logical` is the transformed Hamiltonian `Ĥ` and
 /// `theta0 = 0`; for CAFQA/nCAFQA it is the original `H` with
 /// `theta0 = θ_CAFQA` (§5.2). The objective is [`device_energy`], the full
-/// density-matrix noise model, i.e. the same environment the paper's Qiskit
-/// simulations use.
+/// device noise model, i.e. the same environment the paper's Qiskit
+/// simulations use (the density matrix at every non-Clifford θ).
 ///
 /// # Panics
 ///

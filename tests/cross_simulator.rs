@@ -10,10 +10,12 @@
 //! and be evaluated against the expensive one.
 
 use clapton::circuits::{Circuit, Gate, HardwareEfficientAnsatz};
+use clapton::core::device_energy;
 use clapton::noise::{ExactEvaluator, FrameSampler, NoiseModel, NoisyCircuit};
 use clapton::pauli::{PauliString, PauliSum};
 use clapton::sim::{DeviceEvaluator, StateVector};
 use clapton::stabilizer::StabilizerState;
+use clapton_bench::{Options, SuiteConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,7 +63,7 @@ fn four_engines_agree_on_noiseless_clifford_circuits() {
         let model = NoiseModel::noiseless(n);
         let noisy = NoisyCircuit::from_circuit(&circuit, &model).unwrap();
         let exact = ExactEvaluator::new(&noisy);
-        let device = DeviceEvaluator::run(&circuit, &model);
+        let device = DeviceEvaluator::dense(&circuit, &model);
         for _ in 0..12 {
             let p = PauliString::random(n, &mut rng);
             let reference = sv.expectation(&p);
@@ -73,8 +75,9 @@ fn four_engines_agree_on_noiseless_clifford_circuits() {
                 (exact.noiseless_expectation(&p) - reference).abs() < 1e-10,
                 "backprop vs statevector on {p}"
             );
+            // Noiseless: no readout or basis-prep factors.
             assert!(
-                (device.state_expectation(&p) - reference).abs() < 1e-9,
+                (device.expectation(&p) - reference).abs() < 1e-9,
                 "density vs statevector on {p}"
             );
         }
@@ -95,12 +98,47 @@ fn exact_evaluator_matches_density_matrix_under_pauli_noise() {
         );
         let noisy = NoisyCircuit::from_circuit(&circuit, &model).unwrap();
         let exact = ExactEvaluator::new(&noisy);
-        let device = DeviceEvaluator::run(&circuit, &model);
+        let device = DeviceEvaluator::dense(&circuit, &model);
         for _ in 0..10 {
             let p = PauliString::random(n, &mut rng);
             let a = exact.expectation(&p);
             let b = device.expectation(&p);
             assert!((a - b).abs() < 1e-9, "term {p}: exact {a} vs density {b}");
+        }
+    }
+}
+
+#[test]
+fn device_energy_matches_density_matrix_on_ten_qubit_suite_jobs() {
+    // Whole-Hamiltonian device energies on the quick suite's own 10-qubit
+    // executables and noise (no T1): the exact engine `device_energy`
+    // dispatches to against the density matrix, at θ = 0 and at one
+    // quarter-turn θ.
+    let specs = SuiteConfig {
+        options: Options { effort: 0, seed: 7 },
+        qubits: 10,
+    }
+    .specs();
+    let mut rng = StdRng::seed_from_u64(4004);
+    for name in ["ising(J=0.25)", "H6(l=1.0)"] {
+        let spec = specs.iter().find(|s| s.display_name() == name).unwrap();
+        let job = spec.validate().unwrap();
+        let exec = &job.exec;
+        assert!(!exec.noise_model().has_relaxation());
+        let quarter_turns: Vec<u8> = (0..exec.ansatz().num_parameters())
+            .map(|_| rng.gen_range(0..4u8))
+            .collect();
+        for theta in [
+            vec![0.0; exec.ansatz().num_parameters()],
+            exec.ansatz().angles_from_indices(&quarter_turns),
+        ] {
+            let dense = DeviceEvaluator::dense(&exec.circuit(&theta), exec.noise_model())
+                .energy(&exec.map_hamiltonian(&job.hamiltonian));
+            let exact = device_energy(exec, &job.hamiltonian, &theta);
+            assert!(
+                (exact - dense).abs() < 1e-9,
+                "{name}: exact {exact} vs dense {dense}"
+            );
         }
     }
 }
