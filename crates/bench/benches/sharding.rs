@@ -1,6 +1,7 @@
 //! Sharded-suite benchmarks: wall-clock scaling of the lease-based work
-//! queue with 1/2/4 workers over one small quick suite, and the latency of
-//! taking over a dead worker's stale lease.
+//! queue with 1/2/4 workers over one small quick suite, the latency of
+//! taking over a dead worker's stale lease, and what one round's checkpoint
+//! costs a job as its rounds accumulate.
 //!
 //! The scaling rows time `run_shard_worker` fleets in-process (threads
 //! with distinct worker identities, one compute worker each, so the job is
@@ -11,8 +12,13 @@
 use clapton_bench::{
     merge_shards, run_shard_worker, write_queue, Options, ShardWorkerConfig, SuiteConfig,
 };
-use clapton_runtime::{acquire, ClaimOutcome, WorkerPool};
-use clapton_service::JobSpec;
+use clapton_core::EvaluatorKind;
+use clapton_ga::MultiGaConfig;
+use clapton_runtime::{acquire, artifact_slug, ClaimOutcome, WorkerPool};
+use clapton_service::{
+    ClaptonError, ClaptonService, EngineSpec, JobSpec, MethodSpec, NoiseSpec, ProblemSpec,
+    SuiteProblem, UniformNoise,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -158,9 +164,96 @@ fn emit_lease_takeover_latency(_c: &mut Criterion) {
     criterion::append_record("lease_takeover", "ttl200ms_poll20ms", median, best, count);
 }
 
+/// One ising10 job of the repo benchmark's shape: `ising(J=0.25)` at
+/// N = 10 under uniform noise (3e-4, 8e-3, 2e-2), Clapton only, on the
+/// quick engine with `max_retry_rounds = max_rounds` (all eight rounds).
+fn checkpoint_cost_spec() -> JobSpec {
+    let mut spec = JobSpec::new(ProblemSpec::Suite(SuiteProblem {
+        name: "ising(J=0.25)".to_string(),
+        qubits: 10,
+    }));
+    spec.noise = NoiseSpec::Uniform(UniformNoise {
+        p1: 3e-4,
+        p2: 8e-3,
+        readout: 2e-2,
+        t1: None,
+    });
+    spec.methods = vec![MethodSpec::Clapton];
+    let mut engine = MultiGaConfig::quick();
+    engine.max_retry_rounds = engine.max_rounds;
+    spec.engine = EngineSpec::Custom(engine);
+    spec.evaluator = EvaluatorKind::Exact;
+    spec.seed = 11;
+    spec
+}
+
+/// `checkpoint_cost`: the cost of round 1's and round 7's checkpoint in
+/// one [`checkpoint_cost_spec`] job through `ClaptonService` with
+/// artifacts. `median_ns`/`best_ns` come from the job's own `checkpoint`
+/// spans over repeated fresh jobs; `bytes` is that round's memo segment
+/// plus its `checkpoint.json`, measured by running the same job one round
+/// per submission. Flat rows mean a checkpoint costs O(round delta), not
+/// O(rounds so far).
+fn emit_checkpoint_cost(_c: &mut Criterion) {
+    const REPS: usize = 7;
+    const ROUNDS: [usize; 2] = [1, 7];
+    let spec = checkpoint_cost_spec();
+    let job_dir = |root: &std::path::Path| {
+        root.join(artifact_slug(&format!("ising(J=0.25)-seed{}", spec.seed)))
+    };
+    let service = |root: &std::path::Path| {
+        ClaptonService::with_pool(Arc::new(WorkerPool::with_workers(2)))
+            .with_artifacts(root)
+            .unwrap()
+    };
+    let mut samples: Vec<Vec<u128>> = vec![Vec::new(); ROUNDS.len()];
+    for rep in 0..REPS {
+        let root = scratch(&format!("checkpoint-cost-{rep}"));
+        service(&root).run(spec.clone()).unwrap();
+        let jsonl = std::fs::read_to_string(job_dir(&root).join("telemetry.jsonl")).unwrap();
+        let mut spans: Vec<_> = clapton_telemetry::from_jsonl(&jsonl)
+            .unwrap()
+            .into_iter()
+            .filter(|s| s.name == "checkpoint")
+            .collect();
+        spans.sort_by_key(|s| s.start_ns);
+        for (slot, round) in samples.iter_mut().zip(ROUNDS) {
+            slot.push(u128::from(spans[round - 1].duration_ns()));
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+    let root = scratch("checkpoint-cost-bytes");
+    let svc = service(&root);
+    let mut budgeted = spec.clone();
+    budgeted.budget = Some(1);
+    let mut bytes = Vec::new();
+    for round in 1..=*ROUNDS.iter().max().unwrap() {
+        assert!(matches!(
+            svc.run(budgeted.clone()),
+            Err(ClaptonError::Suspended { .. })
+        ));
+        let size = |name: &str| std::fs::metadata(job_dir(&root).join(name)).unwrap().len();
+        bytes.push(size(&format!("memo-{:05}.seg", round - 1)) + size("checkpoint.json"));
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+    for (slot, round) in samples.iter_mut().zip(ROUNDS) {
+        let best = *slot.iter().min().unwrap();
+        let median = median_ns(slot);
+        let bytes = bytes[round - 1];
+        println!(
+            "checkpoint_cost/ising10/round{round}: median {:.3} ms, best {:.3} ms, {bytes} bytes",
+            median as f64 / 1e6,
+            best as f64 / 1e6
+        );
+        criterion::append_line(&format!(
+            "{{\"group\":\"checkpoint_cost\",\"id\":\"ising10/round{round}\",\"median_ns\":{median},\"best_ns\":{best},\"samples\":{REPS},\"bytes\":{bytes}}}"
+        ));
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = emit_suite_workers_scaling, emit_lease_takeover_latency
+    targets = emit_suite_workers_scaling, emit_lease_takeover_latency, emit_checkpoint_cost
 }
 criterion_main!(benches);

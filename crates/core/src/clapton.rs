@@ -4,7 +4,7 @@ use crate::loss::hash_terms;
 use crate::{EvaluatorKind, ExecutableAnsatz, TransformLoss, Transformation};
 use clapton_circuits::TransformationAnsatz;
 use clapton_eval::LossStore;
-use clapton_ga::{EngineState, MultiGa, MultiGaConfig};
+use clapton_ga::{EngineState, MemoEntry, MultiGa, MultiGaConfig};
 use clapton_noise::NoisyCircuit;
 use clapton_pauli::PauliSum;
 use clapton_runtime::WorkerPool;
@@ -117,7 +117,7 @@ pub fn run_clapton(
     config: &ClaptonConfig,
     pool: &Arc<WorkerPool>,
 ) -> ClaptonResult {
-    run_clapton_resumable(h, exec, config, pool, None, None, &mut |_| true)
+    run_clapton_resumable(h, exec, config, pool, None, None, &mut |_, _| true)
         .1
         .expect("uninterrupted run converges")
 }
@@ -136,14 +136,19 @@ pub fn run_clapton(
 ///   statistics are bit-identical with or without the store (disk hits are
 ///   recorded as fresh memo inserts).
 /// * `resume` — an [`EngineState`] snapshot from a previous, interrupted
-///   run. The search continues from the captured round, bit-identical to a
-///   run that was never interrupted.
-/// * `on_round` — called with the engine state after every completed round;
-///   persist it to implement checkpointing. Returning `false` suspends the
-///   search: the function returns the current state and `None`.
+///   run, its memo in `cache_entries`. The search continues from the
+///   captured round, bit-identical to a run that was never interrupted.
+/// * `on_round` — called after every completed round with the engine state
+///   and the genome → loss entries that round added, sorted by key (the
+///   [`MultiGa::run_rounds`] contract: the state's `cache_entries` is empty
+///   meanwhile, so the memo lives outside it). Persist both to implement
+///   checkpointing: a resume state is the last state with `cache_entries`
+///   set to the union of the deltas of its rounds. Returning `false`
+///   suspends the search: the function returns the current state and
+///   `None`.
 ///
-/// Returns the final engine state (always serializable) plus the
-/// [`ClaptonResult`] when the search ran to convergence.
+/// Returns the final engine state (always serializable, full memo included)
+/// plus the [`ClaptonResult`] when the search ran to convergence.
 ///
 /// # Panics
 ///
@@ -160,7 +165,7 @@ pub fn run_clapton_resumable(
     pool: &Arc<WorkerPool>,
     store: Option<Arc<dyn LossStore>>,
     resume: Option<EngineState>,
-    on_round: &mut dyn FnMut(&EngineState) -> bool,
+    on_round: &mut dyn FnMut(&EngineState, &[MemoEntry]) -> bool,
 ) -> (EngineState, Option<ClaptonResult>) {
     let n = exec.num_logical();
     assert_eq!(h.num_qubits(), n, "Hamiltonian/ansatz register mismatch");
@@ -196,11 +201,8 @@ pub fn run_clapton_resumable(
             state
         }
     };
-    while !state.finished {
-        engine.step_pooled(&mut state, &objective, pool);
-        if !on_round(&state) && !state.finished {
-            return (state, None);
-        }
+    if !engine.run_rounds(&mut state, &objective, pool, on_round) {
+        return (state, None);
     }
     let result = engine.result(&state);
     let transformation =
@@ -382,13 +384,13 @@ mod tests {
         // A pool with workers produces the identical result.
         let pool = Arc::new(WorkerPool::with_workers(2));
         let (_, pooled) =
-            run_clapton_resumable(&h, &exec, &config, &pool, None, None, &mut |_| true);
+            run_clapton_resumable(&h, &exec, &config, &pool, None, None, &mut |_, _| true);
         assert_eq!(pooled.expect("converged"), reference);
 
         // Suspend after the first round, round-trip the state through JSON,
         // resume: bit-identical to the uninterrupted run.
         let (suspended, early) =
-            run_clapton_resumable(&h, &exec, &config, &inline, None, None, &mut |_| false);
+            run_clapton_resumable(&h, &exec, &config, &inline, None, None, &mut |_, _| false);
         assert!(early.is_none(), "observer suspended the run");
         assert!(!suspended.finished);
         assert_eq!(suspended.rounds(), 1);
@@ -401,7 +403,7 @@ mod tests {
             &inline,
             None,
             Some(restored),
-            &mut |_| true,
+            &mut |_, _| true,
         );
         assert!(final_state.finished);
         assert_eq!(resumed.expect("converged"), reference);
@@ -423,7 +425,7 @@ mod tests {
             &pool,
             None,
             None,
-            &mut |_| false,
+            &mut |_, _| false,
         );
         run_clapton_resumable(
             &xxz(3, 0.25),
@@ -432,7 +434,7 @@ mod tests {
             &pool,
             None,
             Some(state),
-            &mut |_| true,
+            &mut |_, _| true,
         );
     }
 

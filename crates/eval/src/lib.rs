@@ -22,6 +22,7 @@
 
 use clapton_telemetry::metrics::{registry, Counter};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -147,6 +148,9 @@ impl<F: Fn(&[u8]) -> f64 + Sync> LossEvaluator for FnEvaluator<F> {
     }
 }
 
+/// One genome → loss memo entry: a canonical key and its loss.
+pub type MemoEntry = (Vec<u8>, f64);
+
 /// Cache statistics of a [`CachedEvaluator`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -191,10 +195,14 @@ impl CacheStats {
 /// `stats().misses` equals the number of distinct keys memoized — stable and
 /// deterministic even when concurrent threads race to evaluate the same
 /// genome (the racing duplicates count as hits).
+///
+/// Every new entry is also recorded, under the same lock, as *fresh* until
+/// [`CachedEvaluator::take_fresh`] hands it out — the per-round memo delta
+/// checkpoints persist instead of the whole table.
 #[derive(Debug)]
 pub struct CachedEvaluator<E> {
     inner: E,
-    table: Mutex<HashMap<Vec<u8>, f64>>,
+    table: Mutex<Memo>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Optional persistent tier behind the memo, with the namespace this
@@ -206,12 +214,20 @@ pub struct CachedEvaluator<E> {
     store: Option<(Arc<dyn LossStore>, u64)>,
 }
 
+/// The memo table plus the entries inserted since the last
+/// [`CachedEvaluator::take_fresh`].
+#[derive(Debug, Default)]
+struct Memo {
+    losses: HashMap<Vec<u8>, f64>,
+    fresh: Vec<MemoEntry>,
+}
+
 impl<E: LossEvaluator> CachedEvaluator<E> {
     /// Wraps `inner` with an empty table.
     pub fn new(inner: E) -> CachedEvaluator<E> {
         CachedEvaluator {
             inner,
-            table: Mutex::new(HashMap::new()),
+            table: Mutex::new(Memo::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             store: None,
@@ -228,7 +244,8 @@ impl<E: LossEvaluator> CachedEvaluator<E> {
 
     /// Rebuilds a cache from a [`CachedEvaluator::export`] snapshot,
     /// restoring memoized losses and statistics bit-identically — the
-    /// checkpoint/resume path of the GA engine.
+    /// checkpoint/resume path of the GA engine. Snapshot entries are not
+    /// fresh.
     pub fn from_snapshot(
         inner: E,
         entries: Vec<(Vec<u8>, f64)>,
@@ -236,7 +253,10 @@ impl<E: LossEvaluator> CachedEvaluator<E> {
     ) -> CachedEvaluator<E> {
         CachedEvaluator {
             inner,
-            table: Mutex::new(entries.into_iter().collect()),
+            table: Mutex::new(Memo {
+                losses: entries.into_iter().collect(),
+                fresh: Vec::new(),
+            }),
             hits: AtomicU64::new(stats.hits),
             misses: AtomicU64::new(stats.misses),
             store: None,
@@ -258,24 +278,36 @@ impl<E: LossEvaluator> CachedEvaluator<E> {
 
     /// Number of distinct genomes memoized.
     pub fn entries(&self) -> usize {
-        self.table.lock().expect("cache lock").len()
+        self.table.lock().expect("cache lock").losses.len()
     }
 
     /// The memo table as `(canonical key, loss)` pairs, sorted by key so the
     /// snapshot is deterministic (hash-map iteration order is not).
     pub fn export(&self) -> Vec<(Vec<u8>, f64)> {
         let table = self.table.lock().expect("cache lock");
-        let mut entries: Vec<(Vec<u8>, f64)> = table.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        let mut entries: Vec<(Vec<u8>, f64)> =
+            table.losses.iter().map(|(k, &v)| (k.clone(), v)).collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries
+    }
+
+    /// The entries inserted since the last call (or since construction),
+    /// sorted by key: exactly one per miss counted in between, so disk hits
+    /// are included and racing duplicates are not.
+    pub fn take_fresh(&self) -> Vec<MemoEntry> {
+        let mut fresh = std::mem::take(&mut self.table.lock().expect("cache lock").fresh);
+        fresh.sort_by(|a, b| a.0.cmp(&b.0));
+        fresh
     }
 }
 
 impl<E: LossEvaluator> CachedEvaluator<E> {
     /// Records `loss` for `key`, crediting a miss only for a fresh entry
     /// (concurrent duplicates reconcile to hits — see the type docs).
-    fn record(&self, table: &mut HashMap<Vec<u8>, f64>, key: Vec<u8>, loss: f64) {
-        if table.insert(key, loss).is_none() {
+    fn record(&self, table: &mut Memo, key: Vec<u8>, loss: f64) {
+        if let Entry::Vacant(slot) = table.losses.entry(key) {
+            table.fresh.push((slot.key().clone(), loss));
+            slot.insert(loss);
             self.misses.fetch_add(1, Ordering::Relaxed);
             let metrics = cache_metrics();
             metrics.misses.inc();
@@ -290,7 +322,7 @@ impl<E: LossEvaluator> CachedEvaluator<E> {
 impl<E: LossEvaluator> LossEvaluator for CachedEvaluator<E> {
     fn evaluate(&self, genome: &[u8]) -> f64 {
         let key = self.inner.canonical_key(genome);
-        if let Some(&loss) = self.table.lock().expect("cache lock").get(&key) {
+        if let Some(&loss) = self.table.lock().expect("cache lock").losses.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             cache_metrics().hits.inc();
             return loss;
@@ -324,7 +356,7 @@ impl<E: LossEvaluator> LossEvaluator for CachedEvaluator<E> {
             let table = self.table.lock().expect("cache lock");
             for (i, genome) in genomes.iter().enumerate() {
                 let key = self.inner.canonical_key(genome);
-                if let Some(&loss) = table.get(&key) {
+                if let Some(&loss) = table.losses.get(&key) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     cache_metrics().hits.inc();
                     out[i] = loss;
@@ -498,6 +530,80 @@ mod tests {
         assert_eq!(restored.evaluate_population(&pop), losses);
         // Everything was answered from the restored table.
         assert_eq!(restored.inner().calls.load(Ordering::Relaxed), 0);
+    }
+
+    /// A store that answers one fixed key.
+    #[derive(Debug)]
+    struct OneKeyStore {
+        key: Vec<u8>,
+        loss: f64,
+    }
+
+    impl LossStore for OneKeyStore {
+        fn load(&self, _ns: u64, key: &[u8]) -> Option<f64> {
+            (key == self.key.as_slice()).then_some(self.loss)
+        }
+
+        fn save(&self, _ns: u64, _key: &[u8], _loss: f64) {}
+    }
+
+    #[test]
+    fn fresh_entries_are_each_new_insert_exactly_once() {
+        let pop = population(6, 4);
+        let snapshot = CachedEvaluator::new(CountingLoss::new());
+        snapshot.evaluate_population(&pop[..2]);
+        // Snapshot entries are not fresh; a disk hit is, once.
+        let disk = Arc::new(OneKeyStore {
+            key: pop[2].clone(),
+            loss: -1.0,
+        });
+        let cached = CachedEvaluator::from_snapshot(
+            CountingLoss::new(),
+            snapshot.export(),
+            snapshot.stats(),
+        )
+        .with_store(disk, 0);
+        assert!(cached.take_fresh().is_empty());
+        let mut batch = pop.clone();
+        batch.extend(pop.clone()); // in-batch duplicates
+        cached.evaluate_population(&batch);
+        cached.evaluate(&pop[5]); // a hit
+        let fresh = cached.take_fresh();
+        let mut expected: Vec<(Vec<u8>, f64)> = pop[2..]
+            .iter()
+            .map(|g| {
+                let loss = if *g == pop[2] {
+                    -1.0
+                } else {
+                    CountingLoss::new().evaluate(g)
+                };
+                (g.clone(), loss)
+            })
+            .collect();
+        expected.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(fresh, expected);
+        assert_eq!(
+            fresh.len() as u64,
+            cached.stats().misses - snapshot.stats().misses
+        );
+        // Asking again hands out nothing new.
+        assert!(cached.take_fresh().is_empty());
+
+        // Racing duplicates: threads evaluating the same genomes at once
+        // record each key once.
+        let racing = CachedEvaluator::new(CountingLoss::new());
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for g in &pop {
+                        racing.evaluate(g);
+                    }
+                });
+            }
+        });
+        let fresh = racing.take_fresh();
+        assert_eq!(fresh.len(), pop.len());
+        assert_eq!(fresh, racing.export());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! state machine.
 
 use crate::{GaConfig, GaInstance, Individual};
-use clapton_eval::{CacheStats, CachedEvaluator, LossEvaluator, LossStore};
+use clapton_eval::{CacheStats, CachedEvaluator, LossEvaluator, LossStore, MemoEntry};
 use clapton_runtime::{PooledEvaluator, WorkerPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,13 +112,20 @@ impl MultiGaResult {
 
 /// The complete engine state between two rounds — the checkpoint unit.
 ///
-/// Produced by [`MultiGa::start`], advanced one round at a time by
-/// [`MultiGa::step_pooled`], and serializable as JSON. A state written after
-/// round `k` and deserialized later continues **bit-identically** to a run
-/// that was never interrupted: the mixing RNG state, the per-instance
-/// restart seeds, and the full genome → loss memo (with its statistics) are
-/// all part of the snapshot, and per-instance GA streams are derived
-/// deterministically from `(seed, round, instance)`.
+/// Produced by [`MultiGa::start`], advanced by [`MultiGa::run_rounds`] (or
+/// one round at a time by [`MultiGa::step_pooled`]), and serializable as
+/// JSON. A state taken after round `k` and deserialized later continues
+/// **bit-identically** to a run that was never interrupted: the mixing RNG
+/// state, the per-instance restart seeds, and the genome → loss memo (with
+/// its statistics) are all part of it, and per-instance GA streams are
+/// derived deterministically from `(seed, round, instance)`.
+///
+/// The memo need not live inside the serialized state. The state
+/// [`MultiGa::run_rounds`] shows its `on_round` observer has an empty
+/// `cache_entries`; the memo is the concatenation of the per-round deltas
+/// handed out with it. A checkpointing caller persists each delta once and,
+/// on resume, puts their union back into `cache_entries` — the service's
+/// `checkpoint.json` plus its `memo-NNNNN.seg` segments.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineState {
     /// The base seed the run was started with.
@@ -145,6 +152,7 @@ pub struct EngineState {
     /// Raw state of the mixing RNG.
     pub mix_rng: [u64; 4],
     /// The genome → loss memo, sorted by key (deterministic snapshots).
+    /// Empty while a [`MultiGa::run_rounds`] observer runs.
     pub cache_entries: Vec<(Vec<u8>, f64)>,
     /// Cache statistics matching `cache_entries`.
     pub cache_stats: CacheStats,
@@ -173,10 +181,12 @@ impl EngineState {
 /// one set of threads. Results are bit-identical for every pool size; a
 /// 0-worker pool runs everything inline on the calling thread.
 ///
-/// The engine is a resumable state machine: [`MultiGa::run_pooled`] is a
-/// loop over [`MultiGa::step_pooled`] on an [`EngineState`], and callers
-/// that need checkpointing drive the steps themselves, serializing the state
-/// between rounds.
+/// The engine is a resumable state machine with one round loop,
+/// [`MultiGa::run_rounds`], over an [`EngineState`]. It keeps the memo live
+/// across rounds and hands each round's state and memo delta to an
+/// observer, which may persist them and may stop the run.
+/// [`MultiGa::run_pooled`] runs the loop to convergence;
+/// [`MultiGa::step_pooled`] runs one round of it.
 ///
 /// # Example
 ///
@@ -221,31 +231,9 @@ impl MultiGa {
         self
     }
 
-    /// Wraps `batched` in the per-run memo cache, attaching the persistent
-    /// store tier when one is configured.
-    fn cached_for<E2: LossEvaluator>(
-        &self,
-        batched: E2,
-        state: &mut EngineState,
-    ) -> CachedEvaluator<E2> {
-        let cached = CachedEvaluator::from_snapshot(
-            batched,
-            std::mem::take(&mut state.cache_entries),
-            state.cache_stats,
-        );
-        match &self.store {
-            Some((store, ns)) => cached.with_store(Arc::clone(store), *ns),
-            None => cached,
-        }
-    }
-
     /// Runs the engine to convergence on `pool`, minimizing `evaluator`'s
-    /// loss.
-    ///
-    /// The run keeps the genome → loss memo live across rounds and
-    /// materializes the serializable snapshot only once at the end, instead
-    /// of paying the per-round export/import that checkpointing steps
-    /// require.
+    /// loss: [`MultiGa::run_rounds`] from [`MultiGa::start`] with an
+    /// observer that never stops it.
     pub fn run_pooled<E: LossEvaluator + ?Sized>(
         &self,
         seed: u64,
@@ -253,14 +241,47 @@ impl MultiGa {
         pool: &Arc<WorkerPool>,
     ) -> MultiGaResult {
         let mut state = self.start(seed);
-        let cached = self.cached_for(
-            PooledEvaluator::new(evaluator, Arc::clone(pool)),
-            &mut state,
-        );
-        while !self.step_core(&mut state, &cached, pool) {}
-        state.cache_entries = cached.export();
-        state.cache_stats = cached.stats();
+        self.run_rounds(&mut state, evaluator, pool, &mut |_, _| true);
         self.result(&state)
+    }
+
+    /// Runs rounds on `pool` until the run converges or `on_round` returns
+    /// `false`, and returns whether the run has converged.
+    ///
+    /// The genome → loss memo is built once from `state.cache_entries` and
+    /// kept live across rounds. After every round `state.cache_stats` is
+    /// updated and `on_round` receives the state plus the memo entries that
+    /// round added, sorted by key: exactly `round_eval_stats[r].misses` of
+    /// them. While `on_round` runs, `state.cache_entries` is empty, so the
+    /// state it sees plus the deltas of rounds `0..=r` is the whole
+    /// checkpoint. On return the full sorted memo is back in
+    /// `state.cache_entries`. A state that is already finished runs no
+    /// round.
+    pub fn run_rounds<E: LossEvaluator + ?Sized>(
+        &self,
+        state: &mut EngineState,
+        evaluator: &E,
+        pool: &Arc<WorkerPool>,
+        on_round: &mut dyn FnMut(&EngineState, &[MemoEntry]) -> bool,
+    ) -> bool {
+        let cached = CachedEvaluator::from_snapshot(
+            PooledEvaluator::new(evaluator, Arc::clone(pool)),
+            std::mem::take(&mut state.cache_entries),
+            state.cache_stats,
+        );
+        let cached = match &self.store {
+            Some((store, ns)) => cached.with_store(Arc::clone(store), *ns),
+            None => cached,
+        };
+        while !state.finished {
+            self.step_core(state, &cached, pool);
+            state.cache_stats = cached.stats();
+            if !on_round(state, &cached.take_fresh()) {
+                break;
+            }
+        }
+        state.cache_entries = cached.export();
+        state.finished
     }
 
     /// The initial [`EngineState`] for a run seeded with `seed`.
@@ -282,11 +303,9 @@ impl MultiGa {
     }
 
     /// Executes one round (evolve all instances, pool the elites, mix) on
-    /// `pool` and returns whether the run has converged.
-    ///
-    /// The genome → loss memo is restored from the state snapshot before the
-    /// round and snapshotted back after it, so the state can be checkpointed
-    /// between any two steps.
+    /// `pool` and returns whether the run has converged: one round of
+    /// [`MultiGa::run_rounds`], so the state leaves with its full memo and
+    /// can be checkpointed between any two steps.
     ///
     /// # Panics
     ///
@@ -297,11 +316,8 @@ impl MultiGa {
         evaluator: &E,
         pool: &Arc<WorkerPool>,
     ) -> bool {
-        let cached = self.cached_for(PooledEvaluator::new(evaluator, Arc::clone(pool)), state);
-        let finished = self.step_core(state, &cached, pool);
-        state.cache_entries = cached.export();
-        state.cache_stats = cached.stats();
-        finished
+        assert!(!state.finished, "stepping a finished engine run");
+        self.run_rounds(state, evaluator, pool, &mut |_, _| false)
     }
 
     /// The final result of a converged run (or the best-so-far snapshot of a
@@ -331,8 +347,7 @@ impl MultiGa {
         state: &mut EngineState,
         cached: &CachedEvaluator<E>,
         pool: &WorkerPool,
-    ) -> bool {
-        assert!(!state.finished, "stepping a finished engine run");
+    ) {
         let cfg = &self.config;
         let stats_before = cached.stats();
         let round = state.next_round;
@@ -388,7 +403,6 @@ impl MultiGa {
             state.mix_rng = mix_rng.state();
         }
         state.finished = finished;
-        finished
     }
 
     /// Runs all instances of one round as tasks on `pool`.
@@ -554,8 +568,36 @@ mod tests {
         let fitness = sum_fitness();
         let pool = inline();
         let reference = engine.run_pooled(77, &fitness, &pool);
-        // Interrupt after every possible round k, resume from a JSON
-        // round-trip of the state, and compare the final result.
+        // What a checkpointing observer of the round loop sees: a memo-less
+        // state and that round's memo delta.
+        let mut observed: Vec<(EngineState, Vec<MemoEntry>)> = Vec::new();
+        let mut full = engine.start(77);
+        let finished = engine.run_rounds(&mut full, &fitness, &pool, &mut |state, delta| {
+            assert!(
+                state.cache_entries.is_empty(),
+                "memo stays out of the state"
+            );
+            observed.push((state.clone(), delta.to_vec()));
+            true
+        });
+        assert!(finished);
+        assert_eq!(engine.result(&full), reference);
+        assert_eq!(observed.len(), reference.rounds);
+        for (state, delta) in &observed {
+            let misses: u64 = state.round_eval_stats.iter().map(|s| s.misses).sum();
+            assert_eq!(state.cache_stats.misses, misses, "stats current");
+            let round = state.rounds() - 1;
+            assert_eq!(delta.len() as u64, state.round_eval_stats[round].misses);
+            assert!(delta.windows(2).all(|w| w[0].0 < w[1].0), "sorted by key");
+        }
+        let mut concatenated: Vec<MemoEntry> =
+            observed.iter().flat_map(|(_, d)| d.clone()).collect();
+        concatenated.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(concatenated, full.cache_entries, "the deltas are the memo");
+
+        // Interrupt after every possible round k and resume from a JSON
+        // round-trip of (a) the stepped state, memo inline, and (b) the
+        // observed state with its memo rebuilt from the deltas.
         for k in 1..reference.rounds {
             let mut state = engine.start(77);
             for _ in 0..k {
@@ -569,6 +611,14 @@ mod tests {
             assert_eq!(resumed, state);
             while !engine.step_pooled(&mut resumed, &fitness, &pool) {}
             assert_eq!(engine.result(&resumed), reference, "interrupted at {k}");
+
+            let json = serde_json::to_string(&observed[k - 1].0).expect("state serializes");
+            let mut rebuilt: EngineState = serde_json::from_str(&json).expect("state parses");
+            rebuilt.cache_entries = observed[..k].iter().flat_map(|(_, d)| d.clone()).collect();
+            rebuilt.cache_entries.sort_by(|a, b| a.0.cmp(&b.0));
+            assert_eq!(rebuilt, state, "deltas rebuild the stepped state");
+            assert!(engine.run_rounds(&mut rebuilt, &fitness, &pool, &mut |_, _| true));
+            assert_eq!(engine.result(&rebuilt), reference, "rebuilt at {k}");
         }
     }
 

@@ -25,7 +25,7 @@
 mod engine;
 mod instance;
 
-pub use clapton_eval::{CacheStats, CachedEvaluator, FnEvaluator, LossEvaluator};
+pub use clapton_eval::{CacheStats, CachedEvaluator, FnEvaluator, LossEvaluator, MemoEntry};
 pub use clapton_runtime::{PooledEvaluator, WorkerPool};
 pub use engine::{EngineState, MultiGa, MultiGaConfig, MultiGaResult};
 pub use instance::{GaConfig, GaInstance, Individual, Population};

@@ -15,9 +15,11 @@
 //!   nCAFQA) runs on the caller's pool.
 //! * [`JobScheduler`] — runs many jobs concurrently with fair round-robin
 //!   interleaving of their batches, streaming [`RunEvent`]s while they run.
-//! * [`RunDirectory`] / [`RunRegistry`] — atomic JSON artifact storage for
-//!   checkpoint/resume: a run killed at any instant resumes from complete
-//!   round snapshots, bit-identical to an uninterrupted run.
+//! * [`RunDirectory`] / [`RunRegistry`] — atomic, enveloped artifact storage
+//!   (JSON documents and raw sealed payloads such as the service's per-round
+//!   memo segments) for checkpoint/resume: a run killed at any instant
+//!   resumes from complete round snapshots, bit-identical to an
+//!   uninterrupted run.
 //! * [`WorkQueue`] / [`Lease`] / [`LeaseKeeper`] — lease files over the
 //!   registry turning it into a shared, crash-tolerant work queue: many
 //!   worker processes (or hosts over a shared filesystem) claim per-job

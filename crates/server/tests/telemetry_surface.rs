@@ -1,7 +1,9 @@
 //! Loopback tests for the observability surface: `GET /metrics` must be a
 //! parseable Prometheus exposition covering admission, queue, pool, cache,
 //! and kernel series, and `GET /v1/jobs/{id}/trace` must agree span-for-span
-//! with the `telemetry.jsonl` artifact the service wrote for the job.
+//! with the `telemetry.jsonl` artifact the service wrote for the job, whose
+//! tree names the job's phases (rounds, their checkpoint writes, the report
+//! write).
 
 use clapton_server::client::Client;
 use clapton_server::{Server, ServerConfig, ServerHandle};
@@ -116,11 +118,25 @@ fn metrics_scrape_covers_every_layer_and_trace_matches_the_artifact() {
         .iter()
         .find(|c| c.name == "clapton")
         .expect("clapton method span under the job root");
-    assert!(
-        clapton.children.iter().any(|c| c.name == "round"),
-        "round spans under the clapton span"
+    let named = |name: &str| -> Vec<&clapton_telemetry::SpanNode> {
+        clapton.children.iter().filter(|c| c.name == name).collect()
+    };
+    let (rounds, checkpoints) = (named("round"), named("checkpoint"));
+    assert!(!rounds.is_empty(), "round spans under the clapton span");
+    assert_eq!(
+        checkpoints.len(),
+        rounds.len(),
+        "one checkpoint span per round under the clapton span"
     );
-    for phase in ["e0", "device_energy"] {
+    for round in &rounds {
+        for checkpoint in &checkpoints {
+            assert!(
+                round.end_ns <= checkpoint.start_ns || checkpoint.end_ns <= round.start_ns,
+                "a round overlaps a checkpoint write"
+            );
+        }
+    }
+    for phase in ["e0", "device_energy", "report_write"] {
         assert!(
             job_root.children.iter().any(|c| c.name == phase),
             "{phase} span under the job root"

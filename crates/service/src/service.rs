@@ -5,7 +5,7 @@ use crate::{JobSpec, MethodSpec, Report, ResolvedJob};
 use clapton_cache::{CacheConfig, CacheStore};
 use clapton_core::{device_energy, run_cafqa, run_clapton_resumable, run_ncafqa, LossStore};
 use clapton_error::{ClaptonError, SpecError};
-use clapton_ga::EngineState;
+use clapton_ga::{EngineState, MemoEntry};
 use clapton_runtime::{
     artifact_slug, Artifact, CancelToken, ClaimOutcome, EventKind, Interrupt, JobContext,
     JobScheduler, LeaseKeeper, RunDirectory, RunEvent, RunManifest, RunRegistry, ScheduledJob,
@@ -23,14 +23,16 @@ use std::time::Duration;
 
 /// Artifact names inside a job's run directory.
 const SPEC_ARTIFACT: &str = "spec.json";
+/// The engine state after the latest round, without its memo: the memo
+/// lives in the round segments ([`segment_name`]).
 const CHECKPOINT_ARTIFACT: &str = "checkpoint.json";
 /// The previous round's checkpoint, kept one generation behind
 /// [`CHECKPOINT_ARTIFACT`]: if the current checkpoint is torn by a crash
 /// mid-write, recovery falls back here and loses at most that one round.
 /// On completion the final checkpoint rotates into this slot (instead of
-/// being deleted), so even a corrupted `report.json` recovers by replaying
-/// from the final round state — bit-identically, since rounds are
-/// deterministic.
+/// being deleted), and the segments stay, so even a corrupted `report.json`
+/// recovers by replaying from the final round state — bit-identically,
+/// since rounds are deterministic.
 const CHECKPOINT_PREV_ARTIFACT: &str = "checkpoint.prev.json";
 const REPORT_ARTIFACT: &str = "report.json";
 const STATE_ARTIFACT: &str = "state.json";
@@ -433,7 +435,12 @@ impl ClaptonService {
             return Ok(JobLeaseView::default());
         };
         let lease = clapton_runtime::lease_state(dir.path(), self.lease_ttl)?;
-        let (rounds, cache_hits) = match load_checkpoint(dir)? {
+        // The checkpoint alone: its memo lives in segments this never reads.
+        let checkpoint = match dir.load::<EngineState>(CHECKPOINT_ARTIFACT)?.valid() {
+            Some(state) => Some(state),
+            None => dir.load::<EngineState>(CHECKPOINT_PREV_ARTIFACT)?.valid(),
+        };
+        let (rounds, cache_hits) = match checkpoint {
             Some(state) => (Some(state.rounds()), Some(state.cache_stats.hits)),
             None => match dir.load::<Report>(REPORT_ARTIFACT)?.valid() {
                 Some(report) => (
@@ -769,15 +776,130 @@ pub(crate) fn execute(
     result
 }
 
-/// Loads the newest valid round checkpoint: the current generation when it
-/// verifies, else the previous one (current is quarantined by the failed
-/// load), else `None` — corruption costs at most one round, and a job with
-/// neither checkpoint simply starts from round 0.
-fn load_checkpoint(dir: &RunDirectory) -> io::Result<Option<EngineState>> {
-    if let Some(state) = dir.load::<EngineState>(CHECKPOINT_ARTIFACT)?.valid() {
-        return Ok(Some(state));
+/// The memo segment of 0-based round `round`: the genome → loss entries
+/// that round added, written once before the round's checkpoint and never
+/// rewritten.
+fn segment_name(round: usize) -> String {
+    format!("memo-{round:05}.seg")
+}
+
+/// A memo segment's payload: the gene count and the entry count as `u32`
+/// LE, then per entry the genome packed four genes per byte (gene `i` in
+/// bits `2(i mod 4)..`) and the loss's `f64` bits as `u64` LE. The engine
+/// hands each round's entries over sorted by key, so a round's segment
+/// bytes are the same from every writer.
+///
+/// # Panics
+///
+/// Panics unless every key has the same length and every gene is `< 4` —
+/// the Clapton objective's canonical genomes.
+fn encode_segment(entries: &[MemoEntry]) -> Vec<u8> {
+    let genes = entries.first().map_or(0, |(key, _)| key.len());
+    let mut out = Vec::with_capacity(8 + entries.len() * (genes.div_ceil(4) + 8));
+    for word in [genes, entries.len()] {
+        let word = u32::try_from(word).expect("a round's memo delta fits u32 counts");
+        out.extend_from_slice(&word.to_le_bytes());
     }
-    Ok(dir.load::<EngineState>(CHECKPOINT_PREV_ARTIFACT)?.valid())
+    for (key, loss) in entries {
+        assert_eq!(key.len(), genes, "memo keys share one length");
+        for four in key.chunks(4) {
+            out.push(four.iter().enumerate().fold(0, |byte, (i, &gene)| {
+                assert!(gene < 4, "memo genes are 2-bit");
+                byte | (gene << (2 * i))
+            }));
+        }
+        out.extend_from_slice(&loss.to_bits().to_le_bytes());
+    }
+    out
+}
+
+/// Inverse of [`encode_segment`].
+fn decode_segment(payload: &[u8]) -> Result<Vec<MemoEntry>, String> {
+    let word = |at: usize| -> Option<usize> {
+        Some(u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?) as usize)
+    };
+    let (Some(genes), Some(count)) = (word(0), word(4)) else {
+        return Err("segment header is truncated".to_string());
+    };
+    let stride = genes.div_ceil(4) + 8;
+    if Some(payload.len() - 8) != count.checked_mul(stride) {
+        return Err(format!(
+            "segment holds {} body bytes, not {count} entries of {stride}",
+            payload.len() - 8
+        ));
+    }
+    Ok(payload[8..]
+        .chunks_exact(stride)
+        .map(|entry| {
+            let key = (0..genes)
+                .map(|i| (entry[i / 4] >> (2 * (i % 4))) & 3)
+                .collect();
+            let (_, bits) = entry.split_at(stride - 8);
+            let loss = f64::from_bits(u64::from_le_bytes(bits.try_into().expect("8 bytes")));
+            (key, loss)
+        })
+        .collect())
+}
+
+/// Persists a finished round: first its memo segment, read back and
+/// verified, then the memo-less checkpoint that references it. A segment
+/// that does not verify fails the write, so no checkpoint ever references a
+/// torn segment (segments are never rewritten in place by later rounds).
+fn write_round(dir: &RunDirectory, state: &EngineState, delta: &[MemoEntry]) -> io::Result<()> {
+    let name = segment_name(state.rounds() - 1);
+    let payload = encode_segment(delta);
+    dir.write_sealed(&name, &payload)?;
+    let read_back = dir.load_sealed(&name, |bytes| {
+        if bytes == payload.as_slice() {
+            Ok(())
+        } else {
+            Err("segment differs from the bytes written".to_string())
+        }
+    })?;
+    if read_back != Artifact::Valid(()) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{name} did not verify after writing: {read_back:?}"),
+        ));
+    }
+    dir.write_json_rotating(CHECKPOINT_ARTIFACT, CHECKPOINT_PREV_ARTIFACT, state)
+}
+
+/// The memo of `state`: the entries of segments `0..next_round`, sorted by
+/// key, or `None` when a segment is missing, corrupt (quarantined by the
+/// read) or holds a different number of entries than its round's misses.
+fn replay_memo(dir: &RunDirectory, state: &EngineState) -> io::Result<Option<Vec<MemoEntry>>> {
+    let mut memo = Vec::new();
+    for (round, stats) in state.round_eval_stats.iter().enumerate() {
+        match dir.load_sealed(&segment_name(round), decode_segment)? {
+            Artifact::Valid(entries) if entries.len() as u64 == stats.misses => {
+                memo.extend(entries)
+            }
+            _ => return Ok(None),
+        }
+    }
+    memo.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok(Some(memo))
+}
+
+/// Loads the newest round checkpoint whose memo replays: the current
+/// generation, else the previous one (a corrupt checkpoint is quarantined
+/// by the failed load), else `None` and the job starts from round 0.
+/// Corruption of the latest checkpoint or segment costs one round; an older
+/// segment, the whole search. A checkpoint written by an earlier build
+/// (memo inline, no segments) replays nothing and restarts too — rounds are
+/// deterministic, so the report is byte-identical either way.
+fn load_checkpoint(dir: &RunDirectory) -> io::Result<Option<EngineState>> {
+    for name in [CHECKPOINT_ARTIFACT, CHECKPOINT_PREV_ARTIFACT] {
+        let Some(mut state) = dir.load::<EngineState>(name)?.valid() else {
+            continue;
+        };
+        if let Some(memo) = replay_memo(dir, &state)? {
+            state.cache_entries = memo;
+            return Ok(Some(state));
+        }
+    }
+    Ok(None)
 }
 
 /// The actual job body behind [`execute`], which wraps it in a telemetry
@@ -867,25 +989,35 @@ fn execute_inner(
         // — so even a *partially* overlapping search (different seed or
         // engine effort over the same objective) answers from disk.
         let store = cache.map(|c| Arc::clone(c) as Arc<dyn LossStore>);
-        let (state, result) =
-            run_clapton_resumable(h, exec, config, ctx.pool(), store, resume, &mut |state| {
-                let round_ended = clapton_telemetry::mono_ns();
-                clapton_telemetry::record_complete("round", round_started, round_ended);
-                round_started = round_ended;
+        let (state, result) = run_clapton_resumable(
+            h,
+            exec,
+            config,
+            ctx.pool(),
+            store,
+            resume,
+            &mut |state, delta| {
+                clapton_telemetry::record_complete(
+                    "round",
+                    round_started,
+                    clapton_telemetry::mono_ns(),
+                );
                 if let Some(dir) = dir {
-                    // Rotating keeps the previous round's checkpoint valid
-                    // while this one is in flight: a torn write costs one
-                    // round, never the run.
-                    if let Err(e) = dir.write_json_rotating(
-                        CHECKPOINT_ARTIFACT,
-                        CHECKPOINT_PREV_ARTIFACT,
-                        state,
-                    ) {
+                    // The round's memo segment, then its checkpoint, which
+                    // rotates so the previous round's stays valid while
+                    // this one is in flight: a torn write costs one round,
+                    // never the run.
+                    let written = {
+                        let _span = clapton_telemetry::span("checkpoint");
+                        write_round(dir, state, delta)
+                    };
+                    if let Err(e) = written {
                         checkpoint_error = Some(e);
                         return false;
                     }
                     ctx.emit(EventKind::Checkpointed(state.rounds()));
                 }
+                round_started = clapton_telemetry::mono_ns();
                 if let Some(best) = &state.global_best {
                     ctx.emit(EventKind::Round(state.rounds(), best.loss));
                 }
@@ -926,7 +1058,8 @@ fn execute_inner(
                     }
                     None => true,
                 }
-            });
+            },
+        );
         if let Some(e) = checkpoint_error {
             return Err(e.into());
         }
@@ -1001,10 +1134,12 @@ fn execute_inner(
         ncafqa_vqe,
     };
     if let Some(dir) = dir {
+        let _span = clapton_telemetry::span("report_write");
         dir.write_json(REPORT_ARTIFACT, &report)?;
         // The final checkpoint rotates into the `prev` slot instead of being
-        // deleted: if the report is ever torn or garbled, recovery replays
-        // from the final round state and reproduces it bit-identically.
+        // deleted, and the segments stay: if the report is ever torn or
+        // garbled, recovery replays from the final round state and
+        // reproduces it bit-identically.
         dir.rotate(CHECKPOINT_ARTIFACT, CHECKPOINT_PREV_ARTIFACT)?;
     }
     if let Some(cache) = cache {
@@ -1023,6 +1158,31 @@ fn execute_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn memo_segments_round_trip_bit_exactly() {
+        let entries: Vec<MemoEntry> = (0..37u8)
+            .map(|i| {
+                let key = (0..49).map(|g| (i / 3 + g) % 4).collect();
+                (key, f64::from(i).sqrt() * -1.5e-7)
+            })
+            .chain([(vec![3; 49], f64::NAN), (vec![1; 49], -0.0)])
+            .collect();
+        let payload = encode_segment(&entries);
+        assert_eq!(
+            payload.len(),
+            8 + entries.len() * (13 + 8),
+            "2 bits per gene"
+        );
+        let decoded = decode_segment(&payload).unwrap();
+        assert_eq!(decoded.len(), entries.len());
+        for ((key, loss), (k, l)) in entries.iter().zip(&decoded) {
+            assert_eq!((key, loss.to_bits()), (k, l.to_bits()));
+        }
+        assert_eq!(decode_segment(&encode_segment(&[])).unwrap(), Vec::new());
+        assert!(decode_segment(&payload[..payload.len() - 1]).is_err());
+        assert!(decode_segment(&payload[..5]).is_err());
+    }
 
     #[test]
     fn report_namespace_is_pinned() {

@@ -97,7 +97,7 @@ fn clapton_resume_on_real_objective_is_bit_identical() {
     loop {
         let mut seen = 0;
         let (state, result) =
-            run_clapton_resumable(&h, &exec, &config, &pool, None, None, &mut |_| {
+            run_clapton_resumable(&h, &exec, &config, &pool, None, None, &mut |_, _| {
                 seen += 1;
                 seen < k
             });
@@ -107,10 +107,15 @@ fn clapton_resume_on_real_objective_is_bit_identical() {
         }
         let json = serde_json::to_string(&state).expect("serializes");
         let restored: EngineState = serde_json::from_str(&json).expect("parses");
-        let (_, resumed) =
-            run_clapton_resumable(&h, &exec, &config, &pool, None, Some(restored), &mut |_| {
-                true
-            });
+        let (_, resumed) = run_clapton_resumable(
+            &h,
+            &exec,
+            &config,
+            &pool,
+            None,
+            Some(restored),
+            &mut |_, _| true,
+        );
         assert_eq!(
             resumed.expect("resumed run converges"),
             reference,
@@ -162,13 +167,18 @@ fn sampled_backend_checkpoints_identically() {
     let pool = inline();
     let reference = run_clapton(&h, &exec, &config, &pool);
     let (state, early) =
-        run_clapton_resumable(&h, &exec, &config, &pool, None, None, &mut |_| false);
+        run_clapton_resumable(&h, &exec, &config, &pool, None, None, &mut |_, _| false);
     assert!(early.is_none());
     let json = serde_json::to_string(&state).expect("serializes");
     let restored: EngineState = serde_json::from_str(&json).expect("parses");
-    let (_, resumed) =
-        run_clapton_resumable(&h, &exec, &config, &pool, None, Some(restored), &mut |_| {
-            true
-        });
+    let (_, resumed) = run_clapton_resumable(
+        &h,
+        &exec,
+        &config,
+        &pool,
+        None,
+        Some(restored),
+        &mut |_, _| true,
+    );
     assert_eq!(resumed.expect("converges"), reference);
 }
