@@ -9,7 +9,7 @@
 //! attaching with `--join <dir>`, possibly on other hosts over a shared
 //! filesystem) repeatedly sweep it with [`run_shard_worker`], claiming
 //! unfinished jobs through the lease protocol (`claim.json`, see
-//! `clapton_runtime::WorkQueue`). A worker SIGKILLed mid-job leaves a
+//! `clapton_runtime::acquire`). A worker SIGKILLed mid-job leaves a
 //! staling lease; a surviving worker takes the job over and resumes it from
 //! its last round checkpoint bit-identically.
 //!
@@ -19,7 +19,9 @@
 //! often workers died.
 
 use clapton_error::ClaptonError;
-use clapton_runtime::{Artifact, CancelToken, RunDirectory, RunEvent, RunRegistry, WorkerPool};
+use clapton_runtime::{
+    publish_queue_depth, Artifact, CancelToken, RunDirectory, RunEvent, WorkerPool,
+};
 use clapton_service::{AdmittedJob, CacheStore, ClaptonService, JobArtifactState, JobSpec, Report};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -191,7 +193,6 @@ pub fn run_shard_worker(
     if let Some(cache) = &config.cache {
         service = service.with_cache(Arc::clone(cache));
     }
-    let queue = RunRegistry::open(root)?.work_queue(service.worker_id(), config.lease_ttl);
     let mut suspended_here: HashSet<String> = HashSet::new();
     let mut attempts: HashMap<String, usize> = HashMap::new();
     loop {
@@ -238,7 +239,7 @@ pub fn run_shard_worker(
                 }
             }
         }
-        queue.set_depth(open);
+        publish_queue_depth(open);
         if pending == 0 {
             break;
         }

@@ -10,20 +10,27 @@
 //!
 //! The store lives in one directory (conventionally `<registry>/.cache`,
 //! which [`clapton_runtime::RunRegistry`] skips when listing runs) holding
-//! `shards` subdirectories. Each shard is a set of append-once *segment*
-//! files: a segment is a concatenation of records, each record a
-//! [`clapton_runtime::seal_envelope`]-wrapped compact JSON document
-//! `{"ns":"<16-hex>","key":"<hex>","value":"..."}` followed by a newline.
-//! Segments are written whole via the registry's tmp+rename discipline
-//! (per-writer unique tmp names), so a reader never observes a partial
-//! segment and racing writer processes each land their own complete file.
+//! `shards` subdirectories, each a [`RunDirectory`] of append-once
+//! *segment* artifacts named `seg-<unix-ms>-<pid>-<seq>.seg`. A flush
+//! writes one segment through [`RunDirectory::write_sealed`] — one
+//! integrity envelope around the shard's buffered records, each laid out as
 //!
-//! On [`CacheStore::open`] every segment is scanned — newest last, so the
-//! lexicographically latest write of a key wins — into an in-memory index.
-//! A segment that fails envelope verification anywhere is quarantined
-//! exactly like a corrupt artifact (renamed to `<name>.corrupt-<unix-ms>`,
-//! counted in `clapton_cache_corrupt_segments_total`) and contributes no
-//! entries; lookups keep working off the healthy segments.
+//! ```text
+//! ns (u64 LE) | key length (u32 LE) | value length (u32 LE) | key bytes | value (UTF-8)
+//! ```
+//!
+//! so the registry's tmp+rename discipline and its `registry.write.*`
+//! failpoints cover store flushes too. A reader never observes a partial
+//! segment, and racing writer processes each land their own file.
+//!
+//! On [`CacheStore::open`] every segment is read with
+//! [`RunDirectory::load_sealed`] — oldest first, so the lexicographically
+//! latest write of a key wins — into an in-memory index. A segment that
+//! fails verification or decoding (torn, garbled, or written in an earlier
+//! layout) is quarantined by the registry like any corrupt artifact,
+//! counted in `clapton_cache_corrupt_segments_total`, and contributes no
+//! entries; lookups keep working off the healthy segments. Nothing
+//! references a segment, so a lost one only costs recomputation.
 //!
 //! # Identity and safety
 //!
@@ -41,7 +48,7 @@
 //! entries dropped, counted in `clapton_cache_evictions_total`.
 
 use clapton_eval::LossStore;
-use clapton_runtime::{open_envelope_record, seal_envelope};
+use clapton_runtime::{Artifact, RunDirectory};
 use clapton_telemetry::Fnv1a;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -97,16 +104,9 @@ pub struct CacheStoreStats {
     pub inserts: u64,
     /// Entries dropped by size-budget eviction since open.
     pub evictions: u64,
-    /// Segments quarantined for failing envelope verification since open.
+    /// Segments quarantined at open for failing envelope verification or
+    /// record decoding.
     pub corrupt_segments: u64,
-}
-
-/// One record as serialized into a segment.
-#[derive(Debug, Serialize, Deserialize)]
-struct CacheRecord {
-    ns: String,
-    key: String,
-    value: String,
 }
 
 /// Where an indexed value currently lives.
@@ -118,11 +118,12 @@ enum Home {
     Segment(String),
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shard {
+    dir: RunDirectory,
     /// `(ns, key)` → (value, home).
     index: HashMap<(u64, Vec<u8>), (String, Home)>,
-    /// Serialized records awaiting the next segment flush.
+    /// Encoded records awaiting the next segment flush.
     pending: Vec<u8>,
     pending_keys: Vec<(u64, Vec<u8>)>,
     /// Live segments as `(file name, bytes)`, sorted oldest first.
@@ -130,9 +131,85 @@ struct Shard {
 }
 
 impl Shard {
+    /// Indexes every segment in `dir`, oldest first. Returns the shard and
+    /// how many segments the registry quarantined.
+    fn open(dir: RunDirectory) -> io::Result<(Shard, u64)> {
+        let mut listed: Vec<(String, u64)> = fs::read_dir(dir.path())?
+            .filter_map(|e| e.ok())
+            .filter_map(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                // Size 0 only when the segment vanished meanwhile, which
+                // `load_sealed` then reports as missing.
+                (name.starts_with("seg-") && name.ends_with(".seg"))
+                    .then(|| (name, e.metadata().map_or(0, |m| m.len())))
+            })
+            .collect();
+        listed.sort();
+        let mut shard = Shard {
+            dir,
+            index: HashMap::new(),
+            pending: Vec::new(),
+            pending_keys: Vec::new(),
+            segments: Vec::new(),
+        };
+        let mut corrupt = 0;
+        for (name, bytes) in listed {
+            match shard.dir.load_sealed(&name, decode_segment)? {
+                // A racing process evicted it between listing and reading.
+                Artifact::Missing => {}
+                Artifact::Corrupt { .. } => corrupt += 1,
+                Artifact::Valid(records) => {
+                    for (ns, key, value) in records {
+                        let home = Home::Segment(name.clone());
+                        shard.index.insert((ns, key), (value, home));
+                    }
+                    shard.segments.push((name, bytes));
+                }
+            }
+        }
+        Ok((shard, corrupt))
+    }
+
     fn segment_bytes(&self) -> u64 {
         self.segments.iter().map(|&(_, b)| b).sum()
     }
+}
+
+/// Appends one record to a segment payload in the layout of the crate docs.
+fn encode_record(out: &mut Vec<u8>, ns: u64, key: &[u8], value: &str) {
+    let len = |n: usize| u32::try_from(n).expect("a record field fits in u32");
+    out.extend_from_slice(&ns.to_le_bytes());
+    out.extend_from_slice(&len(key.len()).to_le_bytes());
+    out.extend_from_slice(&len(value.len()).to_le_bytes());
+    out.extend_from_slice(key);
+    out.extend_from_slice(value.as_bytes());
+}
+
+/// The next `n` bytes of `bytes`, advancing past them.
+fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
+    let (head, rest) = bytes
+        .split_at_checked(n)
+        .ok_or("record overruns its segment")?;
+    *bytes = rest;
+    Ok(head)
+}
+
+/// Splits a segment payload into `(ns, key, value)` records; a payload
+/// that does not end exactly at a record boundary is rejected whole.
+fn decode_segment(mut payload: &[u8]) -> Result<Vec<(u64, Vec<u8>, String)>, String> {
+    let mut records = Vec::new();
+    while !payload.is_empty() {
+        let ns = u64::from_le_bytes(take(&mut payload, 8)?.try_into().expect("8 bytes"));
+        let mut len = || -> Result<usize, String> {
+            Ok(u32::from_le_bytes(take(&mut payload, 4)?.try_into().expect("4 bytes")) as usize)
+        };
+        let (key_len, value_len) = (len()?, len()?);
+        let key = take(&mut payload, key_len)?.to_vec();
+        let value = std::str::from_utf8(take(&mut payload, value_len)?)
+            .map_err(|e| format!("record value is not UTF-8: {e}"))?;
+        records.push((ns, key, value.to_string()));
+    }
+    Ok(records)
 }
 
 /// Process-wide telemetry mirrors of the store counters.
@@ -203,44 +280,22 @@ fn shard_hash(ns: u64, key: &[u8]) -> u64 {
     Fnv1a::new().write(&ns.to_le_bytes()).write(key).finish()
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn hex_decode(text: &str) -> Option<Vec<u8>> {
-    if !text.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..text.len() / 2)
-        .map(|i| u8::from_str_radix(&text[2 * i..2 * i + 2], 16).ok())
-        .collect()
-}
-
-fn unix_millis() -> u128 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis())
-        .unwrap_or(0)
-}
-
 /// A fresh segment file name: lexicographic order is creation order, and
 /// the `(pid, seq)` suffix keeps racing writer processes from colliding.
 fn segment_name() -> String {
     static SEQ: AtomicU64 = AtomicU64::new(0);
+    let millis = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_millis());
     format!(
-        "seg-{:015}-{:010}-{:06}.seg",
-        unix_millis(),
+        "seg-{millis:015}-{:010}-{:06}.seg",
         std::process::id(),
         SEQ.fetch_add(1, Ordering::Relaxed)
     )
 }
 
 impl CacheStore {
-    /// Opens (creating if needed) the store rooted at `root`, scanning every
+    /// Opens (creating if needed) the store rooted at `root`, reading every
     /// live segment into the in-memory index. Corrupt segments are
     /// quarantined aside and contribute nothing.
     ///
@@ -250,33 +305,25 @@ impl CacheStore {
     pub fn open(root: impl AsRef<Path>, config: CacheConfig) -> io::Result<CacheStore> {
         assert!(config.shards > 0, "a cache needs at least one shard");
         let root = root.as_ref().to_path_buf();
-        let store = CacheStore {
-            shards: (0..config.shards).map(|_| Mutex::default()).collect(),
+        let mut shards = Vec::with_capacity(config.shards);
+        let mut corrupt = 0;
+        for i in 0..config.shards {
+            let (shard, quarantined) =
+                Shard::open(RunDirectory::create(root.join(format!("shard-{i}")))?)?;
+            shards.push(Mutex::new(shard));
+            corrupt += quarantined;
+        }
+        cache_metrics().corrupt_segments.add(corrupt);
+        Ok(CacheStore {
             root,
             config,
+            shards,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            corrupt_segments: AtomicU64::new(0),
-        };
-        for i in 0..config.shards {
-            let dir = store.shard_dir(i);
-            fs::create_dir_all(&dir)?;
-            let mut names: Vec<String> = fs::read_dir(&dir)?
-                .filter_map(|e| e.ok())
-                .filter_map(|e| {
-                    let name = e.file_name().to_string_lossy().into_owned();
-                    (name.starts_with("seg-") && name.ends_with(".seg")).then_some(name)
-                })
-                .collect();
-            names.sort();
-            let mut shard = store.shards[i].lock().expect("shard lock");
-            for name in names {
-                store.scan_segment(&dir, &name, &mut shard)?;
-            }
-        }
-        Ok(store)
+            corrupt_segments: AtomicU64::new(corrupt),
+        })
     }
 
     /// Opens the conventional store location under a run registry root:
@@ -291,81 +338,6 @@ impl CacheStore {
     /// The store's root directory.
     pub fn path(&self) -> &Path {
         &self.root
-    }
-
-    fn shard_dir(&self, i: usize) -> PathBuf {
-        self.root.join(format!("shard-{i}"))
-    }
-
-    /// Scans one segment into `shard`'s index, or quarantines it whole on
-    /// the first verification failure (its records — even ones that scanned
-    /// clean — are discarded, matching artifact quarantine semantics).
-    fn scan_segment(&self, dir: &Path, name: &str, shard: &mut Shard) -> io::Result<()> {
-        let bytes = match fs::read(dir.join(name)) {
-            Ok(b) => b,
-            // A racing process may have evicted the segment between listing
-            // and reading; nothing to index.
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let mut parsed: Vec<(u64, Vec<u8>, String)> = Vec::new();
-        let mut pos = 0;
-        let mut detail: Option<String> = None;
-        while pos < bytes.len() {
-            if bytes[pos] == b'\n' {
-                pos += 1;
-                continue;
-            }
-            match open_envelope_record(&bytes[pos..]) {
-                Ok((payload, consumed)) => {
-                    let text = std::str::from_utf8(payload)
-                        .map_err(|e| format!("record payload is not UTF-8: {e}"));
-                    match text.and_then(|t| {
-                        serde_json::from_str::<CacheRecord>(t)
-                            .map_err(|e| format!("record payload does not parse: {e}"))
-                    }) {
-                        Ok(record) => {
-                            let ns = u64::from_str_radix(&record.ns, 16).ok();
-                            let key = hex_decode(&record.key);
-                            match (ns, key) {
-                                (Some(ns), Some(key)) => parsed.push((ns, key, record.value)),
-                                _ => {
-                                    detail = Some("record ns/key is not valid hex".to_string());
-                                    break;
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            detail = Some(e);
-                            break;
-                        }
-                    }
-                    pos += consumed;
-                }
-                Err(e) => {
-                    detail = Some(e);
-                    break;
-                }
-            }
-        }
-        if detail.is_some() {
-            let quarantined = format!("{name}.corrupt-{}", unix_millis());
-            match fs::rename(dir.join(name), dir.join(&quarantined)) {
-                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-                _ => {}
-            }
-            self.corrupt_segments.fetch_add(1, Ordering::Relaxed);
-            cache_metrics().corrupt_segments.inc();
-            return Ok(());
-        }
-        let size = bytes.len() as u64;
-        for (ns, key, value) in parsed {
-            shard
-                .index
-                .insert((ns, key), (value, Home::Segment(name.to_string())));
-        }
-        shard.segments.push((name.to_string(), size));
-        Ok(())
     }
 
     /// Looks up the value stored under `(ns, key)`.
@@ -393,23 +365,12 @@ impl CacheStore {
     ///
     /// [`flush`]: CacheStore::flush
     pub fn put(&self, ns: u64, key: &[u8], value: &str) {
-        let shard_slot = self.shard_for(ns, key);
-        let mut shard = shard_slot.lock().expect("shard lock");
+        let mut shard = self.shard_for(ns, key).lock().expect("shard lock");
         let index_key = (ns, key.to_vec());
         if shard.index.contains_key(&index_key) {
             return;
         }
-        let record = CacheRecord {
-            ns: format!("{ns:016x}"),
-            key: hex_encode(key),
-            value: value.to_string(),
-        };
-        let payload = serde_json::to_string(&record)
-            .expect("record serializes")
-            .into_bytes();
-        let mut sealed = seal_envelope(&payload);
-        sealed.push(b'\n');
-        shard.pending.extend_from_slice(&sealed);
+        encode_record(&mut shard.pending, ns, key, value);
         shard.pending_keys.push(index_key.clone());
         shard
             .index
@@ -419,46 +380,32 @@ impl CacheStore {
         if shard.pending.len() >= AUTO_FLUSH_BYTES {
             // Best-effort: an I/O failure here surfaces on the explicit
             // flush; the entry stays answerable from memory meanwhile.
-            let _ = self.flush_shard(&mut shard, self.shard_index(ns, key));
+            let _ = self.flush_shard(&mut shard);
         }
     }
 
     /// Writes every buffered record out as new segments (one per dirty
-    /// shard, atomic tmp+rename) and applies the eviction budget.
+    /// shard) and applies the eviction budget. A shard whose write fails
+    /// keeps its records buffered for the next flush.
     ///
     /// # Errors
     ///
     /// The first I/O failure; earlier shards stay flushed.
     pub fn flush(&self) -> io::Result<()> {
-        for i in 0..self.shards.len() {
-            let mut shard = self.shards[i].lock().expect("shard lock");
-            self.flush_shard(&mut shard, i)?;
+        for slot in &self.shards {
+            self.flush_shard(&mut slot.lock().expect("shard lock"))?;
         }
         Ok(())
     }
 
-    fn shard_index(&self, ns: u64, key: &[u8]) -> usize {
-        (shard_hash(ns, key) % self.shards.len() as u64) as usize
-    }
-
     fn shard_for(&self, ns: u64, key: &[u8]) -> &Mutex<Shard> {
-        &self.shards[self.shard_index(ns, key)]
+        &self.shards[(shard_hash(ns, key) % self.shards.len() as u64) as usize]
     }
 
-    fn flush_shard(&self, shard: &mut Shard, i: usize) -> io::Result<()> {
+    fn flush_shard(&self, shard: &mut Shard) -> io::Result<()> {
         if !shard.pending.is_empty() {
-            let dir = self.shard_dir(i);
             let name = segment_name();
-            let tmp = format!(
-                "{name}.{}-{}.tmp",
-                std::process::id(),
-                // The segment name is already per-(process, call) unique;
-                // reuse its uniqueness for the tmp sibling.
-                shard.segments.len()
-            );
-            fs::write(dir.join(&tmp), &shard.pending)?;
-            fs::rename(dir.join(&tmp), dir.join(&name))?;
-            let size = shard.pending.len() as u64;
+            let bytes = shard.dir.write_sealed(&name, &shard.pending)?;
             shard.pending.clear();
             for index_key in std::mem::take(&mut shard.pending_keys) {
                 if let Some((_, home)) = shard.index.get_mut(&index_key) {
@@ -467,17 +414,14 @@ impl CacheStore {
                     }
                 }
             }
-            shard.segments.push((name, size));
+            shard.segments.push((name, bytes));
         }
         // Evict oldest segments past the per-shard budget slice, always
         // keeping the newest so one oversized record still caches.
         let budget = self.config.max_bytes / self.shards.len() as u64;
         while shard.segments.len() > 1 && shard.segment_bytes() > budget {
             let (victim, _) = shard.segments.remove(0);
-            match fs::remove_file(self.shard_dir(i).join(&victim)) {
-                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-                _ => {}
-            }
+            shard.dir.remove(&victim)?;
             let home = Home::Segment(victim);
             let before = shard.index.len();
             shard.index.retain(|_, (_, h)| *h != home);
@@ -496,17 +440,14 @@ impl CacheStore {
     /// The first I/O failure encountered while unlinking segments.
     pub fn clear(&self) -> io::Result<u64> {
         let mut cleared = 0;
-        for i in 0..self.shards.len() {
-            let mut shard = self.shards[i].lock().expect("shard lock");
+        for slot in &self.shards {
+            let mut shard = slot.lock().expect("shard lock");
             cleared += shard.index.len() as u64;
             shard.index.clear();
             shard.pending.clear();
             shard.pending_keys.clear();
             for (name, _) in std::mem::take(&mut shard.segments) {
-                match fs::remove_file(self.shard_dir(i).join(&name)) {
-                    Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-                    _ => {}
-                }
+                shard.dir.remove(&name)?;
             }
         }
         Ok(cleared)
@@ -521,7 +462,7 @@ impl CacheStore {
         for slot in &self.shards {
             let shard = slot.lock().expect("shard lock");
             entries += shard.index.len() as u64;
-            bytes += shard.segment_bytes() + shard.pending.len() as u64;
+            bytes += shard.segment_bytes();
             segments += shard.segments.len() as u64;
         }
         let stats = CacheStoreStats {
@@ -578,19 +519,45 @@ impl LossStore for CacheStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clapton_runtime::failpoint;
+    use std::sync::MutexGuard;
 
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "clapton-cache-{tag}-{}-{}",
-            std::process::id(),
-            unix_millis()
-        ));
+    /// A fresh scratch directory, handed out together with the failpoint
+    /// gate: hit counters are process-global, so a test flushing segments
+    /// without the gate would use up another test's armed hits.
+    fn scratch(tag: &str) -> (MutexGuard<'static, ()>, PathBuf) {
+        let gate = failpoint::tests_exclusive();
+        let dir = std::env::temp_dir().join(format!("clapton-cache-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        dir
+        (gate, dir)
+    }
+
+    const ONE_SHARD: CacheConfig = CacheConfig {
+        max_bytes: 256 * 1024 * 1024,
+        shards: 1,
+    };
+
+    /// File names in `dir`, sorted.
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    fn quarantined(dir: &Path) -> usize {
+        names(dir)
+            .iter()
+            .filter(|n| n.contains(".corrupt-"))
+            .count()
     }
 
     #[test]
     fn shard_placement_is_pinned() {
+        let _gate = failpoint::tests_exclusive();
         // Literal value: segments written by earlier builds must keep their
         // shard.
         assert_eq!(shard_hash(7, b"genome"), 1279918083869523791);
@@ -598,7 +565,7 @@ mod tests {
 
     #[test]
     fn round_trips_and_survives_reopen() {
-        let root = scratch("roundtrip");
+        let (_gate, root) = scratch("roundtrip");
         let store = CacheStore::open(&root, CacheConfig::default()).unwrap();
         assert_eq!(store.get(7, b"genome"), None);
         store.put(7, b"genome", "value-a");
@@ -619,10 +586,29 @@ mod tests {
     }
 
     #[test]
+    fn segment_records_round_trip_through_the_layout() {
+        let _gate = failpoint::tests_exclusive();
+        let mut payload = Vec::new();
+        encode_record(&mut payload, u64::MAX, b"", "");
+        encode_record(&mut payload, 3, &[0, 255, 10], "ünïcode");
+        assert_eq!(payload.len(), 16 + 16 + 3 + "ünïcode".len());
+        assert_eq!(
+            decode_segment(&payload).unwrap(),
+            vec![
+                (u64::MAX, vec![], String::new()),
+                (3, vec![0, 255, 10], "ünïcode".to_string())
+            ]
+        );
+        // A payload that stops inside a record is rejected whole.
+        assert!(decode_segment(&payload[..payload.len() - 1]).is_err());
+        assert!(decode_segment(&payload[..20]).is_err());
+    }
+
+    #[test]
     fn racing_writers_converge_to_one_bit_identical_entry() {
         // Two store handles over the same root — the multi-process picture —
         // insert the same pure key and flush in both orders.
-        let root = scratch("race");
+        let (_gate, root) = scratch("race");
         let a = CacheStore::open(&root, CacheConfig::default()).unwrap();
         let b = CacheStore::open(&root, CacheConfig::default()).unwrap();
         a.save(3, b"shared", 0.5);
@@ -644,15 +630,8 @@ mod tests {
 
     #[test]
     fn corrupt_segment_is_quarantined_without_failing_lookups() {
-        let root = scratch("corrupt");
-        let store = CacheStore::open(
-            &root,
-            CacheConfig {
-                shards: 1,
-                ..CacheConfig::default()
-            },
-        )
-        .unwrap();
+        let (_gate, root) = scratch("corrupt");
+        let store = CacheStore::open(&root, ONE_SHARD).unwrap();
         store.put(1, b"early", "kept-in-seg-1");
         store.flush().unwrap();
         store.put(1, b"victim", "doomed");
@@ -661,43 +640,140 @@ mod tests {
 
         // Garble the newer segment's payload bytes.
         let shard = root.join("shard-0");
-        let mut names: Vec<String> = fs::read_dir(&shard)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        assert_eq!(names.len(), 2);
-        let victim = shard.join(&names[1]);
+        let segments = names(&shard);
+        assert_eq!(segments.len(), 2);
+        let victim = shard.join(&segments[1]);
         let mut bytes = fs::read(&victim).unwrap();
         let last = bytes.len() - 2;
         bytes[last] ^= 0xFF;
         fs::write(&victim, &bytes).unwrap();
 
-        let reopened = CacheStore::open(
-            &root,
-            CacheConfig {
-                shards: 1,
-                ..CacheConfig::default()
-            },
-        )
-        .unwrap();
+        let reopened = CacheStore::open(&root, ONE_SHARD).unwrap();
         // The healthy segment still answers; the corrupt one reads as a miss
         // and was renamed aside.
         assert_eq!(reopened.get(1, b"early").as_deref(), Some("kept-in-seg-1"));
         assert_eq!(reopened.get(1, b"victim"), None);
         assert_eq!(reopened.stats().corrupt_segments, 1);
-        let quarantined = fs::read_dir(&shard)
+        assert_eq!(quarantined(&shard), 1, "corrupt segment renamed aside");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A record document as earlier builds wrote it: hex-JSON.
+    fn earlier_layout_payload(ns: u64, key: &[u8], value: &str) -> String {
+        let key: String = key.iter().map(|b| format!("{b:02x}")).collect();
+        format!(r#"{{"ns":"{ns:016x}","key":"{key}","value":"{value}"}}"#)
+    }
+
+    /// One record as earlier builds wrote it: its own envelope around the
+    /// hex-JSON document, newline-terminated; a segment concatenated them.
+    fn earlier_layout_record(ns: u64, key: &[u8], value: &str) -> Vec<u8> {
+        let payload = earlier_layout_payload(ns, key, value);
+        format!(
+            "{{\"clapton\":\"envelope\",\"v\":1,\"len\":{},\"fnv64\":\"{:016x}\"}}\n{payload}\n",
+            payload.len(),
+            clapton_telemetry::fnv1a64(payload.as_bytes())
+        )
+        .into_bytes()
+    }
+
+    #[test]
+    fn earlier_layout_segments_are_quarantined_and_bytes_count_live_segments() {
+        let (_gate, root) = scratch("earlier");
+        let store = CacheStore::open(&root, ONE_SHARD).unwrap();
+        store.put(4, b"current", "answers");
+        store.flush().unwrap();
+        drop(store);
+        let shard = root.join("shard-0");
+        let current = names(&shard);
+        // Earlier layouts, sorting before today's segment: two concatenated
+        // records, one record, and a lone hex-JSON record inside one valid
+        // envelope (which only the record decoder can reject).
+        let mut two = earlier_layout_record(4, b"old-a", "1");
+        two.extend(earlier_layout_record(4, b"old-b", "2"));
+        fs::write(shard.join("seg-000000000000001-0000000001-000000.seg"), two).unwrap();
+        let one = earlier_layout_record(4, b"old-c", "3");
+        fs::write(shard.join("seg-000000000000001-0000000001-000001.seg"), one).unwrap();
+        let lone = earlier_layout_payload(4, b"old-d", "4");
+        RunDirectory::create(&shard)
             .unwrap()
-            .filter_map(|e| e.ok())
-            .any(|e| e.file_name().to_string_lossy().contains(".corrupt-"));
-        assert!(quarantined, "corrupt segment renamed aside");
+            .write_sealed("seg-000000000000001-0000000001-000002.seg", lone.as_bytes())
+            .unwrap();
+
+        let reopened = CacheStore::open(&root, ONE_SHARD).unwrap();
+        assert_eq!(reopened.stats().corrupt_segments, 3);
+        assert_eq!(quarantined(&shard), 3, "earlier layouts renamed aside");
+        assert_eq!(reopened.get(4, b"current").as_deref(), Some("answers"));
+        for key in [&b"old-a"[..], b"old-b", b"old-c", b"old-d"] {
+            assert_eq!(reopened.get(4, key), None);
+        }
+        // `bytes` is the live segment files' size on disk, and an unflushed
+        // insert adds an entry but no bytes.
+        let on_disk: u64 = current
+            .iter()
+            .map(|n| fs::metadata(shard.join(n)).unwrap().len())
+            .sum();
+        let stats = reopened.stats();
+        assert_eq!(
+            (stats.entries, stats.segments, stats.bytes),
+            (1, 1, on_disk)
+        );
+        reopened.put(4, b"buffered", "pending");
+        let stats = reopened.stats();
+        assert_eq!((stats.entries, stats.bytes), (2, on_disk));
+        drop(reopened);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn torn_flush_is_quarantined_at_the_next_open() {
+        let (_gate, root) = scratch("torn");
+        let store = CacheStore::open(&root, ONE_SHARD).unwrap();
+        store.put(5, b"kept", "whole");
+        store.flush().unwrap();
+        store.put(5, b"torn", "half");
+        failpoint::configure("registry.write.flush=torn@1").unwrap();
+        let flushed = store.flush();
+        failpoint::clear();
+        // A torn write still renames into place; nothing reads it back.
+        flushed.unwrap();
+        assert_eq!(store.get(5, b"torn").as_deref(), Some("half"));
+        drop(store);
+
+        let reopened = CacheStore::open(&root, ONE_SHARD).unwrap();
+        assert_eq!(reopened.stats().corrupt_segments, 1);
+        assert_eq!(quarantined(&root.join("shard-0")), 1);
+        assert_eq!(reopened.get(5, b"kept").as_deref(), Some("whole"));
+        assert_eq!(reopened.get(5, b"torn"), None, "recomputed, not misread");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn failed_flush_keeps_its_records_for_the_next_flush() {
+        let (_gate, root) = scratch("retry");
+        let store = CacheStore::open(&root, ONE_SHARD).unwrap();
+        store.put(6, b"a", "1");
+        store.put(6, b"b", "2");
+        failpoint::configure("registry.write.rename=err@1").unwrap();
+        let failed = store.flush();
+        failpoint::clear();
+        assert!(failed.is_err(), "the injected rename error surfaces");
+        let stats = store.stats();
+        assert_eq!((stats.entries, stats.segments, stats.bytes), (2, 0, 0));
+        store.flush().unwrap();
+        assert_eq!(store.stats().segments, 1);
+        drop(store);
+
+        let reopened = CacheStore::open(&root, ONE_SHARD).unwrap();
+        assert_eq!(reopened.get(6, b"a").as_deref(), Some("1"));
+        assert_eq!(reopened.get(6, b"b").as_deref(), Some("2"));
+        let stats = reopened.stats();
+        assert_eq!((stats.segments, stats.corrupt_segments), (1, 0));
         fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn eviction_respects_the_size_budget() {
-        let root = scratch("evict");
+        let (_gate, root) = scratch("evict");
         let config = CacheConfig {
             max_bytes: 2048,
             shards: 1,
@@ -726,7 +802,7 @@ mod tests {
 
     #[test]
     fn clear_empties_the_store_on_disk_and_in_memory() {
-        let root = scratch("clear");
+        let (_gate, root) = scratch("clear");
         let store = CacheStore::open(&root, CacheConfig::default()).unwrap();
         store.put(2, b"a", "1");
         store.put(2, b"b", "2");
@@ -741,11 +817,12 @@ mod tests {
 
     #[test]
     fn json_helpers_round_trip_typed_values() {
-        let root = scratch("json");
+        let (_gate, root) = scratch("json");
         let store = CacheStore::open(&root, CacheConfig::default()).unwrap();
         store.put_json(5, b"doc", &vec![1u64, 2, 3]);
         assert_eq!(store.get_json::<Vec<u64>>(5, b"doc"), Some(vec![1, 2, 3]));
         assert_eq!(store.get_json::<Vec<u64>>(5, b"missing"), None);
+        drop(store);
         fs::remove_dir_all(&root).unwrap();
     }
 }

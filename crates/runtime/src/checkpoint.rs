@@ -106,10 +106,8 @@ struct EnvelopeHeader {
 }
 
 /// Wraps `payload` in the integrity envelope: header line, then the exact
-/// payload bytes. Public so other durable formats (e.g. the persistent
-/// result cache's segment files) share the exact artifact envelope and its
-/// corruption semantics.
-pub fn seal_envelope(payload: &[u8]) -> Vec<u8> {
+/// payload bytes.
+fn seal_envelope(payload: &[u8]) -> Vec<u8> {
     let header = format!(
         "{{\"clapton\":\"envelope\",\"v\":1,\"len\":{},\"fnv64\":\"{:016x}\"}}\n",
         payload.len(),
@@ -118,56 +116,6 @@ pub fn seal_envelope(payload: &[u8]) -> Vec<u8> {
     let mut sealed = header.into_bytes();
     sealed.extend_from_slice(payload);
     sealed
-}
-
-/// Parses one enveloped record at the *start* of `bytes` and returns the
-/// verified payload plus the total number of bytes the record occupies
-/// (header line + payload) — the scanning primitive for multi-record files
-/// such as cache segments, where [`seal_envelope`] outputs are simply
-/// concatenated.
-///
-/// Unlike the whole-file read path, bytes without an envelope header are an
-/// error here: a concatenated record stream has no legacy bare-JSON form.
-///
-/// # Errors
-///
-/// A human-readable description of the corruption (missing header,
-/// truncated payload, checksum mismatch).
-pub fn open_envelope_record(bytes: &[u8]) -> Result<(&[u8], usize), String> {
-    if !bytes.starts_with(ENVELOPE_MAGIC) {
-        return Err("record does not start with an envelope header".to_string());
-    }
-    let newline = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or("envelope header line is unterminated")?;
-    let header_text = std::str::from_utf8(&bytes[..newline])
-        .map_err(|e| format!("envelope header is not UTF-8: {e}"))?;
-    let header: EnvelopeHeader = serde_json::from_str(header_text)
-        .map_err(|e| format!("envelope header does not parse: {e}"))?;
-    if header.v != 1 {
-        return Err(format!("unsupported envelope version {}", header.v));
-    }
-    let payload_start = newline + 1;
-    let payload_end = payload_start
-        .checked_add(header.len)
-        .filter(|&end| end <= bytes.len())
-        .ok_or_else(|| {
-            format!(
-                "payload is {} bytes, envelope promised {} (torn write)",
-                bytes.len() - payload_start,
-                header.len
-            )
-        })?;
-    let payload = &bytes[payload_start..payload_end];
-    let sum = format!("{:016x}", fnv1a64(payload));
-    if sum != header.fnv64 {
-        return Err(format!(
-            "payload checksum {sum} != enveloped {} (corrupt write)",
-            header.fnv64
-        ));
-    }
-    Ok((payload, payload_end))
 }
 
 /// Verifies and strips the envelope of a whole-file JSON artifact,
@@ -182,13 +130,39 @@ fn unseal(bytes: &[u8]) -> Result<&[u8], String> {
 
 /// [`unseal`] without the legacy pass-through: the file must be exactly one
 /// enveloped record.
+///
+/// # Errors
+///
+/// A human-readable description of the corruption (missing header,
+/// truncated or overlong payload, checksum mismatch).
 fn unseal_strict(bytes: &[u8]) -> Result<&[u8], String> {
-    let (payload, end) = open_envelope_record(bytes)?;
-    if end != bytes.len() {
+    if !bytes.starts_with(ENVELOPE_MAGIC) {
+        return Err("artifact does not start with an envelope header".to_string());
+    }
+    let newline = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or("envelope header line is unterminated")?;
+    let header_text = std::str::from_utf8(&bytes[..newline])
+        .map_err(|e| format!("envelope header is not UTF-8: {e}"))?;
+    let header: EnvelopeHeader = serde_json::from_str(header_text)
+        .map_err(|e| format!("envelope header does not parse: {e}"))?;
+    if header.v != 1 {
+        return Err(format!("unsupported envelope version {}", header.v));
+    }
+    let payload = &bytes[newline + 1..];
+    if payload.len() != header.len {
         return Err(format!(
             "payload is {} bytes, envelope promised {} (torn write)",
-            payload.len() + bytes.len() - end,
-            payload.len()
+            payload.len(),
+            header.len
+        ));
+    }
+    let sum = format!("{:016x}", fnv1a64(payload));
+    if sum != header.fnv64 {
+        return Err(format!(
+            "payload checksum {sum} != enveloped {} (corrupt write)",
+            header.fnv64
         ));
     }
     Ok(payload)
@@ -262,16 +236,17 @@ impl RunDirectory {
     pub fn write_json<T: Serialize + ?Sized>(&self, name: &str, value: &T) -> io::Result<()> {
         let json = serde_json::to_string_pretty(value)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.write_sealed(name, json.as_bytes())
+        self.write_sealed(name, json.as_bytes()).map(drop)
     }
 
     /// Writes raw `payload` bytes to `<root>/<name>` inside the integrity
     /// envelope, atomically — the write path of [`RunDirectory::write_json`]
     /// (same temporary-then-rename discipline, same
     /// `registry.write.flush` / `registry.write.rename` failpoints) for
-    /// binary artifacts such as the service's memo segments. Read it back
-    /// with [`RunDirectory::load_sealed`].
-    pub fn write_sealed(&self, name: &str, payload: &[u8]) -> io::Result<()> {
+    /// binary artifacts such as the service's memo segments and the
+    /// persistent store's segments. Returns the file's size in bytes. Read
+    /// it back with [`RunDirectory::load_sealed`].
+    pub fn write_sealed(&self, name: &str, payload: &[u8]) -> io::Result<u64> {
         let mut sealed = seal_envelope(payload);
         let target = self.root.join(name);
         let tmp = self.root.join(tmp_name(name));
@@ -280,7 +255,8 @@ impl RunDirectory {
         failpoint::check_write("registry.write.flush", &mut sealed)?;
         fs::write(&tmp, &sealed)?;
         failpoint::check("registry.write.rename")?;
-        fs::rename(&tmp, &target)
+        fs::rename(&tmp, &target)?;
+        Ok(sealed.len() as u64)
     }
 
     /// Atomically replaces `name` while keeping the outgoing generation as
@@ -440,9 +416,27 @@ fn count_corrupt(name: &str) {
         .counter_with(
             "clapton_artifacts_corrupt_total",
             "Artifacts that failed integrity verification and were quarantined.",
-            &[("artifact", name)],
+            &[("artifact", &artifact_label(name))],
         )
         .inc();
+}
+
+/// The `artifact` label of `clapton_artifacts_corrupt_total`: `name` with
+/// every run of ASCII digits folded to `N` (`memo-N.seg`, `job-N.json`,
+/// `seg-N-N-N.seg`), so numbered artifacts share one series per kind
+/// instead of minting one per file.
+fn artifact_label(name: &str) -> String {
+    let mut label = String::with_capacity(name.len());
+    let mut in_digits = false;
+    for c in name.chars() {
+        if !c.is_ascii_digit() {
+            label.push(c);
+        } else if !in_digits {
+            label.push('N');
+        }
+        in_digits = c.is_ascii_digit();
+    }
+    label
 }
 
 /// A root directory containing one subdirectory per run — the registry the
@@ -593,9 +587,10 @@ mod tests {
         let raw = |p: &[u8]| Ok(p.to_vec());
         let payload: Vec<u8> = (0..=255u8).chain([b'\n', 0]).collect();
         assert_eq!(dir.load_sealed("seg", raw).unwrap(), Artifact::Missing);
-        dir.write_sealed("seg", &payload).unwrap();
+        let written = dir.write_sealed("seg", &payload).unwrap();
         let on_disk = fs::read(dir.path().join("seg")).unwrap();
         assert_eq!(on_disk, seal_envelope(&payload), "the artifact envelope");
+        assert_eq!(written, on_disk.len() as u64, "the returned file size");
         assert_eq!(
             dir.load_sealed("seg", raw).unwrap(),
             Artifact::Valid(payload.clone())
@@ -678,6 +673,18 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::Other);
         assert!(!dir.exists("c.json"), "failed rename leaves no target");
         fs::remove_dir_all(dir.path()).unwrap();
+    }
+
+    #[test]
+    fn corrupt_artifact_labels_fold_digit_runs() {
+        assert_eq!(artifact_label("memo-00012.seg"), "memo-N.seg");
+        assert_eq!(artifact_label("job-000001.json"), "job-N.json");
+        assert_eq!(
+            artifact_label("seg-001760000000000-0000012345-000007.seg"),
+            "seg-N-N-N.seg"
+        );
+        assert_eq!(artifact_label("report.json"), "report.json");
+        assert_eq!(artifact_label("N7"), "NN");
     }
 
     #[test]

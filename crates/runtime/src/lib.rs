@@ -20,7 +20,7 @@
 //!   memo segments) for checkpoint/resume: a run killed at any instant
 //!   resumes from complete round snapshots, bit-identical to an
 //!   uninterrupted run.
-//! * [`WorkQueue`] / [`Lease`] / [`LeaseKeeper`] — lease files over the
+//! * [`acquire`] / [`Lease`] / [`LeaseKeeper`] — lease files over the
 //!   registry turning it into a shared, crash-tolerant work queue: many
 //!   worker processes (or hosts over a shared filesystem) claim per-job
 //!   artifact directories exclusively, heartbeat while working, and take
@@ -40,14 +40,11 @@ mod scheduler;
 mod workqueue;
 
 pub use cancel::{CancelToken, Interrupt};
-pub use checkpoint::{
-    artifact_slug, open_envelope_record, seal_envelope, Artifact, RunDirectory, RunManifest,
-    RunRegistry,
-};
+pub use checkpoint::{artifact_slug, Artifact, RunDirectory, RunManifest, RunRegistry};
 pub use evaluator::PooledEvaluator;
 pub use pool::{PoolScope, WorkerPool};
 pub use scheduler::{EventKind, JobContext, JobScheduler, RunEvent, ScheduledJob};
 pub use workqueue::{
-    acquire, default_worker_id, lease_state, ClaimOutcome, Lease, LeaseClaim, LeaseKeeper,
-    LeaseState, WorkQueue, CLAIM_ARTIFACT, DEFAULT_LEASE_TTL,
+    acquire, default_worker_id, lease_state, publish_queue_depth, ClaimOutcome, Lease, LeaseClaim,
+    LeaseKeeper, LeaseState, CLAIM_ARTIFACT, DEFAULT_LEASE_TTL,
 };

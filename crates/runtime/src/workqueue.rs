@@ -1,9 +1,9 @@
 //! The shared, crash-tolerant work queue over the run registry.
 //!
 //! Multiple worker *processes* (on one host or many, over a shared
-//! filesystem) cooperate on one [`RunRegistry`] by leasing per-job artifact
-//! directories. The directory is the unit of ownership; ownership is a
-//! `claim.json` lease file inside it:
+//! filesystem) cooperate on one [`RunRegistry`](crate::RunRegistry) by
+//! leasing per-job artifact directories. The directory is the unit of
+//! ownership; ownership is a `claim.json` lease file inside it:
 //!
 //! * **Claim** — the claimant serializes a [`LeaseClaim`] to a temporary
 //!   sibling and `hard_link`s it to `claim.json`. Link creation is atomic
@@ -30,8 +30,8 @@
 //! The 30 s default suits NFS-backed multi-host queues; single-host CI can
 //! drop to ~2 s for fast takeover tests.
 
-use crate::checkpoint::{artifact_slug, RunRegistry};
-use clapton_telemetry::metrics::{registry, Gauge};
+use crate::checkpoint::artifact_slug;
+use clapton_telemetry::metrics::registry;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{self, Read as _};
@@ -91,21 +91,6 @@ pub enum ClaimOutcome {
         /// Age of the owner's last heartbeat.
         heartbeat_age: Duration,
     },
-}
-
-/// Worker-labelled lease counters plus the shared queue-depth gauge.
-struct QueueMetrics {
-    depth: Arc<Gauge>,
-}
-
-fn queue_metrics() -> &'static QueueMetrics {
-    static METRICS: OnceLock<QueueMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| QueueMetrics {
-        depth: registry().gauge(
-            "clapton_workqueue_depth",
-            "Unfinished jobs observed in the shared work queue at the last scan",
-        ),
-    })
 }
 
 fn count_claim(owner: &str) {
@@ -456,94 +441,15 @@ impl Drop for LeaseKeeper {
     }
 }
 
-/// A lease-speaking view over a [`RunRegistry`]: the same directory tree,
-/// plus claim/heartbeat/release coordination for one named owner.
-#[derive(Debug, Clone)]
-pub struct WorkQueue {
-    registry: RunRegistry,
-    owner: String,
-    ttl: Duration,
-}
-
-impl WorkQueue {
-    /// Wraps `registry` for worker `owner` with lease TTL `ttl`.
-    pub fn new(registry: RunRegistry, owner: impl Into<String>, ttl: Duration) -> WorkQueue {
-        WorkQueue {
-            registry,
-            owner: owner.into(),
-            ttl,
-        }
-    }
-
-    /// The owner identity claims are made under.
-    pub fn owner(&self) -> &str {
-        &self.owner
-    }
-
-    /// The staleness threshold for takeover.
-    pub fn ttl(&self) -> Duration {
-        self.ttl
-    }
-
-    /// The underlying registry.
-    pub fn registry(&self) -> &RunRegistry {
-        &self.registry
-    }
-
-    /// Every job directory in the queue, sorted by job id (directory name),
-    /// so scans are deterministic across hosts and filesystems.
-    pub fn enumerate(&self) -> io::Result<Vec<String>> {
-        self.registry.run_names()
-    }
-
-    /// Tries to claim job `job` (creating its directory if absent).
-    pub fn claim(&self, job: &str) -> io::Result<ClaimOutcome> {
-        let dir = self.registry.run(job)?;
-        acquire(dir.path(), &self.owner, self.ttl)
-    }
-
-    /// Observes job `job`'s lease without touching it.
-    pub fn lease_state(&self, job: &str) -> io::Result<Option<LeaseState>> {
-        lease_state(&self.registry.path().join(job), self.ttl)
-    }
-
-    /// Heartbeats job `job`'s claim if this queue's owner holds it; returns
-    /// whether the lease is still ours.
-    pub fn heartbeat(&self, job: &str) -> io::Result<bool> {
-        let dir = self.registry.path().join(job);
-        match read_claim(&dir.join(CLAIM_ARTIFACT))? {
-            Some((claim, _)) if claim.owner == self.owner => {
-                let lease = Lease {
-                    dir,
-                    owner: self.owner.clone(),
-                };
-                lease.heartbeat()
-            }
-            _ => Ok(false),
-        }
-    }
-
-    /// Releases job `job`'s claim if this queue's owner holds it.
-    pub fn release(&self, job: &str) -> io::Result<()> {
-        let lease = Lease {
-            dir: self.registry.path().join(job),
-            owner: self.owner.clone(),
-        };
-        lease.release()
-    }
-
-    /// Publishes the number of unfinished jobs observed by the last scan to
-    /// the `clapton_workqueue_depth` gauge.
-    pub fn set_depth(&self, open_jobs: usize) {
-        queue_metrics().depth.set(open_jobs as f64);
-    }
-}
-
-impl RunRegistry {
-    /// A lease-speaking work-queue view of this registry for worker `owner`.
-    pub fn work_queue(&self, owner: impl Into<String>, ttl: Duration) -> WorkQueue {
-        WorkQueue::new(self.clone(), owner, ttl)
-    }
+/// Publishes the number of unfinished jobs a queue sweep observed to the
+/// `clapton_workqueue_depth` gauge.
+pub fn publish_queue_depth(open_jobs: usize) {
+    registry()
+        .gauge(
+            "clapton_workqueue_depth",
+            "Unfinished jobs observed in the shared work queue at the last scan",
+        )
+        .set(open_jobs as f64);
 }
 
 #[cfg(test)]
@@ -626,29 +532,5 @@ mod tests {
         }
         lease.release().unwrap();
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn work_queue_claims_over_registry() {
-        let root = scratch("wq");
-        let registry = RunRegistry::open(&root).unwrap();
-        let queue = registry.work_queue("w1", Duration::from_secs(60));
-        let ClaimOutcome::Acquired(lease) = queue.claim("job-a").unwrap() else {
-            panic!("claim");
-        };
-        let peer = registry.work_queue("w2", Duration::from_secs(60));
-        assert!(matches!(
-            peer.claim("job-a").unwrap(),
-            ClaimOutcome::Held { .. }
-        ));
-        let state = peer.lease_state("job-a").unwrap().unwrap();
-        assert_eq!(state.owner, "w1");
-        assert!(!state.stale);
-        assert!(queue.heartbeat("job-a").unwrap());
-        assert!(!peer.heartbeat("job-a").unwrap(), "non-owner cannot beat");
-        lease.release().unwrap();
-        assert!(queue.lease_state("job-a").unwrap().is_none());
-        assert_eq!(queue.enumerate().unwrap(), vec!["job-a".to_string()]);
-        fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -4,7 +4,7 @@
 //! determinism the shard merge depends on.
 
 use clapton_runtime::{
-    acquire, lease_state, ClaimOutcome, LeaseKeeper, RunRegistry, WorkQueue, CLAIM_ARTIFACT,
+    acquire, lease_state, ClaimOutcome, LeaseKeeper, RunRegistry, CLAIM_ARTIFACT,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -168,21 +168,15 @@ fn registry_listing_is_sorted_regardless_of_creation_order() {
         "zeta-job".to_string(),
     ];
     assert_eq!(registry.run_names().unwrap(), expected);
-    let queue: WorkQueue = registry.work_queue("w1", Duration::from_secs(60));
-    assert_eq!(
-        queue.enumerate().unwrap(),
-        expected,
-        "the work queue scan order matches the registry listing"
-    );
     fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
 fn claim_artifact_lives_inside_the_job_directory() {
     let root = scratch("artifact");
-    let registry = RunRegistry::open(&root).unwrap();
-    let queue = registry.work_queue("w1", Duration::from_secs(60));
-    let ClaimOutcome::Acquired(lease) = queue.claim("job-x").unwrap() else {
+    let job = RunRegistry::open(&root).unwrap().run("job-x").unwrap();
+    let ClaimOutcome::Acquired(lease) = acquire(job.path(), "w1", Duration::from_secs(60)).unwrap()
+    else {
         panic!("claim");
     };
     assert!(root.join("job-x").join(CLAIM_ARTIFACT).is_file());

@@ -17,7 +17,7 @@ use crate::http::{self, EventStream, ReadOutcome};
 use clapton_error::ClaptonError;
 use clapton_runtime::{failpoint, Artifact, CancelToken, RunDirectory, WorkerPool};
 use clapton_service::{
-    AdmittedJob, ClaptonService, JobArtifactState, JobLeaseView, JobSpec, Report, TerminalState,
+    AdmittedJob, ClaptonService, JobArtifactState, JobLeaseView, JobSpec, Report,
     TELEMETRY_ARTIFACT,
 };
 use clapton_telemetry::SpanNode;
@@ -771,16 +771,7 @@ impl ServerInner {
     /// Persists and records a cancellation that won the race against
     /// dispatch (the job never ran; `rounds` completed beforehand).
     fn finish_cancelled(&self, entry: &JobEntry, rounds: usize) {
-        if let Some(dir) = entry.admitted.artifact_dir() {
-            let state = TerminalState {
-                state: "cancelled".to_string(),
-                rounds,
-                detail: String::new(),
-            };
-            if let Ok(dir) = RunDirectory::create(dir) {
-                let _ = dir.write_json("state.json", &state);
-            }
-        }
+        let _ = self.service.mark_cancelled(&entry.admitted, rounds);
         *entry.state.lock().expect("job state") = JobState::Cancelled(rounds);
         entry.events.close();
         self.retire_active(entry);

@@ -57,6 +57,24 @@ pub struct TerminalState {
     pub detail: String,
 }
 
+/// Writes the [`TerminalState`] marker — the one writer of
+/// `state.json`.
+fn write_terminal_state(
+    dir: &RunDirectory,
+    state: &str,
+    rounds: usize,
+    detail: &str,
+) -> io::Result<()> {
+    dir.write_json(
+        STATE_ARTIFACT,
+        &TerminalState {
+            state: state.to_string(),
+            rounds,
+            detail: detail.to_string(),
+        },
+    )
+}
+
 /// The artifact-directory name a job owns under the service's root.
 fn job_slug(job: &ResolvedJob) -> String {
     artifact_slug(&format!("{}-seed{}", job.name, job.config.seed))
@@ -378,14 +396,27 @@ impl ClaptonService {
     /// [`ClaptonError::Io`] when the marker cannot be written.
     pub fn mark_failed(&self, admitted: &AdmittedJob, detail: &str) -> Result<(), ClaptonError> {
         if let Some(dir) = &admitted.dir {
-            dir.write_json(
-                STATE_ARTIFACT,
-                &TerminalState {
-                    state: "failed".to_string(),
-                    rounds: 0,
-                    detail: detail.to_string(),
-                },
-            )?;
+            write_terminal_state(dir, "failed", 0, detail)?;
+        }
+        Ok(())
+    }
+
+    /// Persists a terminal `cancelled` state recording `rounds` completed
+    /// rounds, for a job cancelled before it reached
+    /// [`ClaptonService::execute_admitted`] (a front end's cancellation
+    /// that won the race against dispatch). A no-op without an artifact
+    /// root.
+    ///
+    /// # Errors
+    ///
+    /// [`ClaptonError::Io`] when the marker cannot be written.
+    pub fn mark_cancelled(
+        &self,
+        admitted: &AdmittedJob,
+        rounds: usize,
+    ) -> Result<(), ClaptonError> {
+        if let Some(dir) = &admitted.dir {
+            write_terminal_state(dir, "cancelled", rounds, "")?;
         }
         Ok(())
     }
@@ -1028,14 +1059,9 @@ fn execute_inner(
                     Interrupt::Cancel => {
                         cancelled = true;
                         if let Some(dir) = dir {
-                            if let Err(e) = dir.write_json(
-                                STATE_ARTIFACT,
-                                &TerminalState {
-                                    state: "cancelled".to_string(),
-                                    rounds: state.rounds(),
-                                    detail: String::new(),
-                                },
-                            ) {
+                            if let Err(e) =
+                                write_terminal_state(dir, "cancelled", state.rounds(), "")
+                            {
                                 checkpoint_error = Some(e);
                             }
                         }
