@@ -2,7 +2,8 @@
 //! frame sampling for the noisy loss `LN` — the design choice that makes
 //! this reproduction's default loss deterministic — plus the
 //! population-batch evaluation paths of the `LossEvaluator` API
-//! (sequential vs pooled vs cached).
+//! (sequential vs pooled vs cached) and the per-genome cost of the Clapton
+//! objective's materialized and fused exact paths (`loss_eval_breakdown`).
 //!
 //! The sampled rows exercise the bit-parallel frame sampler, whose 64-shot
 //! error frames travel as the lanes of a `TermBatch` (`ln_sampled_*`), its
@@ -16,7 +17,7 @@ use clapton_core::{
     CachedEvaluator, EvaluatorKind, ExecutableAnsatz, LossEvaluator, PooledEvaluator,
     TransformLoss, WorkerPool,
 };
-use clapton_models::{ising, xxz};
+use clapton_models::{ising, molecular, xxz, Molecule};
 use clapton_noise::{ExactEvaluator, FrameSampler, NoiseModel, NoisyCircuit};
 use clapton_pauli::{Pauli, PauliString, PauliSum};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -605,12 +606,89 @@ fn bench_population_batch(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two exact paths of the Clapton objective per genome, on 96 random
+/// genomes, ABBA-interleaved. `materialized` reads `Ĥ` back into a
+/// `PauliSum` and scores it (`transformed_into` + `loss_n_prepared` +
+/// `loss_0`: the path the sampled kind and the winning genome take);
+/// `fused` is `evaluate_population`, which anticonjugates `H`'s preloaded
+/// planes and scores them in place. Rows give ns per genome; the
+/// `fused_vs_materialized` row gives their ratio.
+fn emit_loss_eval_breakdown(_c: &mut Criterion) {
+    let cases = [
+        ("ising10", ising(10, 0.25)),
+        ("H6", molecular(Molecule::H6, 1.0)),
+    ];
+    for (name, h) in &cases {
+        let n = h.num_qubits();
+        let model = NoiseModel::uniform(n, 3e-4, 8e-3, 2e-2);
+        let exec = ExecutableAnsatz::untranspiled(n, &model);
+        let ansatz = TransformationAnsatz::new(n);
+        let loss = TransformLoss::new(h, &exec, &ansatz, EvaluatorKind::Exact);
+        let mut rng = StdRng::seed_from_u64(17);
+        let genomes: Vec<Vec<u8>> = (0..96)
+            .map(|_| {
+                (0..ansatz.num_genes())
+                    .map(|_| rng.gen_range(0..4u8))
+                    .collect()
+            })
+            .collect();
+        let function = loss.loss();
+        let prepared = function.prepared_zero().expect("always prepared");
+        let mut transformed = PauliSum::new(n);
+        let mut run_materialized = || {
+            for gamma in &genomes {
+                loss.transformed_into(black_box(gamma), &mut transformed);
+                black_box(
+                    function.loss_n_prepared(prepared, &transformed)
+                        + function.loss_0(&transformed),
+                );
+            }
+        };
+        let mut run_fused = || {
+            black_box(loss.evaluate_population(black_box(&genomes)));
+        };
+        let (materialized_samples, fused_samples) =
+            counterbalanced_samples(12, &mut run_materialized, &mut run_fused);
+        let per_genome = |samples: Vec<u128>| {
+            let mut sorted: Vec<u128> = samples.iter().map(|ns| ns / 96).collect();
+            sorted.sort_unstable();
+            (sorted[sorted.len() / 2], sorted[0], sorted.len())
+        };
+        let (materialized, materialized_best, samples) = per_genome(materialized_samples);
+        let (fused, fused_best, _) = per_genome(fused_samples);
+        criterion::append_record(
+            "loss_eval_breakdown",
+            &format!("{name}/materialized"),
+            materialized,
+            materialized_best,
+            samples,
+        );
+        criterion::append_record(
+            "loss_eval_breakdown",
+            &format!("{name}/fused"),
+            fused,
+            fused_best,
+            samples,
+        );
+        let share_pct = 100.0 * fused as f64 / materialized.max(1) as f64;
+        println!(
+            "loss_eval_breakdown/{name}: fused {fused} ns / materialized {materialized} ns \
+             per genome ({share_pct:.1}%, M = {})",
+            h.num_terms()
+        );
+        criterion::append_line(&format!(
+            "{{\"group\":\"loss_eval_breakdown\",\"id\":\"{name}/fused_vs_materialized\",\"materialized_ns\":{materialized},\"fused_ns\":{fused},\"fused_share_pct\":{share_pct:.1}}}"
+        ));
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
     targets = bench_exact_energy, bench_exact_batched, emit_exact_speedup,
         bench_sampled_energy, bench_sampled_energy_scalar,
         emit_sampled_speedup, bench_dense_hamiltonian, bench_population_batch,
-        emit_telemetry_overhead, emit_failpoint_overhead, emit_loss_cache
+        emit_loss_eval_breakdown, emit_telemetry_overhead, emit_failpoint_overhead,
+        emit_loss_cache
 }
 criterion_main!(benches);

@@ -9,13 +9,16 @@
 //! Both are pure and `Sync`, so the engine's pooled batch path and
 //! genome → loss cache apply transparently.
 
+use crate::transform::anticonjugate_batch;
 use crate::{
     transform_hamiltonian, transform_hamiltonian_into, EvaluatorKind, ExecutableAnsatz,
     LossFunction, PreparedEnergy,
 };
 use clapton_circuits::TransformationAnsatz;
 use clapton_eval::LossEvaluator;
-use clapton_pauli::PauliSum;
+use clapton_noise::ExactEvaluator;
+use clapton_pauli::{PauliSum, TermBatch};
+use clapton_stabilizer::CliffordGate;
 use std::ops::Range;
 
 /// The Clapton search objective over transformation genomes γ.
@@ -23,6 +26,16 @@ use std::ops::Range;
 /// Each evaluation conjugates the Hamiltonian through the transformation
 /// ansatz at the (masked) genome and scores `LN + L0` on the executable
 /// ansatz — exactly the loss of Eq. 5/9/10.
+///
+/// For the exact kind, `H`'s terms are loaded into [`TermBatch`] planes
+/// once, when the objective is built. Each genome then copies the planes,
+/// anticonjugates the copies through the transformation circuit, reads `L0`
+/// off them, moves them onto the executable's register and hands them to
+/// [`ExactEvaluator::add_batch_energy`] — `Ĥ` is never materialized as a
+/// [`PauliSum`] during the search, and the losses are bit-identical to
+/// scoring [`TransformLoss::transformed`] with [`LossFunction::total`]. The
+/// sampled kind materializes `Ĥ` per genome: its seed hash and term cache
+/// read `Ĥ`'s strings.
 ///
 /// # Example
 ///
@@ -43,10 +56,14 @@ use std::ops::Range;
 /// let single = loss.evaluate(&identity);
 /// let batch = loss.evaluate_population(&[identity.clone(), identity]);
 /// assert_eq!(batch, vec![single, single]);
+/// assert_eq!(single, loss.loss().total(&h));
 /// ```
 #[derive(Debug, Clone)]
 pub struct TransformLoss<'a> {
     h: &'a PauliSum,
+    /// `h`'s terms, 64 per batch, all lanes positive (the coefficients stay
+    /// in `h`): the exact kind's per-genome starting point.
+    planes: Vec<TermBatch>,
     ansatz: &'a TransformationAnsatz,
     loss: LossFunction<'a>,
     /// Genes frozen to identity (the two-qubit-slot ablation of §4).
@@ -76,8 +93,20 @@ impl<'a> TransformLoss<'a> {
             exec.num_logical(),
             "transformation/executable register mismatch"
         );
+        let planes = h
+            .terms()
+            .chunks(TermBatch::LANES)
+            .map(|chunk| {
+                let mut batch = TermBatch::new(h.num_qubits());
+                for (lane, term) in chunk.iter().enumerate() {
+                    batch.set_lane(lane, &term.pauli, false);
+                }
+                batch
+            })
+            .collect();
         TransformLoss {
             h,
+            planes,
             ansatz,
             loss: LossFunction::new(exec, evaluator),
             frozen: None,
@@ -104,37 +133,131 @@ impl<'a> TransformLoss<'a> {
         g
     }
 
-    /// The transformed Hamiltonian `Ĥ = C†(γ) H C(γ)` at a genome.
-    pub fn transformed(&self, gamma: &[u8]) -> PauliSum {
-        transform_hamiltonian(self.h, &self.ansatz.gates(&self.masked(gamma)))
+    /// The transformation circuit `C(γ)` at the masked genome.
+    fn gates(&self, gamma: &[u8]) -> Vec<CliffordGate> {
+        self.ansatz.gates(&self.masked(gamma))
     }
 
-    /// [`TransformLoss::transformed`] into a caller-owned scratch sum: the
-    /// batch path reuses one `Ĥ` buffer across a whole population, so the
-    /// per-genome transform performs no term-string allocation.
+    /// The transformed Hamiltonian `Ĥ = C†(γ) H C(γ)` at a genome.
+    pub fn transformed(&self, gamma: &[u8]) -> PauliSum {
+        transform_hamiltonian(self.h, &self.gates(gamma))
+    }
+
+    /// [`TransformLoss::transformed`] into a caller-owned scratch sum, so a
+    /// loop over genomes allocates no term strings. The loss paths do not
+    /// use it for the exact kind, which scores planes without
+    /// materializing `Ĥ`; the sampled kind's batch path does.
     pub fn transformed_into(&self, gamma: &[u8], out: &mut PauliSum) {
-        transform_hamiltonian_into(self.h, &self.ansatz.gates(&self.masked(gamma)), out);
+        transform_hamiltonian_into(self.h, &self.gates(gamma), out);
+    }
+
+    /// The loss `L = LN + L0` of `Ĥ = C† H C` for an explicit Clifford
+    /// circuit `C` (gates in application order, any [`CliffordGate`]):
+    /// what [`LossEvaluator::evaluate`] computes for the circuit of a
+    /// genome.
+    pub fn evaluate_gates(&self, gates: &[CliffordGate]) -> f64 {
+        match self.loss.zero().exact() {
+            Some(exact) => self.fused_loss(&exact, gates, &mut FusedScratch::new(self)),
+            None => self.loss.total(&transform_hamiltonian(self.h, gates)),
+        }
     }
 
     /// The underlying loss function (for `LN`/`L0` decompositions).
     pub fn loss(&self) -> &LossFunction<'a> {
         &self.loss
     }
+
+    /// The exact kind's loss of one transformation circuit, on planes.
+    ///
+    /// Per chunk of 64 terms: copy `H`'s planes, anticonjugate them through
+    /// `gates`, and absorb each lane's sign into its coefficient as
+    /// [`PauliSum::map_terms_into`] does. `L0` sums the Z-type lanes' signed
+    /// coefficients in term order from the start value of `f64`'s `Sum`
+    /// (`-0.0`), as [`PauliSum::expectation_all_zeros`] does. The planes
+    /// then move onto the executable's register (when the layout permutes
+    /// qubits) and straight into the `LN` kernel, which adds into one
+    /// running total across chunks. Every floating-point operation is the
+    /// one the materialized path performs, in the same order.
+    fn fused_loss(
+        &self,
+        exact: &ExactEvaluator<'_>,
+        gates: &[CliffordGate],
+        scratch: &mut FusedScratch,
+    ) -> f64 {
+        let exec = self.loss.exec();
+        let permuted = !exec.mapping_is_identity();
+        let mut coefficients = [0.0; TermBatch::LANES];
+        let mut loss_n = 0.0;
+        let mut loss_0 = -0.0;
+        for (planes, terms) in self
+            .planes
+            .iter()
+            .zip(self.h.terms().chunks(TermBatch::LANES))
+        {
+            let batch = &mut scratch.logical;
+            batch.clone_from(planes);
+            anticonjugate_batch(gates, batch);
+            let (traceless, signs) = (batch.any_x_mask(), batch.sign_mask());
+            for (lane, term) in terms.iter().enumerate() {
+                let sign = if (signs >> lane) & 1 == 1 { -1.0 } else { 1.0 };
+                let c = sign * term.coefficient;
+                coefficients[lane] = c;
+                loss_0 += c * if (traceless >> lane) & 1 == 1 {
+                    0.0
+                } else {
+                    1.0
+                };
+            }
+            // The signs now live in the coefficients.
+            batch.xor_sign(signs);
+            let batch = if permuted {
+                exec.map_batch(batch, &mut scratch.compact);
+                &mut scratch.compact
+            } else {
+                batch
+            };
+            exact.add_batch_energy(batch, &coefficients[..terms.len()], &mut loss_n);
+        }
+        loss_n + loss_0
+    }
+}
+
+/// The fused path's per-call buffers, reused across a population batch:
+/// the chunk being transformed, and its image on the executable's compact
+/// register when the layout permutes qubits.
+struct FusedScratch {
+    logical: TermBatch,
+    compact: TermBatch,
+}
+
+impl FusedScratch {
+    fn new(loss: &TransformLoss<'_>) -> FusedScratch {
+        FusedScratch {
+            logical: TermBatch::new(loss.h.num_qubits()),
+            compact: TermBatch::new(loss.loss.exec().num_qubits()),
+        }
+    }
 }
 
 impl LossEvaluator for TransformLoss<'_> {
     fn evaluate(&self, gamma: &[u8]) -> f64 {
-        self.loss.total(&self.transformed(gamma))
+        self.evaluate_gates(&self.gates(gamma))
     }
 
     /// The population-batch fast path: every genome shares the loss
-    /// object's one prepared `θ = 0` evaluator and pays only its own
-    /// transformation and energy — with one transformed-Hamiltonian scratch
-    /// buffer reused across the whole batch, so the per-genome transform
-    /// allocates no term strings. Bit-identical to genome-at-a-time
-    /// [`LossEvaluator::evaluate`].
+    /// object's one prepared `θ = 0` evaluator. The exact kind runs the
+    /// fused plane loop with one scratch for the whole batch; the sampled
+    /// kind reuses one transformed-Hamiltonian buffer. Bit-identical to
+    /// genome-at-a-time [`LossEvaluator::evaluate`].
     fn evaluate_population(&self, genomes: &[Vec<u8>]) -> Vec<f64> {
         let prepared = self.loss.zero();
+        if let Some(exact) = prepared.exact() {
+            let mut scratch = FusedScratch::new(self);
+            return genomes
+                .iter()
+                .map(|gamma| self.fused_loss(&exact, &self.gates(gamma), &mut scratch))
+                .collect();
+        }
         let mut transformed = PauliSum::new(self.h.num_qubits());
         genomes
             .iter()

@@ -13,10 +13,11 @@
 //!    a circuit once into a [`PreparedEnergy`] that scores Hamiltonians by
 //!    exact Clifford back-propagation or the stim-style frame sampler.
 //! 4. [`TransformLoss`] packages the objective as a batched
-//!    [`LossEvaluator`] which [`run_clapton`]
-//!    hands to the multi-GA engine of Figure 4 — memoized, with instances
-//!    and population batches on the caller's [`WorkerPool`] — returning
-//!    the [`Transformation`] plus diagnostics.
+//!    [`LossEvaluator`] (for the exact kind it fuses steps 2 and 3 on `H`'s
+//!    preloaded term planes, so `Ĥ` is never materialized per genome),
+//!    which [`run_clapton`] hands to the multi-GA engine of Figure 4 —
+//!    memoized, with instances and population batches on the caller's
+//!    [`WorkerPool`] — returning the [`Transformation`] plus diagnostics.
 //!
 //! Baselines: [`run_cafqa`] (noiseless Clifford search over `θ`, prior art
 //! \[38\]) and [`run_ncafqa`] (the paper's noise-aware CAFQA, §5.2), both

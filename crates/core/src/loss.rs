@@ -87,6 +87,17 @@ impl PreparedEnergy {
     pub fn noiseless_energy(&self, h: &PauliSum) -> f64 {
         ExactEvaluator::new(&self.noisy).noiseless_energy(h)
     }
+
+    /// The exact evaluator of the prepared circuit, for the `Exact` kind —
+    /// the kernel the fused transform-and-score loop of
+    /// [`crate::TransformLoss`] feeds with planes. `None` for the sampled
+    /// kind, whose seed hash and term cache read `Ĥ`'s strings.
+    pub(crate) fn exact(&self) -> Option<ExactEvaluator<'_>> {
+        match self.kind {
+            EvaluatorKind::Exact => Some(ExactEvaluator::new(&self.noisy)),
+            EvaluatorKind::Sampled { .. } => None,
+        }
+    }
 }
 
 // Hand-written serde impls (the vendored derive has no struct-variant

@@ -6,6 +6,13 @@
 //! [`CliffordGate::conjugate_terms`], with
 //! `clapton_stabilizer::anticonjugate_through` as the one-string reference
 //! the batched path is tested against.
+//!
+//! [`transform_hamiltonian`] materializes `Ĥ` as a [`PauliSum`]: for the
+//! winning genome ([`Transformation::from_genome`]), the sampled loss (its
+//! seed hash and term cache read `Ĥ`'s strings) and tests. The exact-kind
+//! search never does: [`crate::TransformLoss`] anticonjugates copies of
+//! `H`'s preloaded planes with the same per-batch step and scores them in
+//! place.
 
 use clapton_circuits::{Circuit, TransformationAnsatz};
 use clapton_pauli::{PauliSum, TermBatch};
@@ -61,9 +68,7 @@ pub fn transform_hamiltonian_into(h: &PauliSum, gates: &[CliffordGate], out: &mu
                 for (l, term) in terms[next..].iter().take(TermBatch::LANES).enumerate() {
                     batch.set_lane(l, &term.pauli, false);
                 }
-                for g in gates.iter().rev() {
-                    g.inverse().conjugate_terms(&mut batch);
-                }
+                anticonjugate_batch(gates, &mut batch);
             }
             next += 1;
             if batch.lane_into(lane, image) {
@@ -74,6 +79,16 @@ pub fn transform_hamiltonian_into(h: &PauliSum, gates: &[CliffordGate], out: &mu
         },
         out,
     );
+}
+
+/// Anticonjugates every lane of `batch` through the Clifford circuit `C`
+/// (gates in application order): the inverted gates in reverse, each one a
+/// word-level [`CliffordGate::conjugate_terms`] pass, with every lane's sign
+/// flips collected in the sign plane.
+pub(crate) fn anticonjugate_batch(gates: &[CliffordGate], batch: &mut TermBatch) {
+    for g in gates.iter().rev() {
+        g.inverse().conjugate_terms(batch);
+    }
 }
 
 /// A found Clapton transformation: the genome, the Clifford circuit

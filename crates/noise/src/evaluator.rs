@@ -114,8 +114,10 @@ impl<'a> ExactEvaluator<'a> {
 
     /// Noisy energy of a full Hamiltonian: `Σ_i c_i ⟨P_i⟩_noisy` (the `LN`
     /// building block, Eq. 9), back-propagated bit-parallel in `⌈M/64⌉`
-    /// reverse circuit walks instead of `M` (see the batch pass below).
-    /// Bit-identical to [`ExactEvaluator::energy_scalar`].
+    /// reverse circuit walks instead of `M`: each chunk of 64 terms is
+    /// loaded into a [`TermBatch`] and scored by
+    /// [`ExactEvaluator::add_batch_energy`]'s plane kernel. Bit-identical
+    /// to [`ExactEvaluator::energy_scalar`].
     pub fn energy(&self, hamiltonian: &PauliSum) -> f64 {
         self.energy_batch_pass(hamiltonian, true)
     }
@@ -151,121 +153,139 @@ impl<'a> ExactEvaluator<'a> {
             .sum()
     }
 
-    /// The shared walk behind both energies: packs up to 64 term
-    /// observables into a [`TermBatch`] (transposed planes + sign plane)
-    /// and conjugates all lanes through the circuit at once.
+    /// Adds the noisy energy `Σ_ℓ coefficients[ℓ] · ⟨P_ℓ⟩_noisy` of the
+    /// signed observables in lanes `0..coefficients.len()` of `batch` to
+    /// `total`, one lane at a time in lane order — the one `LN` kernel
+    /// behind [`ExactEvaluator::energy`] and the fused transform-and-score
+    /// loop of the Clapton objective, which hands it planes it has already
+    /// anticonjugated instead of a materialized Hamiltonian. The batch must
+    /// be on the circuit's register; it is left back-propagated. Lanes past
+    /// `coefficients.len()` are ignored. Adding into the caller's running
+    /// total (not returning a per-chunk partial sum) keeps a Hamiltonian's
+    /// energy bit-identical however its terms are chunked.
     ///
-    /// Per chunk of ≤64 terms:
+    /// # Panics
     ///
-    /// 1. **Per-lane init** — the scalar walk starts each term at the Z
+    /// Panics if `coefficients` holds more than [`TermBatch::LANES`] values
+    /// or the batch is on a different register.
+    pub fn add_batch_energy(&self, batch: &mut TermBatch, coefficients: &[f64], total: &mut f64) {
+        self.batch_pass(batch, coefficients, true, total);
+    }
+
+    /// [`ExactEvaluator::energy`] and
+    /// [`ExactEvaluator::noiseless_energy`]: each chunk of ≤64 terms is
+    /// loaded into one reused [`TermBatch`] and scored by the plane kernel.
+    fn energy_batch_pass(&self, hamiltonian: &PauliSum, with_noise: bool) -> f64 {
+        let mut total = 0.0;
+        let mut batch = TermBatch::new(self.circuit.num_qubits());
+        let mut coefficients = [0.0; TermBatch::LANES];
+        for chunk in hamiltonian.terms().chunks(TermBatch::LANES) {
+            batch.clear();
+            for (lane, term) in chunk.iter().enumerate() {
+                batch.set_lane(lane, &term.pauli, false);
+                coefficients[lane] = term.coefficient;
+            }
+            self.batch_pass(
+                &mut batch,
+                &coefficients[..chunk.len()],
+                with_noise,
+                &mut total,
+            );
+        }
+        total
+    }
+
+    /// The plane kernel: conjugates all lanes of one chunk through the
+    /// circuit at once.
+    ///
+    /// 1. **Damping sites** — the scalar walk starts each term at the Z
     ///    string on its support (collecting readout factors `1-2p_k`) and
     ///    then back-propagates the term's private `basis_prep_ops`; by
     ///    construction that prep segment exactly rebuilds the original term
     ///    with sign `+1` (`H` maps `Z → X`, `H·S` maps `Z → Y`, both
     ///    sign-free), while its interleaved depolarizing slots always damp
-    ///    (the observable never leaves the slot's qubit). So the lane loads
-    ///    the term itself, and the prep damping reduces to a closed-form
-    ///    product — applied in the scalar walk's exact multiply order
-    ///    (readout over ascending support, then prep slots over descending
-    ///    support, two per `Y` and one per `X`) so the factor rounds
-    ///    bit-identically.
+    ///    (the observable never leaves the slot's qubit). So the lane keeps
+    ///    the term itself, and its first damping sites are read off the
+    ///    planes in the scalar walk's exact multiply order: readout over
+    ///    ascending qubits, then prep slots over descending qubits, one per
+    ///    `X` and two per `Y` (none when the gate error vanishes:
+    ///    `basis_prep_ops` omits the slot).
     /// 2. **One shared reverse walk** — the memoized
     ///    [`NoisyCircuit::reversed_inverted_ops`] list is traversed once:
     ///    Clifford gates act on all 64 lanes by word-level signed
-    ///    conjugation (`CliffordGate::conjugate_terms`); depolarizing
-    ///    channels compute a 64-lane support mask (`x|z` plane words) and
-    ///    damp exactly the supported lanes (see [`damp_lanes`]), in op
-    ///    order, so each lane's factor multiplies in the same sequence as
-    ///    the scalar walk.
+    ///    conjugation (`CliffordGate::conjugate_terms`), and every
+    ///    depolarizing channel records its site — the 64-lane support mask
+    ///    (`x|z` plane words) it damps — in op order.
     /// 3. **Readout** — lanes with any surviving x-plane bit are traceless
-    ///    on `|0…0⟩` and contribute `0`; the rest contribute
-    ///    `±factor` by their sign bit. Contributions accumulate in term
-    ///    order, so the total is bit-identical to the scalar sum.
-    fn energy_batch_pass(&self, hamiltonian: &PauliSum, with_noise: bool) -> f64 {
-        let terms = hamiltonian.num_terms() as u64;
-        let metrics = kernel_metrics();
-        metrics.exact_terms.add(terms);
-        metrics
-            .exact_walks
-            .add(terms.div_ceil(TermBatch::LANES as u64));
+    ///    on `|0…0⟩` and contribute `0` whatever their factor, so only the
+    ///    other lanes multiply up their sites' factors (see [`damp_lanes`]),
+    ///    in site order — the same sequence as the scalar walk, so every
+    ///    factor rounds bit-identically — and contribute `±factor` by their
+    ///    sign bit. An identity lane has no support, so it is never damped
+    ///    and reads `1`. Contributions accumulate in lane order, so a whole
+    ///    Hamiltonian's total is bit-identical to the scalar sum.
+    fn batch_pass(
+        &self,
+        batch: &mut TermBatch,
+        coefficients: &[f64],
+        with_noise: bool,
+        total: &mut f64,
+    ) {
         let n = self.circuit.num_qubits();
-        let mut total = 0.0;
-        let mut batch = TermBatch::new(n);
-        let mut factors = [1.0f64; TermBatch::LANES];
-        for chunk in hamiltonian.terms().chunks(TermBatch::LANES) {
-            batch.clear();
-            let mut identity_lanes = 0u64;
-            for (lane, term) in chunk.iter().enumerate() {
-                if term.pauli.is_identity() {
-                    identity_lanes |= 1 << lane;
-                    continue;
-                }
-                let mut factor = 1.0;
-                if with_noise {
-                    for q in term.pauli.support() {
-                        factor *= 1.0 - 2.0 * self.circuit.readout(q);
-                    }
-                    // Prep-slot damping in the scalar walk's order: support
-                    // descending (the prep list is walked reversed), two
-                    // slots per Y (S† and H each carry one), one per X,
-                    // none per Z — and no slot at all when the gate error
-                    // vanishes (basis_prep_ops omits it).
-                    let (xw, zw) = (term.pauli.x_words(), term.pauli.z_words());
-                    for w in (0..xw.len()).rev() {
-                        let mut bits = xw[w];
-                        while bits != 0 {
-                            let b = 63 - bits.leading_zeros();
-                            bits &= !(1u64 << b);
-                            let q = w * 64 + b as usize;
-                            let p = self.circuit.gate_p1(q);
-                            if p > 0.0 {
-                                let damp = 1.0 - 4.0 * p / 3.0;
-                                factor *= damp;
-                                if (zw[w] >> b) & 1 == 1 {
-                                    factor *= damp; // Y: second slot
-                                }
-                            }
-                        }
-                    }
-                }
-                factors[lane] = factor;
-                batch.set_lane(lane, &term.pauli, false);
+        assert!(coefficients.len() <= TermBatch::LANES, "more than 64 lanes");
+        assert_eq!(batch.num_qubits(), n, "batch/circuit register mismatch");
+        let metrics = kernel_metrics();
+        metrics.exact_terms.add(coefficients.len() as u64);
+        metrics.exact_walks.inc();
+        let ops = self.circuit.reversed_inverted_ops();
+        let mut sites: Vec<(u64, f64)> = Vec::new();
+        if with_noise {
+            sites.reserve(3 * n + ops.len());
+            for q in 0..n {
+                sites.push((batch.support_mask(q), 1.0 - 2.0 * self.circuit.readout(q)));
             }
-            // The shared circuit walk, once for all lanes of the chunk.
-            for op in self.circuit.reversed_inverted_ops() {
-                match *op {
-                    NoisyOp::Clifford(g) => g.conjugate_terms(&mut batch),
-                    NoisyOp::Depol1(q, p) => {
-                        if with_noise {
-                            let supported = batch.support_mask(q);
-                            damp_lanes(&mut factors, supported, 1.0 - 4.0 * p / 3.0);
-                        }
-                    }
-                    NoisyOp::Depol2(a, b, p) => {
-                        if with_noise {
-                            let supported = batch.support_mask(a) | batch.support_mask(b);
-                            damp_lanes(&mut factors, supported, 1.0 - 16.0 * p / 15.0);
-                        }
-                    }
+            for q in (0..n).rev() {
+                let p = self.circuit.gate_p1(q);
+                if p > 0.0 {
+                    let damp = 1.0 - 4.0 * p / 3.0;
+                    sites.push((batch.x(q), damp));
+                    sites.push((batch.x(q) & batch.z(q), damp)); // Y: second slot
                 }
-            }
-            let traceless = batch.any_x_mask();
-            let signs = batch.sign_mask();
-            for (lane, term) in chunk.iter().enumerate() {
-                let bit = 1u64 << lane;
-                let value = if identity_lanes & bit != 0 {
-                    1.0
-                } else if traceless & bit != 0 {
-                    0.0
-                } else if signs & bit != 0 {
-                    -factors[lane]
-                } else {
-                    factors[lane]
-                };
-                total += term.coefficient * value;
             }
         }
-        total
+        for op in ops {
+            match *op {
+                NoisyOp::Clifford(g) => g.conjugate_terms(batch),
+                NoisyOp::Depol1(q, p) => {
+                    if with_noise {
+                        sites.push((batch.support_mask(q), 1.0 - 4.0 * p / 3.0));
+                    }
+                }
+                NoisyOp::Depol2(a, b, p) => {
+                    if with_noise {
+                        let supported = batch.support_mask(a) | batch.support_mask(b);
+                        sites.push((supported, 1.0 - 16.0 * p / 15.0));
+                    }
+                }
+            }
+        }
+        let traceless = batch.any_x_mask();
+        let signs = batch.sign_mask();
+        let mut factors = [1.0f64; TermBatch::LANES];
+        for &(supported, damp) in &sites {
+            damp_lanes(&mut factors, supported & !traceless, damp);
+        }
+        for (lane, &coefficient) in coefficients.iter().enumerate() {
+            let bit = 1u64 << lane;
+            let value = if traceless & bit != 0 {
+                0.0
+            } else if signs & bit != 0 {
+                -factors[lane]
+            } else {
+                factors[lane]
+            };
+            *total += coefficient * value;
+        }
     }
 
     fn back_propagate(&self, term: &PauliString, with_noise: bool) -> f64 {
@@ -753,27 +773,27 @@ impl TermCache {
 
 /// Multiplies `damp` into every factor whose `supported` bit is set.
 ///
-/// Sparse masks take a set-bit loop; dense masks take a branch-free select
-/// loop (`× damp` or `× 1.0` per lane) the compiler can vectorize — for
-/// finite factors `f × 1.0` is bit-exact `f` (IEEE 754), so both shapes
-/// multiply each supported lane by exactly the same sequence the scalar
-/// walk would, preserving batch-vs-scalar bit-identity.
+/// Masks with fewer than 32 lanes take a set-bit loop. Denser masks read
+/// two lanes' multipliers (`damp` or `1.0` each) from a four-entry table
+/// indexed by two mask bits — about a third of the instructions of a
+/// per-lane select, which SSE2 can only build with emulated 64-bit
+/// compares. For finite factors `f × 1.0` is bit-exact `f` (IEEE 754), so
+/// both shapes multiply each supported lane by exactly the same sequence
+/// the scalar walk would, preserving batch-vs-scalar bit-identity.
 #[inline]
 fn damp_lanes(factors: &mut [f64; TermBatch::LANES], supported: u64, damp: f64) {
-    if supported.count_ones() < 16 {
+    if supported.count_ones() < 32 {
         let mut mask = supported;
         while mask != 0 {
             factors[mask.trailing_zeros() as usize] *= damp;
             mask &= mask - 1;
         }
     } else {
-        for (lane, factor) in factors.iter_mut().enumerate() {
-            let d = if (supported >> lane) & 1 == 1 {
-                damp
-            } else {
-                1.0
-            };
-            *factor *= d;
+        let table = [[1.0, 1.0], [damp, 1.0], [1.0, damp], [damp, damp]];
+        for (pair, lanes) in factors.chunks_exact_mut(2).enumerate() {
+            let [a, b] = table[((supported >> (2 * pair)) & 3) as usize];
+            lanes[0] *= a;
+            lanes[1] *= b;
         }
     }
 }

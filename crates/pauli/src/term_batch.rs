@@ -17,6 +17,10 @@
 //!   pass through the transformation circuit,
 //! * the exact noisy-loss kernel back-propagates 64 measured observables
 //!   per reverse circuit walk, reading each lane's sign into its energy,
+//! * the Clapton objective fuses the two: it loads `H` into batches once,
+//!   and per genome copies them, anticonjugates the copies, reads `L0` off
+//!   the same planes and hands them straight to the loss kernel, so `Ĥ` is
+//!   never read back into strings during the search,
 //! * the frame sampler pushes 64 shots' error frames forward per pass and
 //!   ignores the sign plane (error frames are only observed through their
 //!   commutation with the measured observable,
@@ -45,12 +49,33 @@ use crate::{PauliString, WORD_BITS};
 /// assert_eq!(batch.support_mask(0), 0b000001);
 /// assert_eq!(batch.support_mask(1), 0b100000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct TermBatch {
     n: usize,
     x: Vec<u64>,
     z: Vec<u64>,
     sign: u64,
+}
+
+impl Clone for TermBatch {
+    fn clone(&self) -> TermBatch {
+        TermBatch {
+            n: self.n,
+            x: self.x.clone(),
+            z: self.z.clone(),
+            sign: self.sign,
+        }
+    }
+
+    /// Copies `source`'s planes into `self`'s storage: the fused
+    /// transform-and-score loop copies a preloaded chunk per genome, and a
+    /// derived `clone_from` would reallocate both planes every time.
+    fn clone_from(&mut self, source: &TermBatch) {
+        self.n = source.n;
+        self.x.clone_from(&source.x);
+        self.z.clone_from(&source.z);
+        self.sign = source.sign;
+    }
 }
 
 impl TermBatch {

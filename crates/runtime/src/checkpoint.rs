@@ -248,15 +248,32 @@ impl RunDirectory {
     /// it back with [`RunDirectory::load_sealed`].
     pub fn write_sealed(&self, name: &str, payload: &[u8]) -> io::Result<u64> {
         let mut sealed = seal_envelope(payload);
-        let target = self.root.join(name);
-        let tmp = self.root.join(tmp_name(name));
         // `torn` here writes a truncated file that still gets renamed into
         // place — exactly the crash the envelope exists to catch.
         failpoint::check_write("registry.write.flush", &mut sealed)?;
-        fs::write(&tmp, &sealed)?;
-        failpoint::check("registry.write.rename")?;
-        fs::rename(&tmp, &target)?;
+        self.replace(name, &sealed, || failpoint::check("registry.write.rename"))?;
         Ok(sealed.len() as u64)
+    }
+
+    /// Writes `bytes` to a fresh temporary sibling of `name`, runs
+    /// `before_rename`, and renames the temporary into place. When a step
+    /// fails, the temporary is unlinked before the error returns (the
+    /// unlink's own error is ignored), so a failed write leaves no `*.tmp`
+    /// behind; only a writer killed mid-write does.
+    fn replace(
+        &self,
+        name: &str,
+        bytes: &[u8],
+        before_rename: impl FnOnce() -> io::Result<()>,
+    ) -> io::Result<()> {
+        let tmp = self.root.join(tmp_name(name));
+        let written = fs::write(&tmp, bytes)
+            .and_then(|()| before_rename())
+            .and_then(|()| fs::rename(&tmp, self.root.join(name)));
+        if written.is_err() {
+            let _ = fs::remove_file(&tmp);
+        }
+        written
     }
 
     /// Atomically replaces `name` while keeping the outgoing generation as
@@ -296,10 +313,7 @@ impl RunDirectory {
     /// temporary-then-rename discipline as [`RunDirectory::write_json`]
     /// (used for line-oriented artifacts like `telemetry.jsonl`).
     pub fn write_text(&self, name: &str, text: &str) -> io::Result<()> {
-        let target = self.root.join(name);
-        let tmp = self.root.join(tmp_name(name));
-        fs::write(&tmp, text.as_bytes())?;
-        fs::rename(&tmp, &target)
+        self.replace(name, text.as_bytes(), || Ok(()))
     }
 
     /// Reads artifact `name`, returning `Ok(None)` when it does not exist
@@ -672,6 +686,12 @@ mod tests {
         failpoint::clear();
         assert_eq!(err.kind(), io::ErrorKind::Other);
         assert!(!dir.exists("c.json"), "failed rename leaves no target");
+        let leftovers: Vec<_> = fs::read_dir(dir.path())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "failed write left {leftovers:?}");
         fs::remove_dir_all(dir.path()).unwrap();
     }
 

@@ -20,9 +20,10 @@ const MIN_CHUNK: usize = 8;
 /// with every other batch, GA round, and scheduler job in the process.
 /// Chunks are sized so idle workers can steal meaningful work while each
 /// chunk is still wide enough to amortize the wrapped evaluator's per-batch
-/// setup (e.g. the prepared-backend hoist of `TransformLoss`, whose exact
-/// backend then runs the bit-parallel batched back-propagation — 64
-/// Hamiltonian terms per circuit walk — inside every chunk).
+/// setup (e.g. `TransformLoss`'s fused-path scratch: its prepared `θ = 0`
+/// circuit and `H`'s planes are built once per objective, and each chunk
+/// then transforms and scores copies of the planes, 64 terms per circuit
+/// walk).
 ///
 /// Results are written into per-chunk output slots, so the batch is
 /// bit-identical to sequential evaluation no matter which worker executes

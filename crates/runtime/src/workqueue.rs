@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// File name of the lease inside a leased job directory.
 pub const CLAIM_ARTIFACT: &str = "claim.json";
@@ -366,8 +366,9 @@ impl Lease {
 /// Heartbeats run every `interval` (clamped to ≥ 25 ms). If a heartbeat
 /// discovers the lease stolen, [`LeaseKeeper::lost`] flips to `true` and
 /// heartbeating stops — long-running owners should poll it at checkpoint
-/// boundaries and stand down. Dropping the keeper stops the thread and
-/// releases the lease (best effort).
+/// boundaries and stand down. Dropping the keeper wakes and stops the
+/// thread at once (it parks between beats, so stopping does not wait for
+/// the next one) and releases the lease (best effort).
 #[derive(Debug)]
 pub struct LeaseKeeper {
     lost: Arc<AtomicBool>,
@@ -385,15 +386,17 @@ impl LeaseKeeper {
             let lost = Arc::clone(&lost);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let tick = Duration::from_millis(10).min(interval);
-                let mut since_beat = Duration::ZERO;
+                // Parks until the next beat is due; `shutdown` unparks, so
+                // stopping never waits out an interval. Parking may also
+                // return spuriously, hence the deadline check.
+                let mut next_beat = Instant::now() + interval;
                 while !stop.load(Ordering::Acquire) {
-                    std::thread::sleep(tick);
-                    since_beat += tick;
-                    if since_beat < interval {
+                    let now = Instant::now();
+                    if now < next_beat {
+                        std::thread::park_timeout(next_beat - now);
                         continue;
                     }
-                    since_beat = Duration::ZERO;
+                    next_beat = now + interval;
                     match lease.heartbeat() {
                         Ok(true) => {}
                         Ok(false) | Err(_) => {
@@ -425,6 +428,7 @@ impl LeaseKeeper {
     fn shutdown(&mut self) -> io::Result<()> {
         self.stop.store(true, Ordering::Release);
         if let Some(thread) = self.thread.take() {
+            thread.thread().unpark();
             if let Ok(lease) = thread.join() {
                 if !self.lost() {
                     lease.release()?;
