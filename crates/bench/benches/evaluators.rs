@@ -225,12 +225,12 @@ fn emit_sampled_speedup(_c: &mut Criterion) {
     }
 }
 
-/// Measures the cost of leaving telemetry enabled on the two hot paths the
-/// issue budgets (<2% on both): the exact evaluator kernel and the pooled
+/// Measures the cost of leaving telemetry enabled on two hot paths, each
+/// budgeted at under 2%: the exact evaluator kernel and the pooled
 /// population batch. Enabled-vs-disabled runs are ABBA-interleaved via
-/// [`counterbalanced_samples`]; the disabled contender exercises the
-/// documented no-op path (one relaxed atomic load per instrument site — the
-/// `noop` cargo feature folds even that to a compile-time constant).
+/// [`counterbalanced_samples`]; the disabled contender runs under
+/// `set_enabled(false)`, the one off switch (one relaxed atomic load per
+/// instrument site).
 fn emit_telemetry_overhead(_c: &mut Criterion) {
     let n = 20;
     let h_exact = ising(n, 0.25);

@@ -55,6 +55,10 @@
 //! `--status` prints who holds what per job; `--list` summarizes every run
 //! in the registry. Both admit each queued spec to read its state, so they
 //! create any job directory (and its `spec.json`) not yet written.
+//! `--join`, `--status` and `--merge` read the spec list from `queue.json`
+//! alone and exit with status 2 when it is missing or corrupt: `queue.json`
+//! carries the artifact envelope, so a spec list of your own is recorded
+//! with `--specs FILE`, never written by hand.
 //!
 //! Runs answer repeat work from the persistent content-addressed store at
 //! `--cache-dir` (default: `.cache` inside the run directory) —
@@ -343,9 +347,9 @@ fn main() -> ExitCode {
     if let Some(join) = &args.join {
         let dir = Path::new(join);
         return if args.status {
-            status_mode(dir, &args, &config)
+            status_mode(dir, &args)
         } else if args.merge {
-            merge_mode(dir, &args, &config)
+            merge_mode(dir)
         } else {
             join_mode(dir, &args)
         };
@@ -384,10 +388,10 @@ fn main() -> ExitCode {
     };
     let dir = dir.path();
     if args.status {
-        return status_mode(dir, &args, &config);
+        return status_mode(dir, &args);
     }
     if args.merge {
-        return merge_mode(dir, &args, &config);
+        return merge_mode(dir);
     }
     // Step 1: record the spec list as the run's queue (refusing a run
     // directory that already holds a different suite).
@@ -596,9 +600,27 @@ fn sweep(
     outcome
 }
 
+/// The spec list recorded in the run's `queue.json`. `--join`, `--status`
+/// and `--merge` act on that list only: a run whose queue is missing or
+/// corrupt (a hand-written one included) is refused rather than guessed,
+/// and the message names the command that records the list.
+fn queued_specs(dir: &Path) -> Result<Vec<JobSpec>, String> {
+    read_queue(dir).map_err(|e| match e {
+        ClaptonError::Io(_) => e.to_string(),
+        _ => format!(
+            "{e}\nrecord the run's spec list with `suite-runner --specs FILE --registry {} --run {}`",
+            dir.parent().unwrap_or(Path::new(".")).display(),
+            dir.file_name().unwrap_or_default().to_string_lossy()
+        ),
+    })
+}
+
 /// The `--join DIR` worker: sweep an existing queue until nothing is left
 /// to do.
 fn join_mode(dir: &Path, args: &Args) -> ExitCode {
+    if let Err(message) = queued_specs(dir) {
+        return fail(message);
+    }
     let cache = match open_cache(dir, args) {
         Ok(cache) => cache,
         Err(message) => return fail(message),
@@ -619,10 +641,9 @@ fn join_mode(dir: &Path, args: &Args) -> ExitCode {
     }
 }
 
-/// The `--status` mode: who holds what, per job of the run's `queue.json`
-/// (else of the requested spec list).
-fn status_mode(dir: &Path, args: &Args, config: &SuiteConfig) -> ExitCode {
-    let specs = match read_queue(dir).or_else(|_| requested_specs(args, config)) {
+/// The `--status` mode: who holds what, per job of the run's `queue.json`.
+fn status_mode(dir: &Path, args: &Args) -> ExitCode {
+    let specs = match queued_specs(dir) {
         Ok(specs) => specs,
         Err(message) => return fail(message),
     };
@@ -657,10 +678,10 @@ fn status_mode(dir: &Path, args: &Args, config: &SuiteConfig) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `--merge` mode: re-fold `suite_manifest.json` without running
-/// anything, like `--status` over the queued (else requested) spec list.
-fn merge_mode(dir: &Path, args: &Args, config: &SuiteConfig) -> ExitCode {
-    let specs = match read_queue(dir).or_else(|_| requested_specs(args, config)) {
+/// The `--merge` mode: re-fold `suite_manifest.json` from the run's
+/// `queue.json` without running anything.
+fn merge_mode(dir: &Path) -> ExitCode {
+    let specs = match queued_specs(dir) {
         Ok(specs) => specs,
         Err(message) => return fail(message),
     };

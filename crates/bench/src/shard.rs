@@ -22,7 +22,9 @@ use clapton_error::ClaptonError;
 use clapton_runtime::{
     publish_queue_depth, Artifact, CancelToken, RunDirectory, RunEvent, WorkerPool,
 };
-use clapton_service::{AdmittedJob, CacheStore, ClaptonService, JobArtifactState, JobSpec, Report};
+use clapton_service::{
+    AdmittedJob, CacheStore, ClaptonService, JobArtifactState, JobSpec, Report, SPEC_ARTIFACT,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -30,8 +32,10 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The spec list of a suite run, written by `suite-runner` before any job
-/// runs (or by hand for multi-host runs).
+/// The spec list of a suite run, written through [`write_queue`] by
+/// `suite-runner` before any job runs. A spec list of your own is recorded
+/// with `suite-runner --specs FILE`: like every artifact, the queue carries
+/// the envelope, so a `queue.json` written by hand reads as corrupt.
 pub const QUEUE_ARTIFACT: &str = "queue.json";
 
 /// The deterministic merged suite manifest (see [`merge_shards`]).
@@ -41,20 +45,42 @@ pub const MERGED_MANIFEST_ARTIFACT: &str = "suite_manifest.json";
 /// idempotent). A run directory holds one suite: an existing queue must
 /// list the same specs, round budgets aside, so a run created with another
 /// seed, register size, effort level or spec file is refused rather than
-/// mixed. A corrupt queue is quarantined and rewritten.
+/// mixed. A corrupt queue is quarantined and rewritten; without an intact
+/// queue the list must still name every job the directory holds (each job
+/// directory's `spec.json`), so a run that lost its queue is not refilled
+/// with another suite.
 ///
 /// # Errors
 ///
-/// [`ClaptonError::Conflict`] when the directory already queues a
-/// different spec list, [`ClaptonError::Io`] when it cannot be written.
+/// [`ClaptonError::Conflict`] when the directory already queues, or holds
+/// a job of, a different spec list, [`ClaptonError::Io`] when it cannot be
+/// written.
 pub fn write_queue(root: &Path, specs: &[JobSpec]) -> Result<(), ClaptonError> {
     let dir = RunDirectory::create(root)?;
     let identity = |specs: &[JobSpec]| specs.iter().map(JobSpec::identity).collect::<Vec<_>>();
-    if let Artifact::Valid(queued) = dir.load::<Vec<JobSpec>>(QUEUE_ARTIFACT)? {
-        if identity(&queued) != identity(specs) {
-            return Err(ClaptonError::Conflict {
-                run: root.display().to_string(),
-            });
+    let identities = identity(specs);
+    let conflict = || ClaptonError::Conflict {
+        run: root.display().to_string(),
+    };
+    match dir.load::<Vec<JobSpec>>(QUEUE_ARTIFACT)? {
+        Artifact::Valid(queued) => {
+            if identity(&queued) != identities {
+                return Err(conflict());
+            }
+        }
+        Artifact::Missing | Artifact::Corrupt { .. } => {
+            for entry in std::fs::read_dir(root)? {
+                let path = entry?.path();
+                if !path.is_dir() {
+                    continue;
+                }
+                let job = RunDirectory::create(path)?;
+                if let Artifact::Valid(spec) = job.load::<JobSpec>(SPEC_ARTIFACT)? {
+                    if !identities.contains(&spec.identity()) {
+                        return Err(conflict());
+                    }
+                }
+            }
         }
     }
     dir.write_json(QUEUE_ARTIFACT, specs)?;
@@ -67,8 +93,9 @@ pub fn write_queue(root: &Path, specs: &[JobSpec]) -> Result<(), ClaptonError> {
 ///
 /// [`ClaptonError::Parse`] when the file is missing,
 /// [`ClaptonError::CorruptArtifact`] when it exists but fails integrity
-/// verification (the corrupt bytes are quarantined; rewrite the queue with
-/// [`write_queue`] to recover — per-job artifacts are untouched), and
+/// verification, a hand-written file without the envelope included (the
+/// bytes are quarantined; rewrite the queue with [`write_queue`] to
+/// recover — per-job artifacts are untouched), and
 /// [`ClaptonError::Io`] for real I/O failures.
 pub fn read_queue(root: &Path) -> Result<Vec<JobSpec>, ClaptonError> {
     let dir = RunDirectory::create(root)?;
@@ -76,8 +103,8 @@ pub fn read_queue(root: &Path) -> Result<Vec<JobSpec>, ClaptonError> {
         Artifact::Valid(specs) => Ok(specs),
         Artifact::Missing => Err(ClaptonError::Parse {
             what: format!("{}/{QUEUE_ARTIFACT}", root.display()),
-            detail: "no queue.json — this directory is not a suite run (create one with \
-                         suite-runner, or write the spec list yourself)"
+            detail: "no queue.json — this directory is not a suite run (suite-runner \
+                     records one; `--specs FILE` records a spec list of your own)"
                 .to_string(),
         }),
         Artifact::Corrupt { quarantined_to, .. } => Err(ClaptonError::CorruptArtifact {

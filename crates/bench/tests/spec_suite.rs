@@ -5,14 +5,15 @@
 //! interruptions, replays and execution shapes.
 
 use clapton_bench::{
-    merge_shards, run_shard_worker, write_queue, MergedManifest, Options, ShardWorkerConfig,
-    SuiteConfig, MERGED_MANIFEST_ARTIFACT,
+    merge_shards, read_queue, run_shard_worker, write_queue, MergedManifest, Options,
+    ShardWorkerConfig, SuiteConfig, MERGED_MANIFEST_ARTIFACT, QUEUE_ARTIFACT,
 };
 use clapton_error::ClaptonError;
 use clapton_runtime::{EventKind, RunEvent, WorkerPool};
 use clapton_service::{ClaptonService, JobSpec, Report};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 
@@ -172,6 +173,109 @@ fn a_run_directory_refuses_a_different_spec_list() {
         ));
     }
     fs::remove_dir_all(root).unwrap();
+}
+
+/// `queue.json` carries the envelope like every artifact, so a spec list
+/// written there by hand is quarantined on its first read. The modes that
+/// act on an existing run refuse it and name `--specs`; `--merge` and
+/// `--status` never fold the default suite in its place, not even once the
+/// queue is gone; `--specs` with the quarantined bytes records it again;
+/// and once jobs are admitted, a lost queue admits no other suite.
+#[test]
+fn a_hand_written_queue_is_refused_until_specs_records_it() {
+    let registry = scratch("hand-queue");
+    let root = registry.join("hand");
+    fs::create_dir_all(&root).unwrap();
+    let specs = test_specs(5)[..2].to_vec();
+    let bare = serde_json::to_string(&specs).unwrap();
+    let suite_runner = |args: &[&str]| -> Output {
+        Command::new(env!("CARGO_BIN_EXE_suite-runner"))
+            .args(args)
+            .env_remove(clapton_runtime::failpoint::FAILPOINTS_ENV)
+            .output()
+            .unwrap()
+    };
+    let refused = |output: Output| {
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains("--specs FILE"), "{stderr}");
+    };
+    let root_arg = root.to_str().unwrap();
+    let registry_arg = registry.to_str().unwrap();
+
+    fs::write(root.join(QUEUE_ARTIFACT), &bare).unwrap();
+    assert!(matches!(
+        read_queue(&root),
+        Err(ClaptonError::CorruptArtifact { .. })
+    ));
+    for mode in [&[][..], &["--merge"], &["--status"]] {
+        fs::write(root.join(QUEUE_ARTIFACT), &bare).unwrap();
+        refused(suite_runner(&[&["--join", root_arg], mode].concat()));
+        // The queue is quarantined now; asking again is refused too.
+        refused(suite_runner(&[&["--join", root_arg], mode].concat()));
+    }
+    refused(suite_runner(&[
+        "--registry",
+        registry_arg,
+        "--run",
+        "hand",
+        "--merge",
+    ]));
+    let mut quarantined: Vec<PathBuf> = fs::read_dir(&root)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    // No manifest and no job directory: nothing but the quarantined queues.
+    assert!(!quarantined.is_empty());
+    assert!(
+        quarantined.iter().all(|path| path
+            .file_name()
+            .unwrap()
+            .to_string_lossy()
+            .starts_with("queue.json.corrupt-")),
+        "{quarantined:?}"
+    );
+
+    let spec_file = quarantined.pop().unwrap();
+    let recorded = suite_runner(&[
+        "--specs",
+        spec_file.to_str().unwrap(),
+        "--registry",
+        registry_arg,
+        "--run",
+        "hand",
+        "--halt-after-rounds",
+        "1",
+        "--no-persistent-cache",
+        "--quiet",
+    ]);
+    assert!(recorded.status.success(), "{recorded:?}");
+    assert_eq!(read_queue(&root).unwrap(), specs);
+
+    // Its jobs are admitted now, so losing the queue again lets only the
+    // same list back in: the default suite is refused, not run beside them.
+    fs::write(root.join(QUEUE_ARTIFACT), &bare).unwrap();
+    let default_suite = suite_runner(&[
+        "--registry",
+        registry_arg,
+        "--run",
+        "hand",
+        "--quick",
+        "--qubits",
+        "4",
+        "--halt-after-rounds",
+        "1",
+        "--no-persistent-cache",
+        "--quiet",
+    ]);
+    assert_eq!(default_suite.status.code(), Some(2), "{default_suite:?}");
+    assert!(matches!(
+        write_queue(&root, &test_specs(6)[..2]),
+        Err(ClaptonError::Conflict { .. })
+    ));
+    write_queue(&root, &specs).unwrap();
+    assert_eq!(read_queue(&root).unwrap(), specs);
+    fs::remove_dir_all(registry).unwrap();
 }
 
 #[test]

@@ -33,10 +33,12 @@
 //! *missing* from *corrupt* ([`Artifact`]): corrupt files are quarantined in
 //! place (renamed to `<name>.corrupt-<unix-ms>`) and counted in
 //! `clapton_artifacts_corrupt_total`, and recovery-aware callers fall back
-//! to the previous round checkpoint instead of erroring the job. Bare
-//! legacy JSON (no header line) is still accepted by [`RunDirectory::load`],
-//! so registries written before the envelope existed keep resuming; raw
-//! artifacts ([`RunDirectory::load_sealed`]) always need the envelope.
+//! to the previous round checkpoint instead of erroring the job. JSON
+//! ([`RunDirectory::load`]) and raw ([`RunDirectory::load_sealed`])
+//! artifacts share that one read path, and a file without the header line
+//! is corrupt. An artifact written as bare JSON, before the envelope
+//! existed, is therefore quarantined on its first read and its job starts
+//! cold once, as a checkpoint or store segment of an earlier layout does.
 
 use crate::failpoint;
 use clapton_telemetry::fnv1a64;
@@ -91,9 +93,7 @@ pub fn artifact_slug(name: &str) -> String {
     out.trim_matches('-').to_string()
 }
 
-/// The envelope header line prefix — also the discriminator between
-/// enveloped and legacy bare-JSON artifacts (a JSON document whose first
-/// bytes spell the header's fixed key order is, by construction, a header).
+/// The envelope header line prefix (the header's fixed key order).
 const ENVELOPE_MAGIC: &[u8] = b"{\"clapton\":\"envelope\"";
 
 #[derive(Deserialize)]
@@ -118,24 +118,14 @@ fn seal_envelope(payload: &[u8]) -> Vec<u8> {
     sealed
 }
 
-/// Verifies and strips the envelope of a whole-file JSON artifact,
-/// returning the payload bytes: the file must be exactly one record. Bytes
-/// without a header are legacy bare JSON and pass through unverified.
-fn unseal(bytes: &[u8]) -> Result<&[u8], String> {
-    if !bytes.starts_with(ENVELOPE_MAGIC) {
-        return Ok(bytes);
-    }
-    unseal_strict(bytes)
-}
-
-/// [`unseal`] without the legacy pass-through: the file must be exactly one
-/// enveloped record.
+/// Verifies and strips the envelope of a whole-file artifact, returning the
+/// payload bytes: the file must be exactly one enveloped record.
 ///
 /// # Errors
 ///
 /// A human-readable description of the corruption (missing header,
 /// truncated or overlong payload, checksum mismatch).
-fn unseal_strict(bytes: &[u8]) -> Result<&[u8], String> {
+fn unseal(bytes: &[u8]) -> Result<&[u8], String> {
     if !bytes.starts_with(ENVELOPE_MAGIC) {
         return Err("artifact does not start with an envelope header".to_string());
     }
@@ -316,48 +306,27 @@ impl RunDirectory {
         self.replace(name, text.as_bytes(), || Ok(()))
     }
 
-    /// Reads artifact `name`, returning `Ok(None)` when it does not exist
-    /// and an `InvalidData` error when it exists but fails envelope
-    /// verification or parsing — in which case the corrupt file has been
-    /// quarantined (see [`RunDirectory::load`]) so a rewrite can replace it.
-    pub fn read_json<T: DeserializeOwned>(&self, name: &str) -> io::Result<Option<T>> {
-        match self.load(name)? {
-            Artifact::Missing => Ok(None),
-            Artifact::Valid(value) => Ok(Some(value)),
-            Artifact::Corrupt {
-                quarantined_to,
-                detail,
-            } => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{name}: {detail} (quarantined to {quarantined_to})"),
-            )),
-        }
-    }
-
-    /// Reads artifact `name`, distinguishing missing from corrupt. A file
-    /// that fails envelope verification or JSON parsing is quarantined —
-    /// renamed to `<name>.corrupt-<unix-ms>` so the slot is free to be
-    /// rewritten — counted in `clapton_artifacts_corrupt_total`, and
-    /// reported as [`Artifact::Corrupt`] rather than an error, so callers
-    /// with a fallback (the previous round checkpoint, a fresh start) can
-    /// take it.
+    /// Reads the JSON artifact `name` ([`RunDirectory::write_json`]): the
+    /// [`RunDirectory::load_sealed`] read path with a JSON decoder.
     ///
     /// # Errors
     ///
     /// Real I/O failures only (permissions, disk); corruption is a value.
     pub fn load<T: DeserializeOwned>(&self, name: &str) -> io::Result<Artifact<T>> {
-        self.load_checked(name, |bytes| {
-            let text = std::str::from_utf8(unseal(bytes)?)
-                .map_err(|e| format!("payload is not UTF-8: {e}"))?;
+        self.load_sealed(name, |payload| {
+            let text =
+                std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
             serde_json::from_str::<T>(text).map_err(|e| format!("payload does not parse: {e}"))
         })
     }
 
-    /// Reads a [`RunDirectory::write_sealed`] artifact and hands its
-    /// verified payload to `decode`. The envelope is required (a raw
-    /// artifact has no legacy bare form), and a file that fails
-    /// verification or `decode` is quarantined and reported as
-    /// [`Artifact::Corrupt`], exactly like [`RunDirectory::load`].
+    /// Reads artifact `name`, distinguishing missing from corrupt, and hands
+    /// its verified payload to `decode`. A file that fails envelope
+    /// verification or `decode` is quarantined — renamed to
+    /// `<name>.corrupt-<unix-ms>` so the slot is free to be rewritten —
+    /// counted in `clapton_artifacts_corrupt_total`, and reported as
+    /// [`Artifact::Corrupt`] rather than an error, so callers with a
+    /// fallback (the previous round checkpoint, a fresh start) can take it.
     ///
     /// # Errors
     ///
@@ -367,23 +336,12 @@ impl RunDirectory {
         name: &str,
         decode: impl FnOnce(&[u8]) -> Result<T, String>,
     ) -> io::Result<Artifact<T>> {
-        self.load_checked(name, |bytes| decode(unseal_strict(bytes)?))
-    }
-
-    /// The shared read path of [`RunDirectory::load`] and
-    /// [`RunDirectory::load_sealed`]: `check` verifies and decodes the whole
-    /// file, and a file it rejects is quarantined.
-    fn load_checked<T>(
-        &self,
-        name: &str,
-        check: impl FnOnce(&[u8]) -> Result<T, String>,
-    ) -> io::Result<Artifact<T>> {
         let bytes = match fs::read(self.root.join(name)) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Artifact::Missing),
             Err(e) => return Err(e),
         };
-        let detail = match check(&bytes) {
+        let detail = match unseal(&bytes).and_then(decode) {
             Ok(value) => return Ok(Artifact::Valid(value)),
             Err(detail) => detail,
         };
@@ -519,14 +477,12 @@ mod tests {
     fn artifacts_round_trip_and_overwrite_atomically() {
         let (_gate, root) = scratch("rt");
         let dir = RunDirectory::create(root).unwrap();
-        assert_eq!(dir.read_json::<Vec<u64>>("x.json").unwrap(), None);
+        let read = |name| dir.load::<Vec<u64>>(name).unwrap();
+        assert_eq!(read("x.json"), Artifact::Missing);
         dir.write_json("x.json", &vec![1u64, 2, 3]).unwrap();
-        assert_eq!(
-            dir.read_json::<Vec<u64>>("x.json").unwrap(),
-            Some(vec![1, 2, 3])
-        );
+        assert_eq!(read("x.json").valid(), Some(vec![1, 2, 3]));
         dir.write_json("x.json", &vec![9u64]).unwrap();
-        assert_eq!(dir.read_json::<Vec<u64>>("x.json").unwrap(), Some(vec![9]));
+        assert_eq!(read("x.json").valid(), Some(vec![9]));
         let leftover_tmp = fs::read_dir(dir.path())
             .unwrap()
             .filter_map(|e| e.ok())
@@ -543,8 +499,8 @@ mod tests {
         let (_gate, root) = scratch("corrupt");
         let dir = RunDirectory::create(root).unwrap();
         fs::write(dir.path().join("bad.json"), b"{not json").unwrap();
-        let err = dir.read_json::<Vec<u64>>("bad.json").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let loaded = dir.load::<Vec<u64>>("bad.json").unwrap();
+        assert!(loaded.is_corrupt(), "{loaded:?}");
         // The corrupt bytes were quarantined aside, freeing the slot.
         assert!(!dir.exists("bad.json"));
         let quarantined = fs::read_dir(dir.path())
@@ -585,12 +541,16 @@ mod tests {
         assert!(dir.load::<Vec<u64>>("doc.json").unwrap().is_corrupt());
         // Missing stays distinguishable from corrupt.
         assert_eq!(dir.load::<Vec<u64>>("doc.json").unwrap(), Artifact::Missing);
-        // Legacy bare JSON (pre-envelope registries) still reads.
-        fs::write(dir.path().join("legacy.json"), b"[7, 8]").unwrap();
-        assert_eq!(
-            dir.read_json::<Vec<u64>>("legacy.json").unwrap(),
-            Some(vec![7, 8])
+        // Bare JSON without the envelope (an artifact written before the
+        // envelope existed) is corrupt too, and quarantined.
+        fs::write(dir.path().join("bare.json"), b"[7, 8]").unwrap();
+        let bare = dir.load::<Vec<u64>>("bare.json").unwrap();
+        assert!(
+            matches!(bare, Artifact::Corrupt { ref quarantined_to, .. }
+                if quarantined_to.starts_with("bare.json.corrupt-")),
+            "{bare:?}"
         );
+        assert!(!dir.exists("bare.json"), "bare file quarantined");
         fs::remove_dir_all(dir.path()).unwrap();
     }
 
@@ -613,7 +573,7 @@ mod tests {
         fs::write(dir.path().join("seg"), &on_disk[..on_disk.len() - 3]).unwrap();
         assert!(dir.load_sealed("seg", raw).unwrap().is_corrupt());
         assert!(!dir.exists("seg"), "torn file quarantined");
-        // Torn inside the header: no legacy pass-through for raw artifacts.
+        // Torn inside the header line itself.
         fs::write(dir.path().join("seg"), &on_disk[..10]).unwrap();
         assert!(dir.load_sealed("seg", raw).unwrap().is_corrupt());
         // Garbled, same length: the checksum catches it.
@@ -659,12 +619,13 @@ mod tests {
         assert!(!dir.exists("ck.prev.json"));
         dir.write_json_rotating("ck.json", "ck.prev.json", &2u64)
             .unwrap();
-        assert_eq!(dir.read_json::<u64>("ck.json").unwrap(), Some(2));
-        assert_eq!(dir.read_json::<u64>("ck.prev.json").unwrap(), Some(1));
+        let read = |name| dir.load::<u64>(name).unwrap().valid();
+        assert_eq!(read("ck.json"), Some(2));
+        assert_eq!(read("ck.prev.json"), Some(1));
         // Corrupting the current generation falls back to the previous one.
         fs::write(dir.path().join("ck.json"), b"torn").unwrap();
         assert!(dir.load::<u64>("ck.json").unwrap().is_corrupt());
-        assert_eq!(dir.read_json::<u64>("ck.prev.json").unwrap(), Some(1));
+        assert_eq!(read("ck.prev.json"), Some(1));
         fs::remove_dir_all(dir.path()).unwrap();
     }
 

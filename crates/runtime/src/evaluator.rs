@@ -28,6 +28,9 @@ const MIN_CHUNK: usize = 8;
 /// Results are written into per-chunk output slots, so the batch is
 /// bit-identical to sequential evaluation no matter which worker executes
 /// which chunk — losses are pure functions of the genome.
+///
+/// A batch opens no span: a job's trace records its phases (rounds,
+/// checkpoints), not its population batches.
 #[derive(Debug, Clone)]
 pub struct PooledEvaluator<E> {
     inner: E,
@@ -89,13 +92,9 @@ impl<E: LossEvaluator> LossEvaluator for PooledEvaluator<E> {
         let chunk_len = genomes.len().div_ceil(chunks);
         let mut out = vec![0.0f64; genomes.len()];
         let inner = &self.inner;
-        let _batch = clapton_telemetry::span("population_batch");
         self.pool.scope(|s| {
             for (chunk, slots) in genomes.chunks(chunk_len).zip(out.chunks_mut(chunk_len)) {
-                s.spawn(move || {
-                    let _chunk = clapton_telemetry::span("chunk");
-                    slots.copy_from_slice(&inner.evaluate_population(chunk));
-                });
+                s.spawn(move || slots.copy_from_slice(&inner.evaluate_population(chunk)));
             }
         });
         out

@@ -1,10 +1,12 @@
 //! Property test: span trees stay well-formed under nested pool fan-out.
 //!
 //! A traced "job" fans out tasks on the worker pool, and each task opens a
-//! nested scope of its own — the exact shape of a scheduled job running
-//! pooled population batches. Whatever the interleaving of owners and
-//! stealing workers, the collected trace must be a single tree with correct
-//! parent linkage and temporal containment.
+//! nested scope of its own. `WorkerPool::scope` carries the spawner's span
+//! context into every task, so a span opened in a task joins the job's
+//! trace whether the scope owner runs the task or a worker steals it.
+//! Whatever the interleaving of owners and stealing workers, the collected
+//! trace must be a single tree with correct parent linkage and temporal
+//! containment.
 
 use clapton_runtime::WorkerPool;
 use clapton_telemetry::{push_context, span, span_tree, SpanRecord, Trace};

@@ -2,8 +2,8 @@
 //! parseable Prometheus exposition covering admission, queue, pool, cache,
 //! and kernel series, and `GET /v1/jobs/{id}/trace` must agree span-for-span
 //! with the `telemetry.jsonl` artifact the service wrote for the job, whose
-//! tree names the job's phases (rounds, their checkpoint writes, the report
-//! write).
+//! tree holds the job's phases (rounds, their checkpoint writes, the report
+//! write) and nothing else.
 
 use clapton_server::client::Client;
 use clapton_server::{Server, ServerConfig, ServerHandle};
@@ -141,6 +141,28 @@ fn metrics_scrape_covers_every_layer_and_trace_matches_the_artifact() {
             job_root.children.iter().any(|c| c.name == phase),
             "{phase} span under the job root"
         );
+    }
+    // Phases only: the pooled population batches open no spans.
+    const PHASES: [&str; 10] = [
+        "job",
+        "e0",
+        "cafqa",
+        "ncafqa",
+        "clapton",
+        "round",
+        "checkpoint",
+        "device_energy",
+        "vqe",
+        "report_write",
+    ];
+    let mut stack: Vec<&clapton_telemetry::SpanNode> = trace.spans.iter().collect();
+    while let Some(node) = stack.pop() {
+        assert!(
+            PHASES.contains(&node.name.as_str()),
+            "{:?} is not a job phase",
+            node.name
+        );
+        stack.extend(&node.children);
     }
 
     let artifact_dir = std::fs::read_dir(root.join("artifacts"))

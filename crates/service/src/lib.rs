@@ -40,7 +40,7 @@ pub use clapton_error::{ClaptonError, SpecError};
 pub use report::Report;
 pub use service::{
     AdmittedJob, ClaptonService, JobArtifactState, JobHandle, JobLeaseView, TerminalState,
-    TELEMETRY_ARTIFACT,
+    SPEC_ARTIFACT, TELEMETRY_ARTIFACT,
 };
 pub use spec::{
     BackendSpec, EngineSpec, ExplicitNoise, JobSpec, MethodSpec, NamedBackend, NoiseSpec,

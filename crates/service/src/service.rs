@@ -21,8 +21,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Artifact names inside a job's run directory.
-const SPEC_ARTIFACT: &str = "spec.json";
+/// The spec a job was admitted with, inside its run directory. Public so
+/// a suite run can tell which jobs its directory already holds.
+pub const SPEC_ARTIFACT: &str = "spec.json";
 /// The engine state after the latest round, without its memo: the memo
 /// lives in the round segments ([`segment_name`]).
 const CHECKPOINT_ARTIFACT: &str = "checkpoint.json";

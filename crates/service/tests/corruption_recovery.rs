@@ -174,8 +174,9 @@ fn truncated_spec_is_quarantined_and_rewritten() {
     assert_eq!(quarantined(&dir, "spec.json").len(), 1);
     let rewritten: JobSpec = clapton_runtime::RunDirectory::create(&dir)
         .unwrap()
-        .read_json("spec.json")
+        .load("spec.json")
         .unwrap()
+        .valid()
         .unwrap();
     assert_eq!(
         rewritten,

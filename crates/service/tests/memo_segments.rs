@@ -101,8 +101,9 @@ fn bank_one_round(svc: &ClaptonService, spec: &JobSpec) {
 fn checkpoint_round(dir: &Path) -> usize {
     RunDirectory::create(dir)
         .unwrap()
-        .read_json::<EngineState>("checkpoint.json")
+        .load::<EngineState>("checkpoint.json")
         .unwrap()
+        .valid()
         .expect("checkpoint present")
         .rounds()
 }
@@ -138,8 +139,9 @@ fn checkpoints_stay_small_while_segments_carry_the_memo() {
     );
     let state: EngineState = RunDirectory::create(&dir)
         .unwrap()
-        .read_json("checkpoint.json")
+        .load("checkpoint.json")
         .unwrap()
+        .valid()
         .unwrap();
     assert!(state.cache_entries.is_empty(), "the memo is not inline");
     assert_eq!(

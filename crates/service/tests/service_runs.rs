@@ -1,12 +1,12 @@
 //! End-to-end service behavior: background submission with streamed events,
-//! per-job artifact directories (spec + checkpoints + report), budget
-//! suspension, and bit-identical resume.
+//! per-job artifact directories (spec + checkpoints + report + trace),
+//! budget suspension, and bit-identical resume.
 
 use clapton_error::ClaptonError;
 use clapton_runtime::{EventKind, WorkerPool};
 use clapton_service::{
     ClaptonService, EngineSpec, JobSpec, MethodSpec, NoiseSpec, ProblemSpec, Report, SuiteProblem,
-    TermsProblem, UniformNoise,
+    TermsProblem, UniformNoise, TELEMETRY_ARTIFACT,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -144,8 +144,9 @@ fn artifacts_persist_spec_and_report_and_answer_resubmissions() {
     // integrity envelope every artifact is wrapped in).
     let persisted: JobSpec = clapton_runtime::RunDirectory::create(&dir)
         .unwrap()
-        .read_json("spec.json")
+        .load("spec.json")
         .unwrap()
+        .valid()
         .unwrap();
     assert_eq!(persisted, spec);
     // Resubmitting the same spec answers from the persisted report.
@@ -160,6 +161,34 @@ fn artifacts_persist_spec_and_report_and_answer_resubmissions() {
         }
         other => panic!("expected artifact conflict, got {other:?}"),
     }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn a_paper_effort_trace_keeps_its_job_root_and_every_round() {
+    // At the paper's GA settings a round evaluates about a thousand
+    // population batches on the pool; the trace records phases, not
+    // batches, so it stays small and keeps its root and every round.
+    let root = scratch("paper-trace");
+    let service = ClaptonService::with_pool(Arc::new(WorkerPool::with_workers(2)))
+        .with_artifacts(&root)
+        .unwrap();
+    let mut spec = quick_spec(7);
+    spec.engine = EngineSpec::Paper;
+    spec.methods = vec![MethodSpec::Clapton];
+    let report = service.run(spec).unwrap();
+    let rounds = report.clapton.as_ref().expect("clapton ran").rounds;
+    let jsonl =
+        std::fs::read_to_string(root.join("ising-J-0.50-seed7").join(TELEMETRY_ARTIFACT)).unwrap();
+    assert!(jsonl.len() < 16 * 1024, "{} trace bytes", jsonl.len());
+    let records = clapton_telemetry::from_jsonl(&jsonl).unwrap();
+    let forest = clapton_telemetry::span_tree(&records);
+    assert_eq!(forest.len(), 1, "one root");
+    assert_eq!(forest[0].name, "job");
+    let count = |name: &str| records.iter().filter(|r| r.name == name).count();
+    assert_eq!(count("job"), 1);
+    assert_eq!(count("round"), rounds, "one round span per reported round");
+    assert_eq!(count("checkpoint"), rounds, "one checkpoint per round");
     std::fs::remove_dir_all(&root).unwrap();
 }
 

@@ -3,12 +3,13 @@
 //! gauges, and fixed-bucket histograms rendered in the Prometheus text
 //! exposition format.
 //!
-//! Two off switches exist. At runtime, [`set_enabled`]`(false)` turns every
-//! span constructor and metric update into a single relaxed atomic load; the
-//! `noop` cargo feature additionally compiles the flag check down to a
-//! constant `false` so the whole layer folds away. Clock helpers
-//! ([`mono_ns`], [`wall_ns`]) ignore both switches because protocol
-//! timestamps (e.g. SSE event frames) must stay meaningful regardless.
+//! A span is kept only inside a registered [`Trace`]: the service opens one
+//! per job, and its records become the job's `telemetry.jsonl`.
+//!
+//! One off switch exists: [`set_enabled`]`(false)` turns every span
+//! constructor and metric update into a single relaxed atomic load. Clock
+//! helpers ([`mono_ns`], [`wall_ns`]) ignore it because protocol timestamps
+//! (e.g. SSE event frames) must stay meaningful regardless.
 //!
 //! The crate also hosts [`Fnv1a`], the content hash every layer above
 //! shares, because it is the one crate all of them depend on.
@@ -20,9 +21,8 @@ pub mod span;
 pub use hash::{fnv1a64, Fnv1a};
 pub use metrics::{parse_text, registry, Counter, Gauge, Histogram, Registry, Sample};
 pub use span::{
-    current_context, flight_recorder_snapshot, from_jsonl, mono_ns, push_context, record_complete,
-    span, span_tree, to_jsonl, wall_ns, ContextGuard, Span, SpanContext, SpanNode, SpanRecord,
-    Trace,
+    current_context, from_jsonl, mono_ns, push_context, record_complete, span, span_tree, to_jsonl,
+    wall_ns, ContextGuard, Span, SpanContext, SpanNode, SpanRecord, Trace,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,11 +34,10 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether telemetry collection is currently active. Always `false` under
-/// the `noop` feature.
+/// Whether telemetry collection is currently active.
 #[inline]
 pub fn enabled() -> bool {
-    !cfg!(feature = "noop") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -95,6 +94,23 @@ mod tests {
         }
         set_enabled(true);
         assert!(trace.finish().is_empty());
+    }
+
+    #[test]
+    fn spans_outside_a_registered_trace_are_dropped() {
+        let _gate = exclusive();
+        let trace = Trace::begin();
+        let finished = Trace::begin();
+        let stale = finished.context();
+        assert!(finished.finish().is_empty());
+        {
+            let _untraced = span("untraced");
+            let _ctx = push_context(stale);
+            let _late = span("late");
+            record_complete("late_round", mono_ns(), mono_ns());
+        }
+        assert!(trace.finish().is_empty());
+        assert!(finished.finish().is_empty());
     }
 
     #[test]

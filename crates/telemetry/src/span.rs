@@ -3,15 +3,13 @@
 //! across thread boundaries (the worker pool captures the spawning thread's
 //! context and installs it inside the task).
 //!
-//! Finished spans are routed by trace id: spans under a registered
-//! [`Trace`] collect into that trace's bounded buffer (drained by
-//! [`Trace::finish`]); everything else drains through a small per-thread
-//! buffer into a bounded process-wide flight-recorder ring, so ambient
-//! instrumentation can never grow without bound.
+//! Finished spans have one sink: the bounded buffer of the registered
+//! [`Trace`] whose id they carry, drained by [`Trace::finish`]. A span
+//! opened outside every registered trace records nothing.
 
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::cell::Cell;
+use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -19,10 +17,6 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Spans a single trace will retain before dropping further records.
 const TRACE_CAP: usize = 16 * 1024;
-/// Finished spans the flight-recorder ring retains.
-const RING_CAP: usize = 4096;
-/// Per-thread buffered spans before a flush into the ring.
-const LOCAL_FLUSH: usize = 64;
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
@@ -31,7 +25,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One finished span.
 #[derive(Serialize, Deserialize, Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Trace this span belongs to (0: no registered trace; flight recorder).
+    /// Id of the registered [`Trace`] this span belongs to.
     pub trace: u64,
     /// Process-unique span id (never 0).
     pub span: u64,
@@ -227,75 +221,25 @@ pub fn record_complete(name: &str, start_ns: u64, end_ns: u64) {
     });
 }
 
-struct TraceBuf {
-    records: Mutex<Vec<SpanRecord>>,
+/// One registered trace's finished records.
+type TraceBuf = Arc<Mutex<Vec<SpanRecord>>>;
+
+fn traces() -> &'static Mutex<HashMap<u64, TraceBuf>> {
+    static TRACES: OnceLock<Mutex<HashMap<u64, TraceBuf>>> = OnceLock::new();
+    TRACES.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-impl TraceBuf {
-    fn push(&self, rec: SpanRecord) {
-        let mut records = lock(&self.records);
+/// Appends `rec` to its trace's buffer, up to `TRACE_CAP` records. A
+/// record whose trace is not registered (none, or one already finished) is
+/// dropped.
+fn record(rec: SpanRecord) {
+    let buf = lock(traces()).get(&rec.trace).cloned();
+    if let Some(buf) = buf {
+        let mut records = lock(&buf);
         if records.len() < TRACE_CAP {
             records.push(rec);
         }
     }
-}
-
-fn traces() -> &'static Mutex<HashMap<u64, Arc<TraceBuf>>> {
-    static TRACES: OnceLock<Mutex<HashMap<u64, Arc<TraceBuf>>>> = OnceLock::new();
-    TRACES.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn ring() -> &'static Mutex<VecDeque<SpanRecord>> {
-    static RING: OnceLock<Mutex<VecDeque<SpanRecord>>> = OnceLock::new();
-    RING.get_or_init(|| Mutex::new(VecDeque::new()))
-}
-
-fn flush_into_ring(buf: &mut Vec<SpanRecord>) {
-    if buf.is_empty() {
-        return;
-    }
-    let mut ring = lock(ring());
-    for rec in buf.drain(..) {
-        if ring.len() == RING_CAP {
-            ring.pop_front();
-        }
-        ring.push_back(rec);
-    }
-}
-
-struct LocalBuf(RefCell<Vec<SpanRecord>>);
-
-impl Drop for LocalBuf {
-    fn drop(&mut self) {
-        flush_into_ring(&mut self.0.borrow_mut());
-    }
-}
-
-thread_local! {
-    static LOCAL: LocalBuf = const { LocalBuf(RefCell::new(Vec::new())) };
-}
-
-fn record(rec: SpanRecord) {
-    if rec.trace != 0 {
-        let buf = lock(traces()).get(&rec.trace).cloned();
-        if let Some(buf) = buf {
-            buf.push(rec);
-            return;
-        }
-    }
-    let _ = LOCAL.try_with(|local| {
-        let mut buf = local.0.borrow_mut();
-        buf.push(rec);
-        if buf.len() >= LOCAL_FLUSH {
-            flush_into_ring(&mut buf);
-        }
-    });
-}
-
-/// The most recent untraced spans retained by the flight-recorder ring
-/// (records still sitting in per-thread buffers are not included).
-pub fn flight_recorder_snapshot() -> Vec<SpanRecord> {
-    lock(ring()).iter().cloned().collect()
 }
 
 /// A registered span collection. Spans created under this trace's context
@@ -310,12 +254,7 @@ impl Trace {
     pub fn begin() -> Trace {
         static NEXT: AtomicU64 = AtomicU64::new(1);
         let id = NEXT.fetch_add(1, Ordering::Relaxed);
-        lock(traces()).insert(
-            id,
-            Arc::new(TraceBuf {
-                records: Mutex::new(Vec::new()),
-            }),
-        );
+        lock(traces()).insert(id, TraceBuf::default());
         Trace { id }
     }
 
@@ -338,7 +277,7 @@ impl Trace {
     pub fn finish(&self) -> Vec<SpanRecord> {
         let buf = lock(traces()).remove(&self.id);
         let mut records = match buf {
-            Some(buf) => std::mem::take(&mut *lock(&buf.records)),
+            Some(buf) => std::mem::take(&mut *lock(&buf)),
             None => Vec::new(),
         };
         records.sort_by_key(|r| (r.start_ns, r.span));
