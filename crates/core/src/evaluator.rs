@@ -157,7 +157,10 @@ impl<'a> TransformLoss<'a> {
     /// genome.
     pub fn evaluate_gates(&self, gates: &[CliffordGate]) -> f64 {
         match self.loss.zero().exact() {
-            Some(exact) => self.fused_loss(&exact, gates, &mut FusedScratch::new(self)),
+            Some(exact) => {
+                self.count_fused(1);
+                self.fused_loss(&exact, gates, &mut FusedScratch::new(self))
+            }
             None => self.loss.total(&transform_hamiltonian(self.h, gates)),
         }
     }
@@ -220,6 +223,15 @@ impl<'a> TransformLoss<'a> {
         }
         loss_n + loss_0
     }
+
+    /// Reports `genomes` fused scorings to the exact kernel's counters in
+    /// one update: one walk per 64-term chunk of `H` per genome.
+    fn count_fused(&self, genomes: usize) {
+        ExactEvaluator::count_walks(
+            (self.planes.len() * genomes) as u64,
+            (self.h.num_terms() * genomes) as u64,
+        );
+    }
 }
 
 /// The fused path's per-call buffers, reused across a population batch:
@@ -252,6 +264,7 @@ impl LossEvaluator for TransformLoss<'_> {
     fn evaluate_population(&self, genomes: &[Vec<u8>]) -> Vec<f64> {
         let prepared = self.loss.zero();
         if let Some(exact) = prepared.exact() {
+            self.count_fused(genomes.len());
             let mut scratch = FusedScratch::new(self);
             return genomes
                 .iter()

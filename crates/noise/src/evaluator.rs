@@ -135,9 +135,7 @@ impl<'a> ExactEvaluator<'a> {
     /// `ln_exact_speedup` BENCH comparison.
     pub fn energy_scalar(&self, hamiltonian: &PauliSum) -> f64 {
         let terms = hamiltonian.num_terms() as u64;
-        let metrics = kernel_metrics();
-        metrics.exact_terms.add(terms);
-        metrics.exact_walks.add(terms);
+        ExactEvaluator::count_walks(terms, terms);
         hamiltonian
             .iter()
             .map(|(c, p)| c * self.expectation(p))
@@ -162,7 +160,9 @@ impl<'a> ExactEvaluator<'a> {
     /// be on the circuit's register; it is left back-propagated. Lanes past
     /// `coefficients.len()` are ignored. Adding into the caller's running
     /// total (not returning a per-chunk partial sum) keeps a Hamiltonian's
-    /// energy bit-identical however its terms are chunked.
+    /// energy bit-identical however its terms are chunked. It counts
+    /// nothing: the caller reports its walks through
+    /// [`ExactEvaluator::count_walks`].
     ///
     /// # Panics
     ///
@@ -170,6 +170,18 @@ impl<'a> ExactEvaluator<'a> {
     /// or the batch is on a different register.
     pub fn add_batch_energy(&self, batch: &mut TermBatch, coefficients: &[f64], total: &mut f64) {
         self.batch_pass(batch, coefficients, true, total);
+    }
+
+    /// Adds `walks` reverse circuit walks over `terms` Hamiltonian terms to
+    /// the process-wide `clapton_exact_walks_total` and
+    /// `clapton_exact_terms_total` counters. The energy methods count their
+    /// own work; a caller driving [`ExactEvaluator::add_batch_energy`]
+    /// counts here once per call, not once per 64-term batch, so pool
+    /// workers scoring a population do not contend on the two atomics.
+    pub fn count_walks(walks: u64, terms: u64) {
+        let metrics = kernel_metrics();
+        metrics.exact_walks.add(walks);
+        metrics.exact_terms.add(terms);
     }
 
     /// [`ExactEvaluator::energy`] and
@@ -192,6 +204,8 @@ impl<'a> ExactEvaluator<'a> {
                 &mut total,
             );
         }
+        let terms = hamiltonian.num_terms();
+        ExactEvaluator::count_walks(terms.div_ceil(TermBatch::LANES) as u64, terms as u64);
         total
     }
 
@@ -234,9 +248,6 @@ impl<'a> ExactEvaluator<'a> {
         let n = self.circuit.num_qubits();
         assert!(coefficients.len() <= TermBatch::LANES, "more than 64 lanes");
         assert_eq!(batch.num_qubits(), n, "batch/circuit register mismatch");
-        let metrics = kernel_metrics();
-        metrics.exact_terms.add(coefficients.len() as u64);
-        metrics.exact_walks.inc();
         let ops = self.circuit.reversed_inverted_ops();
         let mut sites: Vec<(u64, f64)> = Vec::new();
         if with_noise {

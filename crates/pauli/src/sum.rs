@@ -101,6 +101,18 @@ impl PauliSum {
         &self.terms
     }
 
+    /// Whether `other` is this sum stored identically: the same register
+    /// and the same terms in the same order, coefficients compared bit for
+    /// bit. Stricter than `==`, which equates `0.0` with `-0.0` and never
+    /// a NaN with itself.
+    pub fn bit_identical(&self, other: &PauliSum) -> bool {
+        self.num_qubits == other.num_qubits
+            && self.terms.len() == other.terms.len()
+            && self.terms.iter().zip(&other.terms).all(|(a, b)| {
+                a.coefficient.to_bits() == b.coefficient.to_bits() && a.pauli == b.pauli
+            })
+    }
+
     /// Iterates over `(coefficient, pauli)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (f64, &PauliString)> + '_ {
         self.terms.iter().map(|t| (t.coefficient, &t.pauli))
@@ -282,6 +294,22 @@ mod tests {
         assert_eq!(h.num_terms(), 1);
         assert_eq!(h.coefficient_of(&ps("XX")), Some(3.0));
         assert_eq!(h.coefficient_of(&ps("ZI")), None);
+    }
+
+    #[test]
+    fn bit_identity_is_stricter_than_equality() {
+        let h = |c: f64, first: &str| {
+            PauliSum::from_terms(2, vec![(c, ps(first)), (0.5, ps("ZI")), (0.5, ps("IZ"))])
+        };
+        assert!(h(1.0, "XX").bit_identical(&h(1.0, "XX")));
+        assert!(h(f64::NAN, "XX").bit_identical(&h(f64::NAN, "XX")));
+        assert_eq!(h(0.0, "XX"), h(-0.0, "XX"));
+        assert!(!h(0.0, "XX").bit_identical(&h(-0.0, "XX")));
+        assert!(!h(1.0, "XX").bit_identical(&h(1.0, "YY")));
+        let mut reordered = PauliSum::from_terms(2, vec![(1.0, ps("XX")), (0.5, ps("IZ"))]);
+        reordered.push(0.5, ps("ZI"));
+        assert!(!h(1.0, "XX").bit_identical(&reordered));
+        assert!(!PauliSum::new(2).bit_identical(&PauliSum::new(3)));
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! is a complete job; everything else defaults. The `Pipeline` builder and
 //! the suite-runner CLI are now thin layers that compile to this type.
 
+mod ground;
 mod report;
 mod service;
 mod spec;

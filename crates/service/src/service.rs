@@ -1,6 +1,7 @@
 //! [`ClaptonService`]: submit validated [`JobSpec`]s onto the shared
 //! runtime substrate.
 
+use crate::ground::GroundEnergies;
 use crate::{JobSpec, MethodSpec, Report, ResolvedJob};
 use clapton_cache::{CacheConfig, CacheStore};
 use clapton_core::{device_energy, run_cafqa, run_clapton_resumable, run_ncafqa, LossStore};
@@ -11,7 +12,6 @@ use clapton_runtime::{
     JobScheduler, LeaseKeeper, RunDirectory, RunEvent, RunManifest, RunRegistry, ScheduledJob,
     WorkerPool,
 };
-use clapton_sim::ground_energy;
 use clapton_vqe::{run_vqe, VqeConfig};
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -109,7 +109,9 @@ fn report_key(job: &ResolvedJob) -> Vec<u8> {
 /// [`RunDirectory`] holding the submitted spec (`spec.json`), atomic
 /// per-round checkpoints, and the final `report.json` — making every run
 /// resumable and reproducible from its spec alone, and resubmissions of a
-/// completed spec answer from the persisted report.
+/// completed spec answer from the persisted report. Jobs on one service
+/// share its ground-energy memo: a problem's exact `E0` is solved by its
+/// first job and read back, bit-identical, by every later one.
 ///
 /// # Example
 ///
@@ -130,6 +132,8 @@ pub struct ClaptonService {
     pool: Arc<WorkerPool>,
     artifacts: Option<RunRegistry>,
     cache: Option<Arc<CacheStore>>,
+    /// `E0` per problem, shared by every job this service runs.
+    ground_energies: Arc<GroundEnergies>,
     worker_id: String,
     lease_ttl: Duration,
 }
@@ -161,6 +165,7 @@ impl ClaptonService {
             pool,
             artifacts: None,
             cache: None,
+            ground_energies: Arc::default(),
             worker_id: clapton_runtime::default_worker_id().to_string(),
             lease_ttl: clapton_runtime::DEFAULT_LEASE_TTL,
         }
@@ -276,6 +281,7 @@ impl ClaptonService {
         let pool = Arc::clone(&self.pool);
         let lease = self.lease_policy();
         let cache = self.cache.clone();
+        let ground_energies = Arc::clone(&self.ground_energies);
         let (event_tx, event_rx) = mpsc::channel();
         let (result_tx, result_rx) = mpsc::channel();
         let thread = std::thread::spawn(move || {
@@ -283,7 +289,16 @@ impl ClaptonService {
             let jobs = vec![ScheduledJob::with_cancel(
                 job.name.clone(),
                 job_cancel,
-                |ctx: &JobContext| execute(&job, ctx, dir.as_ref(), &lease, cache.as_ref()),
+                |ctx: &JobContext| {
+                    execute(
+                        &job,
+                        ctx,
+                        dir.as_ref(),
+                        &lease,
+                        cache.as_ref(),
+                        &ground_energies,
+                    )
+                },
             )];
             let (mut results, panic) = scheduler.try_run_all(jobs, Some(event_tx));
             let result = results.pop().flatten().unwrap_or_else(|| {
@@ -341,7 +356,16 @@ impl ClaptonService {
         let jobs = vec![ScheduledJob::with_cancel(
             job.name.clone(),
             cancel,
-            |ctx: &JobContext| execute(job, ctx, dir.as_ref(), &lease, self.cache.as_ref()),
+            |ctx: &JobContext| {
+                execute(
+                    job,
+                    ctx,
+                    dir.as_ref(),
+                    &lease,
+                    self.cache.as_ref(),
+                    &self.ground_energies,
+                )
+            },
         )];
         let (mut results, panic) = scheduler.try_run_all(jobs, events);
         match results.pop().flatten() {
@@ -560,8 +584,9 @@ impl ClaptonService {
             .map(|(job, dir)| {
                 let lease = &lease;
                 let cache = self.cache.as_ref();
+                let ground_energies = &self.ground_energies;
                 ScheduledJob::new(job.name.clone(), move |ctx: &JobContext| {
-                    execute(job, ctx, dir.as_ref(), lease, cache)
+                    execute(job, ctx, dir.as_ref(), lease, cache, ground_energies)
                 })
             })
             .collect();
@@ -763,6 +788,7 @@ pub(crate) fn execute(
     dir: Option<&RunDirectory>,
     lease: &LeasePolicy,
     cache: Option<&Arc<CacheStore>>,
+    ground_energies: &GroundEnergies,
 ) -> Result<Report, ClaptonError> {
     // The job directory is the unit of ownership in the shared work queue:
     // claim it before reading or writing anything inside, so concurrent
@@ -789,7 +815,7 @@ pub(crate) fn execute(
     let result = {
         let _trace_ctx = clapton_telemetry::push_context(trace.context());
         let _job_span = clapton_telemetry::span("job");
-        execute_inner(job, ctx, dir, keeper.as_ref(), cache)
+        execute_inner(job, ctx, dir, keeper.as_ref(), cache, ground_energies)
     };
     let records = trace.finish();
     if let Some(dir) = dir {
@@ -942,6 +968,7 @@ fn execute_inner(
     dir: Option<&RunDirectory>,
     keeper: Option<&LeaseKeeper>,
     cache: Option<&Arc<CacheStore>>,
+    ground_energies: &GroundEnergies,
 ) -> Result<Report, ClaptonError> {
     if let Some(dir) = dir {
         // A corrupt report is quarantined and the job falls through to the
@@ -986,7 +1013,7 @@ fn execute_inner(
     let config = &job.config;
     let e0 = {
         let _span = clapton_telemetry::span("e0");
-        ground_energy(h)
+        ground_energies.ground_energy(h)
     };
     let cafqa = job.runs(&MethodSpec::Cafqa).then(|| {
         let _span = clapton_telemetry::span("cafqa");
@@ -1185,6 +1212,7 @@ fn execute_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clapton_sim::ground_energy;
 
     #[test]
     fn memo_segments_round_trip_bit_exactly() {
@@ -1209,6 +1237,91 @@ mod tests {
         assert_eq!(decode_segment(&encode_segment(&[])).unwrap(), Vec::new());
         assert!(decode_segment(&payload[..payload.len() - 1]).is_err());
         assert!(decode_segment(&payload[..5]).is_err());
+    }
+
+    /// A quick job on `ising(J=0.50)` at four qubits under uniform noise.
+    fn ising4(seed: u64) -> JobSpec {
+        let mut spec = JobSpec::new(crate::ProblemSpec::Suite(crate::SuiteProblem {
+            name: "ising(J=0.50)".into(),
+            qubits: 4,
+        }));
+        spec.noise = crate::NoiseSpec::Uniform(crate::UniformNoise {
+            p1: 1e-3,
+            p2: 1e-2,
+            readout: 2e-2,
+            t1: None,
+        });
+        spec.engine = crate::EngineSpec::Quick;
+        spec.seed = seed;
+        spec
+    }
+
+    fn inline_service() -> ClaptonService {
+        ClaptonService::with_pool(Arc::new(WorkerPool::with_workers(0)))
+    }
+
+    fn report_json(report: &Report) -> String {
+        serde_json::to_string(report).expect("report serializes")
+    }
+
+    #[test]
+    fn repeat_problems_take_e0_from_the_memo_through_every_call_site() {
+        let svc = inline_service();
+        let h = ising4(0).validate().unwrap().hamiltonian;
+        let e0 = ground_energy(&h);
+        let via_run = svc.run(ising4(7)).unwrap();
+        assert_eq!(svc.ground_energies.solves(), 1);
+        let via_submit = svc.submit(ising4(8)).unwrap().wait().unwrap();
+        let admitted = svc.admit(ising4(9)).unwrap();
+        let via_admitted = svc
+            .execute_admitted(&admitted, None, CancelToken::new())
+            .unwrap();
+        assert_eq!(
+            (svc.ground_energies.solves(), svc.ground_energies.len()),
+            (1, 1),
+            "repeat jobs run no Lanczos"
+        );
+        for (seed, report) in [(7, via_run), (8, via_submit), (9, via_admitted)] {
+            assert_eq!(report.e0.to_bits(), e0.to_bits(), "seed {seed}");
+            let fresh = inline_service().run(ising4(seed)).unwrap();
+            assert_eq!(report_json(&report), report_json(&fresh), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_terms_problem_one_coefficient_bit_apart_misses() {
+        let terms = |c: f64| {
+            let mut spec = ising4(3);
+            spec.problem = crate::ProblemSpec::Terms(crate::TermsProblem {
+                qubits: 3,
+                terms: vec![(1.0, "ZZI".into()), (c, "XIX".into()), (0.3, "IYZ".into())],
+            });
+            spec
+        };
+        let nudged = f64::from_bits(0.5f64.to_bits() + 1);
+        let svc = inline_service();
+        let reports: Vec<Report> = [0.5, nudged, 0.5]
+            .into_iter()
+            .map(|c| svc.run(terms(c)).unwrap())
+            .collect();
+        assert_eq!(svc.ground_energies.solves(), 2, "the nudged problem missed");
+        for (c, report) in [0.5, nudged].into_iter().zip(&reports) {
+            let h = terms(c).validate().unwrap().hamiltonian;
+            assert_eq!(report.e0.to_bits(), ground_energy(&h).to_bits());
+        }
+        assert_eq!(report_json(&reports[0]), report_json(&reports[2]));
+    }
+
+    #[test]
+    fn concurrent_jobs_on_one_problem_get_the_same_e0_bits() {
+        let svc = ClaptonService::with_pool(Arc::new(WorkerPool::with_workers(2)));
+        let reports = svc.run_all(vec![ising4(7), ising4(8)], None).unwrap();
+        let e0 = ground_energy(&ising4(0).validate().unwrap().hamiltonian);
+        for report in reports {
+            assert_eq!(report.unwrap().e0.to_bits(), e0.to_bits());
+        }
+        assert_eq!(svc.ground_energies.len(), 1);
+        assert!((1..=2).contains(&svc.ground_energies.solves()));
     }
 
     #[test]
