@@ -145,9 +145,10 @@ pub enum ClaptonError {
         /// GA rounds completed before the cancellation took effect.
         rounds: usize,
     },
-    /// The job's executing thread died (panicked or was torn down) before
-    /// producing a result — the typed replacement for what used to be a
-    /// channel-disconnect panic in `JobHandle::wait`.
+    /// The job body panicked before producing a result.
+    /// `ClaptonService::execute_admitted` catches the panic and returns
+    /// this, so one dying job never takes down its caller or the other jobs
+    /// of a `run_all` batch.
     JobAborted {
         /// Name of the job that died.
         job: String,

@@ -1,10 +1,9 @@
-//! Cooperative interruption of scheduled jobs.
+//! Cooperative interruption of running jobs.
 //!
 //! A [`CancelToken`] is a cheap, cloneable flag shared between whoever
 //! controls a job (an HTTP `DELETE`, a draining server, a test) and the job
-//! body itself. Jobs never stop mid-round: the GA engine observes the token
-//! only at round boundaries (through [`JobContext::interrupt`]
-//! [`JobContext::interrupt`]: crate::JobContext::interrupt), after the
+//! body itself. Jobs never stop mid-round: the job body polls
+//! [`CancelToken::interrupt`] only at round boundaries, after the
 //! round's checkpoint has been persisted — so an interrupted job is always
 //! resumable (suspend) or cleanly terminal (cancel), never corrupt.
 

@@ -216,15 +216,17 @@ impl RunDirectory {
         self.root.join(name).is_file()
     }
 
-    /// Serializes `value` to `<root>/<name>` atomically: the JSON is written
-    /// to a temporary sibling and renamed into place, so readers (and
-    /// resumers after a kill) only ever observe complete documents. The
-    /// temporary name embeds the process id and a sequence number, so
-    /// concurrent writers of the same artifact (two shard workers racing to
-    /// admit a job before either holds its lease) never rename each other's
-    /// half-written files away; last rename wins.
+    /// Serializes `value` as compact JSON to `<root>/<name>` atomically: the
+    /// JSON is written to a temporary sibling and renamed into place, so
+    /// readers (and resumers after a kill) only ever observe complete
+    /// documents. Readers take any JSON layout, so pretty documents written
+    /// by earlier builds still load. The temporary name embeds the process
+    /// id and a sequence number, so concurrent writers of the same artifact
+    /// (two shard workers racing to admit a job before either holds its
+    /// lease) never rename each other's half-written files away; last rename
+    /// wins.
     pub fn write_json<T: Serialize + ?Sized>(&self, name: &str, value: &T) -> io::Result<()> {
-        let json = serde_json::to_string_pretty(value)
+        let json = serde_json::to_string(value)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         self.write_sealed(name, json.as_bytes()).map(drop)
     }
@@ -483,6 +485,12 @@ mod tests {
         assert_eq!(read("x.json").valid(), Some(vec![1, 2, 3]));
         dir.write_json("x.json", &vec![9u64]).unwrap();
         assert_eq!(read("x.json").valid(), Some(vec![9]));
+        // Compact on disk, while a pretty document from an earlier build
+        // still loads.
+        let on_disk = fs::read_to_string(dir.path().join("x.json")).unwrap();
+        assert!(on_disk.ends_with("}\n[9]"), "{on_disk:?}");
+        dir.write_sealed("x.json", b"[\n  4,\n  5\n]").unwrap();
+        assert_eq!(read("x.json").valid(), Some(vec![4, 5]));
         let leftover_tmp = fs::read_dir(dir.path())
             .unwrap()
             .filter_map(|e| e.ok())

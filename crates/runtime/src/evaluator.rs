@@ -17,7 +17,7 @@ const MIN_CHUNK: usize = 8;
 /// [`WorkerPool`] — the one batch executor of the GA engine.
 ///
 /// Batches become chunk tasks on workers that already exist and are shared
-/// with every other batch, GA round, and scheduler job in the process.
+/// with every other batch, GA round, and service job in the process.
 /// Chunks are sized so idle workers can steal meaningful work while each
 /// chunk is still wide enough to amortize the wrapped evaluator's per-batch
 /// setup (e.g. `TransformLoss`'s fused-path scratch: its prepared `θ = 0`

@@ -1,5 +1,4 @@
-//! The Clapton runtime: a persistent worker-pool scheduler with
-//! checkpoint/resume.
+//! The Clapton runtime: a persistent worker pool with checkpoint/resume.
 //!
 //! The GA engine's wall-clock is dominated by loss evaluation, and a
 //! production deployment runs *many* searches at once (the paper's Figure 5
@@ -13,8 +12,8 @@
 //! * [`PooledEvaluator`] — population-batch evaluation on the shared pool:
 //!   the GA engine's one batch executor, so every search (Clapton, CAFQA,
 //!   nCAFQA) runs on the caller's pool.
-//! * [`JobScheduler`] — runs many jobs concurrently with fair round-robin
-//!   interleaving of their batches, streaming [`RunEvent`]s while they run.
+//! * [`RunEvent`] / [`CancelToken`] — the progress a job streams while it
+//!   runs, and the cooperative interruption it polls at round boundaries.
 //! * [`RunDirectory`] / [`RunRegistry`] — atomic, enveloped artifact storage
 //!   (JSON documents and raw sealed payloads such as the service's per-round
 //!   memo segments) for checkpoint/resume: a run killed at any instant
@@ -43,7 +42,7 @@ pub use cancel::{CancelToken, Interrupt};
 pub use checkpoint::{artifact_slug, Artifact, RunDirectory, RunManifest, RunRegistry};
 pub use evaluator::PooledEvaluator;
 pub use pool::{PoolScope, WorkerPool};
-pub use scheduler::{EventKind, JobContext, JobScheduler, RunEvent, ScheduledJob};
+pub use scheduler::{EventKind, RunEvent};
 pub use workqueue::{
     acquire, default_worker_id, lease_state, publish_queue_depth, ClaimOutcome, Lease, LeaseClaim,
     LeaseKeeper, LeaseState, CLAIM_ARTIFACT, DEFAULT_LEASE_TTL,

@@ -2,7 +2,7 @@
 //!
 //! One [`WorkerPool`] is created per process (or per suite run) and shared by
 //! every consumer — population-batch evaluation, GA instance rounds, and
-//! whole scheduler jobs. Work is organized in [`PoolScope`]s:
+//! whole service jobs. Work is organized in [`PoolScope`]s:
 //!
 //! * [`WorkerPool::scope`] opens a scope whose spawned closures may borrow
 //!   from the caller's stack (like `std::thread::scope`), registers the
@@ -295,11 +295,7 @@ impl<'pool, 'env> PoolScope<'pool, 'env> {
     pub fn spawn<F: FnOnce() + Send + 'env>(&self, f: F) {
         *self.queue.state.pending.lock().expect("scope pending") += 1;
         let queue = Arc::clone(&self.queue);
-        // Capture the spawning thread's telemetry context so spans created
-        // inside the task attach to the spawner's trace, wherever it runs.
-        let telemetry_ctx = clapton_telemetry::current_context();
         let wrapped: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            let _telemetry = clapton_telemetry::push_context(telemetry_ctx);
             if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
                 queue
                     .state

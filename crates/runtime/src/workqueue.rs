@@ -187,7 +187,7 @@ fn attempt_link(dir: &Path, claim_path: &Path, owner: &str) -> io::Result<Option
         owner: owner.to_string(),
         acquired_unix_ms: now_unix_ms(),
     };
-    let json = serde_json::to_string_pretty(&claim)
+    let json = serde_json::to_string(&claim)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     let tmp = dir.join(format!("{CLAIM_ARTIFACT}.{}.tmp", artifact_slug(owner)));
     fs::write(&tmp, json.as_bytes())?;

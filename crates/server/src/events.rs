@@ -1,6 +1,6 @@
 //! Per-job event retention for the streaming endpoint.
 //!
-//! The scheduler streams [`RunEvent`]s over an `mpsc` channel, which can be
+//! The service streams [`RunEvent`]s over an `mpsc` channel, which can be
 //! consumed exactly once — useless for an HTTP endpoint where clients attach
 //! late, detach, and re-attach. [`EventLog`] is the adapter: a forwarder
 //! thread appends every event as it arrives, and any number of readers

@@ -16,11 +16,12 @@
 //! * [`JobSpec::validate`] — the single gate turning a spec into a
 //!   [`ResolvedJob`], replacing scattered panics with typed
 //!   [`SpecError`]s.
-//! * [`ClaptonService`] — `submit(JobSpec) -> JobHandle` on the shared
-//!   [`WorkerPool`](clapton_runtime::WorkerPool)/`JobScheduler`, with
-//!   streamed [`RunEvent`](clapton_runtime::RunEvent)s, per-job run
-//!   directories (the spec persisted beside the artifacts, checkpoints
-//!   every round), and a unified serializable [`Report`].
+//! * [`ClaptonService`] — `admit(JobSpec)` then `execute_admitted` on the
+//!   shared [`WorkerPool`](clapton_runtime::WorkerPool) (`run` and
+//!   `run_all` are both), with streamed
+//!   [`RunEvent`](clapton_runtime::RunEvent)s, per-job run directories (the
+//!   spec persisted beside the artifacts, checkpoints every round), and a
+//!   unified serializable [`Report`].
 //!
 //! A spec JSON as small as
 //!
@@ -40,8 +41,8 @@ pub use clapton_cache::{CacheConfig, CacheStore, CacheStoreStats, CACHE_DIR_NAME
 pub use clapton_error::{ClaptonError, SpecError};
 pub use report::Report;
 pub use service::{
-    AdmittedJob, ClaptonService, JobArtifactState, JobHandle, JobLeaseView, TerminalState,
-    SPEC_ARTIFACT, TELEMETRY_ARTIFACT,
+    AdmittedJob, ClaptonService, JobArtifactState, JobLeaseView, TerminalState, SPEC_ARTIFACT,
+    TELEMETRY_ARTIFACT,
 };
 pub use spec::{
     BackendSpec, EngineSpec, ExplicitNoise, JobSpec, MethodSpec, NamedBackend, NoiseSpec,

@@ -8,18 +8,19 @@ use clapton_core::{device_energy, run_cafqa, run_clapton_resumable, run_ncafqa, 
 use clapton_error::{ClaptonError, SpecError};
 use clapton_ga::{EngineState, MemoEntry};
 use clapton_runtime::{
-    artifact_slug, Artifact, CancelToken, ClaimOutcome, EventKind, Interrupt, JobContext,
-    JobScheduler, LeaseKeeper, RunDirectory, RunEvent, RunManifest, RunRegistry, ScheduledJob,
-    WorkerPool,
+    artifact_slug, Artifact, CancelToken, ClaimOutcome, EventKind, Interrupt, LeaseKeeper,
+    RunDirectory, RunEvent, RunManifest, RunRegistry, WorkerPool,
 };
+use clapton_telemetry::metrics::{registry, Counter, Histogram};
 use clapton_vqe::{run_vqe, VqeConfig};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// The spec a job was admitted with, inside its run directory. Public so
 /// a suite run can tell which jobs its directory already holds.
@@ -99,12 +100,82 @@ fn report_key(job: &ResolvedJob) -> Vec<u8> {
         .into_bytes()
 }
 
-/// The service front door: one `submit` for every caller.
+/// The metrics every job run through [`ClaptonService::execute_admitted`]
+/// feeds.
+struct JobMetrics {
+    started: Arc<Counter>,
+    rounds: Arc<Counter>,
+    round_latency: Arc<Histogram>,
+    dispatch_lag: Arc<Histogram>,
+}
+
+fn job_metrics() -> &'static JobMetrics {
+    static METRICS: OnceLock<JobMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| JobMetrics {
+        started: registry().counter("clapton_jobs_started_total", "Jobs that began executing"),
+        rounds: registry().counter(
+            "clapton_job_rounds_total",
+            "Progress rounds emitted by running jobs",
+        ),
+        round_latency: registry().histogram(
+            "clapton_round_latency_seconds",
+            "Time between consecutive round events of one job",
+            &[
+                0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+            ],
+        ),
+        dispatch_lag: registry().histogram(
+            "clapton_dispatch_lag_seconds",
+            "Time from a job's admission to the moment it starts executing",
+            &[1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0],
+        ),
+    })
+}
+
+/// Where a running job reports to: the caller's event stream and the
+/// cancellation it polls at round boundaries.
+struct Progress<'a> {
+    job: &'a str,
+    events: Option<Sender<RunEvent>>,
+    cancel: CancelToken,
+    /// Monotonic stamp of the last `Started`/`Round` event, feeding the
+    /// round-latency histogram.
+    last_mark: Cell<u64>,
+}
+
+impl Progress<'_> {
+    /// Streams a progress event (dropped silently when no listener is
+    /// attached or the receiver hung up — progress must never block a job).
+    /// `Started`/`Round` events also feed the job metrics.
+    fn emit(&self, kind: EventKind) {
+        let event = RunEvent::now(self.job, kind);
+        let metrics = job_metrics();
+        match event.kind {
+            EventKind::Started => {
+                self.last_mark.set(event.mono_ns);
+                metrics.started.inc();
+            }
+            EventKind::Round(..) => {
+                let previous = self.last_mark.replace(event.mono_ns);
+                metrics.rounds.inc();
+                metrics
+                    .round_latency
+                    .observe(event.mono_ns.saturating_sub(previous) as f64 / 1e9);
+            }
+            _ => {}
+        }
+        if let Some(events) = &self.events {
+            let _ = events.send(event);
+        }
+    }
+}
+
+/// The service front door: `admit` a spec, then `execute_admitted` it.
 ///
-/// A service owns (or shares) a persistent [`WorkerPool`]; every submitted
-/// job runs through the [`JobScheduler`] on that pool, so concurrent jobs
-/// interleave their population batches fairly instead of queueing behind
-/// each other. With an artifact root attached
+/// A service owns (or shares) a persistent [`WorkerPool`]; jobs run on it
+/// ([`ClaptonService::run_all`] makes each job one pool task), so
+/// concurrent jobs interleave their population batches fairly instead of
+/// queueing behind each other. With an artifact root attached
 /// ([`ClaptonService::with_artifacts`]), each job gets its own
 /// [`RunDirectory`] holding the submitted spec (`spec.json`), atomic
 /// per-round checkpoints, and the final `report.json` — making every run
@@ -136,14 +207,6 @@ pub struct ClaptonService {
     ground_energies: Arc<GroundEnergies>,
     worker_id: String,
     lease_ttl: Duration,
-}
-
-/// The lease parameters an execution path claims job directories with —
-/// cloned out of the service so job closures can outlive `&self`.
-#[derive(Debug, Clone)]
-pub(crate) struct LeasePolicy {
-    owner: String,
-    ttl: Duration,
 }
 
 impl Default for ClaptonService {
@@ -189,13 +252,6 @@ impl ClaptonService {
     /// The worker identity this service claims job directories under.
     pub fn worker_id(&self) -> &str {
         &self.worker_id
-    }
-
-    fn lease_policy(&self) -> LeasePolicy {
-        LeasePolicy {
-            owner: self.worker_id.clone(),
-            ttl: self.lease_ttl,
-        }
     }
 
     /// Attaches a persistent artifact root: every job gets a run directory
@@ -249,7 +305,8 @@ impl ClaptonService {
     }
 
     /// Validates and runs one job synchronously on the calling thread (the
-    /// pool still executes the population batches).
+    /// pool still executes the population batches): [`ClaptonService::admit`]
+    /// then [`ClaptonService::execute_admitted`].
     ///
     /// # Errors
     ///
@@ -257,70 +314,12 @@ impl ClaptonService {
     /// artifact failures, [`ClaptonError::Suspended`] when a round budget
     /// halted the search before convergence.
     pub fn run(&self, spec: JobSpec) -> Result<Report, ClaptonError> {
-        let mut results = self.run_all(vec![spec], None)?;
-        results.pop().expect("one job submitted")
-    }
-
-    /// Validates and submits one job, returning a [`JobHandle`] streaming
-    /// [`RunEvent`]s while the job runs in the background.
-    ///
-    /// Validation (and the artifact-conflict check) happens synchronously —
-    /// a handle is only returned for a job that will actually execute.
-    ///
-    /// # Errors
-    ///
-    /// [`ClaptonError::Spec`] on an invalid spec, [`ClaptonError::Io`] when
-    /// the artifact directory exists but belongs to a different spec.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, ClaptonError> {
         let admitted = self.admit(spec)?;
-        let AdmittedJob { job, dir } = admitted;
-        let name = job.name.clone();
-        let name_for_abort = name.clone();
-        let cancel = CancelToken::new();
-        let job_cancel = cancel.clone();
-        let pool = Arc::clone(&self.pool);
-        let lease = self.lease_policy();
-        let cache = self.cache.clone();
-        let ground_energies = Arc::clone(&self.ground_energies);
-        let (event_tx, event_rx) = mpsc::channel();
-        let (result_tx, result_rx) = mpsc::channel();
-        let thread = std::thread::spawn(move || {
-            let scheduler = JobScheduler::new(pool);
-            let jobs = vec![ScheduledJob::with_cancel(
-                job.name.clone(),
-                job_cancel,
-                |ctx: &JobContext| {
-                    execute(
-                        &job,
-                        ctx,
-                        dir.as_ref(),
-                        &lease,
-                        cache.as_ref(),
-                        &ground_energies,
-                    )
-                },
-            )];
-            let (mut results, panic) = scheduler.try_run_all(jobs, Some(event_tx));
-            let result = results.pop().flatten().unwrap_or_else(|| {
-                Err(ClaptonError::JobAborted {
-                    job: name_for_abort,
-                    detail: panic_text(panic),
-                })
-            });
-            let _ = result_tx.send(result);
-        });
-        Ok(JobHandle {
-            name,
-            events: event_rx,
-            result: result_rx,
-            cancel,
-            thread,
-        })
+        self.execute_admitted(&admitted, None, CancelToken::new())
     }
 
     /// Validates `spec` and durably records it (when an artifact root is
-    /// attached) *without running anything* — the admission half of
-    /// [`ClaptonService::submit`], split out for front ends that queue
+    /// attached) *without running anything*, for front ends that queue
     /// admitted jobs and execute them later (the `clapton-server` admission
     /// queue acknowledges a submission only after this returns).
     ///
@@ -329,15 +328,16 @@ impl ClaptonService {
     /// [`ClaptonError::Spec`] on an invalid spec, [`ClaptonError::Conflict`]
     /// when the job's artifact directory is owned by a different spec.
     pub fn admit(&self, spec: JobSpec) -> Result<AdmittedJob, ClaptonError> {
-        let job = spec.validate()?;
-        self.check_budget_checkpointable(&job)?;
-        let dir = self.prepare_dir(&job)?;
-        Ok(AdmittedJob { job, dir })
+        let job = self.resolve(spec)?;
+        self.record(job)
     }
 
     /// Runs an admitted job to completion on the calling thread (population
     /// batches still fan out on the shared pool), streaming progress to
-    /// `events` and honoring `cancel` at every round boundary.
+    /// `events` and honoring `cancel` at every round boundary. Every job
+    /// runs through here: it emits the job's `Started` event, feeds the job
+    /// metrics (dispatch lag counts from admission) and turns a panicking
+    /// job body into [`ClaptonError::JobAborted`].
     ///
     /// # Errors
     ///
@@ -350,31 +350,24 @@ impl ClaptonService {
         events: Option<Sender<RunEvent>>,
         cancel: CancelToken,
     ) -> Result<Report, ClaptonError> {
-        let AdmittedJob { job, dir } = admitted;
-        let lease = self.lease_policy();
-        let scheduler = JobScheduler::new(Arc::clone(&self.pool));
-        let jobs = vec![ScheduledJob::with_cancel(
-            job.name.clone(),
+        job_metrics()
+            .dispatch_lag
+            .observe(admitted.admitted_at.elapsed().as_secs_f64());
+        let progress = Progress {
+            job: &admitted.job.name,
+            events,
             cancel,
-            |ctx: &JobContext| {
-                execute(
-                    job,
-                    ctx,
-                    dir.as_ref(),
-                    &lease,
-                    self.cache.as_ref(),
-                    &self.ground_energies,
-                )
+            last_mark: Cell::new(0),
+        };
+        progress.emit(EventKind::Started);
+        panic::catch_unwind(AssertUnwindSafe(|| self.execute(admitted, &progress))).unwrap_or_else(
+            |payload| {
+                Err(ClaptonError::JobAborted {
+                    job: admitted.job.name.clone(),
+                    detail: panic_text(payload.as_ref()),
+                })
             },
-        )];
-        let (mut results, panic) = scheduler.try_run_all(jobs, events);
-        match results.pop().flatten() {
-            Some(result) => result,
-            None => Err(ClaptonError::JobAborted {
-                job: job.name.clone(),
-                detail: panic_text(panic),
-            }),
-        }
+        )
     }
 
     /// What the artifact store knows about an admitted job — the queue
@@ -391,7 +384,12 @@ impl ClaptonService {
         };
         // Corrupt artifacts are quarantined by `load` and treated as absent
         // here: the scan falls through to the next recovery source instead
-        // of failing the whole startup sweep over one torn file.
+        // of failing the whole startup sweep over one torn file. A report
+        // outranks a terminal marker: a job rerun after a recorded failure
+        // holds both.
+        if let Artifact::Valid(report) = dir.load::<Report>(REPORT_ARTIFACT)? {
+            return Ok(JobArtifactState::Done(Box::new(report)));
+        }
         if let Artifact::Valid(state) = dir.load::<TerminalState>(STATE_ARTIFACT)? {
             return Ok(match state.state.as_str() {
                 "cancelled" => JobArtifactState::Cancelled {
@@ -401,9 +399,6 @@ impl ClaptonService {
                     detail: state.detail,
                 },
             });
-        }
-        if let Artifact::Valid(report) = dir.load::<Report>(REPORT_ARTIFACT)? {
-            return Ok(JobArtifactState::Done(Box::new(report)));
         }
         if dir.exists(CHECKPOINT_ARTIFACT) || dir.exists(CHECKPOINT_PREV_ARTIFACT) {
             return Ok(JobArtifactState::InFlight);
@@ -533,11 +528,13 @@ impl ClaptonService {
     }
 
     /// Validates and runs a batch of jobs concurrently on the shared pool
-    /// with fair interleaving, streaming progress to `events`.
+    /// with fair interleaving, streaming progress to `events`: every spec
+    /// is admitted first, then each job is one pool task running
+    /// [`ClaptonService::execute_admitted`].
     ///
     /// Validation is all-or-nothing: if any spec is invalid, nothing runs.
-    /// Per-job execution failures (I/O, budget suspension) come back in the
-    /// per-job `Result`s, in submission order.
+    /// Per-job execution failures (I/O, budget suspension, a panicking job
+    /// body) come back in the per-job `Result`s, in submission order.
     ///
     /// # Errors
     ///
@@ -549,11 +546,8 @@ impl ClaptonService {
     ) -> Result<Vec<Result<Report, ClaptonError>>, ClaptonError> {
         let jobs = specs
             .into_iter()
-            .map(|spec| spec.validate().map_err(ClaptonError::from))
+            .map(|spec| self.resolve(spec))
             .collect::<Result<Vec<ResolvedJob>, ClaptonError>>()?;
-        for job in &jobs {
-            self.check_budget_checkpointable(job)?;
-        }
         // Two jobs in one batch sharing an artifact directory would race on
         // its checkpoint/report files (identical specs pass the resubmission
         // check), so duplicates are rejected up front.
@@ -572,32 +566,43 @@ impl ClaptonService {
                 .into());
             }
         }
-        let dirs = jobs
-            .iter()
-            .map(|job| self.prepare_dir(job))
-            .collect::<Result<Vec<Option<RunDirectory>>, ClaptonError>>()?;
-        let scheduler = JobScheduler::new(Arc::clone(&self.pool));
-        let lease = self.lease_policy();
-        let scheduled: Vec<ScheduledJob<'_, Result<Report, ClaptonError>>> = jobs
-            .iter()
-            .zip(&dirs)
-            .map(|(job, dir)| {
-                let lease = &lease;
-                let cache = self.cache.as_ref();
-                let ground_energies = &self.ground_energies;
-                ScheduledJob::new(job.name.clone(), move |ctx: &JobContext| {
-                    execute(job, ctx, dir.as_ref(), lease, cache, ground_energies)
-                })
-            })
-            .collect();
-        Ok(scheduler.run_all(scheduled, events))
+        let admitted = jobs
+            .into_iter()
+            .map(|job| self.record(job))
+            .collect::<Result<Vec<AdmittedJob>, ClaptonError>>()?;
+        Ok(self.execute_all(&admitted, events))
     }
 
-    /// A round budget only makes sense when there is somewhere to persist
-    /// the checkpoint: without an artifact root, a suspended search would be
-    /// dropped and every resubmission would restart from round 0 — an
-    /// infinite suspend loop, not a resume.
-    fn check_budget_checkpointable(&self, job: &ResolvedJob) -> Result<(), ClaptonError> {
+    /// Runs admitted jobs as tasks of one pool scope, one
+    /// [`ClaptonService::execute_admitted`] each, and returns their results
+    /// in job order.
+    fn execute_all(
+        &self,
+        admitted: &[AdmittedJob],
+        events: Option<Sender<RunEvent>>,
+    ) -> Vec<Result<Report, ClaptonError>> {
+        let mut results: Vec<Option<Result<Report, ClaptonError>>> =
+            admitted.iter().map(|_| None).collect();
+        self.pool.scope(|s| {
+            for (job, slot) in admitted.iter().zip(&mut results) {
+                let events = events.clone();
+                s.spawn(move || {
+                    *slot = Some(self.execute_admitted(job, events, CancelToken::new()));
+                });
+            }
+        });
+        results
+            .into_iter()
+            .map(|result| result.expect("the scope ran every job"))
+            .collect()
+    }
+
+    /// Validates `spec`. A round budget only makes sense when there is
+    /// somewhere to persist the checkpoint: without an artifact root, a
+    /// suspended search would be dropped and every resubmission would
+    /// restart from round 0 — an infinite suspend loop, not a resume.
+    fn resolve(&self, spec: JobSpec) -> Result<ResolvedJob, ClaptonError> {
+        let job = spec.validate()?;
         if job.budget.is_some() && self.artifacts.is_none() {
             return Err(SpecError::InvalidField {
                 field: "budget".to_string(),
@@ -607,7 +612,18 @@ impl ClaptonService {
             }
             .into());
         }
-        Ok(())
+        Ok(job)
+    }
+
+    /// Admits a validated job: opens (or verifies) its run directory and
+    /// stamps the admission time.
+    fn record(&self, job: ResolvedJob) -> Result<AdmittedJob, ClaptonError> {
+        let dir = self.prepare_dir(&job)?;
+        Ok(AdmittedJob {
+            job,
+            dir,
+            admitted_at: Instant::now(),
+        })
     }
 
     /// Opens (or verifies) the job's run directory: the submitted spec is
@@ -653,6 +669,8 @@ impl ClaptonService {
 pub struct AdmittedJob {
     job: ResolvedJob,
     dir: Option<RunDirectory>,
+    /// When admission returned: the dispatch lag runs from here.
+    admitted_at: Instant,
 }
 
 impl AdmittedJob {
@@ -710,128 +728,12 @@ pub enum JobArtifactState {
 }
 
 /// Renders a captured panic payload as text for [`ClaptonError::JobAborted`].
-fn panic_text(payload: Option<Box<dyn std::any::Any + Send>>) -> String {
-    let Some(payload) = payload else {
-        return "job thread died without a panic payload".to_string();
-    };
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "job thread panicked (non-string payload)".to_string())
-}
-
-/// A submitted background job: stream its events, then wait for the report.
-#[derive(Debug)]
-pub struct JobHandle {
-    name: String,
-    events: Receiver<RunEvent>,
-    result: Receiver<Result<Report, ClaptonError>>,
-    cancel: CancelToken,
-    thread: JoinHandle<()>,
-}
-
-impl JobHandle {
-    /// The job's display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The live event stream (disconnects when the job finishes).
-    pub fn events(&self) -> &Receiver<RunEvent> {
-        &self.events
-    }
-
-    /// Requests cooperative cancellation: the job stops at its next round
-    /// boundary, persists a terminal `cancelled` state (with an artifact
-    /// root), and [`JobHandle::wait`] returns [`ClaptonError::Cancelled`].
-    pub fn cancel(&self) {
-        self.cancel.cancel();
-    }
-
-    /// Blocks until the job finishes and returns its report.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the job failed with — including [`ClaptonError::Suspended`]
-    /// when a round budget halted it, [`ClaptonError::Cancelled`] after
-    /// [`JobHandle::cancel`], and [`ClaptonError::JobAborted`] when the job
-    /// body died (panicked) before producing a result.
-    pub fn wait(self) -> Result<Report, ClaptonError> {
-        let died = |detail: String| ClaptonError::JobAborted {
-            job: self.name.clone(),
-            detail,
-        };
-        match self.thread.join() {
-            Ok(()) => {}
-            Err(panic) => return Err(died(panic_text(Some(panic)))),
-        }
-        match self.result.recv() {
-            Ok(result) => result,
-            Err(_) => Err(died(
-                "job thread exited without sending a result".to_string(),
-            )),
-        }
-    }
-}
-
-/// Runs one resolved job on the scheduler-provided context — the shared
-/// execution body behind [`ClaptonService::run`], [`ClaptonService::submit`]
-/// and the spec-driven suite runner.
-///
-/// Replicates the legacy `Pipeline::run` evaluation order exactly (every
-/// search is deterministic given its seed, so a spec-driven run is
-/// bit-identical to the builder path it replaced).
-pub(crate) fn execute(
-    job: &ResolvedJob,
-    ctx: &JobContext,
-    dir: Option<&RunDirectory>,
-    lease: &LeasePolicy,
-    cache: Option<&Arc<CacheStore>>,
-    ground_energies: &GroundEnergies,
-) -> Result<Report, ClaptonError> {
-    // The job directory is the unit of ownership in the shared work queue:
-    // claim it before reading or writing anything inside, so concurrent
-    // services (other processes, other hosts) on one registry can never
-    // interleave artifact writes. Single-process behavior is unchanged —
-    // the claim is always uncontended there.
-    let keeper = match dir {
-        Some(dir) => match clapton_runtime::acquire(dir.path(), &lease.owner, lease.ttl)? {
-            ClaimOutcome::Acquired(held) => Some(LeaseKeeper::spawn(held, lease.ttl / 4)),
-            ClaimOutcome::Held {
-                owner,
-                heartbeat_age,
-            } => {
-                return Err(ClaptonError::Leased {
-                    run: dir.path().display().to_string(),
-                    owner,
-                    heartbeat_age_ms: heartbeat_age.as_millis() as u64,
-                })
-            }
-        },
-        None => None,
-    };
-    let trace = clapton_telemetry::Trace::begin();
-    let result = {
-        let _trace_ctx = clapton_telemetry::push_context(trace.context());
-        let _job_span = clapton_telemetry::span("job");
-        execute_inner(job, ctx, dir, keeper.as_ref(), cache, ground_energies)
-    };
-    let records = trace.finish();
-    if let Some(dir) = dir {
-        // Persist the span log beside the job's other artifacts so the
-        // trace survives the process (and the server's trace endpoint reads
-        // the same tree). A resubmission answered from the persisted report
-        // yields only the root span — keep the original run's trace then.
-        // Telemetry persistence must never fail a finished job.
-        if !records.is_empty() && (records.len() > 1 || !dir.exists(TELEMETRY_ARTIFACT)) {
-            let _ = dir.write_text(TELEMETRY_ARTIFACT, &clapton_telemetry::to_jsonl(&records));
-        }
-    }
-    if let Some(keeper) = keeper {
-        let _ = keeper.release();
-    }
-    result
+        .unwrap_or_else(|| "job panicked (non-string payload)".to_string())
 }
 
 /// The memo segment of 0-based round `round`: the genome → loss entries
@@ -960,253 +862,299 @@ fn load_checkpoint(dir: &RunDirectory) -> io::Result<Option<EngineState>> {
     Ok(None)
 }
 
-/// The actual job body behind [`execute`], which wraps it in a telemetry
-/// trace and persists the span log.
-fn execute_inner(
-    job: &ResolvedJob,
-    ctx: &JobContext,
-    dir: Option<&RunDirectory>,
-    keeper: Option<&LeaseKeeper>,
-    cache: Option<&Arc<CacheStore>>,
-    ground_energies: &GroundEnergies,
-) -> Result<Report, ClaptonError> {
-    if let Some(dir) = dir {
+/// The job body behind [`ClaptonService::execute_admitted`].
+impl ClaptonService {
+    /// Claims the job's directory, runs [`ClaptonService::execute_inner`]
+    /// inside the job's telemetry trace, and persists the span log.
+    ///
+    /// Replicates the legacy `Pipeline::run` evaluation order exactly (every
+    /// search is deterministic given its seed, so a spec-driven run is
+    /// bit-identical to the builder path it replaced).
+    fn execute(
+        &self,
+        admitted: &AdmittedJob,
+        progress: &Progress<'_>,
+    ) -> Result<Report, ClaptonError> {
+        let dir = admitted.dir.as_ref();
+        // The job directory is the unit of ownership in the shared work
+        // queue: claim it before reading or writing anything inside, so
+        // concurrent services (other processes, other hosts) on one
+        // registry can never interleave artifact writes. Single-process
+        // behavior is unchanged — the claim is always uncontended there.
+        let keeper = match dir {
+            Some(dir) => {
+                match clapton_runtime::acquire(dir.path(), &self.worker_id, self.lease_ttl)? {
+                    ClaimOutcome::Acquired(held) => {
+                        Some(LeaseKeeper::spawn(held, self.lease_ttl / 4))
+                    }
+                    ClaimOutcome::Held {
+                        owner,
+                        heartbeat_age,
+                    } => {
+                        return Err(ClaptonError::Leased {
+                            run: dir.path().display().to_string(),
+                            owner,
+                            heartbeat_age_ms: heartbeat_age.as_millis() as u64,
+                        })
+                    }
+                }
+            }
+            None => None,
+        };
+        let trace = clapton_telemetry::Trace::begin();
+        let result = {
+            let _trace_ctx = clapton_telemetry::push_context(trace.context());
+            let _job_span = clapton_telemetry::span("job");
+            self.execute_inner(admitted, progress, keeper.as_ref())
+        };
+        let records = trace.finish();
+        if let Some(dir) = dir {
+            // Persist the span log beside the job's other artifacts so the
+            // trace survives the process (and the server's trace endpoint
+            // reads the same tree). A resubmission answered from the
+            // persisted report yields only the root span — keep the
+            // original run's trace then. Telemetry persistence must never
+            // fail a finished job.
+            if !records.is_empty() && (records.len() > 1 || !dir.exists(TELEMETRY_ARTIFACT)) {
+                let _ = dir.write_text(TELEMETRY_ARTIFACT, &clapton_telemetry::to_jsonl(&records));
+            }
+        }
+        if let Some(keeper) = keeper {
+            let _ = keeper.release();
+        }
+        result
+    }
+
+    /// The job itself: answer from the job's artifacts or the persistent
+    /// store when they already hold the outcome, else run the requested
+    /// methods, checkpointing every Clapton round, and write the report.
+    fn execute_inner(
+        &self,
+        admitted: &AdmittedJob,
+        progress: &Progress<'_>,
+        keeper: Option<&LeaseKeeper>,
+    ) -> Result<Report, ClaptonError> {
         // A corrupt report is quarantined and the job falls through to the
         // resume path below: completion rotated the final checkpoint into
         // the `prev` slot, so replaying from it reproduces the report
-        // bit-identically.
-        if let Artifact::Valid(report) = dir.load::<Report>(REPORT_ARTIFACT)? {
-            ctx.emit(EventKind::Finished(
-                "already complete (answered from persisted report)".to_string(),
-            ));
-            return Ok(report);
-        }
-        // Cancellation is terminal and sticky: a resubmission of a cancelled
-        // spec reports the cancellation instead of silently restarting the
-        // search (remove the run directory to truly start over).
-        if let Artifact::Valid(state) = dir.load::<TerminalState>(STATE_ARTIFACT)? {
-            if state.state == "cancelled" {
-                ctx.emit(EventKind::Cancelled(state.rounds));
-                return Err(ClaptonError::Cancelled {
-                    rounds: state.rounds,
-                });
+        // bit-identically. Cancellation is terminal and sticky: a
+        // resubmission of a cancelled spec reports the cancellation instead
+        // of silently restarting the search (remove the run directory to
+        // truly start over). A recorded failure does not stop a rerun.
+        match self.inspect(admitted)? {
+            JobArtifactState::Done(report) => {
+                progress.emit(EventKind::Finished(
+                    "already complete (answered from persisted report)".to_string(),
+                ));
+                return Ok(*report);
             }
-        }
-    }
-    // The report tier of the persistent store: a spec already solved — by
-    // this process or any earlier one sharing the store — answers without
-    // running anything. Persisting the report into the job's directory
-    // keeps artifacts consistent with a computed run.
-    if let Some(cache) = cache {
-        if let Some(report) = cache.get_json::<Report>(report_namespace(), &report_key(job)) {
-            if let Some(dir) = dir {
-                dir.write_json(REPORT_ARTIFACT, &report)?;
+            JobArtifactState::Cancelled { rounds } => {
+                progress.emit(EventKind::Cancelled(rounds));
+                return Err(ClaptonError::Cancelled { rounds });
             }
-            ctx.emit(EventKind::Finished(
+            JobArtifactState::Fresh
+            | JobArtifactState::InFlight
+            | JobArtifactState::Failed { .. } => {}
+        }
+        // The report tier of the persistent store: a spec already solved —
+        // by this process or any earlier one sharing the store — answers
+        // without running anything.
+        if let Some(report) = self.answer_from_cache(admitted)? {
+            progress.emit(EventKind::Finished(
                 "already solved (answered from persistent cache)".to_string(),
             ));
             return Ok(report);
         }
-    }
-    let h = &job.hamiltonian;
-    let exec = &job.exec;
-    let config = &job.config;
-    let e0 = {
-        let _span = clapton_telemetry::span("e0");
-        ground_energies.ground_energy(h)
-    };
-    let cafqa = job.runs(&MethodSpec::Cafqa).then(|| {
-        let _span = clapton_telemetry::span("cafqa");
-        run_cafqa(h, exec, &config.engine, config.seed, ctx.pool())
-    });
-    let ncafqa = job.runs(&MethodSpec::Ncafqa).then(|| {
-        let _span = clapton_telemetry::span("ncafqa");
-        run_ncafqa(
-            h,
-            exec,
-            &config.engine,
-            config.evaluator,
-            config.seed,
-            ctx.pool(),
-        )
-    });
-    let clapton = if job.runs(&MethodSpec::Clapton) {
-        let resume = match dir {
-            Some(dir) => load_checkpoint(dir)?,
-            None => None,
+        let AdmittedJob { job, dir, .. } = admitted;
+        let dir = dir.as_ref();
+        let cache = self.cache.as_ref();
+        let pool = &self.pool;
+        let h = &job.hamiltonian;
+        let exec = &job.exec;
+        let config = &job.config;
+        let e0 = {
+            let _span = clapton_telemetry::span("e0");
+            self.ground_energies.ground_energy(h)
         };
-        // The budget counts rounds per submission (matching the suite
-        // runner's `--halt-after-rounds` semantics): each resubmission gets
-        // a fresh allowance and continues from the persisted checkpoint.
-        let mut remaining = job.budget.map(|b| b as i64);
-        let mut checkpoint_error: Option<io::Error> = None;
-        let mut cancelled = false;
-        let _clapton_span = clapton_telemetry::span("clapton");
-        let mut round_started = clapton_telemetry::mono_ns();
-        // The loss tier of the persistent store: memo misses inside the GA
-        // consult it before computing, and computed losses are written back
-        // — so even a *partially* overlapping search (different seed or
-        // engine effort over the same objective) answers from disk.
-        let store = cache.map(|c| Arc::clone(c) as Arc<dyn LossStore>);
-        let (state, result) = run_clapton_resumable(
-            h,
-            exec,
-            config,
-            ctx.pool(),
-            store,
-            resume,
-            &mut |state, delta| {
-                clapton_telemetry::record_complete(
-                    "round",
-                    round_started,
-                    clapton_telemetry::mono_ns(),
-                );
-                if let Some(dir) = dir {
-                    // The round's memo segment, then its checkpoint, which
-                    // rotates so the previous round's stays valid while
-                    // this one is in flight: a torn write costs one round,
-                    // never the run.
-                    let written = {
-                        let _span = clapton_telemetry::span("checkpoint");
-                        write_round(dir, state, delta)
-                    };
-                    if let Err(e) = written {
-                        checkpoint_error = Some(e);
-                        return false;
-                    }
-                    ctx.emit(EventKind::Checkpointed(state.rounds()));
-                }
-                round_started = clapton_telemetry::mono_ns();
-                if let Some(best) = &state.global_best {
-                    ctx.emit(EventKind::Round(state.rounds(), best.loss));
-                }
-                // The cooperative interruption point: the round's checkpoint
-                // is already durable, so stopping here either suspends
-                // resumably or cancels terminally — never mid-round.
-                match ctx.interrupt() {
-                    Interrupt::Cancel => {
-                        cancelled = true;
-                        if let Some(dir) = dir {
-                            if let Err(e) =
-                                write_terminal_state(dir, "cancelled", state.rounds(), "")
-                            {
-                                checkpoint_error = Some(e);
-                            }
+        let cafqa = job.runs(&MethodSpec::Cafqa).then(|| {
+            let _span = clapton_telemetry::span("cafqa");
+            run_cafqa(h, exec, &config.engine, config.seed, pool)
+        });
+        let ncafqa = job.runs(&MethodSpec::Ncafqa).then(|| {
+            let _span = clapton_telemetry::span("ncafqa");
+            run_ncafqa(h, exec, &config.engine, config.evaluator, config.seed, pool)
+        });
+        let clapton = if job.runs(&MethodSpec::Clapton) {
+            let resume = match dir {
+                Some(dir) => load_checkpoint(dir)?,
+                None => None,
+            };
+            // The budget counts rounds per submission (matching the suite
+            // runner's `--halt-after-rounds` semantics): each resubmission gets
+            // a fresh allowance and continues from the persisted checkpoint.
+            let mut remaining = job.budget.map(|b| b as i64);
+            let mut checkpoint_error: Option<io::Error> = None;
+            let mut cancelled = false;
+            let _clapton_span = clapton_telemetry::span("clapton");
+            let mut round_started = clapton_telemetry::mono_ns();
+            // The loss tier of the persistent store: memo misses inside the GA
+            // consult it before computing, and computed losses are written back
+            // — so even a *partially* overlapping search (different seed or
+            // engine effort over the same objective) answers from disk.
+            let store = cache.map(|c| Arc::clone(c) as Arc<dyn LossStore>);
+            let (state, result) =
+                run_clapton_resumable(h, exec, config, pool, store, resume, &mut |state, delta| {
+                    clapton_telemetry::record_complete(
+                        "round",
+                        round_started,
+                        clapton_telemetry::mono_ns(),
+                    );
+                    if let Some(dir) = dir {
+                        // The round's memo segment, then its checkpoint, which
+                        // rotates so the previous round's stays valid while
+                        // this one is in flight: a torn write costs one round,
+                        // never the run.
+                        let written = {
+                            let _span = clapton_telemetry::span("checkpoint");
+                            write_round(dir, state, delta)
+                        };
+                        if let Err(e) = written {
+                            checkpoint_error = Some(e);
+                            return false;
                         }
+                        progress.emit(EventKind::Checkpointed(state.rounds()));
+                    }
+                    round_started = clapton_telemetry::mono_ns();
+                    if let Some(best) = &state.global_best {
+                        progress.emit(EventKind::Round(state.rounds(), best.loss));
+                    }
+                    // The cooperative interruption point: the round's checkpoint
+                    // is already durable, so stopping here either suspends
+                    // resumably or cancels terminally — never mid-round.
+                    match progress.cancel.interrupt() {
+                        Interrupt::Cancel => {
+                            cancelled = true;
+                            if let Some(dir) = dir {
+                                if let Err(e) =
+                                    write_terminal_state(dir, "cancelled", state.rounds(), "")
+                                {
+                                    checkpoint_error = Some(e);
+                                }
+                            }
+                            return false;
+                        }
+                        Interrupt::Suspend => return false,
+                        Interrupt::None => {}
+                    }
+                    // A peer judged us dead and stole the lease: stop writing
+                    // into a directory we no longer own. The round checkpoint
+                    // just written is byte-identical to what the thief resumes
+                    // from, so standing down loses nothing.
+                    if keeper.is_some_and(LeaseKeeper::lost) {
                         return false;
                     }
-                    Interrupt::Suspend => return false,
-                    Interrupt::None => {}
-                }
-                // A peer judged us dead and stole the lease: stop writing
-                // into a directory we no longer own. The round checkpoint
-                // just written is byte-identical to what the thief resumes
-                // from, so standing down loses nothing.
-                if keeper.is_some_and(LeaseKeeper::lost) {
-                    return false;
-                }
-                match &mut remaining {
-                    Some(r) => {
-                        *r -= 1;
-                        *r > 0
+                    match &mut remaining {
+                        Some(r) => {
+                            *r -= 1;
+                            *r > 0
+                        }
+                        None => true,
                     }
-                    None => true,
+                });
+            if let Some(e) = checkpoint_error {
+                return Err(e.into());
+            }
+            match result {
+                Some(clapton) => Some(clapton),
+                None if cancelled => {
+                    progress.emit(EventKind::Cancelled(state.rounds()));
+                    return Err(ClaptonError::Cancelled {
+                        rounds: state.rounds(),
+                    });
                 }
-            },
-        );
-        if let Some(e) = checkpoint_error {
-            return Err(e.into());
-        }
-        match result {
-            Some(clapton) => Some(clapton),
-            None if cancelled => {
-                ctx.emit(EventKind::Cancelled(state.rounds()));
-                return Err(ClaptonError::Cancelled {
-                    rounds: state.rounds(),
-                });
+                None => {
+                    progress.emit(EventKind::Suspended(state.rounds()));
+                    return Err(ClaptonError::Suspended {
+                        rounds: state.rounds(),
+                    });
+                }
             }
-            None => {
-                ctx.emit(EventKind::Suspended(state.rounds()));
-                return Err(ClaptonError::Suspended {
-                    rounds: state.rounds(),
-                });
-            }
-        }
-    } else {
-        None
-    };
-    let zeros = vec![0.0; exec.ansatz().num_parameters()];
-    let (cafqa_initial_energy, ncafqa_initial_energy, clapton_initial_energy) = {
-        let _span = clapton_telemetry::span("device_energy");
-        (
-            cafqa.as_ref().map(|c| device_energy(exec, h, &c.theta)),
-            ncafqa.as_ref().map(|c| device_energy(exec, h, &c.theta)),
-            clapton
-                .as_ref()
-                .map(|c| device_energy(exec, &c.transformation.transformed, &zeros)),
-        )
-    };
-    let baseline = cafqa_initial_energy.or(ncafqa_initial_energy);
-    let eta_initial = match (baseline, clapton_initial_energy) {
-        // η divides by Clapton's gap to E0; a start already at E0 (to
-        // rounding) leaves it undefined.
-        (Some(base), Some(init)) if (e0 - init).abs() > 1e-9 * e0.abs().max(1.0) => {
-            Some(clapton_core::relative_improvement(e0, base, init))
-        }
-        _ => None,
-    };
-    let (clapton_vqe, cafqa_vqe, ncafqa_vqe) = match job.vqe_iterations() {
-        Some(iters) => {
-            let _span = clapton_telemetry::span("vqe");
-            let vqe_config = VqeConfig::new(iters);
+        } else {
+            None
+        };
+        let zeros = vec![0.0; exec.ansatz().num_parameters()];
+        let (cafqa_initial_energy, ncafqa_initial_energy, clapton_initial_energy) = {
+            let _span = clapton_telemetry::span("device_energy");
             (
+                cafqa.as_ref().map(|c| device_energy(exec, h, &c.theta)),
+                ncafqa.as_ref().map(|c| device_energy(exec, h, &c.theta)),
                 clapton
                     .as_ref()
-                    .map(|c| run_vqe(&c.transformation.transformed, exec, &zeros, &vqe_config)),
-                cafqa
-                    .as_ref()
-                    .map(|c| run_vqe(h, exec, &c.theta, &vqe_config)),
-                ncafqa
-                    .as_ref()
-                    .map(|c| run_vqe(h, exec, &c.theta, &vqe_config)),
+                    .map(|c| device_energy(exec, &c.transformation.transformed, &zeros)),
             )
+        };
+        let baseline = cafqa_initial_energy.or(ncafqa_initial_energy);
+        let eta_initial = match (baseline, clapton_initial_energy) {
+            // η divides by Clapton's gap to E0; a start already at E0 (to
+            // rounding) leaves it undefined.
+            (Some(base), Some(init)) if (e0 - init).abs() > 1e-9 * e0.abs().max(1.0) => {
+                Some(clapton_core::relative_improvement(e0, base, init))
+            }
+            _ => None,
+        };
+        let (clapton_vqe, cafqa_vqe, ncafqa_vqe) = match job.vqe_iterations() {
+            Some(iters) => {
+                let _span = clapton_telemetry::span("vqe");
+                let vqe_config = VqeConfig::new(iters);
+                (
+                    clapton
+                        .as_ref()
+                        .map(|c| run_vqe(&c.transformation.transformed, exec, &zeros, &vqe_config)),
+                    cafqa
+                        .as_ref()
+                        .map(|c| run_vqe(h, exec, &c.theta, &vqe_config)),
+                    ncafqa
+                        .as_ref()
+                        .map(|c| run_vqe(h, exec, &c.theta, &vqe_config)),
+                )
+            }
+            None => (None, None, None),
+        };
+        let report = Report {
+            name: job.name.clone(),
+            e0,
+            cafqa,
+            ncafqa,
+            clapton,
+            cafqa_initial_energy,
+            ncafqa_initial_energy,
+            clapton_initial_energy,
+            eta_initial,
+            clapton_vqe,
+            cafqa_vqe,
+            ncafqa_vqe,
+        };
+        if let Some(dir) = dir {
+            let _span = clapton_telemetry::span("report_write");
+            dir.write_json(REPORT_ARTIFACT, &report)?;
+            // The final checkpoint rotates into the `prev` slot instead of being
+            // deleted, and the segments stay: if the report is ever torn or
+            // garbled, recovery replays from the final round state and
+            // reproduces it bit-identically.
+            dir.rotate(CHECKPOINT_ARTIFACT, CHECKPOINT_PREV_ARTIFACT)?;
         }
-        None => (None, None, None),
-    };
-    let report = Report {
-        name: job.name.clone(),
-        e0,
-        cafqa,
-        ncafqa,
-        clapton,
-        cafqa_initial_energy,
-        ncafqa_initial_energy,
-        clapton_initial_energy,
-        eta_initial,
-        clapton_vqe,
-        cafqa_vqe,
-        ncafqa_vqe,
-    };
-    if let Some(dir) = dir {
-        let _span = clapton_telemetry::span("report_write");
-        dir.write_json(REPORT_ARTIFACT, &report)?;
-        // The final checkpoint rotates into the `prev` slot instead of being
-        // deleted, and the segments stay: if the report is ever torn or
-        // garbled, recovery replays from the final round state and
-        // reproduces it bit-identically.
-        dir.rotate(CHECKPOINT_ARTIFACT, CHECKPOINT_PREV_ARTIFACT)?;
+        if let Some(cache) = cache {
+            // Terminal reports enter the store, and everything buffered (this
+            // report plus the job's computed losses) goes durable in one flush.
+            cache.put_json(report_namespace(), &report_key(job), &report);
+            cache.flush().map_err(ClaptonError::from)?;
+        }
+        progress.emit(EventKind::Finished(match &report.clapton {
+            Some(c) => format!("clapton loss {:.6} in {} rounds", c.loss, c.rounds),
+            None => "complete".to_string(),
+        }));
+        Ok(report)
     }
-    if let Some(cache) = cache {
-        // Terminal reports enter the store, and everything buffered (this
-        // report plus the job's computed losses) goes durable in one flush.
-        cache.put_json(report_namespace(), &report_key(job), &report);
-        cache.flush().map_err(ClaptonError::from)?;
-    }
-    ctx.emit(EventKind::Finished(match &report.clapton {
-        Some(c) => format!("clapton loss {:.6} in {} rounds", c.loss, c.rounds),
-        None => "complete".to_string(),
-    }));
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -1271,7 +1219,11 @@ mod tests {
         let e0 = ground_energy(&h);
         let via_run = svc.run(ising4(7)).unwrap();
         assert_eq!(svc.ground_energies.solves(), 1);
-        let via_submit = svc.submit(ising4(8)).unwrap().wait().unwrap();
+        let via_batch = svc
+            .run_all(vec![ising4(8)], None)
+            .unwrap()
+            .remove(0)
+            .unwrap();
         let admitted = svc.admit(ising4(9)).unwrap();
         let via_admitted = svc
             .execute_admitted(&admitted, None, CancelToken::new())
@@ -1281,7 +1233,7 @@ mod tests {
             (1, 1),
             "repeat jobs run no Lanczos"
         );
-        for (seed, report) in [(7, via_run), (8, via_submit), (9, via_admitted)] {
+        for (seed, report) in [(7, via_run), (8, via_batch), (9, via_admitted)] {
             assert_eq!(report.e0.to_bits(), e0.to_bits(), "seed {seed}");
             let fresh = inline_service().run(ising4(seed)).unwrap();
             assert_eq!(report_json(&report), report_json(&fresh), "seed {seed}");
@@ -1322,6 +1274,34 @@ mod tests {
         }
         assert_eq!(svc.ground_energies.len(), 1);
         assert!((1..=2).contains(&svc.ground_energies.solves()));
+    }
+
+    #[test]
+    fn a_dying_job_aborts_alone_and_results_keep_submission_order() {
+        let svc = ClaptonService::with_pool(Arc::new(WorkerPool::with_workers(1)));
+        let mut admitted: Vec<AdmittedJob> = [3, 4, 5]
+            .into_iter()
+            .map(|seed| svc.admit(ising4(seed)).unwrap())
+            .collect();
+        // Past validation, so only the job body's E0 solver sees the size.
+        let n = clapton_sim::MAX_GROUND_ENERGY_QUBITS + 1;
+        let word: clapton_pauli::PauliString = "Z".repeat(n).parse().unwrap();
+        admitted[1].job.hamiltonian = clapton_pauli::PauliSum::from_terms(n, vec![(1.0, word)]);
+        let results = svc.execute_all(&admitted, None);
+        assert_eq!(results.len(), 3);
+        assert!(results[0].is_ok() && results[2].is_ok(), "{results:?}");
+        match &results[1] {
+            Err(ClaptonError::JobAborted { job, detail }) => {
+                assert_eq!(job, "ising(J=0.50)");
+                let limit = format!("{}-qubit limit", clapton_sim::MAX_GROUND_ENERGY_QUBITS);
+                assert!(detail.contains(&limit), "{detail}");
+            }
+            other => panic!("expected the middle job to abort, got {other:?}"),
+        }
+        for (seed, result) in [(3, &results[0]), (5, &results[2])] {
+            let fresh = inline_service().run(ising4(seed)).unwrap();
+            assert_eq!(report_json(result.as_ref().unwrap()), report_json(&fresh));
+        }
     }
 
     #[test]

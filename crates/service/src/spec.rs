@@ -27,6 +27,7 @@ use clapton_ga::MultiGaConfig;
 use clapton_models::benchmark_by_name;
 use clapton_noise::NoiseModel;
 use clapton_pauli::{PauliString, PauliSum};
+use clapton_sim::MAX_GROUND_ENERGY_QUBITS;
 use serde::{Deserialize, Serialize};
 
 /// The newest spec version this build understands.
@@ -278,8 +279,9 @@ impl JobSpec {
     ///
     /// A [`SpecError`] naming exactly what is wrong: unknown problem or
     /// backend names (with the available registry listed), qubit mismatches,
-    /// probabilities outside `[0, 1]`, zero shot budgets, empty or
-    /// inconsistent method sets, and unsupported spec versions.
+    /// registers over [`MAX_GROUND_ENERGY_QUBITS`], probabilities outside
+    /// `[0, 1]`, zero shot budgets, empty or inconsistent method sets, and
+    /// unsupported spec versions.
     pub fn validate(&self) -> Result<ResolvedJob, SpecError> {
         if self.version > SPEC_VERSION {
             return Err(SpecError::UnsupportedVersion {
@@ -343,21 +345,11 @@ impl JobSpec {
     fn resolve_problem(&self) -> Result<PauliSum, SpecError> {
         match &self.problem {
             ProblemSpec::Suite(p) => {
-                if p.qubits == 0 {
-                    return Err(SpecError::InvalidField {
-                        field: "problem.qubits".to_string(),
-                        reason: "register must have at least one qubit".to_string(),
-                    });
-                }
+                check_register(p.qubits)?;
                 Ok(benchmark_by_name(&p.name, p.qubits)?.hamiltonian)
             }
             ProblemSpec::Terms(p) => {
-                if p.qubits == 0 {
-                    return Err(SpecError::InvalidField {
-                        field: "problem.qubits".to_string(),
-                        reason: "register must have at least one qubit".to_string(),
-                    });
-                }
+                check_register(p.qubits)?;
                 if p.terms.is_empty() {
                     return Err(SpecError::InvalidField {
                         field: "problem.terms".to_string(),
@@ -528,6 +520,25 @@ impl JobSpec {
         }
         Ok(())
     }
+}
+
+/// A problem register the job body can solve: at least one qubit, and no
+/// more than the exact `E0` solver takes.
+fn check_register(qubits: usize) -> Result<(), SpecError> {
+    let reason = if qubits == 0 {
+        "register must have at least one qubit".to_string()
+    } else if qubits > MAX_GROUND_ENERGY_QUBITS {
+        format!(
+            "{qubits} qubits exceed the {MAX_GROUND_ENERGY_QUBITS}-qubit limit of the exact \
+             ground-energy solver"
+        )
+    } else {
+        return Ok(());
+    };
+    Err(SpecError::InvalidField {
+        field: "problem.qubits".to_string(),
+        reason,
+    })
 }
 
 // Hand-written serde impls: the vendored derive cannot express per-field

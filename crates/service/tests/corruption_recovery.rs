@@ -132,7 +132,7 @@ fn garbled_checkpoint_falls_back_to_the_previous_round() {
     // Two one-round suspensions bank checkpoint.json (round N) and, rotated
     // beneath it, checkpoint.prev.json (round N-1).
     for _ in 0..2 {
-        match svc.submit(budgeted.clone()).unwrap().wait() {
+        match svc.run(budgeted.clone()) {
             Err(clapton_error::ClaptonError::Suspended { .. }) => {}
             other => panic!("expected a one-round suspension, got {other:?}"),
         }

@@ -10,12 +10,13 @@
 
 use clapton_error::ClaptonError;
 use clapton_ga::{EngineState, MultiGaConfig};
-use clapton_runtime::{failpoint, EventKind, RunDirectory, WorkerPool};
+use clapton_runtime::{failpoint, CancelToken, EventKind, RunDirectory, WorkerPool};
 use clapton_service::{
     ClaptonService, EngineSpec, JobSpec, NoiseSpec, ProblemSpec, SuiteProblem, UniformNoise,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 use std::sync::Arc;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -78,14 +79,17 @@ fn run_collecting_rounds(
     svc: &ClaptonService,
     spec: JobSpec,
 ) -> (Result<clapton_service::Report, ClaptonError>, Vec<usize>) {
-    let handle = svc.submit(spec).unwrap();
-    let mut rounds = Vec::new();
-    for event in handle.events() {
-        if let EventKind::Checkpointed(round) = event.kind {
-            rounds.push(round);
-        }
-    }
-    (handle.wait(), rounds)
+    let admitted = svc.admit(spec).unwrap();
+    let (tx, rx) = mpsc::channel();
+    let result = svc.execute_admitted(&admitted, Some(tx), CancelToken::new());
+    let rounds = rx
+        .try_iter()
+        .filter_map(|event| match event.kind {
+            EventKind::Checkpointed(round) => Some(round),
+            _ => None,
+        })
+        .collect();
+    (result, rounds)
 }
 
 /// Suspends the job after one more round.

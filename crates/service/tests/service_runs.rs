@@ -1,14 +1,15 @@
-//! End-to-end service behavior: background submission with streamed events,
+//! End-to-end service behavior: admitted jobs with streamed events,
 //! per-job artifact directories (spec + checkpoints + report + trace),
 //! budget suspension, and bit-identical resume.
 
 use clapton_error::ClaptonError;
-use clapton_runtime::{EventKind, WorkerPool};
+use clapton_runtime::{CancelToken, EventKind, RunEvent, WorkerPool};
 use clapton_service::{
-    ClaptonService, EngineSpec, JobSpec, MethodSpec, NoiseSpec, ProblemSpec, Report, SuiteProblem,
-    TermsProblem, UniformNoise, TELEMETRY_ARTIFACT,
+    ClaptonService, EngineSpec, JobArtifactState, JobSpec, MethodSpec, NoiseSpec, ProblemSpec,
+    Report, SuiteProblem, TermsProblem, UniformNoise, TELEMETRY_ARTIFACT,
 };
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::sync::Arc;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -35,11 +36,33 @@ fn quick_spec(seed: u64) -> JobSpec {
 }
 
 #[test]
-fn submit_streams_events_and_returns_the_report() {
+fn execute_admitted_streams_events_and_returns_the_report() {
     let service = ClaptonService::with_pool(Arc::new(WorkerPool::with_workers(2)));
-    let handle = service.submit(quick_spec(7)).unwrap();
-    assert_eq!(handle.name(), "ising(J=0.50)");
-    let report = handle.wait().unwrap();
+    let admitted = service.admit(quick_spec(7)).unwrap();
+    assert_eq!(admitted.job().name, "ising(J=0.50)");
+    let (tx, rx) = mpsc::channel();
+    let report = service
+        .execute_admitted(&admitted, Some(tx), CancelToken::new())
+        .unwrap();
+    let events: Vec<RunEvent> = rx.try_iter().collect();
+    assert_eq!(events.first().map(|e| &e.kind), Some(&EventKind::Started));
+    assert!(
+        matches!(events.last().map(|e| &e.kind), Some(EventKind::Finished(_))),
+        "{events:?}"
+    );
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::Round(..))),
+        "rounds streamed"
+    );
+    assert!(events
+        .iter()
+        .all(|e| e.job == "ising(J=0.50)" && e.unix_ns > 0));
+    assert!(
+        events.windows(2).all(|w| w[0].mono_ns <= w[1].mono_ns),
+        "monotonic stamps order in-process events"
+    );
     assert_eq!(report.name, "ising(J=0.50)");
     assert!(report.cafqa.is_some() && report.clapton.is_some());
     assert!(report.ncafqa.is_none(), "not requested");
@@ -76,11 +99,11 @@ fn clapton_start_at_the_ground_energy_leaves_eta_undefined_not_a_panic() {
 }
 
 #[test]
-fn submit_rejects_invalid_specs_synchronously() {
+fn admit_rejects_invalid_specs_synchronously() {
     let service = ClaptonService::with_pool(Arc::new(WorkerPool::with_workers(1)));
     let mut spec = quick_spec(1);
     spec.methods = vec![];
-    match service.submit(spec) {
+    match service.admit(spec) {
         Err(ClaptonError::Spec(_)) => {}
         other => panic!("expected spec rejection, got {other:?}"),
     }
@@ -95,7 +118,7 @@ fn budget_without_artifacts_is_rejected_not_looped() {
     let mut spec = quick_spec(1);
     spec.budget = Some(1);
     for result in [
-        service.submit(spec.clone()).map(|_| ()),
+        service.admit(spec.clone()).map(|_| ()),
         service.run(spec).map(|_| ()),
     ] {
         match result {
@@ -165,6 +188,30 @@ fn artifacts_persist_spec_and_report_and_answer_resubmissions() {
 }
 
 #[test]
+fn a_rerun_after_a_recorded_failure_inspects_as_done() {
+    let root = scratch("failed-rerun");
+    let service = ClaptonService::with_pool(Arc::new(WorkerPool::with_workers(1)))
+        .with_artifacts(&root)
+        .unwrap();
+    let admitted = service.admit(quick_spec(17)).unwrap();
+    service.mark_failed(&admitted, "transient fault").unwrap();
+    assert!(matches!(
+        service.inspect(&admitted).unwrap(),
+        JobArtifactState::Failed { .. }
+    ));
+    // A recorded failure does not stop a rerun, and the report it writes
+    // outranks the stale marker.
+    let report = service
+        .execute_admitted(&admitted, None, CancelToken::new())
+        .unwrap();
+    match service.inspect(&admitted).unwrap() {
+        JobArtifactState::Done(done) => assert_eq!(*done, report),
+        other => panic!("expected the rerun's report, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
 fn a_paper_effort_trace_keeps_its_job_root_and_every_round() {
     // At the paper's GA settings a round evaluates about a thousand
     // population batches on the pool; the trace records phases, not
@@ -222,15 +269,21 @@ fn cancel_stops_at_a_round_boundary_and_is_sticky() {
         .with_artifacts(&root)
         .unwrap();
     let spec = long_spec(13);
-    let handle = service.submit(spec.clone()).unwrap();
-    // Wait for the first persisted checkpoint, then request cancellation.
-    for event in handle.events() {
-        if matches!(event.kind, EventKind::Checkpointed(_)) {
-            break;
+    let admitted = service.admit(spec.clone()).unwrap();
+    let cancel = CancelToken::new();
+    let (tx, rx) = mpsc::channel();
+    let result = std::thread::scope(|s| {
+        let job = s.spawn(|| service.execute_admitted(&admitted, Some(tx), cancel.clone()));
+        // Wait for the first persisted checkpoint, then request cancellation.
+        for event in &rx {
+            if matches!(event.kind, EventKind::Checkpointed(_)) {
+                break;
+            }
         }
-    }
-    handle.cancel();
-    let rounds = match handle.wait() {
+        cancel.cancel();
+        job.join().unwrap()
+    });
+    let rounds = match result {
         Err(ClaptonError::Cancelled { rounds }) => rounds,
         other => panic!("expected cancellation, got {other:?}"),
     };
@@ -271,7 +324,7 @@ fn budget_suspends_and_resubmission_resumes_bit_identically() {
     let mut resumed: Option<Report> = None;
     let mut suspensions = 0usize;
     for _ in 0..64 {
-        match service.submit(spec.clone()).unwrap().wait() {
+        match service.run(spec.clone()) {
             Ok(report) => {
                 resumed = Some(report);
                 break;

@@ -38,6 +38,20 @@ fn rejection_table() {
             ),
         ),
         (
+            "suite register past the exact ground-energy solver's limit",
+            r#"{"problem": {"Suite": {"name": "ising(J=0.50)", "qubits": 25}}}"#,
+            Box::new(
+                |e| matches!(e, SpecError::InvalidField { field, .. } if field == "problem.qubits"),
+            ),
+        ),
+        (
+            "terms register past the exact ground-energy solver's limit",
+            r#"{"problem": {"Terms": {"qubits": 25, "terms": [[1.0, "ZZZZZZZZZZZZZZZZZZZZZZZZZ"]]}}}"#,
+            Box::new(
+                |e| matches!(e, SpecError::InvalidField { field, .. } if field == "problem.qubits"),
+            ),
+        ),
+        (
             "empty term list",
             r#"{"problem": {"Terms": {"qubits": 2, "terms": []}}}"#,
             Box::new(

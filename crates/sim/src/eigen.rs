@@ -13,6 +13,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
+/// The largest register [`ground_energy`] accepts: its Lanczos vectors are
+/// dense, `2^n` complex amplitudes each (256 MiB apiece at 24 qubits).
+pub const MAX_GROUND_ENERGY_QUBITS: usize = 24;
+
 /// Lanczos step cap (the Krylov dimension never exceeds this).
 const MAX_STEPS: usize = 140;
 
@@ -31,8 +35,8 @@ const CHECK_EVERY: usize = 5;
 ///
 /// # Panics
 ///
-/// Panics if the Hamiltonian has more than 24 qubits (dense vectors too
-/// large) or zero qubits.
+/// Panics if the Hamiltonian has more than [`MAX_GROUND_ENERGY_QUBITS`]
+/// qubits (dense vectors too large) or zero qubits.
 ///
 /// # Example
 ///
@@ -53,8 +57,9 @@ pub fn ground_energy(h: &PauliSum) -> f64 {
     let n = h.num_qubits();
     assert!(n > 0, "need at least one qubit");
     assert!(
-        n <= 24,
-        "Hamiltonian on {n} qubits too large for dense vectors"
+        n <= MAX_GROUND_ENERGY_QUBITS,
+        "Hamiltonian on {n} qubits exceeds the {MAX_GROUND_ENERGY_QUBITS}-qubit limit of dense \
+         vectors"
     );
     let op = GroupedPauliSum::new(h);
     let dim = 1usize << n;

@@ -40,6 +40,6 @@ mod statevector;
 
 pub use complex::Complex64;
 pub use density::DensityMatrix;
-pub use eigen::ground_energy;
+pub use eigen::{ground_energy, MAX_GROUND_ENERGY_QUBITS};
 pub use evaluate::DeviceEvaluator;
 pub use statevector::StateVector;

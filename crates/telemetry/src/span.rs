@@ -199,7 +199,7 @@ impl Drop for Span {
     }
 }
 
-/// Records an already-finished interval (e.g. a scheduler round stitched
+/// Records an already-finished interval (e.g. a GA round stitched
 /// from callback timestamps) as a child of the ambient context. `start_ns`
 /// and `end_ns` are [`mono_ns`] readings.
 pub fn record_complete(name: &str, start_ns: u64, end_ns: u64) {

@@ -8,7 +8,7 @@
 //! cargo run --release --example service_submit -- path/to/spec.json
 //! ```
 
-use clapton::runtime::EventKind;
+use clapton::runtime::{CancelToken, EventKind};
 use clapton::service::{ClaptonService, JobSpec};
 
 /// The whole job as data: what used to take a page of setup code is one
@@ -42,23 +42,29 @@ fn main() {
         std::process::exit(2);
     }
 
-    // 3. Submit onto the service's shared worker pool and stream progress
-    //    while the searches run.
+    // 3. Admit the job, run it on a thread of its own (its searches fan out
+    //    on the service's shared worker pool) and stream progress while it
+    //    runs. The channel closes when the job ends.
     let service = ClaptonService::new();
-    let handle = service.submit(spec).expect("validated above");
-    for event in handle.events() {
-        match event.kind {
-            EventKind::Started => println!("[{}] started", event.job),
-            EventKind::Round(round, best) => {
-                println!("[{}] round {round}: best loss {best:.6}", event.job)
+    let admitted = service.admit(spec).expect("validated above");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let report = std::thread::scope(|s| {
+        let job = s.spawn(|| service.execute_admitted(&admitted, Some(tx), CancelToken::new()));
+        for event in rx {
+            match event.kind {
+                EventKind::Started => println!("[{}] started", event.job),
+                EventKind::Round(round, best) => {
+                    println!("[{}] round {round}: best loss {best:.6}", event.job)
+                }
+                EventKind::Finished(outcome) => println!("[{}] {outcome}", event.job),
+                _ => {}
             }
-            EventKind::Finished(outcome) => println!("[{}] {outcome}", event.job),
-            _ => {}
         }
-    }
+        job.join().expect("job thread")
+    });
 
     // 4. One unified report across every requested method.
-    let report = handle.wait().expect("job converges");
+    let report = report.expect("job converges");
     println!("\nexact ground energy E0 = {:.6}", report.e0);
     if let (Some(cafqa), Some(clapton)) =
         (&report.cafqa_initial_energy, &report.clapton_initial_energy)
