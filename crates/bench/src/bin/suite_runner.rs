@@ -583,14 +583,6 @@ fn sweep(
         lease_ttl: args.lease_ttl,
         halt_after_rounds: args.halt_after_rounds,
         cache,
-        // Under an armed fault schedule a job may error far more than the
-        // usual attempt cap without being broken; injected faults are
-        // finite, so retrying forever still converges.
-        max_job_attempts: if clapton_runtime::failpoint::armed() {
-            usize::MAX
-        } else {
-            ShardWorkerConfig::default().max_job_attempts
-        },
         ..ShardWorkerConfig::default()
     };
     let pool = Arc::new(WorkerPool::with_workers(args.pool_workers));

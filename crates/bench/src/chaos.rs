@@ -149,12 +149,11 @@ pub fn run_chaos_suite(
 ) -> Result<ChaosOutcome, ClaptonError> {
     write_queue(root, specs)?;
     failpoint::install(chaos_schedule(seed, false));
+    // The armed schedule lifts the service's retry bound: injected faults
+    // are finite, so retrying always converges.
     let config = ShardWorkerConfig {
         worker_id: Some(format!("chaos-{seed}")),
         poll: Duration::from_millis(10),
-        // Terminal failure would poison the manifest; injected faults are
-        // finite, so unbounded retry always converges.
-        max_job_attempts: usize::MAX,
         ..ShardWorkerConfig::default()
     };
     let mut sweeps = 0;

@@ -26,7 +26,7 @@ use clapton_service::{
     AdmittedJob, CacheStore, ClaptonService, JobArtifactState, JobSpec, Report, SPEC_ARTIFACT,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -129,12 +129,6 @@ pub struct ShardWorkerConfig {
     /// Per-job round budget for this invocation (`--halt-after-rounds`);
     /// suspended jobs are not re-entered within the same invocation.
     pub halt_after_rounds: Option<u64>,
-    /// How many times this worker re-attempts a job whose execution failed
-    /// before persisting a terminal `failed` state. Transient faults —
-    /// injected failpoint errors, a quarantined-then-recovered artifact, a
-    /// flaky shared filesystem — cost a retry from the last checkpoint, not
-    /// the job.
-    pub max_job_attempts: usize,
     /// Persistent content-addressed result store this worker answers repeat
     /// work from (and writes back to). `None` keeps the cold path — the
     /// default, so chaos and determinism suites pin cold-path behavior
@@ -149,7 +143,6 @@ impl Default for ShardWorkerConfig {
             lease_ttl: clapton_runtime::DEFAULT_LEASE_TTL,
             poll: Duration::from_millis(100),
             halt_after_rounds: None,
-            max_job_attempts: 3,
             cache: None,
         }
     }
@@ -190,15 +183,18 @@ impl ShardOutcome {
 /// budget-suspended), claiming unfinished jobs through the lease protocol
 /// and executing them on `pool`.
 ///
-/// Jobs leased by a live peer are skipped; jobs whose lease went stale are
-/// taken over and resumed from their checkpoints. The worker exits when a
-/// full sweep finds nothing left to do.
+/// Jobs `ClaptonService::inspect` finds settled (a store-answered one
+/// included) are skipped without a claim, and so are jobs leased by a live
+/// peer; jobs whose lease went stale are taken over and resumed from their
+/// checkpoints. The worker exits when a full sweep finds nothing left to
+/// do.
 ///
 /// # Errors
 ///
 /// The first invalid spec, an artifact conflict, or artifact I/O failure.
-/// Per-job *execution* failures do not abort the sweep — they are persisted
-/// as terminal `failed` states and reported in the outcome.
+/// Per-job *execution* failures do not abort the sweep: the service retries
+/// them on later sweeps or records them `failed`
+/// (`ClaptonService::settle_failure`), and the outcome reports them.
 pub fn run_shard_worker(
     root: &Path,
     pool: Arc<WorkerPool>,
@@ -221,7 +217,6 @@ pub fn run_shard_worker(
         service = service.with_cache(Arc::clone(cache));
     }
     let mut suspended_here: HashSet<String> = HashSet::new();
-    let mut attempts: HashMap<String, usize> = HashMap::new();
     loop {
         let mut pending = 0usize;
         let mut open = 0usize;
@@ -253,15 +248,10 @@ pub fn run_shard_worker(
                 // Lost the claim race to a peer between the peer-lease check
                 // and acquisition — their job now.
                 Err(ClaptonError::Leased { .. }) => {}
+                // Retried on the next sweep, from the job's last valid
+                // checkpoint, until the service records it failed.
                 Err(e) => {
-                    // Execution failures are presumed transient until the
-                    // attempt budget is spent: the next sweep resumes from
-                    // the job's last valid checkpoint.
-                    let tried = attempts.entry(name).or_insert(0);
-                    *tried += 1;
-                    if *tried >= config.max_job_attempts {
-                        service.mark_failed(&admitted, &e.to_string())?;
-                    }
+                    service.settle_failure(&admitted, &e)?;
                     progressed = true;
                 }
             }

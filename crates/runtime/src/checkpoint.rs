@@ -439,8 +439,7 @@ impl RunRegistry {
     }
 
     /// Every run directory under the registry, sorted by name — the listing
-    /// queue-style consumers scan (a job server re-admitting persisted work
-    /// after a restart, `suite-runner --list`).
+    /// `suite-runner --list` prints.
     ///
     /// Dot-prefixed directories are reserved for registry-internal state
     /// (e.g. the `.cache` persistent result store) and never listed as runs.

@@ -96,7 +96,8 @@ pub struct TenantUsage {
     pub queued: usize,
     /// Jobs dispatched and currently executing.
     pub running: usize,
-    /// Jobs that reached a terminal state.
+    /// Jobs that reached a terminal state (done, cancelled or failed), each
+    /// counted once however many dispatches it took.
     pub completed: u64,
     /// The tenant's weighted-fair-queueing virtual time; its distance above
     /// [`QueueStats::vclock`] is the tenant's scheduling lag.
@@ -126,6 +127,23 @@ struct TenantState {
     bucket: TokenBucket,
     running: usize,
     completed: u64,
+}
+
+impl TenantState {
+    /// A tenant first seen at virtual time `clock`, with a full bucket.
+    fn new(clock: f64, weight: f64, burst: f64) -> TenantState {
+        TenantState {
+            queue: VecDeque::new(),
+            vtime: clock,
+            weight,
+            bucket: TokenBucket {
+                tokens: burst,
+                last: Instant::now(),
+            },
+            running: 0,
+            completed: 0,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -199,17 +217,7 @@ impl AdmissionQueue {
         let state = inner
             .tenants
             .entry(tenant.to_string())
-            .or_insert_with(|| TenantState {
-                queue: VecDeque::new(),
-                vtime: clock,
-                weight,
-                bucket: TokenBucket {
-                    tokens: self.config.burst,
-                    last: Instant::now(),
-                },
-                running: 0,
-                completed: 0,
-            });
+            .or_insert_with(|| TenantState::new(clock, weight, self.config.burst));
         if let Err(retry_after_secs) =
             state
                 .bucket
@@ -240,17 +248,7 @@ impl AdmissionQueue {
         let state = inner
             .tenants
             .entry(tenant.to_string())
-            .or_insert_with(|| TenantState {
-                queue: VecDeque::new(),
-                vtime: clock,
-                weight,
-                bucket: TokenBucket {
-                    tokens: self.config.burst,
-                    last: Instant::now(),
-                },
-                running: 0,
-                completed: 0,
-            });
+            .or_insert_with(|| TenantState::new(clock, weight, self.config.burst));
         state.queue.push_back(job);
         inner.depth += 1;
         drop(inner);
@@ -298,18 +296,27 @@ impl AdmissionQueue {
         removed > 0
     }
 
-    /// Records that a dispatched job of `tenant` reached a terminal state.
-    pub fn note_finished(&self, tenant: &str) {
+    /// Records that a dispatch of `tenant`'s job ended, whatever came of it:
+    /// the job is no longer running.
+    pub fn note_released(&self, tenant: &str) {
         let mut inner = self.inner.lock().expect("admission queue");
         if let Some(state) = inner.tenants.get_mut(tenant) {
             state.running = state.running.saturating_sub(1);
+        }
+    }
+
+    /// Records that a job of `tenant` reached a terminal state (done,
+    /// cancelled or failed). Call it once per job.
+    pub fn note_settled(&self, tenant: &str) {
+        let mut inner = self.inner.lock().expect("admission queue");
+        if let Some(state) = inner.tenants.get_mut(tenant) {
             state.completed += 1;
         }
     }
 
-    /// Closes the queue: nothing is admitted anymore, and dispatchers drain
-    /// the backlog… no — dispatchers stop at the *next* pop, leaving the
-    /// backlog durably recorded for the restarted server to resume.
+    /// Closes the queue: nothing is admitted anymore, and dispatchers stop
+    /// at their next pop instead of draining the backlog, which stays
+    /// durably recorded for the restarted server to resume.
     pub fn close(&self) {
         let mut inner = self.inner.lock().expect("admission queue");
         inner.closed = true;

@@ -17,7 +17,7 @@ use crate::http::{self, EventStream, ReadOutcome};
 use clapton_error::ClaptonError;
 use clapton_runtime::{failpoint, Artifact, CancelToken, RunDirectory, WorkerPool};
 use clapton_service::{
-    AdmittedJob, ClaptonService, JobArtifactState, JobLeaseView, JobSpec, Report,
+    AdmittedJob, ClaptonService, FailedAttempt, JobArtifactState, JobLeaseView, JobSpec, Report,
     TELEMETRY_ARTIFACT,
 };
 use clapton_telemetry::SpanNode;
@@ -160,7 +160,8 @@ pub struct TenantBody {
     pub queued: usize,
     /// Jobs currently executing.
     pub running: usize,
-    /// Jobs that reached a terminal state.
+    /// Jobs that reached a terminal state (done, cancelled or failed), each
+    /// counted once however many dispatches it took.
     pub completed: u64,
 }
 
@@ -226,6 +227,19 @@ enum JobState {
     Failed(String),
 }
 
+impl JobState {
+    /// The terminal state a settled job answers with, or `None` when it
+    /// still has work ahead of it.
+    fn settled(state: JobArtifactState) -> Option<JobState> {
+        match state {
+            JobArtifactState::Done(report) => Some(JobState::Done(report)),
+            JobArtifactState::Cancelled { rounds } => Some(JobState::Cancelled(rounds)),
+            JobArtifactState::Failed { detail } => Some(JobState::Failed(detail)),
+            JobArtifactState::Fresh | JobArtifactState::InFlight => None,
+        }
+    }
+}
+
 struct JobEntry {
     id: String,
     tenant: String,
@@ -235,11 +249,27 @@ struct JobEntry {
     events: Arc<EventLog>,
     state: Mutex<JobState>,
     dispatched: Mutex<Option<u64>>,
-    /// Failed execution attempts so far (see [`MAX_JOB_ATTEMPTS`]).
-    attempts: AtomicUsize,
 }
 
 impl JobEntry {
+    /// An entry in `state`; its event log stays open only for a queued job.
+    fn new(id: String, tenant: String, admitted: AdmittedJob, state: JobState) -> Arc<JobEntry> {
+        let events = EventLog::new();
+        if !matches!(state, JobState::Queued) {
+            events.close();
+        }
+        Arc::new(JobEntry {
+            id,
+            tenant,
+            name: admitted.job().name.clone(),
+            admitted,
+            cancel: CancelToken::new(),
+            events: Arc::new(events),
+            state: Mutex::new(state),
+            dispatched: Mutex::new(None),
+        })
+    }
+
     fn status_body(&self) -> JobStatusBody {
         let state = self.state.lock().expect("job state");
         let (state_name, rounds, detail, report) = match &*state {
@@ -282,13 +312,6 @@ impl JobEntry {
         )
     }
 }
-
-/// How many times a dispatcher re-attempts a job whose execution failed
-/// before recording a terminal `failed` state. Transient faults — a
-/// quarantined-then-recovered artifact, an injected failpoint error, a
-/// flaky shared filesystem — cost a retry from the last round checkpoint,
-/// not the job.
-const MAX_JOB_ATTEMPTS: usize = 3;
 
 /// The registry key claiming an artifact directory for a live job.
 fn dir_key(admitted: &AdmittedJob) -> String {
@@ -616,35 +639,17 @@ impl ServerInner {
             if let Some(owner) = self.service.leased_by_peer(&admitted)? {
                 count_recovery_leased_defer(&owner);
             }
-            let state = match self.service.inspect(&admitted)? {
-                JobArtifactState::Done(report) => JobState::Done(report),
-                JobArtifactState::Cancelled { rounds } => JobState::Cancelled(rounds),
-                JobArtifactState::Failed { detail } => JobState::Failed(detail),
-                // A fresh job the persistent store has already solved (the
-                // artifacts may be gone, but the cache survives lives)
-                // recovers straight to done — no requeue, no pool time.
-                JobArtifactState::Fresh => match self.service.answer_from_cache(&admitted)? {
-                    Some(report) => JobState::Done(Box::new(report)),
-                    None => JobState::Queued,
-                },
-                JobArtifactState::InFlight => JobState::Queued,
-            };
-            let requeue = matches!(state, JobState::Queued);
-            let events = Arc::new(EventLog::new());
-            if !requeue {
-                events.close();
-            }
-            let entry = Arc::new(JobEntry {
-                id: record.id.clone(),
-                tenant: record.tenant.clone(),
-                name: admitted.job().name.clone(),
-                cancel: CancelToken::new(),
-                dispatched: Mutex::new(None),
-                state: Mutex::new(state),
-                attempts: AtomicUsize::new(0),
+            // A settled job (its artifacts gone, perhaps, but the store
+            // survives lives) recovers straight to its terminal state — no
+            // requeue, no pool time.
+            let state = JobState::settled(self.service.inspect(&admitted)?);
+            let requeue = state.is_none();
+            let entry = JobEntry::new(
+                record.id.clone(),
+                record.tenant.clone(),
                 admitted,
-                events,
-            });
+                state.unwrap_or(JobState::Queued),
+            );
             let mut registry = self.registry.lock().expect("job registry");
             if requeue {
                 if let Some(dir) = entry.admitted.artifact_dir() {
@@ -680,102 +685,101 @@ impl ServerInner {
 
     fn dispatcher_loop(self: &Arc<ServerInner>) {
         while let Some((tenant, id)) = self.queue.pop() {
-            let Some(entry) = self.entry(&id) else {
-                continue;
-            };
-            if entry.cancel.is_cancelled() {
-                // Cancelled between admission and dispatch.
-                self.finish_cancelled(&entry, 0);
-                self.queue.note_finished(&tenant);
-                continue;
+            if let Some(entry) = self.entry(&id) {
+                self.dispatch(&entry);
             }
-            *entry.state.lock().expect("job state") = JobState::Running;
-            *entry.dispatched.lock().expect("dispatch seq") =
-                Some(self.dispatch_counter.fetch_add(1, Ordering::SeqCst) + 1);
-            self.running.fetch_add(1, Ordering::SeqCst);
-            let (tx, rx) = std::sync::mpsc::channel();
-            let forwarder = {
-                let events = Arc::clone(&entry.events);
-                std::thread::spawn(move || {
-                    for event in rx {
-                        events.push(event);
-                    }
-                })
-            };
-            let result =
-                self.service
-                    .execute_admitted(&entry.admitted, Some(tx), entry.cancel.clone());
-            let _ = forwarder.join();
-            self.running.fetch_sub(1, Ordering::SeqCst);
-            match result {
-                Ok(report) => {
-                    *entry.state.lock().expect("job state") = JobState::Done(Box::new(report));
-                    entry.events.close();
-                    self.retire_active(&entry);
-                    count_finished(&tenant, "done");
-                }
-                Err(ClaptonError::Cancelled { rounds }) => {
-                    *entry.state.lock().expect("job state") = JobState::Cancelled(rounds);
-                    entry.events.close();
-                    self.retire_active(&entry);
-                    count_finished(&tenant, "cancelled");
-                }
-                Err(ClaptonError::Suspended { rounds }) => {
-                    if self.shutting_down.load(Ordering::SeqCst) {
-                        // Drain: the checkpoint is on disk and the queue
-                        // record survives; the next server life resumes it.
-                        *entry.state.lock().expect("job state") = JobState::Suspended(rounds);
-                        entry.events.close();
-                        count_finished(&tenant, "suspended");
-                    } else {
-                        // Budget suspension: the server owns the resubmit
-                        // loop, so the job goes straight back in line.
-                        *entry.state.lock().expect("job state") = JobState::Queued;
-                        self.queue.readmit(&tenant, id);
-                    }
-                }
-                Err(ClaptonError::Leased { .. }) => {
-                    // A live peer beat this dispatcher to the job's lease.
-                    // The artifacts are untouched; put the job back in line
-                    // and let a later dispatch find the lease released (or
-                    // the job finished by the peer). The brief sleep keeps a
-                    // single-job queue from spinning against a held lease.
-                    *entry.state.lock().expect("job state") = JobState::Queued;
-                    self.queue.readmit(&tenant, id);
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(other) => {
-                    let tried = entry.attempts.fetch_add(1, Ordering::SeqCst) + 1;
-                    if tried < MAX_JOB_ATTEMPTS {
-                        // Presumed transient: back in line, resuming from
-                        // the last valid round checkpoint. The sleep keeps
-                        // a single-job queue from hot-spinning on a fault
-                        // that needs a moment (or a peer) to clear.
-                        *entry.state.lock().expect("job state") = JobState::Queued;
-                        self.queue.readmit(&tenant, id);
-                        std::thread::sleep(Duration::from_millis(50));
-                    } else {
-                        let detail = other.to_string();
-                        let _ = self.service.mark_failed(&entry.admitted, &detail);
-                        *entry.state.lock().expect("job state") = JobState::Failed(detail);
-                        entry.events.close();
-                        self.retire_active(&entry);
-                        count_finished(&tenant, "failed");
-                    }
-                }
-            }
-            self.queue.note_finished(&tenant);
+            // Every pass releases its dispatch, whatever became of the job.
+            self.queue.note_released(&tenant);
         }
+    }
+
+    /// One dispatch of a popped job: run it, then settle it or put it back
+    /// in line.
+    fn dispatch(&self, entry: &JobEntry) {
+        if entry.cancel.is_cancelled() {
+            // Cancelled between admission and dispatch.
+            self.finish_cancelled(entry, 0);
+            return;
+        }
+        *entry.state.lock().expect("job state") = JobState::Running;
+        *entry.dispatched.lock().expect("dispatch seq") =
+            Some(self.dispatch_counter.fetch_add(1, Ordering::SeqCst) + 1);
+        self.running.fetch_add(1, Ordering::SeqCst);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let forwarder = {
+            let events = Arc::clone(&entry.events);
+            std::thread::spawn(move || {
+                for event in rx {
+                    events.push(event);
+                }
+            })
+        };
+        let result = self
+            .service
+            .execute_admitted(&entry.admitted, Some(tx), entry.cancel.clone());
+        let _ = forwarder.join();
+        self.running.fetch_sub(1, Ordering::SeqCst);
+        match result {
+            Ok(report) => self.settle(entry, JobState::Done(Box::new(report)), "done"),
+            Err(ClaptonError::Cancelled { rounds }) => {
+                self.settle(entry, JobState::Cancelled(rounds), "cancelled")
+            }
+            Err(ClaptonError::Suspended { rounds })
+                if self.shutting_down.load(Ordering::SeqCst) =>
+            {
+                // Drain: the checkpoint is on disk and the queue record
+                // survives; the next server life resumes it.
+                *entry.state.lock().expect("job state") = JobState::Suspended(rounds);
+                entry.events.close();
+                count_finished(&entry.tenant, "suspended");
+            }
+            // Budget suspension: the server owns the resubmit loop, so the
+            // job goes straight back in line.
+            Err(ClaptonError::Suspended { .. }) => self.requeue(entry),
+            // A live peer beat this dispatcher to the job's lease (the
+            // artifacts are untouched), or the service retries a failed
+            // attempt from its last round checkpoint: back in line behind
+            // other tenants' work. The brief sleep keeps a single-job queue
+            // from spinning against a held lease or a fault that needs a
+            // moment to clear.
+            Err(ClaptonError::Leased { .. }) => self.requeue_after_pause(entry),
+            Err(error) => match self.service.settle_failure(&entry.admitted, &error) {
+                Ok(FailedAttempt::Retry) => self.requeue_after_pause(entry),
+                // Recorded, or not even that: this life gives up either way.
+                Ok(FailedAttempt::Recorded) | Err(_) => {
+                    self.settle(entry, JobState::Failed(error.to_string()), "failed")
+                }
+            },
+        }
+    }
+
+    fn requeue(&self, entry: &JobEntry) {
+        *entry.state.lock().expect("job state") = JobState::Queued;
+        self.queue.readmit(&entry.tenant, entry.id.clone());
+    }
+
+    fn requeue_after_pause(&self, entry: &JobEntry) {
+        self.requeue(entry);
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    /// Records a terminal state: counts the job once, by outcome and as one
+    /// of its tenant's `completed` jobs (before the state shows, so a client
+    /// that sees the job settled sees it counted), closes its event log and
+    /// frees its artifact directory.
+    fn settle(&self, entry: &JobEntry, state: JobState, outcome: &str) {
+        count_finished(&entry.tenant, outcome);
+        self.queue.note_settled(&entry.tenant);
+        *entry.state.lock().expect("job state") = state;
+        entry.events.close();
+        self.retire_active(entry);
     }
 
     /// Persists and records a cancellation that won the race against
     /// dispatch (the job never ran; `rounds` completed beforehand).
     fn finish_cancelled(&self, entry: &JobEntry, rounds: usize) {
         let _ = self.service.mark_cancelled(&entry.admitted, rounds);
-        *entry.state.lock().expect("job state") = JobState::Cancelled(rounds);
-        entry.events.close();
-        self.retire_active(entry);
-        count_finished(&entry.tenant, "cancelled");
+        self.settle(entry, JobState::Cancelled(rounds), "cancelled");
     }
 
     fn queue_body(&self) -> QueueBody {
@@ -1048,63 +1052,26 @@ impl ServerInner {
             }
             Err(e) => return self.respond_error(stream, 500, &[], &e.to_string()),
         };
-        match self.service.inspect(&admitted) {
-            Ok(JobArtifactState::Fresh) => {
-                // Warm admission: a spec the persistent store has already
-                // solved (in any process sharing this registry) is answered
-                // here — no admission tokens, no queue slot, no pool time.
-                // The active-job guard matches the answered-from-artifacts
-                // branch below: a live entry owns the directory.
-                let active = self
-                    .registry
-                    .lock()
-                    .expect("job registry")
-                    .active_by_dir
-                    .get(&dir_key(&admitted))
-                    .cloned();
-                if active.is_none() {
-                    match self.service.answer_from_cache(&admitted) {
-                        Ok(Some(report)) => {
-                            let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
-                            let entry = self.insert_entry(
-                                format!("job-{seq:06}"),
-                                tenant,
-                                admitted,
-                                JobState::Done(Box::new(report)),
-                            );
-                            return self.respond_entry(stream, 200, &entry);
-                        }
-                        Ok(None) => {}
-                        Err(e) => return self.respond_error(stream, 500, &[], &e.to_string()),
-                    }
-                }
-            }
-            Ok(JobArtifactState::InFlight) => {}
-            Ok(terminal) => {
-                // Answered from artifacts: no admission, no dispatch — but
-                // only if no live job owns the directory (the running job
-                // is the source of truth while it's in flight).
-                let dir_key = dir_key(&admitted);
-                let active = self
-                    .registry
-                    .lock()
-                    .expect("job registry")
-                    .active_by_dir
-                    .get(&dir_key)
-                    .cloned();
-                if active.is_none() {
-                    let state = match terminal {
-                        JobArtifactState::Done(report) => JobState::Done(report),
-                        JobArtifactState::Cancelled { rounds } => JobState::Cancelled(rounds),
-                        JobArtifactState::Failed { detail } => JobState::Failed(detail),
-                        JobArtifactState::Fresh | JobArtifactState::InFlight => unreachable!(),
-                    };
-                    let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
-                    let entry = self.insert_entry(format!("job-{seq:06}"), tenant, admitted, state);
-                    return self.respond_entry(stream, 200, &entry);
-                }
-            }
+        let settled = match self.service.inspect(&admitted) {
+            Ok(state) => JobState::settled(state),
             Err(e) => return self.respond_error(stream, 500, &[], &e.to_string()),
+        };
+        if let Some(state) = settled {
+            // Answered without running — from the job's artifacts or the
+            // persistent store (in any process sharing this registry): no
+            // admission tokens, no queue slot, no pool time. But only if no
+            // live job owns the directory: the running job is the source of
+            // truth while it's in flight.
+            let key = dir_key(&admitted);
+            let mut registry = self.registry.lock().expect("job registry");
+            if !registry.active_by_dir.contains_key(&key) {
+                let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
+                let id = format!("job-{seq:06}");
+                let entry = JobEntry::new(id.clone(), tenant, admitted, state);
+                registry.jobs.insert(id, Arc::clone(&entry));
+                drop(registry);
+                return self.respond_entry(stream, 200, &entry);
+            }
         }
         let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
         let id = format!("job-{seq:06}");
@@ -1177,36 +1144,6 @@ impl ServerInner {
         }
     }
 
-    /// Inserts a terminal (never-dispatched) entry: closed event log, not
-    /// in the active map.
-    fn insert_entry(
-        &self,
-        id: String,
-        tenant: String,
-        admitted: AdmittedJob,
-        state: JobState,
-    ) -> Arc<JobEntry> {
-        let events = Arc::new(EventLog::new());
-        events.close();
-        let entry = Arc::new(JobEntry {
-            id: id.clone(),
-            name: admitted.job().name.clone(),
-            cancel: CancelToken::new(),
-            dispatched: Mutex::new(None),
-            state: Mutex::new(state),
-            attempts: AtomicUsize::new(0),
-            tenant,
-            admitted,
-            events,
-        });
-        self.registry
-            .lock()
-            .expect("job registry")
-            .jobs
-            .insert(id, Arc::clone(&entry));
-        entry
-    }
-
     /// Inserts a queued entry and claims its artifact directory, or returns
     /// the live entry already owning that directory.
     fn try_insert_active(
@@ -1224,17 +1161,7 @@ impl ServerInner {
         {
             return Err(Arc::clone(existing));
         }
-        let entry = Arc::new(JobEntry {
-            id: id.clone(),
-            name: admitted.job().name.clone(),
-            cancel: CancelToken::new(),
-            dispatched: Mutex::new(None),
-            state: Mutex::new(JobState::Queued),
-            events: Arc::new(EventLog::new()),
-            attempts: AtomicUsize::new(0),
-            tenant,
-            admitted,
-        });
+        let entry = JobEntry::new(id.clone(), tenant, admitted, JobState::Queued);
         registry.active_by_dir.insert(key, id.clone());
         registry.jobs.insert(id, Arc::clone(&entry));
         Ok(entry)

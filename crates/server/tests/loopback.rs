@@ -150,6 +150,44 @@ fn fair_share_interleaves_two_tenants_bursts() {
 }
 
 #[test]
+fn a_budgeted_job_completes_once_however_many_dispatches_it_takes() {
+    let root = scratch("budgeted");
+    let (handle, serve) = start(ServerConfig::new(&root));
+    let client = Client::new(handle.local_addr().to_string()).with_tenant("budgeted");
+    let mut spec = quick_spec(31);
+    spec.budget = Some(1);
+    let id = client.submit(&spec_json(&spec)).unwrap().job().unwrap().id;
+    let job = client.wait(&id, Duration::from_secs(120)).unwrap();
+    assert_eq!(job.state, "done");
+    let rounds = job
+        .report
+        .expect("done jobs carry the report")
+        .clapton
+        .unwrap()
+        .rounds;
+    assert!(rounds > 1, "one round per dispatch, so {rounds} dispatches");
+    // The dispatcher releases the job's last dispatch just after settling
+    // it; the count of completed jobs is already final.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let tenant = loop {
+        let queue = client.queue().expect("queue stats");
+        let tenant = queue
+            .tenants
+            .into_iter()
+            .find(|t| t.tenant == "budgeted")
+            .unwrap();
+        assert_eq!(tenant.completed, 1, "counted once, not once per dispatch");
+        if tenant.running == 0 || std::time::Instant::now() > deadline {
+            break tenant;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!((tenant.queued, tenant.running), (0, 0));
+    stop(handle, serve);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn full_queue_and_rate_limits_shed_with_retry_after() {
     let root = scratch("shed");
     let mut config = ServerConfig::new(&root);

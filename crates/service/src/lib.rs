@@ -41,8 +41,8 @@ pub use clapton_cache::{CacheConfig, CacheStore, CacheStoreStats, CACHE_DIR_NAME
 pub use clapton_error::{ClaptonError, SpecError};
 pub use report::Report;
 pub use service::{
-    AdmittedJob, ClaptonService, JobArtifactState, JobLeaseView, TerminalState, SPEC_ARTIFACT,
-    TELEMETRY_ARTIFACT,
+    AdmittedJob, ClaptonService, FailedAttempt, JobArtifactState, JobLeaseView, TerminalState,
+    SPEC_ARTIFACT, TELEMETRY_ARTIFACT,
 };
 pub use spec::{
     BackendSpec, EngineSpec, ExplicitNoise, JobSpec, MethodSpec, NamedBackend, NoiseSpec,

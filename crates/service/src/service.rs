@@ -8,18 +8,19 @@ use clapton_core::{device_energy, run_cafqa, run_clapton_resumable, run_ncafqa, 
 use clapton_error::{ClaptonError, SpecError};
 use clapton_ga::{EngineState, MemoEntry};
 use clapton_runtime::{
-    artifact_slug, Artifact, CancelToken, ClaimOutcome, EventKind, Interrupt, LeaseKeeper,
-    RunDirectory, RunEvent, RunManifest, RunRegistry, WorkerPool,
+    artifact_slug, failpoint, Artifact, CancelToken, ClaimOutcome, EventKind, Interrupt,
+    LeaseKeeper, RunDirectory, RunEvent, RunManifest, RunRegistry, WorkerPool,
 };
 use clapton_telemetry::metrics::{registry, Counter, Histogram};
 use clapton_vqe::{run_vqe, VqeConfig};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The spec a job was admitted with, inside its run directory. Public so
@@ -46,9 +47,10 @@ const STATE_ARTIFACT: &str = "state.json";
 pub const TELEMETRY_ARTIFACT: &str = "telemetry.jsonl";
 
 /// A persisted terminal state beside a job's artifacts: a job that ended
-/// without a report (`cancelled`, or a server-recorded `failed`) leaves this
-/// marker so resubmissions and crash-recovery scans see the outcome instead
-/// of silently re-running the job.
+/// without a report (`cancelled`, or `failed` as
+/// [`ClaptonService::settle_failure`] records it) leaves this marker so
+/// resubmissions and crash-recovery scans see the outcome instead of
+/// silently re-running the job.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TerminalState {
     /// `"cancelled"` or `"failed"`.
@@ -99,6 +101,10 @@ fn report_key(job: &ResolvedJob) -> Vec<u8> {
         .expect("spec serializes")
         .into_bytes()
 }
+
+/// Failed attempts after which [`ClaptonService::settle_failure`] records a
+/// job `failed` (no bound while a fault schedule is armed).
+const JOB_ATTEMPTS: usize = 3;
 
 /// The metrics every job run through [`ClaptonService::execute_admitted`]
 /// feeds.
@@ -205,6 +211,9 @@ pub struct ClaptonService {
     cache: Option<Arc<CacheStore>>,
     /// `E0` per problem, shared by every job this service runs.
     ground_energies: Arc<GroundEnergies>,
+    /// Failed attempts per job directory (its slug) since the job last
+    /// succeeded or was recorded failed on this service.
+    failed_attempts: Mutex<HashMap<String, usize>>,
     worker_id: String,
     lease_ttl: Duration,
 }
@@ -229,6 +238,7 @@ impl ClaptonService {
             artifacts: None,
             cache: None,
             ground_energies: Arc::default(),
+            failed_attempts: Mutex::default(),
             worker_id: clapton_runtime::default_worker_id().to_string(),
             lease_ttl: clapton_runtime::DEFAULT_LEASE_TTL,
         }
@@ -360,65 +370,113 @@ impl ClaptonService {
             last_mark: Cell::new(0),
         };
         progress.emit(EventKind::Started);
-        panic::catch_unwind(AssertUnwindSafe(|| self.execute(admitted, &progress))).unwrap_or_else(
-            |payload| {
+        let result = panic::catch_unwind(AssertUnwindSafe(|| self.execute(admitted, &progress)))
+            .unwrap_or_else(|payload| {
                 Err(ClaptonError::JobAborted {
                     job: admitted.job.name.clone(),
                     detail: panic_text(payload.as_ref()),
                 })
-            },
-        )
+            });
+        if result.is_ok() {
+            let mut attempts = self.failed_attempts.lock().expect("failed attempts");
+            attempts.remove(&job_slug(&admitted.job));
+        }
+        result
     }
 
-    /// What the artifact store knows about an admitted job — the queue
-    /// introspection hook crash-recovering front ends scan on startup to
-    /// decide which persisted jobs still need work. Without an artifact
-    /// root every job is [`JobArtifactState::Fresh`].
+    /// Whether an admitted job is already settled, and how: the one check
+    /// every front end makes before running a job, and that the job body
+    /// makes again. It reads, in order, the job's `report.json`, a recorded
+    /// cancellation, the attached store's report tier (a hit is written to
+    /// `report.json`, so later checks answer from the artifact), a recorded
+    /// failure, and the round checkpoints. Without an artifact root only
+    /// the store is consulted.
     ///
     /// # Errors
     ///
-    /// [`ClaptonError::Io`] when the artifacts exist but cannot be read.
+    /// [`ClaptonError::Io`] when the artifacts exist but cannot be read, or
+    /// a stored report cannot be written to `report.json`.
     pub fn inspect(&self, admitted: &AdmittedJob) -> Result<JobArtifactState, ClaptonError> {
-        let Some(dir) = &admitted.dir else {
-            return Ok(JobArtifactState::Fresh);
-        };
-        // Corrupt artifacts are quarantined by `load` and treated as absent
-        // here: the scan falls through to the next recovery source instead
-        // of failing the whole startup sweep over one torn file. A report
-        // outranks a terminal marker: a job rerun after a recorded failure
-        // holds both.
-        if let Artifact::Valid(report) = dir.load::<Report>(REPORT_ARTIFACT)? {
-            return Ok(JobArtifactState::Done(Box::new(report)));
+        let dir = admitted.dir.as_ref();
+        // Corrupt artifacts are quarantined by `load` and read as absent, so
+        // the check falls through to the next source instead of failing a
+        // whole recovery sweep over one torn file. A recorded cancellation
+        // is sticky; a recorded failure does not outrank a report from
+        // either source (a job rerun after a recorded failure holds both).
+        let mut failure = None;
+        if let Some(dir) = dir {
+            if let Artifact::Valid(report) = dir.load::<Report>(REPORT_ARTIFACT)? {
+                return Ok(JobArtifactState::Done(Box::new(report)));
+            }
+            if let Artifact::Valid(state) = dir.load::<TerminalState>(STATE_ARTIFACT)? {
+                if state.state == "cancelled" {
+                    return Ok(JobArtifactState::Cancelled {
+                        rounds: state.rounds,
+                    });
+                }
+                failure = Some(state.detail);
+            }
         }
-        if let Artifact::Valid(state) = dir.load::<TerminalState>(STATE_ARTIFACT)? {
-            return Ok(match state.state.as_str() {
-                "cancelled" => JobArtifactState::Cancelled {
-                    rounds: state.rounds,
-                },
-                _ => JobArtifactState::Failed {
-                    detail: state.detail,
-                },
-            });
+        if let Some(cache) = &self.cache {
+            let key = report_key(&admitted.job);
+            if let Some(report) = cache.get_json::<Report>(report_namespace(), &key) {
+                if let Some(dir) = dir {
+                    // Atomic and value-identical to what any racing worker
+                    // would write, so no lease is needed for this artifact.
+                    dir.write_json(REPORT_ARTIFACT, &report)?;
+                }
+                return Ok(JobArtifactState::Done(Box::new(report)));
+            }
         }
-        if dir.exists(CHECKPOINT_ARTIFACT) || dir.exists(CHECKPOINT_PREV_ARTIFACT) {
+        if let Some(detail) = failure {
+            return Ok(JobArtifactState::Failed { detail });
+        }
+        if dir.is_some_and(|d| d.exists(CHECKPOINT_ARTIFACT) || d.exists(CHECKPOINT_PREV_ARTIFACT))
+        {
             return Ok(JobArtifactState::InFlight);
         }
         Ok(JobArtifactState::Fresh)
     }
 
-    /// Persists a terminal `failed` state beside the job's artifacts, so a
-    /// later [`ClaptonService::inspect`] (e.g. after a server restart) sees
-    /// the failure instead of silently re-running the job. A no-op without
-    /// an artifact root.
+    /// Settles a failed [`ClaptonService::execute_admitted`] attempt: the
+    /// one retry policy of every front end. A panicking job body
+    /// ([`ClaptonError::JobAborted`]) fails the same way every time, so it
+    /// is recorded `failed` at once. Any other failure is presumed
+    /// transient: the job runs again, resuming from its last round
+    /// checkpoint, and is recorded on its third failure on this service
+    /// since it last succeeded or was recorded. While a fault schedule is armed
+    /// ([`failpoint::armed`]) such retries have no bound, since injected
+    /// faults are finite. A recorded failure is `state.json`'s `failed`,
+    /// which [`ClaptonService::inspect`] reads back as
+    /// [`JobArtifactState::Failed`] (nothing is written without an artifact
+    /// root).
+    ///
+    /// Cancellation, suspension and a peer's lease
+    /// ([`ClaptonError::Cancelled`], [`ClaptonError::Suspended`],
+    /// [`ClaptonError::Leased`]) are not failures; front ends handle them.
     ///
     /// # Errors
     ///
-    /// [`ClaptonError::Io`] when the marker cannot be written.
-    pub fn mark_failed(&self, admitted: &AdmittedJob, detail: &str) -> Result<(), ClaptonError> {
-        if let Some(dir) = &admitted.dir {
-            write_terminal_state(dir, "failed", 0, detail)?;
+    /// [`ClaptonError::Io`] when the failure cannot be recorded.
+    pub fn settle_failure(
+        &self,
+        admitted: &AdmittedJob,
+        error: &ClaptonError,
+    ) -> Result<FailedAttempt, ClaptonError> {
+        let slug = job_slug(&admitted.job);
+        let mut attempts = self.failed_attempts.lock().expect("failed attempts");
+        let tried = attempts.entry(slug.clone()).or_insert(0);
+        *tried += 1;
+        let aborted = matches!(error, ClaptonError::JobAborted { .. });
+        if !aborted && (*tried < JOB_ATTEMPTS || failpoint::armed()) {
+            return Ok(FailedAttempt::Retry);
         }
-        Ok(())
+        attempts.remove(&slug);
+        drop(attempts);
+        if let Some(dir) = &admitted.dir {
+            write_terminal_state(dir, "failed", 0, &error.to_string())?;
+        }
+        Ok(FailedAttempt::Recorded)
     }
 
     /// Persists a terminal `cancelled` state recording `rounds` completed
@@ -439,38 +497,6 @@ impl ClaptonService {
             write_terminal_state(dir, "cancelled", rounds, "")?;
         }
         Ok(())
-    }
-
-    /// Answers an admitted job from the persistent result store without
-    /// executing anything: a report cached under the job's spec identity
-    /// (by this process or any earlier one sharing the store) is
-    /// materialized into the job's artifact directory — so `inspect` and
-    /// resubmissions see a completed job — and returned. `None` on a cache
-    /// miss or without an attached store.
-    ///
-    /// This is the warm-admission fast path front ends take before
-    /// dispatching to the pool.
-    ///
-    /// # Errors
-    ///
-    /// [`ClaptonError::Io`] when the cached report cannot be persisted.
-    pub fn answer_from_cache(
-        &self,
-        admitted: &AdmittedJob,
-    ) -> Result<Option<Report>, ClaptonError> {
-        let Some(cache) = &self.cache else {
-            return Ok(None);
-        };
-        let Some(report) = cache.get_json::<Report>(report_namespace(), &report_key(&admitted.job))
-        else {
-            return Ok(None);
-        };
-        if let Some(dir) = &admitted.dir {
-            // Atomic and value-identical to what any racing worker would
-            // write, so no lease is needed for this single artifact.
-            dir.write_json(REPORT_ARTIFACT, &report)?;
-        }
-        Ok(Some(report))
     }
 
     /// What the shared work queue knows about an admitted job: who (if
@@ -702,29 +728,41 @@ pub struct JobLeaseView {
     pub cache_hits: Option<u64>,
 }
 
-/// What a job's persisted artifacts say about it (see
-/// [`ClaptonService::inspect`]).
+/// Whether a job is settled, as [`ClaptonService::inspect`] reads it from
+/// the job's artifacts and the attached store.
 #[derive(Debug)]
 pub enum JobArtifactState {
-    /// No artifacts yet (or no artifact root): the job has all its work
-    /// ahead of it.
+    /// Nothing settles the job and no round is banked (or there is no
+    /// artifact root): it has all its work ahead of it.
     Fresh,
-    /// A round checkpoint exists but no terminal artifact: the job was
+    /// A round checkpoint exists but nothing settles the job: it was
     /// interrupted mid-run and will resume from the checkpoint.
     InFlight,
-    /// The job completed; the persisted report.
+    /// The job completed: its `report.json`, or the report the store holds
+    /// for its spec (then written to `report.json`).
     Done(Box<Report>),
     /// The job was cancelled after `rounds` rounds (terminal).
     Cancelled {
         /// GA rounds completed before cancellation.
         rounds: usize,
     },
-    /// A front end recorded a terminal failure (see
-    /// [`ClaptonService::mark_failed`]).
+    /// The service recorded the job failed (see
+    /// [`ClaptonService::settle_failure`]) and no report settles it. A
+    /// resubmission is answered with the failure; executing the job again
+    /// reruns it.
     Failed {
         /// The recorded failure detail.
         detail: String,
     },
+}
+
+/// What [`ClaptonService::settle_failure`] made of a failed attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailedAttempt {
+    /// Run the job again: it resumes from its last round checkpoint.
+    Retry,
+    /// The job is recorded `failed`.
+    Recorded,
 }
 
 /// Renders a captured panic payload as text for [`ClaptonError::JobAborted`].
@@ -925,9 +963,9 @@ impl ClaptonService {
         result
     }
 
-    /// The job itself: answer from the job's artifacts or the persistent
-    /// store when they already hold the outcome, else run the requested
-    /// methods, checkpointing every Clapton round, and write the report.
+    /// The job itself: answer it when [`ClaptonService::inspect`] finds it
+    /// settled, else run the requested methods, checkpointing every Clapton
+    /// round, and write the report.
     fn execute_inner(
         &self,
         admitted: &AdmittedJob,
@@ -944,7 +982,7 @@ impl ClaptonService {
         match self.inspect(admitted)? {
             JobArtifactState::Done(report) => {
                 progress.emit(EventKind::Finished(
-                    "already complete (answered from persisted report)".to_string(),
+                    "already complete (answered without running)".to_string(),
                 ));
                 return Ok(*report);
             }
@@ -955,15 +993,6 @@ impl ClaptonService {
             JobArtifactState::Fresh
             | JobArtifactState::InFlight
             | JobArtifactState::Failed { .. } => {}
-        }
-        // The report tier of the persistent store: a spec already solved —
-        // by this process or any earlier one sharing the store — answers
-        // without running anything.
-        if let Some(report) = self.answer_from_cache(admitted)? {
-            progress.emit(EventKind::Finished(
-                "already solved (answered from persistent cache)".to_string(),
-            ));
-            return Ok(report);
         }
         let AdmittedJob { job, dir, .. } = admitted;
         let dir = dir.as_ref();
@@ -1302,6 +1331,60 @@ mod tests {
             let fresh = inline_service().run(ising4(seed)).unwrap();
             assert_eq!(report_json(result.as_ref().unwrap()), report_json(&fresh));
         }
+    }
+
+    #[test]
+    fn failures_are_retried_twice_then_recorded_and_aborts_at_once() {
+        let _gate = failpoint::tests_exclusive();
+        let root =
+            std::env::temp_dir().join(format!("clapton-service-failures-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let svc = inline_service().with_artifacts(&root).unwrap();
+        let [aborted, flaky, armed, recovers] =
+            [1, 2, 3, 4].map(|seed| svc.admit(ising4(seed)).unwrap());
+        let io = || ClaptonError::Io(io::Error::other("flaky disk"));
+        let settle =
+            |job: &AdmittedJob, error: ClaptonError| svc.settle_failure(job, &error).unwrap();
+        let failed = |job: &AdmittedJob| match svc.inspect(job).unwrap() {
+            JobArtifactState::Failed { detail } => Some(detail),
+            _ => None,
+        };
+        // A panicking body fails the same way every time.
+        let abort = ClaptonError::JobAborted {
+            job: "ising(J=0.50)".to_string(),
+            detail: "the job body panicked".to_string(),
+        };
+        let abort_text = abort.to_string();
+        assert_eq!(settle(&aborted, abort), FailedAttempt::Recorded);
+        assert_eq!(failed(&aborted), Some(abort_text));
+        // Anything else is retried twice and recorded on the third failure.
+        for _ in 0..2 {
+            assert_eq!(settle(&flaky, io()), FailedAttempt::Retry);
+            assert_eq!(failed(&flaky), None);
+        }
+        assert_eq!(settle(&flaky, io()), FailedAttempt::Recorded);
+        assert_eq!(failed(&flaky), Some(io().to_string()));
+        // An armed fault schedule lifts the bound.
+        failpoint::install(vec![failpoint::FailRule::at(
+            "service.tests.never_hit",
+            failpoint::FailAction::Err,
+            &[1],
+        )]);
+        let retried: Vec<FailedAttempt> = (0..10).map(|_| settle(&armed, io())).collect();
+        failpoint::clear();
+        assert_eq!(retried, vec![FailedAttempt::Retry; 10]);
+        assert_eq!(failed(&armed), None);
+        // A success resets the count.
+        for _ in 0..2 {
+            assert_eq!(settle(&recovers, io()), FailedAttempt::Retry);
+        }
+        svc.execute_admitted(&recovers, None, CancelToken::new())
+            .unwrap();
+        for _ in 0..2 {
+            assert_eq!(settle(&recovers, io()), FailedAttempt::Retry);
+        }
+        assert_eq!(settle(&recovers, io()), FailedAttempt::Recorded);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -27,7 +27,7 @@ use clapton_ga::MultiGaConfig;
 use clapton_models::benchmark_by_name;
 use clapton_noise::NoiseModel;
 use clapton_pauli::{PauliString, PauliSum};
-use clapton_sim::MAX_GROUND_ENERGY_QUBITS;
+use clapton_sim::{MAX_DENSITY_QUBITS, MAX_GROUND_ENERGY_QUBITS};
 use serde::{Deserialize, Serialize};
 
 /// The newest spec version this build understands.
@@ -279,7 +279,9 @@ impl JobSpec {
     ///
     /// A [`SpecError`] naming exactly what is wrong: unknown problem or
     /// backend names (with the available registry listed), qubit mismatches,
-    /// registers over [`MAX_GROUND_ENERGY_QUBITS`], probabilities outside
+    /// registers over [`MAX_GROUND_ENERGY_QUBITS`] (or over
+    /// [`MAX_DENSITY_QUBITS`] when the density matrix computes the job's
+    /// device energies), probabilities outside
     /// `[0, 1]`, zero shot budgets, empty or inconsistent method sets, and
     /// unsupported spec versions.
     pub fn validate(&self) -> Result<ResolvedJob, SpecError> {
@@ -325,7 +327,7 @@ impl JobSpec {
                 reason: "a zero round budget can never make progress".to_string(),
             });
         }
-        Ok(ResolvedJob {
+        let job = ResolvedJob {
             name: self.display_name(),
             hamiltonian,
             backend,
@@ -339,7 +341,22 @@ impl JobSpec {
             methods: self.methods.clone(),
             budget: self.budget,
             spec: self.clone(),
-        })
+        };
+        // The density matrix computes every device energy under relaxation
+        // and every VQE step (SPSA's θ is non-Clifford).
+        let dense = job.exec.noise_model().has_relaxation() || job.vqe_iterations().is_some();
+        if dense && job.exec.num_qubits() > MAX_DENSITY_QUBITS {
+            return Err(SpecError::InvalidField {
+                field: "problem.qubits".to_string(),
+                reason: format!(
+                    "{} qubits exceed the {MAX_DENSITY_QUBITS}-qubit limit of the density-matrix \
+                     device model, which runs every energy under T1 relaxation and every \
+                     VqeRefine step",
+                    job.exec.num_qubits()
+                ),
+            });
+        }
+        Ok(job)
     }
 
     fn resolve_problem(&self) -> Result<PauliSum, SpecError> {

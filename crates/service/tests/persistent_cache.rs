@@ -4,8 +4,8 @@
 
 use clapton_runtime::WorkerPool;
 use clapton_service::{
-    CacheConfig, CacheStore, ClaptonService, EngineSpec, JobSpec, MethodSpec, NoiseSpec,
-    ProblemSpec, SuiteProblem, UniformNoise,
+    CacheConfig, CacheStore, ClaptonError, ClaptonService, EngineSpec, JobArtifactState, JobSpec,
+    MethodSpec, NoiseSpec, ProblemSpec, SuiteProblem, UniformNoise,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -105,29 +105,56 @@ fn loss_tier_answers_across_distinct_specs_sharing_the_objective() {
 }
 
 #[test]
-fn answer_from_cache_materializes_the_report_for_admission() {
+fn inspect_answers_from_the_store_and_materializes_the_report() {
     let root = scratch("admission");
     let pool = Arc::new(WorkerPool::with_workers(2));
     let service = service_with(&root, &pool);
 
     let admitted = service.admit(quick_spec(9)).unwrap();
     assert!(
-        service.answer_from_cache(&admitted).unwrap().is_none(),
+        matches!(service.inspect(&admitted).unwrap(), JobArtifactState::Fresh),
         "nothing cached yet"
     );
     let cold = service.run(quick_spec(9)).unwrap();
 
-    // A fresh handle over the same store answers the admission fast path
-    // even after the artifacts are gone.
+    // A fresh handle over the same store answers the admission check even
+    // after the artifacts are gone.
     let job_dir = root.join("ising-J-0.50-seed9");
     std::fs::remove_dir_all(&job_dir).unwrap();
     let warm_service = service_with(&root, &pool);
     let admitted = warm_service.admit(quick_spec(9)).unwrap();
-    let answered = warm_service.answer_from_cache(&admitted).unwrap();
-    assert_eq!(answered, Some(cold));
+    match warm_service.inspect(&admitted).unwrap() {
+        JobArtifactState::Done(answered) => assert_eq!(*answered, cold),
+        other => panic!("expected the stored report, got {other:?}"),
+    }
+    let report = job_dir.join("report.json");
     assert!(
-        job_dir.join("report.json").exists(),
+        report.exists(),
         "warm admission persists the report artifact"
+    );
+
+    // A recorded failure does not outrank the stored report ...
+    std::fs::remove_file(&report).unwrap();
+    let aborted = ClaptonError::JobAborted {
+        job: "ising(J=0.50)".to_string(),
+        detail: "the job body panicked".to_string(),
+    };
+    warm_service.settle_failure(&admitted, &aborted).unwrap();
+    assert!(matches!(
+        warm_service.inspect(&admitted).unwrap(),
+        JobArtifactState::Done(_)
+    ));
+    assert!(report.exists());
+    // ... and a recorded cancellation does.
+    std::fs::remove_file(&report).unwrap();
+    warm_service.mark_cancelled(&admitted, 2).unwrap();
+    assert!(matches!(
+        warm_service.inspect(&admitted).unwrap(),
+        JobArtifactState::Cancelled { rounds: 2 }
+    ));
+    assert!(
+        !report.exists(),
+        "a cancelled job is not answered from the store"
     );
     std::fs::remove_dir_all(&root).unwrap();
 }

@@ -5,8 +5,8 @@
 use clapton_error::ClaptonError;
 use clapton_runtime::{CancelToken, EventKind, RunEvent, WorkerPool};
 use clapton_service::{
-    ClaptonService, EngineSpec, JobArtifactState, JobSpec, MethodSpec, NoiseSpec, ProblemSpec,
-    Report, SuiteProblem, TermsProblem, UniformNoise, TELEMETRY_ARTIFACT,
+    ClaptonService, EngineSpec, FailedAttempt, JobArtifactState, JobSpec, MethodSpec, NoiseSpec,
+    ProblemSpec, Report, SuiteProblem, TermsProblem, UniformNoise, TELEMETRY_ARTIFACT,
 };
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -194,7 +194,14 @@ fn a_rerun_after_a_recorded_failure_inspects_as_done() {
         .with_artifacts(&root)
         .unwrap();
     let admitted = service.admit(quick_spec(17)).unwrap();
-    service.mark_failed(&admitted, "transient fault").unwrap();
+    let aborted = ClaptonError::JobAborted {
+        job: "ising(J=0.50)".to_string(),
+        detail: "the job body panicked".to_string(),
+    };
+    assert_eq!(
+        service.settle_failure(&admitted, &aborted).unwrap(),
+        FailedAttempt::Recorded
+    );
     assert!(matches!(
         service.inspect(&admitted).unwrap(),
         JobArtifactState::Failed { .. }

@@ -52,6 +52,24 @@ fn rejection_table() {
             ),
         ),
         (
+            "T1 relaxation past the density-matrix device model's limit",
+            r#"{"problem": {"Suite": {"name": "ising(J=0.50)", "qubits": 13}},
+                "noise": {"Uniform": {"p1": 0.001, "p2": 0.01, "readout": 0.02, "t1": 0.0001}},
+                "methods": ["Cafqa"]}"#,
+            Box::new(
+                |e| matches!(e, SpecError::InvalidField { field, .. } if field == "problem.qubits"),
+            ),
+        ),
+        (
+            "VQE refinement past the density-matrix device model's limit",
+            r#"{"problem": {"Suite": {"name": "ising(J=0.50)", "qubits": 13}},
+                "noise": {"Uniform": {"p1": 0.001, "p2": 0.01, "readout": 0.02, "t1": null}},
+                "methods": ["Cafqa", {"VqeRefine": {"iterations": 10}}]}"#,
+            Box::new(
+                |e| matches!(e, SpecError::InvalidField { field, .. } if field == "problem.qubits"),
+            ),
+        ),
+        (
             "empty term list",
             r#"{"problem": {"Terms": {"qubits": 2, "terms": []}}}"#,
             Box::new(
@@ -224,6 +242,31 @@ fn rejection_table() {
         assert!(check(&err), "{case}: wrong error {err:?}");
         // Every rejection renders a non-empty human-readable message.
         assert!(!err.to_string().is_empty(), "{case}");
+    }
+}
+
+#[test]
+fn the_density_matrix_limit_binds_only_the_jobs_it_computes() {
+    // Twelve qubits under T1 fit the density matrix; thirteen without T1
+    // or VqeRefine never reach it (their device energies are exact).
+    for (qubits, t1, methods) in [
+        (
+            12,
+            "0.0001",
+            r#"["Cafqa", {"VqeRefine": {"iterations": 10}}]"#,
+        ),
+        (13, "null", r#"["Cafqa", "Clapton"]"#),
+    ] {
+        let json = format!(
+            r#"{{"problem": {{"Suite": {{"name": "ising(J=0.50)", "qubits": {qubits}}}}},
+                "noise": {{"Uniform": {{"p1": 0.001, "p2": 0.01, "readout": 0.02, "t1": {t1}}}}},
+                "methods": {methods}}}"#
+        );
+        let spec: JobSpec = serde_json::from_str(&json).unwrap();
+        let job = spec
+            .validate()
+            .unwrap_or_else(|e| panic!("{qubits} qubits, t1 {t1}: {e}"));
+        assert_eq!(job.exec.num_qubits(), qubits);
     }
 }
 

@@ -5,6 +5,10 @@ use crate::Complex64;
 use clapton_circuits::Gate;
 use clapton_pauli::{PauliString, PauliSum};
 
+/// The largest register a [`DensityMatrix`] holds: `4^n` complex entries
+/// (256 MiB at 12 qubits).
+pub const MAX_DENSITY_QUBITS: usize = 12;
+
 /// A dense `2^N × 2^N` density matrix.
 ///
 /// Supports unitary gates, single-/two-qubit depolarizing channels and
@@ -37,9 +41,12 @@ impl DensityMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `n > 12` (the matrix would exceed 256 MiB).
+    /// Panics if `n` exceeds [`MAX_DENSITY_QUBITS`].
     pub fn new(n: usize) -> DensityMatrix {
-        assert!(n <= 12, "density matrix of {n} qubits is too large");
+        assert!(
+            n <= MAX_DENSITY_QUBITS,
+            "density matrix of {n} qubits is too large"
+        );
         let dim = 1usize << n;
         let mut data = vec![Complex64::ZERO; dim * dim];
         data[0] = Complex64::ONE;

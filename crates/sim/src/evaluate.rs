@@ -75,7 +75,7 @@ impl DeviceEvaluator {
     ///
     /// Panics if circuit and model disagree on the register size, or if the
     /// dense engine is needed and the register exceeds the density-matrix
-    /// limit (12 qubits).
+    /// limit ([`MAX_DENSITY_QUBITS`](crate::MAX_DENSITY_QUBITS)).
     pub fn run(circuit: &Circuit, model: &NoiseModel) -> DeviceEvaluator {
         if !model.has_relaxation() {
             if let Ok(noisy) = NoisyCircuit::from_circuit(circuit, model) {
@@ -94,7 +94,8 @@ impl DeviceEvaluator {
     /// # Panics
     ///
     /// Panics if circuit and model disagree on the register size, or the
-    /// register exceeds the density-matrix limit (12 qubits).
+    /// register exceeds the density-matrix limit
+    /// ([`MAX_DENSITY_QUBITS`](crate::MAX_DENSITY_QUBITS)).
     pub fn dense(circuit: &Circuit, model: &NoiseModel) -> DeviceEvaluator {
         assert_eq!(
             circuit.num_qubits(),

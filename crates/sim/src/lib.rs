@@ -21,7 +21,7 @@
 //!   Pauli channels, and the exact back-propagation of
 //!   [`ExactEvaluator`](clapton_noise::ExactEvaluator) computes it with no
 //!   register limit; otherwise the density matrix
-//!   ([`DeviceEvaluator::dense`], at most 12 qubits) runs,
+//!   ([`DeviceEvaluator::dense`], at most [`MAX_DENSITY_QUBITS`]) runs,
 //! * [`ground_energy`] — Lanczos exact minimum eigenvalue (the paper's `E0`
 //!   obtained "by diagonalizing the Hamiltonian", §5.2.1): one fixed start
 //!   vector, stopped once the lowest Ritz value settles to `1e-13`
@@ -39,7 +39,7 @@ mod evaluate;
 mod statevector;
 
 pub use complex::Complex64;
-pub use density::DensityMatrix;
+pub use density::{DensityMatrix, MAX_DENSITY_QUBITS};
 pub use eigen::{ground_energy, MAX_GROUND_ENERGY_QUBITS};
 pub use evaluate::DeviceEvaluator;
 pub use statevector::StateVector;

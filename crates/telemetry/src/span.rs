@@ -1,7 +1,7 @@
-//! Tracing spans: RAII guards with monotonic start/stop timestamps, parent
-//! linkage through a thread-local context, and explicit context propagation
-//! across thread boundaries (the worker pool captures the spawning thread's
-//! context and installs it inside the task).
+//! Tracing spans: RAII guards with monotonic start/stop timestamps and
+//! parent linkage through a thread-local context. Nothing crosses threads
+//! implicitly: a thread joins a trace only by installing its context
+//! ([`push_context`]), and pool tasks open no spans.
 //!
 //! Finished spans have one sink: the bounded buffer of the registered
 //! [`Trace`] whose id they carry, drained by [`Trace::finish`]. A span
