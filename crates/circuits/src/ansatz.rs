@@ -187,9 +187,21 @@ impl TransformationAnsatz {
     ///
     /// Panics if the genome length is wrong or any gene is `>= 4`.
     pub fn gates(&self, genes: &[u8]) -> Vec<CliffordGate> {
+        let mut out = Vec::new();
+        self.gates_into(genes, &mut out);
+        out
+    }
+
+    /// [`TransformationAnsatz::gates`] into a caller-owned buffer (any prior
+    /// contents are dropped), so a loop over genomes allocates no gate list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the genome length is wrong or any gene is `>= 4`.
+    pub fn gates_into(&self, genes: &[u8], out: &mut Vec<CliffordGate>) {
         assert_eq!(genes.len(), self.num_genes(), "genome length");
         let n = self.n;
-        let mut out = Vec::new();
+        out.clear();
         let rot = |out: &mut Vec<CliffordGate>, q: usize, k: u8, is_ry: bool| {
             assert!(k < 4, "gene {k} out of range");
             let g = if is_ry {
@@ -200,10 +212,10 @@ impl TransformationAnsatz {
             out.extend(g);
         };
         for (q, &k) in genes[..n].iter().enumerate() {
-            rot(&mut out, q, k, true);
+            rot(out, q, k, true);
         }
         for (q, &k) in genes[n..2 * n].iter().enumerate() {
-            rot(&mut out, q, k, false);
+            rot(out, q, k, false);
         }
         for (j, &(a, b)) in self.pairs.iter().enumerate() {
             match genes[2 * n + j] {
@@ -216,12 +228,11 @@ impl TransformationAnsatz {
         }
         let base = 2 * n + self.pairs.len();
         for q in 0..n {
-            rot(&mut out, q, genes[base + q], true);
+            rot(out, q, genes[base + q], true);
         }
         for q in 0..n {
-            rot(&mut out, q, genes[base + n + q], false);
+            rot(out, q, genes[base + n + q], false);
         }
-        out
     }
 
     /// Builds the same ansatz as a [`Circuit`] (for simulators that consume
@@ -353,6 +364,20 @@ mod tests {
                 .collect();
             let via_circuit = ansatz.circuit(&genes).to_clifford().unwrap();
             assert_eq!(via_circuit, ansatz.gates(&genes));
+        }
+    }
+
+    #[test]
+    fn gates_into_overwrites_a_reused_buffer() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let ansatz = TransformationAnsatz::new(5);
+        let mut buffer = vec![CliffordGate::H(0); 40];
+        for _ in 0..10 {
+            let genes: Vec<u8> = (0..ansatz.num_genes())
+                .map(|_| rng.gen_range(0..4))
+                .collect();
+            ansatz.gates_into(&genes, &mut buffer);
+            assert_eq!(buffer, ansatz.gates(&genes));
         }
     }
 

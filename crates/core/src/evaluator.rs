@@ -30,7 +30,8 @@ use std::ops::Range;
 /// For the exact kind, `H`'s terms are loaded into [`TermBatch`] planes
 /// once, when the objective is built. Each genome then copies the planes,
 /// anticonjugates the copies through the transformation circuit, reads `L0`
-/// off them, moves them onto the executable's register and hands them to
+/// off them, and gathers the lanes that end Z-type (the only ones that
+/// score) onto the executable's register for
 /// [`ExactEvaluator::add_batch_energy`] — `Ĥ` is never materialized as a
 /// [`PauliSum`] during the search, and the losses are bit-identical to
 /// scoring [`TransformLoss::transformed`] with [`LossFunction::total`]. The
@@ -124,13 +125,18 @@ impl<'a> TransformLoss<'a> {
 
     /// The genome after applying the ablation mask.
     pub fn masked(&self, gamma: &[u8]) -> Vec<u8> {
-        let mut g = gamma.to_vec();
+        let mut genome = Vec::new();
+        self.masked_into(gamma, &mut genome);
+        genome
+    }
+
+    /// [`TransformLoss::masked`] into a buffer reused across a batch.
+    fn masked_into(&self, gamma: &[u8], genome: &mut Vec<u8>) {
+        genome.clear();
+        genome.extend_from_slice(gamma);
         if let Some(range) = &self.frozen {
-            for i in range.clone() {
-                g[i] = 0;
-            }
+            genome[range.clone()].fill(0);
         }
-        g
     }
 
     /// The transformation circuit `C(γ)` at the masked genome.
@@ -158,8 +164,10 @@ impl<'a> TransformLoss<'a> {
     pub fn evaluate_gates(&self, gates: &[CliffordGate]) -> f64 {
         match self.loss.zero().exact() {
             Some(exact) => {
-                self.count_fused(1);
-                self.fused_loss(&exact, gates, &mut FusedScratch::new(self))
+                let mut scratch = FusedScratch::new(self);
+                let loss = self.fused_loss(&exact, gates, &mut scratch);
+                self.count_fused(scratch.walks, 1);
+                loss
             }
             None => self.loss.total(&transform_hamiltonian(self.h, gates)),
         }
@@ -172,24 +180,39 @@ impl<'a> TransformLoss<'a> {
 
     /// The exact kind's loss of one transformation circuit, on planes.
     ///
-    /// Per chunk of 64 terms: copy `H`'s planes, anticonjugate them through
-    /// `gates`, and absorb each lane's sign into its coefficient as
-    /// [`PauliSum::map_terms_into`] does. `L0` sums the Z-type lanes' signed
-    /// coefficients in term order from the start value of `f64`'s `Sum`
-    /// (`-0.0`), as [`PauliSum::expectation_all_zeros`] does. The planes
-    /// then move onto the executable's register (when the layout permutes
-    /// qubits) and straight into the `LN` kernel, which adds into one
-    /// running total across chunks. Every floating-point operation is the
-    /// one the materialized path performs, in the same order.
+    /// Per chunk of 64 terms: copy `H`'s planes and anticonjugate them
+    /// through `gates`. Only the lanes that end Z-type can score: the
+    /// `θ = 0` circuit maps Z-type strings onto Z-type strings (checked
+    /// once, when the loss prepares it), so a lane that still carries an X
+    /// or Y reads 0 in `LN` and in `L0`. Each Z-type lane, in term order,
+    /// adds its signed coefficient to `L0` and has its z bits gathered
+    /// through the executable's final layout into the next free lane of
+    /// one dense batch on the compact register, which the `LN` kernel
+    /// scores whenever it fills and once after the last chunk, adding into
+    /// one running total. So an H6 genome costs about one circuit walk
+    /// instead of one per chunk.
+    ///
+    /// Bit-identical to the materialized path: every nonzero contribution
+    /// is the same product, added in the same order, and a lane multiplies
+    /// the same damping sites whichever lane it occupies. A skipped lane
+    /// adds `±0.0` there, which leaves `LN` (it starts at `+0.0`)
+    /// unchanged and can flip only the sign of an all-zero `L0` (it starts
+    /// at `-0.0`, as [`PauliSum::expectation_all_zeros`] does), which
+    /// adding `LN` erases.
     fn fused_loss(
         &self,
         exact: &ExactEvaluator<'_>,
         gates: &[CliffordGate],
         scratch: &mut FusedScratch,
     ) -> f64 {
-        let exec = self.loss.exec();
-        let permuted = !exec.mapping_is_identity();
+        let layout = self.loss.exec().final_layout();
+        let FusedScratch {
+            logical,
+            dense,
+            walks,
+        } = scratch;
         let mut coefficients = [0.0; TermBatch::LANES];
+        let mut filled = 0;
         let mut loss_n = 0.0;
         let mut loss_0 = -0.0;
         for (planes, terms) in self
@@ -197,56 +220,61 @@ impl<'a> TransformLoss<'a> {
             .iter()
             .zip(self.h.terms().chunks(TermBatch::LANES))
         {
-            let batch = &mut scratch.logical;
-            batch.clone_from(planes);
-            anticonjugate_batch(gates, batch);
-            let (traceless, signs) = (batch.any_x_mask(), batch.sign_mask());
-            for (lane, term) in terms.iter().enumerate() {
+            logical.clone_from(planes);
+            anticonjugate_batch(gates, logical);
+            let signs = logical.sign_mask();
+            // The lanes past a short last chunk hold identities, not terms.
+            let live = u64::MAX >> (TermBatch::LANES - terms.len());
+            let mut z_type = !logical.any_x_mask() & live;
+            while z_type != 0 {
+                let lane = z_type.trailing_zeros() as usize;
+                z_type &= z_type - 1;
                 let sign = if (signs >> lane) & 1 == 1 { -1.0 } else { 1.0 };
-                let c = sign * term.coefficient;
-                coefficients[lane] = c;
-                loss_0 += c * if (traceless >> lane) & 1 == 1 {
-                    0.0
-                } else {
-                    1.0
-                };
+                let c = sign * terms[lane].coefficient;
+                loss_0 += c;
+                coefficients[filled] = c;
+                for (q, &to) in layout.iter().enumerate() {
+                    dense.xor_z(to, ((logical.z(q) >> lane) & 1) << filled);
+                }
+                filled += 1;
+                if filled == TermBatch::LANES {
+                    exact.add_batch_energy(dense, &coefficients, &mut loss_n);
+                    dense.clear();
+                    *walks += 1;
+                    filled = 0;
+                }
             }
-            // The signs now live in the coefficients.
-            batch.xor_sign(signs);
-            let batch = if permuted {
-                exec.map_batch(batch, &mut scratch.compact);
-                &mut scratch.compact
-            } else {
-                batch
-            };
-            exact.add_batch_energy(batch, &coefficients[..terms.len()], &mut loss_n);
+        }
+        if filled > 0 {
+            exact.add_batch_energy(dense, &coefficients[..filled], &mut loss_n);
+            dense.clear();
+            *walks += 1;
         }
         loss_n + loss_0
     }
 
     /// Reports `genomes` fused scorings to the exact kernel's counters in
-    /// one update: one walk per 64-term chunk of `H` per genome.
-    fn count_fused(&self, genomes: usize) {
-        ExactEvaluator::count_walks(
-            (self.planes.len() * genomes) as u64,
-            (self.h.num_terms() * genomes) as u64,
-        );
+    /// one update: the `walks` they made, and every term of `H` per genome.
+    fn count_fused(&self, walks: u64, genomes: usize) {
+        ExactEvaluator::count_walks(walks, (self.h.num_terms() * genomes) as u64);
     }
 }
 
 /// The fused path's per-call buffers, reused across a population batch:
-/// the chunk being transformed, and its image on the executable's compact
-/// register when the layout permutes qubits.
+/// the chunk being transformed, the dense batch of Z-type lanes on the
+/// executable's compact register, and the kernel walks made so far.
 struct FusedScratch {
     logical: TermBatch,
-    compact: TermBatch,
+    dense: TermBatch,
+    walks: u64,
 }
 
 impl FusedScratch {
     fn new(loss: &TransformLoss<'_>) -> FusedScratch {
         FusedScratch {
             logical: TermBatch::new(loss.h.num_qubits()),
-            compact: TermBatch::new(loss.loss.exec().num_qubits()),
+            dense: TermBatch::new(loss.loss.exec().num_qubits()),
+            walks: 0,
         }
     }
 }
@@ -258,18 +286,25 @@ impl LossEvaluator for TransformLoss<'_> {
 
     /// The population-batch fast path: every genome shares the loss
     /// object's one prepared `θ = 0` evaluator. The exact kind runs the
-    /// fused plane loop with one scratch for the whole batch; the sampled
-    /// kind reuses one transformed-Hamiltonian buffer. Bit-identical to
-    /// genome-at-a-time [`LossEvaluator::evaluate`].
+    /// fused plane loop with one scratch, masked genome and gate list for
+    /// the whole batch, so scoring a genome allocates no buffer of its
+    /// own; the sampled kind reuses one transformed-Hamiltonian buffer.
+    /// Bit-identical to genome-at-a-time [`LossEvaluator::evaluate`].
     fn evaluate_population(&self, genomes: &[Vec<u8>]) -> Vec<f64> {
         let prepared = self.loss.zero();
         if let Some(exact) = prepared.exact() {
-            self.count_fused(genomes.len());
             let mut scratch = FusedScratch::new(self);
-            return genomes
+            let (mut genome, mut gates) = (Vec::new(), Vec::new());
+            let losses = genomes
                 .iter()
-                .map(|gamma| self.fused_loss(&exact, &self.gates(gamma), &mut scratch))
+                .map(|gamma| {
+                    self.masked_into(gamma, &mut genome);
+                    self.ansatz.gates_into(&genome, &mut gates);
+                    self.fused_loss(&exact, &gates, &mut scratch)
+                })
                 .collect();
+            self.count_fused(scratch.walks, genomes.len());
+            return losses;
         }
         let mut transformed = PauliSum::new(self.h.num_qubits());
         genomes

@@ -5,7 +5,7 @@ use clapton_circuits::{
 };
 use clapton_error::ClaptonError;
 use clapton_noise::NoiseModel;
-use clapton_pauli::{PauliString, PauliSum, TermBatch};
+use clapton_pauli::{PauliString, PauliSum};
 use std::collections::BTreeMap;
 
 /// The VQE ansatz `A(θ)` prepared for execution on a concrete device:
@@ -221,23 +221,10 @@ impl ExecutableAnsatz {
         out
     }
 
-    /// [`ExecutableAnsatz::map_term`] for all 64 lanes of a batch at once:
-    /// every logical qubit's x and z planes move to its compact index, and
-    /// the sign plane is copied. `out` is overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `logical` is not on the logical register or `out` is not
-    /// on the compact one.
-    pub fn map_batch(&self, logical: &TermBatch, out: &mut TermBatch) {
-        assert_eq!(logical.num_qubits(), self.num_logical(), "batch register");
-        assert_eq!(out.num_qubits(), self.num_compact, "compact register");
-        out.clear();
-        for (q, &c) in self.final_compact.iter().enumerate() {
-            out.xor_x(c, logical.x(q));
-            out.xor_z(c, logical.z(q));
-        }
-        out.xor_sign(logical.sign_mask());
+    /// Logical qubit → compact index at circuit end: where
+    /// [`ExecutableAnsatz::map_term`] moves each logical qubit.
+    pub(crate) fn final_layout(&self) -> &[usize] {
+        &self.final_compact
     }
 }
 
@@ -311,33 +298,6 @@ mod tests {
             (logical_state.energy(&h) - compact_state.energy(&mapped)).abs() < 1e-9,
             "transpiled energy must match logical energy"
         );
-    }
-
-    #[test]
-    fn map_batch_matches_map_term_per_lane() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let n = 5;
-        let model = NoiseModel::uniform(n, 1e-3, 1e-2, 2e-2);
-        let exec = ExecutableAnsatz::on_device(n, &CouplingMap::line(n), &model).unwrap();
-        assert!(!exec.mapping_is_identity());
-        let mut rng = StdRng::seed_from_u64(5);
-        let terms: Vec<(bool, PauliString)> = (0..TermBatch::LANES)
-            .map(|_| (rng.gen(), PauliString::random(n, &mut rng)))
-            .collect();
-        let mut logical = TermBatch::new(n);
-        for (lane, (negative, p)) in terms.iter().enumerate() {
-            logical.set_lane(lane, p, *negative);
-        }
-        let mut compact = TermBatch::new(exec.num_qubits());
-        exec.map_batch(&logical, &mut compact);
-        for (lane, (negative, p)) in terms.iter().enumerate() {
-            assert_eq!(
-                compact.lane(lane),
-                (*negative, exec.map_term(p)),
-                "lane {lane}"
-            );
-        }
     }
 
     #[test]

@@ -216,9 +216,24 @@ impl<'a> LossFunction<'a> {
     }
 
     /// [`LossFunction::prepared_zero`] without the `Option`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, for the exact kind, if the `θ = 0` circuit maps a Z-type
+    /// string off the Z type: [`crate::TransformLoss`] scores only the lanes
+    /// that are Z-type before this circuit, and that is exact only when the
+    /// others stay traceless through it ([`ExactEvaluator::keeps_z_type`]).
     pub(crate) fn zero(&self) -> &PreparedEnergy {
-        self.prepared_zero
-            .get_or_init(|| Arc::new(self.prepare(&self.exec.circuit_at_zero())))
+        self.prepared_zero.get_or_init(|| {
+            let prepared = self.prepare(&self.exec.circuit_at_zero());
+            if let Some(exact) = prepared.exact() {
+                assert!(
+                    exact.keeps_z_type(),
+                    "the θ = 0 circuit must map Z-type strings onto Z-type strings"
+                );
+            }
+            Arc::new(prepared)
+        })
     }
 
     /// Prepares an executable circuit `A'(θ)` under the executable's noise

@@ -11,8 +11,8 @@
 //! winning genome ([`Transformation::from_genome`]), the sampled loss (its
 //! seed hash and term cache read `Ĥ`'s strings) and tests. The exact-kind
 //! search never does: [`crate::TransformLoss`] anticonjugates copies of
-//! `H`'s preloaded planes with the same per-batch step and scores them in
-//! place.
+//! `H`'s preloaded planes with the same per-batch step and scores the lanes
+//! that end Z-type straight off them.
 
 use clapton_circuits::{Circuit, TransformationAnsatz};
 use clapton_pauli::{PauliSum, TermBatch};

@@ -10,7 +10,7 @@ use clapton_core::{transform_hamiltonian, EvaluatorKind, ExecutableAnsatz, Trans
 use clapton_eval::LossEvaluator;
 use clapton_models::{molecular, Molecule};
 use clapton_noise::{ExactEvaluator, NoiseModel, NoisyCircuit};
-use clapton_pauli::{PauliString, PauliSum};
+use clapton_pauli::{Pauli, PauliString, PauliSum};
 use clapton_stabilizer::CliffordGate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,6 +79,52 @@ fn random_gates(n: usize, count: usize, rng: &mut StdRng) -> Vec<CliffordGate> {
             }
         })
         .collect()
+}
+
+/// A random non-identity Z-type string.
+fn random_z_type(n: usize, rng: &mut StdRng) -> PauliString {
+    let mut p = PauliString::single(n, rng.gen_range(0..n), Pauli::Z);
+    for q in 0..n {
+        if rng.gen_bool(0.5) {
+            p.set(q, Pauli::Z);
+        }
+    }
+    p
+}
+
+/// A random string with an X or a Y somewhere.
+fn random_x_carrying(n: usize, rng: &mut StdRng) -> PauliString {
+    let mut p = PauliString::random(n, rng);
+    if p.is_z_type() {
+        p.set(rng.gen_range(0..n), Pauli::X);
+    }
+    p
+}
+
+/// The Hamiltonian whose image under `gates` is `image`, term for term:
+/// `image` conjugated through the inverse circuit.
+fn preimage(image: &PauliSum, gates: &[CliffordGate]) -> PauliSum {
+    let inverse: Vec<CliffordGate> = gates.iter().rev().map(|g| g.inverse()).collect();
+    let h = transform_hamiltonian(image, &inverse);
+    assert_eq!(transform_hamiltonian(&h, gates), *image, "preimage");
+    h
+}
+
+/// Asserts that the fused loss of `h` under `gates` equals the
+/// materialized reference bit for bit, and returns it.
+fn assert_fused_matches(h: &PauliSum, exec: &ExecutableAnsatz, gates: &[CliffordGate]) -> f64 {
+    let ansatz = TransformationAnsatz::new(h.num_qubits());
+    let fused = TransformLoss::new(h, exec, &ansatz, EvaluatorKind::Exact).evaluate_gates(gates);
+    let expected = reference(h, exec, gates);
+    assert_eq!(
+        fused.to_bits(),
+        expected.to_bits(),
+        "n {} M {} identity layout {}: {fused} vs {expected}",
+        h.num_qubits(),
+        h.num_terms(),
+        exec.mapping_is_identity()
+    );
+    fused
 }
 
 fn random_genomes(count: usize, ansatz: &TransformationAnsatz, rng: &mut StdRng) -> Vec<Vec<u8>> {
@@ -185,6 +231,89 @@ fn identity_terms_read_one_in_any_lane() {
                 loss.evaluate_gates(&gates).to_bits(),
                 reference(&h, &exec, &gates).to_bits()
             );
+        }
+    }
+}
+
+#[test]
+fn dense_batches_flush_mid_chunk_across_chunks_and_at_the_end() {
+    // Images of 300 terms with 129 to 192 Z-type ones interleaved with
+    // X-carrying ones: the dense batch of Z-type lanes fills in the middle
+    // of a chunk, spans chunk boundaries, and ends either partial or (at
+    // exactly 128 and 192) full.
+    let mut rng = StdRng::seed_from_u64(41);
+    for n in [5usize, 70] {
+        for exec in executables(n, &mut rng) {
+            for z_type in [128usize, 129, 150, 192] {
+                let gates = random_gates(n, 52, &mut rng);
+                let mut image = PauliSum::new(n);
+                let mut left = z_type;
+                for i in 0..300 {
+                    let c = rng.gen_range(-1.0..1.0);
+                    if rng.gen_range(0..300 - i) < left {
+                        left -= 1;
+                        image.push(c, random_z_type(n, &mut rng));
+                    } else {
+                        image.push(c, random_x_carrying(n, &mut rng));
+                    }
+                }
+                let h = preimage(&image, &gates);
+                assert_eq!(image.iter().filter(|(_, p)| p.is_z_type()).count(), z_type);
+                assert_fused_matches(&h, &exec, &gates);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_circuit_leaving_every_lane_x_carrying_scores_plus_zero() {
+    // Every term has a Z or a Y somewhere, so after an H on every qubit
+    // each carries an X or a Y: no lane scores, no walk is made, and the
+    // loss is +0.0 exactly, as the materialized sum of zeros is.
+    let mut rng = StdRng::seed_from_u64(43);
+    for n in [5usize, 70] {
+        for exec in executables(n, &mut rng) {
+            let mut h = PauliSum::new(n);
+            for _ in 0..200 {
+                let mut p = PauliString::random(n, &mut rng);
+                if !(0..n).any(|q| matches!(p.get(q), Pauli::Z | Pauli::Y)) {
+                    p.set(rng.gen_range(0..n), Pauli::Z);
+                }
+                h.push(rng.gen_range(-1.0..1.0), p);
+            }
+            let gates: Vec<CliffordGate> = (0..n).map(CliffordGate::H).collect();
+            let loss = assert_fused_matches(&h, &exec, &gates);
+            assert_eq!(loss.to_bits(), 0.0f64.to_bits(), "n {n}");
+        }
+    }
+}
+
+#[test]
+fn identity_lanes_at_chunk_and_dense_batch_edges() {
+    // Identity terms in the first and last lane of every 64-term chunk and
+    // of every dense batch of Z-type lanes, under the empty circuit (the
+    // image is H itself) and under random circuits.
+    let mut rng = StdRng::seed_from_u64(47);
+    for n in [5usize, 70] {
+        for exec in executables(n, &mut rng) {
+            for gates in [Vec::new(), random_gates(n, 52, &mut rng)] {
+                let mut image = PauliSum::new(n);
+                let mut dense = 0;
+                for i in 0..320 {
+                    let c = rng.gen_range(-1.0..1.0);
+                    if matches!(i % 64, 0 | 63) || matches!(dense % 64, 0 | 63) {
+                        image.push(c, PauliString::identity(n));
+                        dense += 1;
+                    } else if rng.gen_bool(0.5) {
+                        image.push(c, random_z_type(n, &mut rng));
+                        dense += 1;
+                    } else {
+                        image.push(c, random_x_carrying(n, &mut rng));
+                    }
+                }
+                assert!(dense > 128, "{dense} Z-type terms");
+                assert_fused_matches(&preimage(&image, &gates), &exec, &gates);
+            }
         }
     }
 }

@@ -1,13 +1,16 @@
-//! The exact kernel's process-wide counters: one walk per 64-term chunk
-//! and every term, per genome or per energy, whichever path scores it. This
+//! The exact kernel's process-wide counters: every term, per genome or per
+//! energy, whichever path scores it, and the walks it made. An energy walks
+//! once per 64-term chunk; a fused genome walks once per 64 terms that are
+//! Z-type after its transform, the only ones it back-propagates. This
 //! binary holds one test, so nothing else moves the counters while it
 //! reads them.
 
 use clapton_circuits::TransformationAnsatz;
-use clapton_core::{EvaluatorKind, ExecutableAnsatz, TransformLoss};
+use clapton_core::{transform_hamiltonian, EvaluatorKind, ExecutableAnsatz, TransformLoss};
 use clapton_eval::LossEvaluator;
 use clapton_models::{molecular, Molecule};
 use clapton_noise::{ExactEvaluator, NoiseModel, NoisyCircuit};
+use clapton_pauli::TermBatch;
 use clapton_telemetry::metrics::registry;
 
 /// `(walks, terms)` counted so far.
@@ -43,17 +46,31 @@ fn every_exact_path_counts_one_walk_per_chunk_and_every_term() {
                 .collect()
         })
         .collect();
+    // Oracle: a genome's walks are its mapped `Ĥ`'s Z-type terms over 64.
+    let fused_walks: Vec<u64> = genomes
+        .iter()
+        .map(|g| {
+            let transformed = exec.map_hamiltonian(&transform_hamiltonian(&h, &ansatz.gates(g)));
+            let z_type = transformed.iter().filter(|(_, p)| p.is_z_type()).count();
+            z_type.div_ceil(TermBatch::LANES) as u64
+        })
+        .collect();
+    assert!(fused_walks.iter().all(|&w| w >= 1), "{fused_walks:?}");
     // Warm the objective's lazily prepared evaluator outside the counts.
     loss.evaluate(&genomes[0]);
 
     let population = counted_by(|| {
         loss.evaluate_population(&genomes);
     });
-    assert_eq!(population, (5 * walks, 5 * terms), "fused population batch");
+    assert_eq!(
+        population,
+        (fused_walks.iter().sum(), 5 * terms),
+        "fused population batch"
+    );
     let single = counted_by(|| {
         loss.evaluate(&genomes[1]);
     });
-    assert_eq!(single, (walks, terms), "one fused genome");
+    assert_eq!(single, (fused_walks[1], terms), "one fused genome");
 
     let noisy = NoisyCircuit::from_circuit(&exec.circuit_at_zero(), exec.noise_model())
         .expect("the ansatz at θ = 0 is Clifford");

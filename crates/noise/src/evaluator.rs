@@ -172,6 +172,33 @@ impl<'a> ExactEvaluator<'a> {
         self.batch_pass(batch, coefficients, true, total);
     }
 
+    /// Whether the circuit's Clifford part maps every Z-type string (no X
+    /// or Y anywhere) onto a Z-type string. The Z-type strings are the
+    /// products of the single-qubit `Z`s, so back-propagating those `n`
+    /// strings, 64 per walk, decides it for all of them. The ansatz at
+    /// `θ = 0` (CX and SWAP with identity rotation slots) passes; a circuit
+    /// with an `H` fails. When it passes, an observable that carries an X
+    /// or Y stays so through the walk and reads 0 whatever its damping, so
+    /// a caller scoring many observables may leave such lanes out of
+    /// [`ExactEvaluator::add_batch_energy`].
+    pub fn keeps_z_type(&self) -> bool {
+        let n = self.circuit.num_qubits();
+        let ops = self.circuit.reversed_inverted_ops();
+        let mut batch = TermBatch::new(n);
+        (0..n).step_by(TermBatch::LANES).all(|first| {
+            batch.clear();
+            for q in first..n.min(first + TermBatch::LANES) {
+                batch.xor_z(q, 1 << (q - first));
+            }
+            for op in ops {
+                if let NoisyOp::Clifford(g) = op {
+                    g.conjugate_terms(&mut batch);
+                }
+            }
+            batch.any_x_mask() == 0
+        })
+    }
+
     /// Adds `walks` reverse circuit walks over `terms` Hamiltonian terms to
     /// the process-wide `clapton_exact_walks_total` and
     /// `clapton_exact_terms_total` counters. The energy methods count their
@@ -958,6 +985,34 @@ mod tests {
                     "circuit {c} term {p}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn keeps_z_type_holds_for_the_zero_point_skeleton_and_fails_with_an_h() {
+        use clapton_circuits::HardwareEfficientAnsatz;
+        // 70 qubits: the single-qubit Z strings take two walks.
+        for n in [3usize, 70] {
+            let model = NoiseModel::uniform(n, 1e-3, 1e-2, 2e-2);
+            let mut c = HardwareEfficientAnsatz::new(n).circuit_at_zero();
+            c.push(Gate::Swap(0, n - 1));
+            c.push(Gate::Rz(1, std::f64::consts::PI));
+            assert!(
+                ExactEvaluator::new(&noisy(&c, &model)).keeps_z_type(),
+                "n {n}"
+            );
+            // One H on the last qubit, between identity rotations and CXs.
+            let mut with_h = Circuit::new(n);
+            for gate in c.gates() {
+                with_h.push(*gate);
+                if *gate == Gate::Cx(0, 1) {
+                    with_h.push(Gate::H(n - 1));
+                }
+            }
+            assert!(
+                !ExactEvaluator::new(&noisy(&with_h, &model)).keeps_z_type(),
+                "n {n}"
+            );
         }
     }
 

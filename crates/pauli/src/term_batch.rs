@@ -19,8 +19,9 @@
 //!   per reverse circuit walk, reading each lane's sign into its energy,
 //! * the Clapton objective fuses the two: it loads `H` into batches once,
 //!   and per genome copies them, anticonjugates the copies, reads `L0` off
-//!   the same planes and hands them straight to the loss kernel, so `Ĥ` is
-//!   never read back into strings during the search,
+//!   the same planes and gathers the lanes that end Z-type into one dense
+//!   batch for the loss kernel, so `Ĥ` is never read back into strings
+//!   during the search,
 //! * the frame sampler pushes 64 shots' error frames forward per pass and
 //!   ignores the sign plane (error frames are only observed through their
 //!   commutation with the measured observable,
