@@ -71,11 +71,12 @@ impl Options {
         options
     }
 
-    /// The GA engine settings for this effort level.
-    pub fn engine(&self) -> MultiGaConfig {
+    /// The GA engine effort for this effort level: the named quick and
+    /// paper levels, and explicit settings in between.
+    pub fn engine_spec(&self) -> EngineSpec {
         match self.effort {
-            0 => MultiGaConfig::quick(),
-            1 => MultiGaConfig {
+            0 => EngineSpec::Quick,
+            1 => EngineSpec::Custom(MultiGaConfig {
                 instances: 4,
                 top_k: 10,
                 max_retry_rounds: 1,
@@ -87,9 +88,14 @@ impl Options {
                     generations: 40,
                     ..GaConfig::default()
                 },
-            },
-            _ => MultiGaConfig::paper(),
+            }),
+            _ => EngineSpec::Paper,
         }
+    }
+
+    /// The GA engine settings for this effort level.
+    pub fn engine(&self) -> MultiGaConfig {
+        self.engine_spec().resolve()
     }
 
     /// A spec for the registry problem `name` on `qubits` qubits, with this
@@ -100,7 +106,7 @@ impl Options {
             name: name.to_string(),
             qubits,
         }));
-        spec.engine = EngineSpec::from_config(self.engine());
+        spec.engine = self.engine_spec();
         spec.seed = self.seed;
         spec
     }

@@ -147,8 +147,9 @@ pub fn run_clapton(
 ///   suspends the search: the function returns the current state and
 ///   `None`.
 ///
-/// Returns the final engine state (always serializable, full memo included)
-/// plus the [`ClaptonResult`] when the search ran to convergence.
+/// Returns the final engine state (always serializable; a suspended search's
+/// state holds its full memo, a converged one's holds none) plus the
+/// [`ClaptonResult`] when the search ran to convergence.
 ///
 /// # Panics
 ///

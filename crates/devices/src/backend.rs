@@ -2,7 +2,7 @@
 
 use crate::Calibration;
 use clapton_circuits::CouplingMap;
-use clapton_error::{ClaptonError, SpecError};
+use clapton_error::SpecError;
 use clapton_noise::NoiseModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -152,28 +152,6 @@ impl FakeBackend {
         })
     }
 
-    /// Builds a backend from explicit parts (e.g. a deserialized snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the calibration size disagrees with the coupling map.
-    pub fn from_parts(
-        name: impl Into<String>,
-        coupling: CouplingMap,
-        calibration: Calibration,
-    ) -> FakeBackend {
-        assert_eq!(
-            coupling.num_qubits(),
-            calibration.num_qubits(),
-            "coupling/calibration size mismatch"
-        );
-        FakeBackend {
-            name: name.into(),
-            coupling,
-            calibration,
-        }
-    }
-
     fn synthesize(name: &str, coupling: CouplingMap, p: Personality) -> FakeBackend {
         let n = coupling.num_qubits();
         let seed: u64 = name
@@ -237,49 +215,6 @@ impl FakeBackend {
         self.calibration.to_noise_model()
     }
 
-    /// Serializes the full backend (name, topology, calibration) to JSON,
-    /// so snapshots can be archived and replayed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if serialization fails (cannot happen for valid backends).
-    pub fn to_json(&self) -> String {
-        let record = BackendRecord {
-            name: self.name.clone(),
-            coupling: self.coupling.clone(),
-            calibration: self.calibration.clone(),
-        };
-        serde_json::to_string_pretty(&record).expect("backend serializes")
-    }
-
-    /// Restores a backend from [`FakeBackend::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// [`ClaptonError::Parse`] on malformed JSON and
-    /// [`SpecError::QubitMismatch`] (wrapped) when the snapshot's coupling
-    /// map and calibration disagree on the register size.
-    pub fn from_json(json: &str) -> Result<FakeBackend, ClaptonError> {
-        let record: BackendRecord =
-            serde_json::from_str(json).map_err(|e| ClaptonError::Parse {
-                what: "backend snapshot".to_string(),
-                detail: e.to_string(),
-            })?;
-        if record.coupling.num_qubits() != record.calibration.num_qubits() {
-            return Err(SpecError::QubitMismatch {
-                context: format!("backend snapshot {:?}", record.name),
-                needed: record.coupling.num_qubits(),
-                provided: record.calibration.num_qubits(),
-            }
-            .into());
-        }
-        Ok(FakeBackend {
-            name: record.name,
-            coupling: record.coupling,
-            calibration: record.calibration,
-        })
-    }
-
     /// A "real hardware" variant: the same device with every calibration
     /// value perturbed by a seeded lognormal-like factor, modeling the
     /// model/device discrepancy of §6.1.1. Clapton optimizes against the
@@ -314,7 +249,7 @@ impl FakeBackend {
     }
 }
 
-/// On-disk form of a [`FakeBackend`].
+/// Wire form of a [`FakeBackend`].
 #[derive(serde::Serialize, serde::Deserialize)]
 struct BackendRecord {
     name: String,
@@ -322,10 +257,10 @@ struct BackendRecord {
     calibration: Calibration,
 }
 
-// Serde for the backend itself (the `BackendRecord` wire shape, so
-// `to_json`/`from_json` archives and inline spec snapshots are the same
-// format). Hand-written because deserialization must re-check the
-// coupling/calibration size invariant the private fields guarantee.
+// Serde for the backend itself, in the `BackendRecord` wire shape that
+// inline spec snapshots use. Hand-written because deserialization must
+// re-check the coupling/calibration size invariant the private fields
+// guarantee.
 impl serde::Serialize for FakeBackend {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         BackendRecord {
@@ -486,14 +421,14 @@ mod tests {
 
     #[test]
     fn full_backend_json_round_trip() {
-        let b = FakeBackend::toronto();
-        let json = b.to_json();
-        let back = FakeBackend::from_json(&json).unwrap();
-        assert_eq!(back, b);
-        assert!(matches!(
-            FakeBackend::from_json("{not json"),
-            Err(ClaptonError::Parse { .. })
-        ));
+        for b in [
+            FakeBackend::toronto(),
+            FakeBackend::nairobi().hardware_variant(3),
+        ] {
+            let json = serde_json::to_string(&b).unwrap();
+            assert_eq!(serde_json::from_str::<FakeBackend>(&json).unwrap(), b);
+        }
+        assert!(serde_json::from_str::<FakeBackend>("{not json").is_err());
     }
 
     #[test]
@@ -520,7 +455,22 @@ mod tests {
         let b = FakeBackend::nairobi();
         let json = serde_json::to_string(b.calibration()).unwrap();
         let cal: Calibration = serde_json::from_str(&json).unwrap();
-        let rebuilt = FakeBackend::from_parts("nairobi", b.coupling_map().clone(), cal);
+        let record = BackendRecord {
+            name: "nairobi".to_string(),
+            coupling: b.coupling_map().clone(),
+            calibration: cal,
+        };
+        let rebuilt: FakeBackend =
+            serde_json::from_str(&serde_json::to_string(&record).unwrap()).unwrap();
         assert_eq!(rebuilt.calibration(), b.calibration());
+        assert_eq!(rebuilt, b);
+        // Parts that disagree on the register size are not a backend.
+        let mismatched = BackendRecord {
+            name: "nairobi".to_string(),
+            coupling: b.coupling_map().clone(),
+            calibration: FakeBackend::toronto().calibration().clone(),
+        };
+        let json = serde_json::to_string(&mismatched).unwrap();
+        assert!(serde_json::from_str::<FakeBackend>(&json).is_err());
     }
 }

@@ -1,10 +1,5 @@
-//! The typed error hierarchy of the Clapton stack.
-//!
-//! Before the `JobSpec` front door, every entry point reported failures its
-//! own way: panics in `Pipeline`-style builders, `Result<_, String>` in
-//! `FakeBackend::from_json` and `ExecutableAnsatz::on_device`, `io::Error`
-//! with stringified payloads in the suite runner. This crate is the one
-//! vocabulary they all share now:
+//! The typed error hierarchy of the Clapton stack: the one vocabulary every
+//! layer reports failures in.
 //!
 //! * [`SpecError`] — a job *specification* is invalid (unknown registry
 //!   name, qubit mismatch, out-of-range probability, …). Produced by

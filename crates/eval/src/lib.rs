@@ -320,30 +320,9 @@ impl<E: LossEvaluator> CachedEvaluator<E> {
 }
 
 impl<E: LossEvaluator> LossEvaluator for CachedEvaluator<E> {
+    /// A batch of one: the batch path is the one memo path.
     fn evaluate(&self, genome: &[u8]) -> f64 {
-        let key = self.inner.canonical_key(genome);
-        if let Some(&loss) = self.table.lock().expect("cache lock").losses.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            cache_metrics().hits.inc();
-            return loss;
-        }
-        // The lock is NOT held while the loss runs: concurrent threads may
-        // race to evaluate the same genome, but purity makes the duplicate
-        // work harmless and the stored value identical.
-        if let Some((store, ns)) = &self.store {
-            if let Some(loss) = store.load(*ns, &key) {
-                let mut table = self.table.lock().expect("cache lock");
-                self.record(&mut table, key, loss);
-                return loss;
-            }
-        }
-        let loss = self.inner.evaluate(genome);
-        if let Some((store, ns)) = &self.store {
-            store.save(*ns, &key, loss);
-        }
-        let mut table = self.table.lock().expect("cache lock");
-        self.record(&mut table, key, loss);
-        loss
+        self.evaluate_population(&[genome.to_vec()])[0]
     }
 
     fn evaluate_population(&self, genomes: &[Vec<u8>]) -> Vec<f64> {

@@ -152,7 +152,8 @@ pub struct EngineState {
     /// Raw state of the mixing RNG.
     pub mix_rng: [u64; 4],
     /// The genome → loss memo, sorted by key (deterministic snapshots).
-    /// Empty while a [`MultiGa::run_rounds`] observer runs.
+    /// Empty while a [`MultiGa::run_rounds`] observer runs and once the run
+    /// has converged.
     pub cache_entries: Vec<(Vec<u8>, f64)>,
     /// Cache statistics matching `cache_entries`.
     pub cache_stats: CacheStats,
@@ -254,9 +255,10 @@ impl MultiGa {
     /// round added, sorted by key: exactly `round_eval_stats[r].misses` of
     /// them. While `on_round` runs, `state.cache_entries` is empty, so the
     /// state it sees plus the deltas of rounds `0..=r` is the whole
-    /// checkpoint. On return the full sorted memo is back in
-    /// `state.cache_entries`. A state that is already finished runs no
-    /// round.
+    /// checkpoint. A run that stops before converging returns with its full
+    /// sorted memo back in `state.cache_entries`, the point it resumes from;
+    /// a converged run returns with none, since a finished state never
+    /// steps again. A state that is already finished runs no round.
     pub fn run_rounds<E: LossEvaluator + ?Sized>(
         &self,
         state: &mut EngineState,
@@ -280,7 +282,9 @@ impl MultiGa {
                 break;
             }
         }
-        state.cache_entries = cached.export();
+        if !state.finished {
+            state.cache_entries = cached.export();
+        }
         state.finished
     }
 
@@ -304,8 +308,9 @@ impl MultiGa {
 
     /// Executes one round (evolve all instances, pool the elites, mix) on
     /// `pool` and returns whether the run has converged: one round of
-    /// [`MultiGa::run_rounds`], so the state leaves with its full memo and
-    /// can be checkpointed between any two steps.
+    /// [`MultiGa::run_rounds`], so a state it leaves unfinished carries its
+    /// full memo and can be checkpointed between any two steps, and a
+    /// converged one carries none.
     ///
     /// # Panics
     ///
@@ -590,10 +595,10 @@ mod tests {
             assert_eq!(delta.len() as u64, state.round_eval_stats[round].misses);
             assert!(delta.windows(2).all(|w| w[0].0 < w[1].0), "sorted by key");
         }
-        let mut concatenated: Vec<MemoEntry> =
-            observed.iter().flat_map(|(_, d)| d.clone()).collect();
-        concatenated.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(concatenated, full.cache_entries, "the deltas are the memo");
+        assert!(
+            full.cache_entries.is_empty(),
+            "a converged run keeps no memo"
+        );
 
         // Interrupt after every possible round k and resume from a JSON
         // round-trip of (a) the stepped state, memo inline, and (b) the

@@ -1,14 +1,10 @@
 //! The declarative front door of the Clapton stack: [`JobSpec`] +
 //! [`ClaptonService`].
 //!
-//! Before this layer, there were three divergent ways into the engine — the
-//! `Pipeline` builder, the free functions (`run_clapton` / `run_cafqa` /
-//! `run_ncafqa` / `run_vqe`), and the suite-runner CLI — each hand-wiring
-//! backends, noise models, and engine configs, with panics and
-//! `Result<_, String>` at the edges. Following the declarative tradition of
-//! answer-set front ends (a serializable problem statement, fully decoupled
-//! from the solver), this crate makes one validated, serde-round-trippable
-//! request type the API every caller compiles down to:
+//! Following the declarative tradition of answer-set front ends (a
+//! serializable problem statement, fully decoupled from the solver), this
+//! crate makes one validated, serde-round-trippable request type the API
+//! every caller states its job in:
 //!
 //! * [`JobSpec`] — problem (registry name or explicit terms), backend
 //!   (registry name or logical), noise, methods, engine effort, evaluator,
@@ -29,8 +25,8 @@
 //! {"problem": {"Suite": {"name": "ising(J=0.50)", "qubits": 10}}, "seed": 7}
 //! ```
 //!
-//! is a complete job; everything else defaults. The `Pipeline` builder and
-//! the suite-runner CLI are now thin layers that compile to this type.
+//! is a complete job; everything else defaults. The figure binaries,
+//! `suite-runner` and `clapton-server` all submit this type.
 
 mod ground;
 mod report;

@@ -5,7 +5,8 @@ use clapton_vqe::VqeTrace;
 use serde::{Deserialize, Serialize};
 
 /// Everything one job produced, across all four methods — the single result
-/// shape every entry point (builder, CLI, artifact directory) reads back.
+/// shape every entry point (library call, CLI, server, artifact directory)
+/// reads back.
 ///
 /// Sections for methods the spec did not request are `None`; requested
 /// sections are always populated. The whole report round-trips through JSON

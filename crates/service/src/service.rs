@@ -904,10 +904,6 @@ fn load_checkpoint(dir: &RunDirectory) -> io::Result<Option<EngineState>> {
 impl ClaptonService {
     /// Claims the job's directory, runs [`ClaptonService::execute_inner`]
     /// inside the job's telemetry trace, and persists the span log.
-    ///
-    /// Replicates the legacy `Pipeline::run` evaluation order exactly (every
-    /// search is deterministic given its seed, so a spec-driven run is
-    /// bit-identical to the builder path it replaced).
     fn execute(
         &self,
         admitted: &AdmittedJob,

@@ -165,19 +165,6 @@ impl EngineSpec {
             EngineSpec::Custom(config) => *config,
         }
     }
-
-    /// Compiles a concrete engine configuration to the most compact spec:
-    /// the named effort levels when the settings match them exactly, the
-    /// explicit configuration otherwise.
-    pub fn from_config(config: MultiGaConfig) -> EngineSpec {
-        if config == MultiGaConfig::quick() {
-            EngineSpec::Quick
-        } else if config == MultiGaConfig::paper() {
-            EngineSpec::Paper
-        } else {
-            EngineSpec::Custom(config)
-        }
-    }
 }
 
 /// A fully serializable, versioned Clapton job description — the one
@@ -215,8 +202,8 @@ pub struct JobSpec {
     pub backend: BackendSpec,
     /// The noise environment (default: noiseless).
     pub noise: NoiseSpec,
-    /// Which methods to run (default: CAFQA + Clapton, the legacy
-    /// `Pipeline` pairing).
+    /// Which methods to run (default: CAFQA + Clapton, the paper's
+    /// baseline-versus-Clapton pairing).
     pub methods: Vec<MethodSpec>,
     /// Engine effort (default: the paper's settings).
     pub engine: EngineSpec,
@@ -521,17 +508,18 @@ impl JobSpec {
 
     fn validate_engine(&self) -> Result<(), SpecError> {
         let engine = self.engine.resolve();
-        for (field, value) in [
-            ("engine.instances", engine.instances),
-            ("engine.top_k", engine.top_k),
-            ("engine.max_rounds", engine.max_rounds),
-            ("engine.ga.population_size", engine.ga.population_size),
-            ("engine.ga.generations", engine.ga.generations),
+        // The least value of each size; a GA breeds from two parents.
+        for (field, value, least) in [
+            ("engine.instances", engine.instances, 1),
+            ("engine.top_k", engine.top_k, 1),
+            ("engine.max_rounds", engine.max_rounds, 1),
+            ("engine.ga.population_size", engine.ga.population_size, 2),
+            ("engine.ga.generations", engine.ga.generations, 1),
         ] {
-            if value == 0 {
+            if value < least {
                 return Err(SpecError::InvalidField {
                     field: field.to_string(),
-                    reason: "must be non-zero".to_string(),
+                    reason: format!("must be at least {least}"),
                 });
             }
         }

@@ -35,7 +35,7 @@ fn minimal_fixture_parses_to_pure_defaults() {
     assert_eq!(
         spec.methods,
         vec![MethodSpec::Cafqa, MethodSpec::Clapton],
-        "default method pairing is the Pipeline pairing"
+        "default method pairing is CAFQA + Clapton"
     );
 }
 

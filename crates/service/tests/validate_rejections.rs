@@ -218,6 +218,17 @@ fn rejection_table() {
             ),
         ),
         (
+            "one-member GA population (a GA needs two parents)",
+            r#"{"problem": {"Suite": {"name": "ising(J=0.50)", "qubits": 4}},
+                "engine": {"Custom": {"instances": 3, "top_k": 6, "max_retry_rounds": 1,
+                    "max_rounds": 8, "pool_fraction": 0.5, "parallel": false,
+                    "ga": {"population_size": 1, "generations": 20, "tournament_size": 3,
+                           "crossover_rate": 0.9, "mutation_rate": 0.08, "elite": 2}}}}"#,
+            Box::new(
+                |e| matches!(e, SpecError::InvalidField { field, .. } if field == "engine.ga.population_size"),
+            ),
+        ),
+        (
             "zero round budget",
             r#"{"problem": {"Suite": {"name": "ising(J=0.25)", "qubits": 4}},
                 "budget": 0}"#,

@@ -1,104 +1,136 @@
-//! The acceptance contract of the `JobSpec` front door: a spec compiled
-//! from a `Pipeline`-built run, serialized to JSON, re-parsed, and submitted
-//! through `ClaptonService` produces a **bit-identical** report to the
-//! legacy `Pipeline::run` path — for all four methods (CAFQA, nCAFQA,
-//! Clapton, VQE refinement) in quick mode.
+//! The `JobSpec` front door end to end: each job below is a quick spec run
+//! through `ClaptonService`, the one job body behind every entry point.
+//! Specs that name a backend pass through a JSON round trip first, since
+//! the wire format is part of the contract.
 
 use clapton::core::{run_ncafqa, EvaluatorKind, ExecutableAnsatz, WorkerPool};
 use clapton::devices::FakeBackend;
+use clapton::ga::MultiGaConfig;
 use clapton::models::{ising, xxz};
 use clapton::noise::NoiseModel;
-use clapton::pipeline::Pipeline;
-use clapton::service::{ClaptonService, JobSpec, MethodSpec};
+use clapton::service::{
+    BackendSpec, ClaptonService, EngineSpec, JobSpec, MethodSpec, NamedBackend, NoiseSpec,
+    ProblemSpec, Report, SuiteProblem, UniformNoise, VqeRefineSpec,
+};
 use std::sync::Arc;
+
+/// A quick spec for the registry problem `name` on `qubits` qubits; every
+/// other field at its default (noiseless, CAFQA + Clapton).
+fn quick_spec(name: &str, qubits: usize, seed: u64) -> JobSpec {
+    let mut spec = JobSpec::new(ProblemSpec::Suite(SuiteProblem {
+        name: name.to_string(),
+        qubits,
+    }));
+    spec.engine = EngineSpec::Quick;
+    spec.seed = seed;
+    spec
+}
+
+fn uniform(p1: f64, p2: f64, readout: f64) -> NoiseSpec {
+    NoiseSpec::Uniform(UniformNoise {
+        p1,
+        p2,
+        readout,
+        t1: None,
+    })
+}
 
 /// JSON round trip: the wire format must not change the spec.
 fn reparse(spec: &JobSpec) -> JobSpec {
-    let json = serde_json::to_string_pretty(spec).unwrap();
-    serde_json::from_str(&json).unwrap()
+    let json = serde_json::to_string(spec).unwrap();
+    let back: JobSpec = serde_json::from_str(&json).unwrap();
+    assert_eq!(&back, spec);
+    back
+}
+
+fn run(spec: JobSpec) -> Report {
+    ClaptonService::new().run(spec).unwrap()
 }
 
 #[test]
-fn spec_from_pipeline_reproduces_the_report_bit_identically() {
-    // CAFQA + Clapton + VQE refinement from both starts, uniform noise.
-    let pipeline = Pipeline::new(ising(4, 0.5))
-        .with_uniform_noise(1e-3, 1e-2, 2e-2)
-        .quick(7)
-        .with_vqe(10);
-    let spec = reparse(&pipeline.to_spec());
-    let legacy = pipeline.run();
-    let report = ClaptonService::new().run(spec).unwrap();
-
-    assert_eq!(report.e0, legacy.e0);
-    assert_eq!(report.cafqa.as_ref(), Some(&legacy.cafqa));
-    assert_eq!(report.clapton.as_ref(), Some(&legacy.clapton));
-    assert_eq!(
-        report.cafqa_initial_energy,
-        Some(legacy.cafqa_initial_energy)
-    );
-    assert_eq!(
-        report.clapton_initial_energy,
-        Some(legacy.clapton_initial_energy)
-    );
-    assert_eq!(report.eta_initial, Some(legacy.eta_initial));
-    assert_eq!(report.clapton_vqe, legacy.clapton_vqe);
-    assert_eq!(report.cafqa_vqe, legacy.cafqa_vqe);
+fn cafqa_and_clapton_under_uniform_noise_report_consistent_energies() {
+    let mut spec = quick_spec("ising(J=0.50)", 4, 3);
+    spec.noise = uniform(1e-3, 1e-2, 2e-2);
+    let report = run(spec);
+    let cafqa = report.cafqa_initial_energy.unwrap();
+    let clapton = report.clapton_initial_energy.unwrap();
+    // The device energies respect the exact ground bound.
+    assert!(cafqa >= report.e0 - 1e-6);
+    assert!(clapton >= report.e0 - 1e-6);
+    // η is the ratio of the two gaps (Eq. 14).
+    let eta = (report.e0 - cafqa) / (report.e0 - clapton);
+    assert!((report.eta_initial.unwrap() - eta).abs() < 1e-12);
+    assert!(report.clapton_vqe.is_none() && report.cafqa_vqe.is_none());
 }
 
 #[test]
-fn spec_from_pipeline_on_backend_reproduces_the_report() {
-    // The transpiled path: the spec compiles the registry backend by name.
-    let pipeline = Pipeline::new(xxz(5, 0.5))
-        .on_backend(FakeBackend::nairobi())
-        .quick(5);
-    let spec = reparse(&pipeline.to_spec());
-    assert!(
-        serde_json::to_string(&spec).unwrap().contains("nairobi"),
-        "registry backends compile to their name"
-    );
-    let legacy = pipeline.run();
-    let report = ClaptonService::new().run(spec).unwrap();
-    assert_eq!(report.clapton.as_ref(), Some(&legacy.clapton));
-    assert_eq!(report.cafqa.as_ref(), Some(&legacy.cafqa));
-    assert_eq!(
-        report.clapton_initial_energy,
-        Some(legacy.clapton_initial_energy)
-    );
+fn named_backend_spec_transpiles_and_keeps_the_problem() {
+    let mut spec = quick_spec("xxz(J=0.50)", 5, 5);
+    spec.backend = BackendSpec::Named(NamedBackend {
+        name: "nairobi".to_string(),
+    });
+    spec.noise = NoiseSpec::Backend;
+    let report = run(reparse(&spec));
+    assert!(report.clapton_initial_energy.unwrap().is_finite());
+    // The transformation keeps every term of H.
+    let transformed = &report.clapton.unwrap().transformation.transformed;
+    assert_eq!(transformed.num_terms(), xxz(5, 0.5).num_terms());
 }
 
 #[test]
-fn spec_from_pipeline_with_snapshot_backend_reproduces_the_report() {
-    // A hardware variant has no registry name: the spec inlines the full
-    // snapshot and still reproduces the run after a JSON round trip.
-    let hw = FakeBackend::nairobi().hardware_variant(3);
-    let pipeline = Pipeline::new(ising(4, 0.25)).on_backend(hw).quick(2);
-    let spec = reparse(&pipeline.to_spec());
-    let legacy = pipeline.run();
-    let report = ClaptonService::new().run(spec).unwrap();
-    assert_eq!(report.clapton.as_ref(), Some(&legacy.clapton));
-    assert_eq!(
-        report.cafqa_initial_energy,
-        Some(legacy.cafqa_initial_energy)
-    );
+fn snapshot_backend_spec_reproduces_its_report_after_a_json_round_trip() {
+    // A hardware variant has no registry name: the spec inlines the whole
+    // snapshot, and the parsed copy must run to the same report bytes.
+    let mut spec = quick_spec("ising(J=0.25)", 4, 2);
+    spec.backend = BackendSpec::Snapshot(FakeBackend::nairobi().hardware_variant(3));
+    spec.noise = NoiseSpec::Backend;
+    let reparsed = reparse(&spec);
+    let direct = serde_json::to_string(&run(spec)).unwrap();
+    assert_eq!(serde_json::to_string(&run(reparsed)).unwrap(), direct);
+}
+
+#[test]
+fn vqe_refinement_starts_each_trace_at_its_device_energy() {
+    let mut spec = quick_spec("ising(J=0.25)", 3, 9);
+    spec.noise = uniform(5e-4, 5e-3, 1e-2);
+    spec.methods
+        .push(MethodSpec::VqeRefine(VqeRefineSpec { iterations: 40 }));
+    let report = run(spec);
+    let clapton = report.clapton_vqe.expect("VQE requested");
+    let cafqa = report.cafqa_vqe.expect("VQE requested");
+    assert!((clapton.initial_energy - report.clapton_initial_energy.unwrap()).abs() < 1e-9);
+    assert!((cafqa.initial_energy - report.cafqa_initial_energy.unwrap()).abs() < 1e-9);
+    // VQE does not make things (much) worse.
+    assert!(clapton.final_energy <= clapton.initial_energy + 0.2);
+}
+
+#[test]
+fn noiseless_cafqa_device_energy_equals_its_search_energy() {
+    let report = run(quick_spec("ising(J=1.00)", 3, 1));
+    let cafqa = report.cafqa.as_ref().unwrap();
+    assert!((report.cafqa_initial_energy.unwrap() - cafqa.energy_noiseless).abs() < 1e-9);
 }
 
 #[test]
 fn ncafqa_through_the_front_door_matches_the_free_function() {
-    // The fourth method has no Pipeline equivalent; its legacy path is the
-    // free function. Same seed, same engine, same executable — bit-identical.
-    let h = ising(4, 0.5);
+    // Same seed, same engine, same executable: bit-identical.
+    let mut spec = quick_spec("ising(J=0.50)", 4, 7);
+    spec.noise = uniform(1e-3, 1e-2, 2e-2);
+    spec.methods = vec![MethodSpec::Ncafqa];
+    let report = run(reparse(&spec));
+
     let model = NoiseModel::uniform(4, 1e-3, 1e-2, 2e-2);
     let exec = ExecutableAnsatz::untranspiled(4, &model);
-    let engine = clapton::ga::MultiGaConfig::quick();
     let pool = Arc::new(WorkerPool::with_workers(0));
-    let legacy = run_ncafqa(&h, &exec, &engine, EvaluatorKind::Exact, 7, &pool);
-
-    let pipeline = Pipeline::new(h)
-        .with_uniform_noise(1e-3, 1e-2, 2e-2)
-        .quick(7);
-    let mut spec = pipeline.to_spec();
-    spec.methods = vec![MethodSpec::Ncafqa];
-    let report = ClaptonService::new().run(reparse(&spec)).unwrap();
-    assert_eq!(report.ncafqa.as_ref(), Some(&legacy));
+    let h = ising(4, 0.5);
+    let direct = run_ncafqa(
+        &h,
+        &exec,
+        &MultiGaConfig::quick(),
+        EvaluatorKind::Exact,
+        7,
+        &pool,
+    );
+    assert_eq!(report.ncafqa, Some(direct));
     assert!(report.cafqa.is_none() && report.clapton.is_none());
 }
