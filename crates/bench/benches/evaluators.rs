@@ -374,16 +374,16 @@ fn emit_failpoint_overhead(_c: &mut Criterion) {
     ));
 }
 
-/// The persistent result store head-to-head (docs/CACHING.md): a quick
+/// The persistent report store head-to-head (docs/CACHING.md): a quick
 /// Clapton job on the six-qubit Ising benchmark run *cold* (empty store —
-/// the full GA search plus write-back) vs *warm* (a pre-warmed store on a
-/// fresh artifact root — the report answered from disk at admission).
-/// ABBA-interleaved like every head-to-head row; the issue budgets the warm
-/// path ≥ 10× faster than cold. Also emits the one-time write-back cost a
-/// first run pays for persisting its genomes (the cache-*off* path is the
-/// unchanged code every other group measures) and the cross-run hit rate of
-/// running a reduced suite twice against one store.
-fn emit_loss_cache(_c: &mut Criterion) {
+/// the full GA search plus the report's store write) vs *warm* (a
+/// pre-warmed store on a fresh artifact root — the report answered from
+/// disk at admission). ABBA-interleaved like every head-to-head row; the
+/// warm path is budgeted ≥ 10× faster than cold. Also emits what a cold job
+/// pays for having a store attached (the cache-*off* path is the unchanged
+/// code every other group measures) and the cross-run hit rate of running a
+/// reduced suite twice against one store.
+fn emit_report_cache(_c: &mut Criterion) {
     use clapton_bench::{Options, SuiteConfig};
     use clapton_service::{
         CacheConfig, CacheStore, ClaptonService, EngineSpec, JobSpec, MethodSpec, NoiseSpec,
@@ -420,7 +420,7 @@ fn emit_loss_cache(_c: &mut Criterion) {
     };
     let pool = Arc::new(WorkerPool::new());
 
-    // Pre-warm one shared store with the spec's report and genome losses.
+    // Pre-warm one shared store with the spec's report.
     let warm_store = Arc::new(
         CacheStore::open(scratch.join("warm-cache"), CacheConfig::default()).expect("store opens"),
     );
@@ -457,28 +457,27 @@ fn emit_loss_cache(_c: &mut Criterion) {
         sorted.sort_unstable();
         let (median, best) = (sorted[sorted.len() / 2], sorted[0]);
         println!(
-            "loss_cache/{id}: median {:.2} ms (best {:.2} ms, {} interleaved samples)",
+            "report_cache/{id}: median {:.2} ms (best {:.2} ms, {} interleaved samples)",
             median as f64 / 1e6,
             best as f64 / 1e6,
             sorted.len()
         );
-        criterion::append_record("loss_cache", id, median, best, sorted.len());
+        criterion::append_record("report_cache", id, median, best, sorted.len());
     }
     let (cold, warm) = (median(cold_samples), median(warm_samples));
     let speedup = cold as f64 / warm.max(1) as f64;
     println!(
-        "loss_cache/cold_vs_warm_speedup: {speedup:.1}x \
+        "report_cache/cold_vs_warm_speedup: {speedup:.1}x \
          (cold {cold} ns / warm {warm} ns, budget ≥10x)"
     );
     criterion::append_line(&format!(
-        "{{\"group\":\"loss_cache\",\"id\":\"cold_vs_warm_speedup\",\"cold_ns\":{cold},\"warm_ns\":{warm},\"speedup_x\":{speedup:.2}}}"
+        "{{\"group\":\"report_cache\",\"id\":\"cold_vs_warm_speedup\",\"cold_ns\":{cold},\"warm_ns\":{warm},\"speedup_x\":{speedup:.2}}}"
     ));
 
-    // Cold write-back overhead: what a *first* run pays for persisting every
-    // scored genome (the cache-off path is the unchanged code the other
-    // groups in this file already measure — `store: None` short-circuits
-    // before any cache work). Write-back is a one-time cost the warm-run
-    // speedup amortizes across every later run of the same objective.
+    // Cold write-back overhead: what a *first* run pays for having a store
+    // attached — opening it, two report lookups and the report's put and
+    // flush (the cache-off path is the unchanged code the other groups in
+    // this file already measure).
     let mut run_cache_on = || {
         let root = fresh_root("on");
         let service = ClaptonService::with_pool(Arc::clone(&pool))
@@ -500,11 +499,11 @@ fn emit_loss_cache(_c: &mut Criterion) {
     let (on, off) = (median(on_samples), median(off_samples));
     let overhead_pct = (on as f64 - off as f64) / off.max(1) as f64 * 100.0;
     println!(
-        "loss_cache/cold_write_back_overhead: {overhead_pct:+.2}% \
-         (store attached {on} ns / detached {off} ns; one-time cost the warm speedup amortizes)"
+        "report_cache/cold_write_back_overhead: {overhead_pct:+.2}% \
+         (store attached {on} ns / detached {off} ns)"
     );
     criterion::append_line(&format!(
-        "{{\"group\":\"loss_cache\",\"id\":\"cold_write_back_overhead\",\"cache_on_ns\":{on},\"cache_off_ns\":{off},\"overhead_pct\":{overhead_pct:.2}}}"
+        "{{\"group\":\"report_cache\",\"id\":\"cold_write_back_overhead\",\"cache_on_ns\":{on},\"cache_off_ns\":{off},\"overhead_pct\":{overhead_pct:.2}}}"
     ));
 
     // Cross-run hit rate: a reduced quick suite run twice against one store
@@ -535,12 +534,12 @@ fn emit_loss_cache(_c: &mut Criterion) {
     let stats = second_store.stats();
     let hit_rate = stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
     println!(
-        "loss_cache/cross_run_hit_rate: {hit_rate:.2} \
+        "report_cache/cross_run_hit_rate: {hit_rate:.2} \
          ({} hits / {} misses on the second pass)",
         stats.hits, stats.misses
     );
     criterion::append_line(&format!(
-        "{{\"group\":\"loss_cache\",\"id\":\"cross_run_hit_rate\",\"hits\":{},\"misses\":{},\"hit_rate\":{hit_rate:.2}}}",
+        "{{\"group\":\"report_cache\",\"id\":\"cross_run_hit_rate\",\"hits\":{},\"misses\":{},\"hit_rate\":{hit_rate:.2}}}",
         stats.hits, stats.misses
     ));
     let _ = std::fs::remove_dir_all(&scratch);
@@ -726,6 +725,6 @@ criterion_group! {
         bench_sampled_energy, bench_sampled_energy_scalar,
         emit_sampled_speedup, bench_dense_hamiltonian, bench_population_batch,
         emit_loss_eval_breakdown, emit_telemetry_overhead, emit_failpoint_overhead,
-        emit_loss_cache
+        emit_report_cache
 }
 criterion_main!(benches);

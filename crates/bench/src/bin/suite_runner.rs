@@ -60,10 +60,10 @@
 //! carries the artifact envelope, so a spec list of your own is recorded
 //! with `--specs FILE`, never written by hand.
 //!
-//! Runs answer repeat work from the persistent content-addressed store at
-//! `--cache-dir` (default: `.cache` inside the run directory) —
-//! already-solved specs skip the pool entirely, and already-scored genomes
-//! are read back instead of recomputed, without changing a byte of any
+//! Runs answer repeat work from the persistent report store at
+//! `--cache-dir` (default: `.cache` inside the run directory): every
+//! completed job stores its report there, and an already-solved spec is
+//! answered from it without reaching the pool or changing a byte of any
 //! artifact. `--no-persistent-cache` pins the cold path. Each executing
 //! process prints a `clapton_cache_hits_total=…` line on exit; see
 //! `docs/CACHING.md`.
@@ -245,8 +245,8 @@ fn open_cache(dir: &Path, args: &Args) -> Result<Option<Arc<CacheStore>>, String
         .map_err(|e| format!("cannot open persistent cache at {}: {e}", path.display()))
 }
 
-/// The end-of-invocation store summary workers print (CI greps the
-/// `clapton_cache_hits_total=` key to assert warm runs actually hit disk).
+/// The end-of-invocation store summary workers print (CI's warm-cache
+/// smoke gates its `entries=`, hit and miss counts).
 fn print_cache_summary(cache: Option<&Arc<CacheStore>>) {
     let Some(cache) = cache else { return };
     let stats = cache.stats();

@@ -1,10 +1,10 @@
 //! `clapton-cache`: a persistent content-addressed result store.
 //!
-//! The in-process [`clapton_eval::CachedEvaluator`] memo dies with its job;
-//! this crate keeps the same pure genome → loss facts (and whole terminal
-//! reports) on disk, so repeated traffic — a resubmitted spec, a second
-//! suite run against the same registry, another shard worker — answers from
-//! storage instead of recomputing.
+//! For jobs it is a report store: the service keeps each terminal report
+//! here under its spec identity, so repeated traffic — a resubmitted spec, a
+//! second suite run against the same registry, another shard worker —
+//! answers from storage instead of recomputing. Its genome → loss interface
+//! ([`clapton_eval::LossStore`]) no longer serves any job.
 //!
 //! # Storage format
 //!
@@ -34,8 +34,8 @@
 //!
 //! # Identity and safety
 //!
-//! Keys are content fingerprints supplied by the caller (loss namespaces
-//! from `clapton_core::loss_namespace`, spec identities from the service),
+//! Keys are content fingerprints supplied by the caller (spec identities
+//! from the service, loss namespaces from `clapton_core::loss_namespace`),
 //! and values are pure functions of their key. Racing inserts of the same
 //! key are therefore benign: whichever segment sorts last wins, and it wins
 //! bit-identically.
@@ -503,8 +503,8 @@ impl Drop for CacheStore {
     }
 }
 
-/// Losses are stored as the 16-hex digits of [`f64::to_bits`] — exact,
-/// locale-free, bit-stable round-trips.
+/// Losses are stored as the 16-hex digits of [`f64::to_bits`]. No job writes
+/// them; kept only for `clapbench/src/compose.rs`'s loss-store timing.
 impl LossStore for CacheStore {
     fn load(&self, ns: u64, key: &[u8]) -> Option<f64> {
         let text = self.get(ns, key)?;

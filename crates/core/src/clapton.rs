@@ -3,7 +3,6 @@
 use crate::loss::hash_terms;
 use crate::{EvaluatorKind, ExecutableAnsatz, TransformLoss, Transformation};
 use clapton_circuits::TransformationAnsatz;
-use clapton_eval::LossStore;
 use clapton_ga::{EngineState, MemoEntry, MultiGa, MultiGaConfig};
 use clapton_noise::NoisyCircuit;
 use clapton_pauli::PauliSum;
@@ -117,24 +116,17 @@ pub fn run_clapton(
     config: &ClaptonConfig,
     pool: &Arc<WorkerPool>,
 ) -> ClaptonResult {
-    run_clapton_resumable(h, exec, config, pool, None, None, &mut |_, _| true)
+    run_clapton_resumable(h, exec, config, pool, None, &mut |_, _| true)
         .1
         .expect("uninterrupted run converges")
 }
 
-/// [`run_clapton`] with a persistent loss store, round-level checkpoint
-/// hooks, and resume — the Clapton search inside the service's job body.
+/// [`run_clapton`] with round-level checkpoint hooks and resume — the
+/// Clapton search inside the service's job body. Its losses come from the
+/// in-process memo and the objective alone; no persistent store is consulted.
 ///
 /// * `pool` — GA instances and population batches execute on this shared
 ///   persistent [`WorkerPool`] (results are bit-identical for every size).
-/// * `store` — memo misses consult the store before computing, and computed
-///   losses are written back, so a repeated search (same Hamiltonian,
-///   device, evaluator, ablation) answers its loss queries from disk. The
-///   store namespace is [`loss_namespace`] — deliberately independent of the
-///   engine hyper-parameters and seed, so differently-configured searches
-///   over the same objective share entries. Results and all reported
-///   statistics are bit-identical with or without the store (disk hits are
-///   recorded as fresh memo inserts).
 /// * `resume` — an [`EngineState`] snapshot from a previous, interrupted
 ///   run, its memo in `cache_entries`. The search continues from the
 ///   captured round, bit-identical to a run that was never interrupted.
@@ -164,7 +156,6 @@ pub fn run_clapton_resumable(
     exec: &ExecutableAnsatz,
     config: &ClaptonConfig,
     pool: &Arc<WorkerPool>,
-    store: Option<Arc<dyn LossStore>>,
     resume: Option<EngineState>,
     on_round: &mut dyn FnMut(&EngineState, &[MemoEntry]) -> bool,
 ) -> (EngineState, Option<ClaptonResult>) {
@@ -176,10 +167,7 @@ pub fn run_clapton_resumable(
         // Ablation: freeze the two-qubit slot genes to identity.
         objective = objective.freeze_two_qubit_slots();
     }
-    let mut engine = MultiGa::new(t_ansatz.num_genes(), 4, config.engine);
-    if let Some(store) = store {
-        engine = engine.with_loss_store(store, loss_namespace(h, exec, config));
-    }
+    let engine = MultiGa::new(t_ansatz.num_genes(), 4, config.engine);
     let tag = problem_fingerprint(h, config);
     let mut state = match resume {
         Some(state) => {
@@ -224,16 +212,14 @@ pub fn run_clapton_resumable(
     (state, Some(clapton))
 }
 
-/// The persistent-store namespace for loss entries of this objective: a
-/// deterministic FNV-1a fingerprint of everything a genome's loss depends
-/// on — the Hamiltonian's terms, the noisy transpiled ansatz (via
-/// [`NoisyCircuit::fingerprint`], which covers layout, coupling, and the
-/// per-qubit noise model), the evaluator kind, and the ablation switch.
+/// The persistent-store namespace for loss entries of this objective: an
+/// FNV-1a fingerprint of everything a genome's loss depends on — the
+/// Hamiltonian's terms, the noisy transpiled ansatz
+/// ([`NoisyCircuit::fingerprint`]), the evaluator kind and the ablation
+/// switch, but not the engine settings or seed.
 ///
-/// Deliberately excluded: the engine hyper-parameters and seed. The loss of
-/// a transformation is a property of the objective alone, so searches with
-/// different GA settings over the same problem share one namespace (unlike
-/// the resume tag, which must pin the full engine configuration).
+/// No job keys a store with it; it is kept only for the benchmark's traced
+/// job body (`clapbench/src/compose.rs`), which still attaches a loss store.
 pub fn loss_namespace(h: &PauliSum, exec: &ExecutableAnsatz, config: &ClaptonConfig) -> u64 {
     let noisy = NoisyCircuit::from_circuit(&exec.circuit_at_zero(), exec.noise_model())
         .expect("the transpiled ansatz at θ=0 is Clifford");
@@ -384,28 +370,22 @@ mod tests {
 
         // A pool with workers produces the identical result.
         let pool = Arc::new(WorkerPool::with_workers(2));
-        let (_, pooled) =
-            run_clapton_resumable(&h, &exec, &config, &pool, None, None, &mut |_, _| true);
+        let (_, pooled) = run_clapton_resumable(&h, &exec, &config, &pool, None, &mut |_, _| true);
         assert_eq!(pooled.expect("converged"), reference);
 
         // Suspend after the first round, round-trip the state through JSON,
         // resume: bit-identical to the uninterrupted run.
         let (suspended, early) =
-            run_clapton_resumable(&h, &exec, &config, &inline, None, None, &mut |_, _| false);
+            run_clapton_resumable(&h, &exec, &config, &inline, None, &mut |_, _| false);
         assert!(early.is_none(), "observer suspended the run");
         assert!(!suspended.finished);
         assert_eq!(suspended.rounds(), 1);
         let json = serde_json::to_string(&suspended).expect("state serializes");
         let restored: EngineState = serde_json::from_str(&json).expect("state parses");
-        let (final_state, resumed) = run_clapton_resumable(
-            &h,
-            &exec,
-            &config,
-            &inline,
-            None,
-            Some(restored),
-            &mut |_, _| true,
-        );
+        let (final_state, resumed) =
+            run_clapton_resumable(&h, &exec, &config, &inline, Some(restored), &mut |_, _| {
+                true
+            });
         assert!(final_state.finished);
         assert_eq!(resumed.expect("converged"), reference);
     }
@@ -419,21 +399,15 @@ mod tests {
         let exec = ExecutableAnsatz::untranspiled(3, &model);
         let config = ClaptonConfig::quick(5);
         let pool = inline();
-        let (state, _) = run_clapton_resumable(
-            &ising(3, 0.25),
-            &exec,
-            &config,
-            &pool,
-            None,
-            None,
-            &mut |_, _| false,
-        );
+        let (state, _) =
+            run_clapton_resumable(&ising(3, 0.25), &exec, &config, &pool, None, &mut |_, _| {
+                false
+            });
         run_clapton_resumable(
             &xxz(3, 0.25),
             &exec,
             &config,
             &pool,
-            None,
             Some(state),
             &mut |_, _| true,
         );

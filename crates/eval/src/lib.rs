@@ -83,9 +83,9 @@ pub trait LossEvaluator: Sync {
     }
 }
 
-/// A persistent genome → loss tier behind the in-memory memo: disk caches,
-/// shared stores, anything that can answer a canonical key with a
-/// previously computed loss.
+/// A persistent genome → loss tier behind the in-memory memo. No job
+/// attaches one; it is kept only for the benchmark's traced job body
+/// (`clapbench/src/compose.rs`), which still times a store's loss traffic.
 ///
 /// Lookups are namespaced: `ns` fingerprints everything that shapes the
 /// loss besides the genome (Hamiltonian, noise model, evaluator kind),
@@ -234,9 +234,9 @@ impl<E: LossEvaluator> CachedEvaluator<E> {
         }
     }
 
-    /// Attaches a persistent tier behind the memo: lookups that miss the
-    /// in-memory table consult `store` (under namespace `ns`) before the
-    /// wrapped evaluator runs, and freshly computed losses are written back.
+    /// Attaches a persistent tier behind the memo: memo misses consult `store`
+    /// (namespace `ns`) before computing, and computed losses are written
+    /// back. Kept only for `clapbench/src/compose.rs`; no job attaches one.
     pub fn with_store(mut self, store: Arc<dyn LossStore>, ns: u64) -> CachedEvaluator<E> {
         self.store = Some((store, ns));
         self

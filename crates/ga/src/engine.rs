@@ -225,8 +225,8 @@ impl MultiGa {
     }
 
     /// Attaches a persistent loss store consulted on memo misses under
-    /// namespace `ns` (see [`CachedEvaluator::with_store`] for the
-    /// determinism contract — disk hits count as cache misses).
+    /// namespace `ns` ([`CachedEvaluator::with_store`]; disk hits count as
+    /// cache misses). Kept only for `clapbench/src/compose.rs`.
     pub fn with_loss_store(mut self, store: Arc<dyn LossStore>, ns: u64) -> MultiGa {
         self.store = Some((store, ns));
         self

@@ -50,7 +50,8 @@ fn stop(handle: ServerHandle, serve: std::thread::JoinHandle<()>) {
 fn warm_admission_answers_across_restart_and_flush_forgets() {
     let root = scratch("warm");
 
-    // Life 1: solve the spec cold; its report and losses enter the store.
+    // Life 1: solve the spec cold; its report, and nothing else, enters the
+    // store.
     let (handle, serve) = start(ServerConfig::new(&root));
     let client = Client::new(handle.local_addr().to_string());
     let submitted = client.submit(&spec_json(&quick_spec(21))).expect("submit");
@@ -59,10 +60,7 @@ fn warm_admission_answers_across_restart_and_flush_forgets() {
     let done = client.wait(&id, Duration::from_secs(120)).expect("done");
     let cold_report = done.report.expect("report");
     let stats = client.cache_stats().expect("cache stats");
-    assert!(
-        stats.entries > 0,
-        "solved spec entered the store: {stats:?}"
-    );
+    assert_eq!(stats.entries, 1, "solved spec entered the store: {stats:?}");
     stop(handle, serve);
 
     // Delete the job's artifacts: only the store remembers the answer now.
@@ -95,7 +93,7 @@ fn warm_admission_answers_across_restart_and_flush_forgets() {
     // Flush: the store forgets, and a resubmission (artifacts gone too)
     // queues for real work again.
     let cleared = client.cache_flush().expect("flush");
-    assert!(cleared > 0, "flush reported dropped entries");
+    assert_eq!(cleared, 1, "flush reported the one dropped report");
     assert_eq!(client.cache_stats().expect("stats").entries, 0);
     std::fs::remove_dir_all(&job_dir).expect("remove rematerialized artifacts");
     let cold_again = client.submit(&spec_json(&quick_spec(21))).expect("submit");

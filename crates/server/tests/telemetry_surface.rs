@@ -3,7 +3,7 @@
 //! and kernel series, and `GET /v1/jobs/{id}/trace` must agree span-for-span
 //! with the `telemetry.jsonl` artifact the service wrote for the job, whose
 //! tree holds the job's phases (rounds, their checkpoint writes, the report
-//! write) and nothing else.
+//! and store writes) and nothing else.
 
 use clapton_server::client::Client;
 use clapton_server::{Server, ServerConfig, ServerHandle};
@@ -136,14 +136,16 @@ fn metrics_scrape_covers_every_layer_and_trace_matches_the_artifact() {
             );
         }
     }
-    for phase in ["e0", "device_energy", "report_write"] {
+    // A served job has a store attached, so its report write to the store
+    // is a phase too.
+    for phase in ["e0", "device_energy", "report_write", "store_write"] {
         assert!(
             job_root.children.iter().any(|c| c.name == phase),
             "{phase} span under the job root"
         );
     }
     // Phases only: the pooled population batches open no spans.
-    const PHASES: [&str; 10] = [
+    const PHASES: [&str; 11] = [
         "job",
         "e0",
         "cafqa",
@@ -154,6 +156,7 @@ fn metrics_scrape_covers_every_layer_and_trace_matches_the_artifact() {
         "device_energy",
         "vqe",
         "report_write",
+        "store_write",
     ];
     let mut stack: Vec<&clapton_telemetry::SpanNode> = trace.spans.iter().collect();
     while let Some(node) = stack.pop() {

@@ -4,7 +4,7 @@
 use crate::ground::GroundEnergies;
 use crate::{JobSpec, MethodSpec, Report, ResolvedJob};
 use clapton_cache::{CacheConfig, CacheStore};
-use clapton_core::{device_energy, run_cafqa, run_clapton_resumable, run_ncafqa, LossStore};
+use clapton_core::{device_energy, run_cafqa, run_clapton_resumable, run_ncafqa};
 use clapton_error::{ClaptonError, SpecError};
 use clapton_ga::{EngineState, MemoEntry};
 use clapton_runtime::{
@@ -278,11 +278,10 @@ impl ClaptonService {
         Ok(self)
     }
 
-    /// Attaches a shared persistent result store ([`CacheStore`]): memo
-    /// misses in every job's loss evaluation consult it before computing,
-    /// computed losses are written back, and completed reports are stored
-    /// so an identical spec — resubmitted, or submitted in a later process
-    /// — answers without running the search. Results and all reported
+    /// Attaches a shared persistent report store ([`CacheStore`]): every
+    /// completed report is stored, so an identical spec — resubmitted, or
+    /// submitted in a later process — answers without running the search.
+    /// A job's search never consults it, so results and all reported
     /// statistics are bit-identical with or without the store.
     pub fn with_cache(mut self, cache: Arc<CacheStore>) -> ClaptonService {
         self.cache = Some(cache);
@@ -992,7 +991,6 @@ impl ClaptonService {
         }
         let AdmittedJob { job, dir, .. } = admitted;
         let dir = dir.as_ref();
-        let cache = self.cache.as_ref();
         let pool = &self.pool;
         let h = &job.hamiltonian;
         let exec = &job.exec;
@@ -1022,13 +1020,8 @@ impl ClaptonService {
             let mut cancelled = false;
             let _clapton_span = clapton_telemetry::span("clapton");
             let mut round_started = clapton_telemetry::mono_ns();
-            // The loss tier of the persistent store: memo misses inside the GA
-            // consult it before computing, and computed losses are written back
-            // — so even a *partially* overlapping search (different seed or
-            // engine effort over the same objective) answers from disk.
-            let store = cache.map(|c| Arc::clone(c) as Arc<dyn LossStore>);
             let (state, result) =
-                run_clapton_resumable(h, exec, config, pool, store, resume, &mut |state, delta| {
+                run_clapton_resumable(h, exec, config, pool, resume, &mut |state, delta| {
                     clapton_telemetry::record_complete(
                         "round",
                         round_started,
@@ -1168,9 +1161,9 @@ impl ClaptonService {
             // reproduces it bit-identically.
             dir.rotate(CHECKPOINT_ARTIFACT, CHECKPOINT_PREV_ARTIFACT)?;
         }
-        if let Some(cache) = cache {
-            // Terminal reports enter the store, and everything buffered (this
-            // report plus the job's computed losses) goes durable in one flush.
+        if let Some(cache) = &self.cache {
+            // The job's one store write: its terminal report, made durable.
+            let _span = clapton_telemetry::span("store_write");
             cache.put_json(report_namespace(), &report_key(job), &report);
             cache.flush().map_err(ClaptonError::from)?;
         }

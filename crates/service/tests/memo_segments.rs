@@ -240,7 +240,6 @@ fn checkpoint_with_inline_memo_restarts_from_round_zero() {
         &job.config,
         &pool,
         None,
-        None,
         &mut |_, _| {
             rounds_left -= 1;
             rounds_left > 0

@@ -1,11 +1,11 @@
-//! The persistent result store through the service: cold-vs-warm report
+//! The persistent report store through the service: cold-vs-warm report
 //! identity across fresh processes (modeled as fresh `CacheStore` handles),
-//! warm admission, and determinism of the reported statistics.
+//! warm admission, and a cold job storing its report and nothing else.
 
 use clapton_runtime::WorkerPool;
 use clapton_service::{
     CacheConfig, CacheStore, ClaptonError, ClaptonService, EngineSpec, JobArtifactState, JobSpec,
-    MethodSpec, NoiseSpec, ProblemSpec, SuiteProblem, UniformNoise,
+    NoiseSpec, ProblemSpec, SuiteProblem, UniformNoise,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -73,35 +73,27 @@ fn warm_report_is_byte_identical_across_a_fresh_process() {
 }
 
 #[test]
-fn loss_tier_answers_across_distinct_specs_sharing_the_objective() {
-    // Two specs that differ in their method list have different report
-    // identities, but their Clapton searches walk the same genome sequence
-    // over the same objective — so the second spec's losses all answer from
-    // the first one's loss namespace, and the result is bit-identical to a
-    // cache-less run.
-    let root = scratch("loss-tier");
+fn a_cold_job_stores_its_report_and_nothing_else() {
+    // For jobs the store is a report store: the search never consults it,
+    // so a cold job inserts exactly its report, whose bytes equal those of
+    // a run without a store.
+    let root = scratch("report-only");
+    let bare_root = scratch("report-only-bare");
     let pool = Arc::new(WorkerPool::with_workers(2));
-    let mut clapton_only = quick_spec(5);
-    clapton_only.methods = vec![MethodSpec::Clapton];
-    let reference = ClaptonService::with_pool(Arc::clone(&pool))
+    let service = service_with(&root, &pool);
+    service.run(quick_spec(5)).unwrap();
+    let stats = service.cache().unwrap().stats();
+    assert_eq!((stats.inserts, stats.entries), (1, 1), "{stats:?}");
+    ClaptonService::with_pool(Arc::clone(&pool))
+        .with_artifacts(&bare_root)
+        .unwrap()
         .run(quick_spec(5))
         .unwrap();
-
-    // The warm-up service persists no artifacts (the two specs share a job
-    // slug) — the store alone carries the losses across.
-    let seeded = ClaptonService::with_pool(Arc::clone(&pool)).with_cache(Arc::new(
-        CacheStore::open_under_registry(&root, CacheConfig::default()).unwrap(),
-    ));
-    seeded.run(clapton_only).unwrap();
-    let warm = service_with(&root, &pool);
-    let cached = warm.run(quick_spec(5)).unwrap();
-    assert_eq!(cached, reference, "the store never changes results");
-    let stats = warm.cache().unwrap().stats();
-    assert!(
-        stats.hits > 0,
-        "the full run reused the clapton-only run's losses: {stats:?}"
-    );
+    let report =
+        |root: &PathBuf| std::fs::read(root.join("ising-J-0.50-seed5/report.json")).unwrap();
+    assert_eq!(report(&root), report(&bare_root));
     std::fs::remove_dir_all(&root).unwrap();
+    std::fs::remove_dir_all(&bare_root).unwrap();
 }
 
 #[test]
