@@ -377,17 +377,19 @@ fn emit_failpoint_overhead(_c: &mut Criterion) {
 /// The persistent report store head-to-head (docs/CACHING.md): a quick
 /// Clapton job on the six-qubit Ising benchmark run *cold* (empty store —
 /// the full GA search plus the report's store write) vs *warm* (a
-/// pre-warmed store on a fresh artifact root — the report answered from
-/// disk at admission). ABBA-interleaved like every head-to-head row; the
-/// warm path is budgeted ≥ 10× faster than cold. Also emits what a cold job
+/// pre-warmed store on a fresh artifact root — `admit` plus `inspect`
+/// answering the report from disk, which is all a warm job costs
+/// `clapton-server` at admission or a `suite-runner` sweep before it
+/// claims). ABBA-interleaved like every head-to-head row; the warm path is
+/// budgeted ≥ 10× faster than cold. Also emits what a cold job
 /// pays for having a store attached (the cache-*off* path is the unchanged
 /// code every other group measures) and the cross-run hit rate of running a
 /// reduced suite twice against one store.
 fn emit_report_cache(_c: &mut Criterion) {
     use clapton_bench::{Options, SuiteConfig};
     use clapton_service::{
-        CacheConfig, CacheStore, ClaptonService, EngineSpec, JobSpec, MethodSpec, NoiseSpec,
-        ProblemSpec, SuiteProblem, UniformNoise,
+        CacheConfig, CacheStore, ClaptonService, EngineSpec, JobArtifactState, JobSpec, MethodSpec,
+        NoiseSpec, ProblemSpec, SuiteProblem, UniformNoise,
     };
 
     fn quick_spec() -> JobSpec {
@@ -407,7 +409,7 @@ fn emit_report_cache(_c: &mut Criterion) {
         spec
     }
 
-    let scratch = std::env::temp_dir().join(format!("clapton-loss-cache-{}", std::process::id()));
+    let scratch = std::env::temp_dir().join(format!("clapton-report-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).expect("scratch dir");
     // Every run gets its own artifact root so the warm contender can only be
@@ -446,7 +448,11 @@ fn emit_report_cache(_c: &mut Criterion) {
             .with_artifacts(&root)
             .expect("registry opens")
             .with_cache(Arc::clone(&warm_store));
-        black_box(service.run(quick_spec()).expect("warm run"));
+        let admitted = service.admit(quick_spec()).expect("warm admission");
+        match service.inspect(&admitted).expect("warm inspect") {
+            JobArtifactState::Done(report) => black_box(report),
+            other => panic!("the warm store must settle the job, got {other:?}"),
+        };
     };
     let (cold_samples, warm_samples) = counterbalanced_samples(4, &mut run_cold, &mut run_warm);
     for (id, samples) in [

@@ -8,12 +8,12 @@
 //!
 //! # Storage format
 //!
-//! The store lives in one directory (conventionally `<registry>/.cache`,
-//! which [`clapton_runtime::RunRegistry`] skips when listing runs) holding
-//! `shards` subdirectories, each a [`RunDirectory`] of append-once
-//! *segment* artifacts named `seg-<unix-ms>-<pid>-<seq>.seg`. A flush
-//! writes one segment through [`RunDirectory::write_sealed`] — one
-//! integrity envelope around the shard's buffered records, each laid out as
+//! The store is one [`RunDirectory`] (conventionally `<registry>/.cache`,
+//! which [`clapton_runtime::RunRegistry`] skips when listing runs) of
+//! append-once *segment* artifacts named `seg-<unix-ms>-<pid>-<seq>.seg`.
+//! Each flush writes one segment through [`RunDirectory::write_sealed`] —
+//! one integrity envelope around every record buffered since the last
+//! flush, each laid out as
 //!
 //! ```text
 //! ns (u64 LE) | key length (u32 LE) | value length (u32 LE) | key bytes | value (UTF-8)
@@ -30,7 +30,8 @@
 //! layout) is quarantined by the registry like any corrupt artifact,
 //! counted in `clapton_cache_corrupt_segments_total`, and contributes no
 //! entries; lookups keep working off the healthy segments. Nothing
-//! references a segment, so a lost one only costs recomputation.
+//! references a segment, so a lost one only costs recomputation. The
+//! `shard-<i>/` subdirectories of an earlier build's store are not read.
 //!
 //! # Identity and safety
 //!
@@ -42,19 +43,18 @@
 //!
 //! # Eviction
 //!
-//! [`CacheConfig::max_bytes`] bounds the store (divided evenly across
-//! shards). When a flush pushes a shard past its budget, its oldest
-//! segments are deleted — never the one just written — and their index
-//! entries dropped, counted in `clapton_cache_evictions_total`.
+//! [`CacheConfig::max_bytes`] bounds the store. When a flush pushes it past
+//! that budget, its oldest segments are deleted — never the one just
+//! written — and their index entries dropped, counted in
+//! `clapton_cache_evictions_total`.
 
 use clapton_eval::LossStore;
 use clapton_runtime::{Artifact, RunDirectory};
-use clapton_telemetry::Fnv1a;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -62,26 +62,19 @@ use std::sync::Mutex;
 /// `RunRegistry::run_names` never lists it as a run.
 pub const CACHE_DIR_NAME: &str = ".cache";
 
-/// Pending records buffered in a shard before an automatic segment flush.
-const AUTO_FLUSH_BYTES: usize = 512 * 1024;
-
-/// Sizing knobs for a [`CacheStore`].
+/// Sizing knob for a [`CacheStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheConfig {
-    /// Total on-disk budget in bytes, divided evenly across shards. A shard
-    /// over its slice evicts oldest segments first (the newest segment is
-    /// always kept, so a single oversized record still caches).
+    /// On-disk budget in bytes. A store over it evicts oldest segments
+    /// first (the newest segment is always kept, so a single oversized
+    /// record still caches).
     pub max_bytes: u64,
-    /// Number of shard subdirectories (keys are hash-partitioned). More
-    /// shards mean finer-grained eviction and less write contention.
-    pub shards: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> CacheConfig {
         CacheConfig {
             max_bytes: 256 * 1024 * 1024,
-            shards: 8,
         }
     }
 }
@@ -118,9 +111,9 @@ enum Home {
     Segment(String),
 }
 
-#[derive(Debug)]
-struct Shard {
-    dir: RunDirectory,
+/// Everything behind the store's one lock.
+#[derive(Debug, Default)]
+struct State {
     /// `(ns, key)` → (value, home).
     index: HashMap<(u64, Vec<u8>), (String, Home)>,
     /// Encoded records awaiting the next segment flush.
@@ -128,48 +121,15 @@ struct Shard {
     pending_keys: Vec<(u64, Vec<u8>)>,
     /// Live segments as `(file name, bytes)`, sorted oldest first.
     segments: Vec<(String, u64)>,
+    /// This store's counters since open (see [`CacheStoreStats`]).
+    hits: u64,
+    misses: u64,
+    inserts: u64,
+    evictions: u64,
+    corrupt_segments: u64,
 }
 
-impl Shard {
-    /// Indexes every segment in `dir`, oldest first. Returns the shard and
-    /// how many segments the registry quarantined.
-    fn open(dir: RunDirectory) -> io::Result<(Shard, u64)> {
-        let mut listed: Vec<(String, u64)> = fs::read_dir(dir.path())?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                // Size 0 only when the segment vanished meanwhile, which
-                // `load_sealed` then reports as missing.
-                (name.starts_with("seg-") && name.ends_with(".seg"))
-                    .then(|| (name, e.metadata().map_or(0, |m| m.len())))
-            })
-            .collect();
-        listed.sort();
-        let mut shard = Shard {
-            dir,
-            index: HashMap::new(),
-            pending: Vec::new(),
-            pending_keys: Vec::new(),
-            segments: Vec::new(),
-        };
-        let mut corrupt = 0;
-        for (name, bytes) in listed {
-            match shard.dir.load_sealed(&name, decode_segment)? {
-                // A racing process evicted it between listing and reading.
-                Artifact::Missing => {}
-                Artifact::Corrupt { .. } => corrupt += 1,
-                Artifact::Valid(records) => {
-                    for (ns, key, value) in records {
-                        let home = Home::Segment(name.clone());
-                        shard.index.insert((ns, key), (value, home));
-                    }
-                    shard.segments.push((name, bytes));
-                }
-            }
-        }
-        Ok((shard, corrupt))
-    }
-
+impl State {
     fn segment_bytes(&self) -> u64 {
         self.segments.iter().map(|&(_, b)| b).sum()
     }
@@ -265,19 +225,9 @@ fn cache_metrics() -> &'static CacheMetrics {
 /// all methods take `&self`.
 #[derive(Debug)]
 pub struct CacheStore {
-    root: PathBuf,
+    dir: RunDirectory,
     config: CacheConfig,
-    shards: Vec<Mutex<Shard>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-    corrupt_segments: AtomicU64,
-}
-
-/// FNV-1a 64 over `ns` then `key` — shard selector.
-fn shard_hash(ns: u64, key: &[u8]) -> u64 {
-    Fnv1a::new().write(&ns.to_le_bytes()).write(key).finish()
+    state: Mutex<State>,
 }
 
 /// A fresh segment file name: lexicographic order is creation order, and
@@ -296,33 +246,45 @@ fn segment_name() -> String {
 
 impl CacheStore {
     /// Opens (creating if needed) the store rooted at `root`, reading every
-    /// live segment into the in-memory index. Corrupt segments are
-    /// quarantined aside and contribute nothing.
+    /// live segment into the in-memory index, oldest first. Corrupt
+    /// segments are quarantined aside and contribute nothing.
     ///
     /// # Errors
     ///
     /// Real I/O failures only; corruption is handled, not an error.
     pub fn open(root: impl AsRef<Path>, config: CacheConfig) -> io::Result<CacheStore> {
-        assert!(config.shards > 0, "a cache needs at least one shard");
-        let root = root.as_ref().to_path_buf();
-        let mut shards = Vec::with_capacity(config.shards);
-        let mut corrupt = 0;
-        for i in 0..config.shards {
-            let (shard, quarantined) =
-                Shard::open(RunDirectory::create(root.join(format!("shard-{i}")))?)?;
-            shards.push(Mutex::new(shard));
-            corrupt += quarantined;
+        let dir = RunDirectory::create(root.as_ref())?;
+        let mut listed: Vec<(String, u64)> = fs::read_dir(dir.path())?
+            .filter_map(|e| e.ok())
+            .filter_map(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                // Size 0 only when the segment vanished meanwhile, which
+                // `load_sealed` then reports as missing.
+                (name.starts_with("seg-") && name.ends_with(".seg"))
+                    .then(|| (name, e.metadata().map_or(0, |m| m.len())))
+            })
+            .collect();
+        listed.sort();
+        let mut state = State::default();
+        for (name, bytes) in listed {
+            match dir.load_sealed(&name, decode_segment)? {
+                // A racing process evicted it between listing and reading.
+                Artifact::Missing => {}
+                Artifact::Corrupt { .. } => state.corrupt_segments += 1,
+                Artifact::Valid(records) => {
+                    for (ns, key, value) in records {
+                        let home = Home::Segment(name.clone());
+                        state.index.insert((ns, key), (value, home));
+                    }
+                    state.segments.push((name, bytes));
+                }
+            }
         }
-        cache_metrics().corrupt_segments.add(corrupt);
+        cache_metrics().corrupt_segments.add(state.corrupt_segments);
         Ok(CacheStore {
-            root,
+            dir,
             config,
-            shards,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            corrupt_segments: AtomicU64::new(corrupt),
+            state: Mutex::new(state),
         })
     }
 
@@ -337,96 +299,81 @@ impl CacheStore {
 
     /// The store's root directory.
     pub fn path(&self) -> &Path {
-        &self.root
+        self.dir.path()
     }
 
     /// Looks up the value stored under `(ns, key)`.
     pub fn get(&self, ns: u64, key: &[u8]) -> Option<String> {
-        let shard = self.shard_for(ns, key).lock().expect("shard lock");
-        match shard.index.get(&(ns, key.to_vec())) {
-            Some((value, _)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                cache_metrics().hits.inc();
-                Some(value.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                cache_metrics().misses.inc();
-                None
-            }
+        let mut state = self.state.lock().expect("store lock");
+        let found = state
+            .index
+            .get(&(ns, key.to_vec()))
+            .map(|(value, _)| value.clone());
+        if found.is_some() {
+            state.hits += 1;
+            cache_metrics().hits.inc();
+        } else {
+            state.misses += 1;
+            cache_metrics().misses.inc();
         }
+        found
     }
 
     /// Inserts `value` under `(ns, key)`. A key already present is a no-op
     /// (values are pure functions of their key, so a differing value can
     /// only mean a caller bug — the first write wins within a process).
-    /// The record is buffered; it reaches disk on the next [`flush`]
-    /// (automatic once a shard buffers 512 KiB).
+    /// The record is buffered; it reaches disk on the next [`flush`] or
+    /// when the store drops.
     ///
     /// [`flush`]: CacheStore::flush
     pub fn put(&self, ns: u64, key: &[u8], value: &str) {
-        let mut shard = self.shard_for(ns, key).lock().expect("shard lock");
+        let mut state = self.state.lock().expect("store lock");
         let index_key = (ns, key.to_vec());
-        if shard.index.contains_key(&index_key) {
+        if state.index.contains_key(&index_key) {
             return;
         }
-        encode_record(&mut shard.pending, ns, key, value);
-        shard.pending_keys.push(index_key.clone());
-        shard
+        encode_record(&mut state.pending, ns, key, value);
+        state.pending_keys.push(index_key.clone());
+        state
             .index
             .insert(index_key, (value.to_string(), Home::Pending));
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        state.inserts += 1;
         cache_metrics().inserts.inc();
-        if shard.pending.len() >= AUTO_FLUSH_BYTES {
-            // Best-effort: an I/O failure here surfaces on the explicit
-            // flush; the entry stays answerable from memory meanwhile.
-            let _ = self.flush_shard(&mut shard);
-        }
     }
 
-    /// Writes every buffered record out as new segments (one per dirty
-    /// shard) and applies the eviction budget. A shard whose write fails
-    /// keeps its records buffered for the next flush.
+    /// Writes every buffered record out as one new segment and applies the
+    /// eviction budget. A failed write keeps the records buffered for the
+    /// next flush.
     ///
     /// # Errors
     ///
-    /// The first I/O failure; earlier shards stay flushed.
+    /// The segment write's or an eviction's I/O failure.
     pub fn flush(&self) -> io::Result<()> {
-        for slot in &self.shards {
-            self.flush_shard(&mut slot.lock().expect("shard lock"))?;
-        }
-        Ok(())
-    }
-
-    fn shard_for(&self, ns: u64, key: &[u8]) -> &Mutex<Shard> {
-        &self.shards[(shard_hash(ns, key) % self.shards.len() as u64) as usize]
-    }
-
-    fn flush_shard(&self, shard: &mut Shard) -> io::Result<()> {
-        if !shard.pending.is_empty() {
+        let mut guard = self.state.lock().expect("store lock");
+        let state = &mut *guard;
+        if !state.pending.is_empty() {
             let name = segment_name();
-            let bytes = shard.dir.write_sealed(&name, &shard.pending)?;
-            shard.pending.clear();
-            for index_key in std::mem::take(&mut shard.pending_keys) {
-                if let Some((_, home)) = shard.index.get_mut(&index_key) {
+            let bytes = self.dir.write_sealed(&name, &state.pending)?;
+            state.pending.clear();
+            for index_key in std::mem::take(&mut state.pending_keys) {
+                if let Some((_, home)) = state.index.get_mut(&index_key) {
                     if *home == Home::Pending {
                         *home = Home::Segment(name.clone());
                     }
                 }
             }
-            shard.segments.push((name, bytes));
+            state.segments.push((name, bytes));
         }
-        // Evict oldest segments past the per-shard budget slice, always
-        // keeping the newest so one oversized record still caches.
-        let budget = self.config.max_bytes / self.shards.len() as u64;
-        while shard.segments.len() > 1 && shard.segment_bytes() > budget {
-            let (victim, _) = shard.segments.remove(0);
-            shard.dir.remove(&victim)?;
+        // Evict oldest segments past the budget, always keeping the newest
+        // so one oversized record still caches.
+        while state.segments.len() > 1 && state.segment_bytes() > self.config.max_bytes {
+            let (victim, _) = state.segments.remove(0);
+            self.dir.remove(&victim)?;
             let home = Home::Segment(victim);
-            let before = shard.index.len();
-            shard.index.retain(|_, (_, h)| *h != home);
-            let dropped = (before - shard.index.len()) as u64;
-            self.evictions.fetch_add(dropped, Ordering::Relaxed);
+            let before = state.index.len();
+            state.index.retain(|_, (_, h)| *h != home);
+            let dropped = (before - state.index.len()) as u64;
+            state.evictions += dropped;
             cache_metrics().evictions.add(dropped);
         }
         Ok(())
@@ -439,16 +386,13 @@ impl CacheStore {
     ///
     /// The first I/O failure encountered while unlinking segments.
     pub fn clear(&self) -> io::Result<u64> {
-        let mut cleared = 0;
-        for slot in &self.shards {
-            let mut shard = slot.lock().expect("shard lock");
-            cleared += shard.index.len() as u64;
-            shard.index.clear();
-            shard.pending.clear();
-            shard.pending_keys.clear();
-            for (name, _) in std::mem::take(&mut shard.segments) {
-                shard.dir.remove(&name)?;
-            }
+        let mut state = self.state.lock().expect("store lock");
+        let cleared = state.index.len() as u64;
+        state.index.clear();
+        state.pending.clear();
+        state.pending_keys.clear();
+        for (name, _) in std::mem::take(&mut state.segments) {
+            self.dir.remove(&name)?;
         }
         Ok(cleared)
     }
@@ -456,24 +400,16 @@ impl CacheStore {
     /// A point-in-time census. Also refreshes the
     /// `clapton_cache_size_bytes` / `clapton_cache_entries` gauges.
     pub fn stats(&self) -> CacheStoreStats {
-        let mut entries = 0u64;
-        let mut bytes = 0u64;
-        let mut segments = 0u64;
-        for slot in &self.shards {
-            let shard = slot.lock().expect("shard lock");
-            entries += shard.index.len() as u64;
-            bytes += shard.segment_bytes();
-            segments += shard.segments.len() as u64;
-        }
+        let state = self.state.lock().expect("store lock");
         let stats = CacheStoreStats {
-            entries,
-            bytes,
-            segments,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            corrupt_segments: self.corrupt_segments.load(Ordering::Relaxed),
+            entries: state.index.len() as u64,
+            bytes: state.segment_bytes(),
+            segments: state.segments.len() as u64,
+            hits: state.hits,
+            misses: state.misses,
+            inserts: state.inserts,
+            evictions: state.evictions,
+            corrupt_segments: state.corrupt_segments,
         };
         let metrics = cache_metrics();
         metrics.size_bytes.set(stats.bytes as f64);
@@ -520,6 +456,7 @@ impl LossStore for CacheStore {
 mod tests {
     use super::*;
     use clapton_runtime::failpoint;
+    use std::path::PathBuf;
     use std::sync::MutexGuard;
 
     /// A fresh scratch directory, handed out together with the failpoint
@@ -531,11 +468,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         (gate, dir)
     }
-
-    const ONE_SHARD: CacheConfig = CacheConfig {
-        max_bytes: 256 * 1024 * 1024,
-        shards: 1,
-    };
 
     /// File names in `dir`, sorted.
     fn names(dir: &Path) -> Vec<String> {
@@ -556,11 +488,29 @@ mod tests {
     }
 
     #[test]
-    fn shard_placement_is_pinned() {
-        let _gate = failpoint::tests_exclusive();
-        // Literal value: segments written by earlier builds must keep their
-        // shard.
-        assert_eq!(shard_hash(7, b"genome"), 1279918083869523791);
+    fn one_flush_writes_one_segment_directly_under_the_root() {
+        let (_gate, root) = scratch("one-dir");
+        let store = CacheStore::open(&root, CacheConfig::default()).unwrap();
+        let keys: Vec<(u64, String)> = (0..16).map(|ns| (ns, format!("key-{ns}"))).collect();
+        for (ns, key) in &keys {
+            store.put(*ns, key.as_bytes(), key);
+        }
+        store.flush().unwrap();
+        drop(store);
+
+        // The store's root holds exactly one segment and no subdirectory.
+        let listed = names(&root);
+        assert_eq!(listed.len(), 1, "{listed:?}");
+        assert!(listed[0].starts_with("seg-") && listed[0].ends_with(".seg"));
+        assert!(root.join(&listed[0]).is_file());
+
+        let reopened = CacheStore::open(&root, CacheConfig::default()).unwrap();
+        for (ns, key) in &keys {
+            assert_eq!(reopened.get(*ns, key.as_bytes()).as_deref(), Some(&key[..]));
+        }
+        let stats = reopened.stats();
+        assert_eq!((stats.entries, stats.segments), (keys.len() as u64, 1));
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -631,7 +581,7 @@ mod tests {
     #[test]
     fn corrupt_segment_is_quarantined_without_failing_lookups() {
         let (_gate, root) = scratch("corrupt");
-        let store = CacheStore::open(&root, ONE_SHARD).unwrap();
+        let store = CacheStore::open(&root, CacheConfig::default()).unwrap();
         store.put(1, b"early", "kept-in-seg-1");
         store.flush().unwrap();
         store.put(1, b"victim", "doomed");
@@ -639,22 +589,21 @@ mod tests {
         drop(store);
 
         // Garble the newer segment's payload bytes.
-        let shard = root.join("shard-0");
-        let segments = names(&shard);
+        let segments = names(&root);
         assert_eq!(segments.len(), 2);
-        let victim = shard.join(&segments[1]);
+        let victim = root.join(&segments[1]);
         let mut bytes = fs::read(&victim).unwrap();
         let last = bytes.len() - 2;
         bytes[last] ^= 0xFF;
         fs::write(&victim, &bytes).unwrap();
 
-        let reopened = CacheStore::open(&root, ONE_SHARD).unwrap();
+        let reopened = CacheStore::open(&root, CacheConfig::default()).unwrap();
         // The healthy segment still answers; the corrupt one reads as a miss
         // and was renamed aside.
         assert_eq!(reopened.get(1, b"early").as_deref(), Some("kept-in-seg-1"));
         assert_eq!(reopened.get(1, b"victim"), None);
         assert_eq!(reopened.stats().corrupt_segments, 1);
-        assert_eq!(quarantined(&shard), 1, "corrupt segment renamed aside");
+        assert_eq!(quarantined(&root), 1, "corrupt segment renamed aside");
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -679,38 +628,44 @@ mod tests {
     #[test]
     fn earlier_layout_segments_are_quarantined_and_bytes_count_live_segments() {
         let (_gate, root) = scratch("earlier");
-        let store = CacheStore::open(&root, ONE_SHARD).unwrap();
+        let store = CacheStore::open(&root, CacheConfig::default()).unwrap();
         store.put(4, b"current", "answers");
         store.flush().unwrap();
         drop(store);
-        let shard = root.join("shard-0");
-        let current = names(&shard);
+        let current = names(&root);
         // Earlier layouts, sorting before today's segment: two concatenated
         // records, one record, and a lone hex-JSON record inside one valid
         // envelope (which only the record decoder can reject).
         let mut two = earlier_layout_record(4, b"old-a", "1");
         two.extend(earlier_layout_record(4, b"old-b", "2"));
-        fs::write(shard.join("seg-000000000000001-0000000001-000000.seg"), two).unwrap();
+        fs::write(root.join("seg-000000000000001-0000000001-000000.seg"), two).unwrap();
         let one = earlier_layout_record(4, b"old-c", "3");
-        fs::write(shard.join("seg-000000000000001-0000000001-000001.seg"), one).unwrap();
+        fs::write(root.join("seg-000000000000001-0000000001-000001.seg"), one).unwrap();
         let lone = earlier_layout_payload(4, b"old-d", "4");
-        RunDirectory::create(&shard)
-            .unwrap()
-            .write_sealed("seg-000000000000001-0000000001-000002.seg", lone.as_bytes())
+        let dir = RunDirectory::create(&root).unwrap();
+        dir.write_sealed("seg-000000000000001-0000000001-000002.seg", lone.as_bytes())
             .unwrap();
+        // The sharded layout before the store became one directory: a
+        // well-formed segment under `shard-0/`, which is not read.
+        let mut sharded = Vec::new();
+        encode_record(&mut sharded, 4, b"sharded", "5");
+        let shard = RunDirectory::create(root.join("shard-0")).unwrap();
+        let sharded_name = "seg-000000000000001-0000000001-000003.seg";
+        shard.write_sealed(sharded_name, &sharded).unwrap();
 
-        let reopened = CacheStore::open(&root, ONE_SHARD).unwrap();
+        let reopened = CacheStore::open(&root, CacheConfig::default()).unwrap();
         assert_eq!(reopened.stats().corrupt_segments, 3);
-        assert_eq!(quarantined(&shard), 3, "earlier layouts renamed aside");
+        assert_eq!(quarantined(&root), 3, "earlier layouts renamed aside");
         assert_eq!(reopened.get(4, b"current").as_deref(), Some("answers"));
-        for key in [&b"old-a"[..], b"old-b", b"old-c", b"old-d"] {
+        for key in [&b"old-a"[..], b"old-b", b"old-c", b"old-d", b"sharded"] {
             assert_eq!(reopened.get(4, key), None);
         }
+        assert_eq!(names(shard.path()), [sharded_name], "left in place");
         // `bytes` is the live segment files' size on disk, and an unflushed
         // insert adds an entry but no bytes.
         let on_disk: u64 = current
             .iter()
-            .map(|n| fs::metadata(shard.join(n)).unwrap().len())
+            .map(|n| fs::metadata(root.join(n)).unwrap().len())
             .sum();
         let stats = reopened.stats();
         assert_eq!(
@@ -727,7 +682,7 @@ mod tests {
     #[test]
     fn torn_flush_is_quarantined_at_the_next_open() {
         let (_gate, root) = scratch("torn");
-        let store = CacheStore::open(&root, ONE_SHARD).unwrap();
+        let store = CacheStore::open(&root, CacheConfig::default()).unwrap();
         store.put(5, b"kept", "whole");
         store.flush().unwrap();
         store.put(5, b"torn", "half");
@@ -739,9 +694,9 @@ mod tests {
         assert_eq!(store.get(5, b"torn").as_deref(), Some("half"));
         drop(store);
 
-        let reopened = CacheStore::open(&root, ONE_SHARD).unwrap();
+        let reopened = CacheStore::open(&root, CacheConfig::default()).unwrap();
         assert_eq!(reopened.stats().corrupt_segments, 1);
-        assert_eq!(quarantined(&root.join("shard-0")), 1);
+        assert_eq!(quarantined(&root), 1);
         assert_eq!(reopened.get(5, b"kept").as_deref(), Some("whole"));
         assert_eq!(reopened.get(5, b"torn"), None, "recomputed, not misread");
         fs::remove_dir_all(&root).unwrap();
@@ -750,7 +705,7 @@ mod tests {
     #[test]
     fn failed_flush_keeps_its_records_for_the_next_flush() {
         let (_gate, root) = scratch("retry");
-        let store = CacheStore::open(&root, ONE_SHARD).unwrap();
+        let store = CacheStore::open(&root, CacheConfig::default()).unwrap();
         store.put(6, b"a", "1");
         store.put(6, b"b", "2");
         failpoint::configure("registry.write.rename=err@1").unwrap();
@@ -763,7 +718,7 @@ mod tests {
         assert_eq!(store.stats().segments, 1);
         drop(store);
 
-        let reopened = CacheStore::open(&root, ONE_SHARD).unwrap();
+        let reopened = CacheStore::open(&root, CacheConfig::default()).unwrap();
         assert_eq!(reopened.get(6, b"a").as_deref(), Some("1"));
         assert_eq!(reopened.get(6, b"b").as_deref(), Some("2"));
         let stats = reopened.stats();
@@ -774,10 +729,7 @@ mod tests {
     #[test]
     fn eviction_respects_the_size_budget() {
         let (_gate, root) = scratch("evict");
-        let config = CacheConfig {
-            max_bytes: 2048,
-            shards: 1,
-        };
+        let config = CacheConfig { max_bytes: 2048 };
         let store = CacheStore::open(&root, config).unwrap();
         // Each flush lands one ~600-byte segment; the 2 KiB budget forces
         // the oldest out.

@@ -2,17 +2,17 @@
 //! registry.
 //!
 //! A *run directory* holds everything one job produces. The service layer
-//! writes the submitted `spec.json` and a `manifest.json` on admission;
-//! after every GA round, first that round's memo segment
-//! (`memo-NNNNN.seg`, the genome → loss entries the round added, written
-//! once and never rewritten), then a small `checkpoint.json` of the engine
-//! state without its memo (the previous generation kept as
-//! `checkpoint.prev.json`); and a `report.json` when the job finishes. A
-//! suite run is a registry of such directories plus a `queue.json` spec
-//! list and the merged `suite_manifest.json`. Because every write is
-//! tmp-file + rename, a run killed at any instant leaves only complete
-//! artifacts: resuming skips finished jobs and continues the rest from
-//! their latest round snapshot, its memo replayed from the segments.
+//! writes the submitted `spec.json` on admission; after every GA round,
+//! first that round's memo segment (`memo-NNNNN.seg`, the genome → loss
+//! entries the round added, written once and never rewritten), then a
+//! small `checkpoint.json` of the engine state without its memo (the
+//! previous generation kept as `checkpoint.prev.json`); and a
+//! `report.json` when the job finishes. A suite run is a registry of such
+//! directories plus a `queue.json` spec list and the merged
+//! `suite_manifest.json`. Because every write is tmp-file + rename, a run
+//! killed at any instant leaves only complete artifacts: resuming skips
+//! finished jobs and continues the rest from their latest round snapshot,
+//! its memo replayed from the segments.
 //!
 //! # Integrity envelope
 //!
@@ -48,8 +48,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Configuration record of a run directory (`manifest.json`), written once
-/// when the directory is first prepared.
+/// Configuration record of a run directory (`manifest.json`). No job writes
+/// it: service admission records only `spec.json`. Kept only for the
+/// benchmark's traced job body (`clapbench/src/compose.rs`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
     /// Job names, in scheduling order.
@@ -379,7 +380,8 @@ impl RunDirectory {
         }
     }
 
-    /// Writes the run manifest.
+    /// Writes the run manifest. No job calls it; kept only for
+    /// `clapbench/src/compose.rs`.
     pub fn write_manifest(&self, manifest: &RunManifest) -> io::Result<()> {
         self.write_json("manifest.json", manifest)
     }

@@ -9,7 +9,7 @@ use clapton_error::{ClaptonError, SpecError};
 use clapton_ga::{EngineState, MemoEntry};
 use clapton_runtime::{
     artifact_slug, failpoint, Artifact, CancelToken, ClaimOutcome, EventKind, Interrupt,
-    LeaseKeeper, RunDirectory, RunEvent, RunManifest, RunRegistry, WorkerPool,
+    LeaseKeeper, RunDirectory, RunEvent, RunRegistry, WorkerPool,
 };
 use clapton_telemetry::metrics::{registry, Counter, Histogram};
 use clapton_vqe::{run_vqe, VqeConfig};
@@ -674,11 +674,6 @@ impl ClaptonService {
             Artifact::Valid(_) => {}
             Artifact::Missing | Artifact::Corrupt { .. } => {
                 dir.write_json(SPEC_ARTIFACT, &job.spec)?;
-                dir.write_manifest(&RunManifest {
-                    jobs: vec![job.name.clone()],
-                    seed: job.config.seed,
-                    profile: format!("service-v{}", job.spec.version),
-                })?;
             }
         }
         Ok(Some(dir))

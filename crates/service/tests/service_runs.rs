@@ -157,7 +157,10 @@ fn artifacts_persist_spec_and_report_and_answer_resubmissions() {
     let report = service.run(spec.clone()).unwrap();
     let dir = root.join("ising-J-0.50-seed11");
     assert!(dir.join("spec.json").is_file(), "spec persisted");
-    assert!(dir.join("manifest.json").is_file(), "manifest persisted");
+    assert!(
+        !dir.join("manifest.json").exists(),
+        "admission writes only spec.json"
+    );
     assert!(dir.join("report.json").is_file(), "report persisted");
     assert!(
         !dir.join("checkpoint.json").exists(),

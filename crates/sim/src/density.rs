@@ -1,6 +1,6 @@
 //! Dense density-matrix simulation with non-Clifford noise channels.
 
-use crate::statevector::{i_power, masks};
+use crate::statevector::{i_power, masks, one_qubit_unitary};
 use crate::Complex64;
 use clapton_circuits::Gate;
 use clapton_pauli::{PauliString, PauliSum};
@@ -82,48 +82,6 @@ impl DensityMatrix {
     /// Applies a unitary gate: `ρ ← U ρ U†`.
     pub fn apply_gate(&mut self, gate: Gate) {
         match gate {
-            Gate::Ry(q, a) => {
-                let (c, s) = ((a / 2.0).cos(), (a / 2.0).sin());
-                self.apply_1q(
-                    q,
-                    [
-                        [Complex64::real(c), Complex64::real(-s)],
-                        [Complex64::real(s), Complex64::real(c)],
-                    ],
-                );
-            }
-            Gate::Rz(q, a) => self.apply_1q(
-                q,
-                [
-                    [Complex64::cis(-a / 2.0), Complex64::ZERO],
-                    [Complex64::ZERO, Complex64::cis(a / 2.0)],
-                ],
-            ),
-            Gate::H(q) => {
-                let h = Complex64::real(std::f64::consts::FRAC_1_SQRT_2);
-                self.apply_1q(q, [[h, h], [h, -h]]);
-            }
-            Gate::S(q) => self.apply_1q(
-                q,
-                [
-                    [Complex64::ONE, Complex64::ZERO],
-                    [Complex64::ZERO, Complex64::I],
-                ],
-            ),
-            Gate::Sdg(q) => self.apply_1q(
-                q,
-                [
-                    [Complex64::ONE, Complex64::ZERO],
-                    [Complex64::ZERO, -Complex64::I],
-                ],
-            ),
-            Gate::X(q) => self.apply_1q(
-                q,
-                [
-                    [Complex64::ZERO, Complex64::ONE],
-                    [Complex64::ONE, Complex64::ZERO],
-                ],
-            ),
             Gate::Cx(c, t) => {
                 let (bc, bt) = (1usize << c, 1usize << t);
                 self.sandwich_permutation(|i| if i & bc != 0 { i ^ bt } else { i });
@@ -138,6 +96,10 @@ impl DensityMatrix {
                         i
                     }
                 });
+            }
+            one_qubit => {
+                let (q, u) = one_qubit_unitary(one_qubit);
+                self.apply_1q(q, u);
             }
         }
     }

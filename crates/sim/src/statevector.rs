@@ -58,50 +58,6 @@ impl StateVector {
     /// Applies a single gate.
     pub fn apply_gate(&mut self, gate: Gate) {
         match gate {
-            Gate::Ry(q, a) => {
-                let (c, s) = ((a / 2.0).cos(), (a / 2.0).sin());
-                self.apply_1q(
-                    q,
-                    [
-                        [Complex64::real(c), Complex64::real(-s)],
-                        [Complex64::real(s), Complex64::real(c)],
-                    ],
-                );
-            }
-            Gate::Rz(q, a) => {
-                self.apply_1q(
-                    q,
-                    [
-                        [Complex64::cis(-a / 2.0), Complex64::ZERO],
-                        [Complex64::ZERO, Complex64::cis(a / 2.0)],
-                    ],
-                );
-            }
-            Gate::H(q) => {
-                let h = Complex64::real(std::f64::consts::FRAC_1_SQRT_2);
-                self.apply_1q(q, [[h, h], [h, -h]]);
-            }
-            Gate::S(q) => self.apply_1q(
-                q,
-                [
-                    [Complex64::ONE, Complex64::ZERO],
-                    [Complex64::ZERO, Complex64::I],
-                ],
-            ),
-            Gate::Sdg(q) => self.apply_1q(
-                q,
-                [
-                    [Complex64::ONE, Complex64::ZERO],
-                    [Complex64::ZERO, -Complex64::I],
-                ],
-            ),
-            Gate::X(q) => self.apply_1q(
-                q,
-                [
-                    [Complex64::ZERO, Complex64::ONE],
-                    [Complex64::ONE, Complex64::ZERO],
-                ],
-            ),
             Gate::Cx(c, t) => {
                 let (bc, bt) = (1usize << c, 1usize << t);
                 for i in 0..self.amps.len() {
@@ -117,6 +73,10 @@ impl StateVector {
                         self.amps.swap(i, (i & !ba) | bb);
                     }
                 }
+            }
+            one_qubit => {
+                let (q, u) = one_qubit_unitary(one_qubit);
+                self.apply_1q(q, u);
             }
         }
     }
@@ -181,6 +141,60 @@ impl StateVector {
     /// The state norm (should be 1 for unitary evolution).
     pub fn norm(&self) -> f64 {
         self.amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt()
+    }
+}
+
+/// The qubit and 2×2 unitary of a one-qubit gate, shared by both dense
+/// simulators' `apply_1q`.
+///
+/// # Panics
+///
+/// Panics on CX or SWAP, which each simulator applies as a permutation.
+pub(crate) fn one_qubit_unitary(gate: Gate) -> (usize, [[Complex64; 2]; 2]) {
+    match gate {
+        Gate::Ry(q, a) => {
+            let (c, s) = ((a / 2.0).cos(), (a / 2.0).sin());
+            (
+                q,
+                [
+                    [Complex64::real(c), Complex64::real(-s)],
+                    [Complex64::real(s), Complex64::real(c)],
+                ],
+            )
+        }
+        Gate::Rz(q, a) => (
+            q,
+            [
+                [Complex64::cis(-a / 2.0), Complex64::ZERO],
+                [Complex64::ZERO, Complex64::cis(a / 2.0)],
+            ],
+        ),
+        Gate::H(q) => {
+            let h = Complex64::real(std::f64::consts::FRAC_1_SQRT_2);
+            (q, [[h, h], [h, -h]])
+        }
+        Gate::S(q) => (
+            q,
+            [
+                [Complex64::ONE, Complex64::ZERO],
+                [Complex64::ZERO, Complex64::I],
+            ],
+        ),
+        Gate::Sdg(q) => (
+            q,
+            [
+                [Complex64::ONE, Complex64::ZERO],
+                [Complex64::ZERO, -Complex64::I],
+            ],
+        ),
+        Gate::X(q) => (
+            q,
+            [
+                [Complex64::ZERO, Complex64::ONE],
+                [Complex64::ONE, Complex64::ZERO],
+            ],
+        ),
+        Gate::Cx(..) | Gate::Swap(..) => panic!("{gate:?} is not a one-qubit gate"),
     }
 }
 
